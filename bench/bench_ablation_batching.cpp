@@ -1,33 +1,30 @@
-// Ablation: batch atomic broadcast + the two-stage commit pipeline
-// (gcs batch_max > 1) vs the serial per-payload hot path. One leg per
-// batch size on an update-heavy KV mix (YCSB-A), all legs under the
-// online monitors and the off-line §5.3 safety check:
-//
-//   batch_max = 1   — today's behavior: one assignment record per
-//                     payload, per-payload delivery, serial
-//                     certify + install at the delivery point;
-//   batch_max = B   — the sequencer mints one assignment record per
-//                     batch (closed by size B or the delay threshold),
-//                     delivery hands contiguous runs, stage 1 certifies
-//                     the run (codec + cert fixed costs amortized,
-//                     stability ticks deduplicated) while installs
-//                     drain through the bounded pipeline.
+// Ablation: the sequencer's batch size (gcs batch_max) on the one commit
+// path — batch assignment records, run delivery, and the two-stage commit
+// pipeline. One leg per batch size on an update-heavy KV mix (YCSB-A),
+// all legs under the online monitors and the off-line §5.3 safety check.
+// At every leg the sequencer mints one assignment record per batch,
+// closed at batch_max keys or after the batch delay (the same delay at
+// every leg); delivery hands contiguous runs, and stage 1 certifies each
+// run with the codec and cert fixed costs amortized while installs drain
+// through the bounded pipeline. batch_max = 1 mints a record per payload;
+// 16 is the default.
 //
 // Decisions must be batch-size-invariant; only charged CPU (and so
 // throughput) may move. Reported per leg: committed throughput, abort
 // rate, cert-latency p95, view changes, and the monitor verdict. The
 // amortization term is additionally differenced at the component level:
-// the same payload stream is certified with the serial and the batched
+// the same payload stream is certified one at a time and with the run
 // cost pattern, decision-for-decision, every run.
 //
 //   $ ./bench_ablation_batching [--clients N] [--txns N] [--csv out.csv]
-//                               [--json out.json] [--smoke]
+//                               [--batch-delay-ms D] [--json out.json]
+//                               [--smoke]
 //
 // --json writes the machine-readable baseline (bench/BENCH_batching.json);
-// --smoke runs the quick {1, 32} sweep and exits nonzero on a decision
-// divergence (component differential, or a batched rerun whose commit
-// logs are not byte-identical), a monitor violation, or a batched leg
-// slower than the batch_max = 1 leg (CI wiring).
+// --smoke runs the quick {1, 16} sweep and exits nonzero on a decision
+// divergence (component differential, or a rerun of the default leg whose
+// commit logs are not byte-identical), a monitor violation, or a default
+// leg slower than the batch_max = 1 leg (CI wiring).
 #include <cstdio>
 
 #include "cert/certifier.hpp"
@@ -115,23 +112,22 @@ int main(int argc, char** argv) {
   flags.declare("clients", "1500", "KV clients across 3 sites (enough "
                                   "load that batches actually fill)");
   flags.declare("keys", "20000", "keyspace size");
-  flags.declare("batch-delay-ms", "5",
-                "batch close delay for the batched legs (the serial leg "
-                "keeps the default); long enough that batches fill at "
-                "the measured arrival rate instead of closing at size "
-                "1-2 on the 500us dissemination default");
+  flags.declare("batch-delay-ms", "0.5",
+                "batch close delay at every leg (default: the "
+                "group_config default)");
   flags.declare("json", "", "optional JSON baseline output path");
   flags.declare("smoke", "false",
-                "CI mode: quick {1, 32} sweep + batched rerun, nonzero "
-                "exit on decision divergence, monitor violation, or a "
-                "batched leg slower than batch_max = 1");
+                "CI mode: quick {1, 16} sweep + a rerun of the default "
+                "leg, nonzero exit on decision divergence, monitor "
+                "violation, or a default leg slower than batch_max = 1");
   if (!flags.parse(argc, argv)) return 1;
   const bool smoke = flags.get_bool("smoke");
   const bool quick = smoke || flags.get_bool("quick");
 
+  const std::size_t default_batch = gcs::group_config{}.batch_max;
   const std::vector<std::size_t> batches =
-      smoke ? std::vector<std::size_t>{1, 32}
-            : std::vector<std::size_t>{1, 4, 16, 32, 128, 256};
+      smoke ? std::vector<std::size_t>{1, default_batch}
+            : std::vector<std::size_t>{1, 4, default_batch, 32, 128};
 
   bool failed = false;
   std::vector<point_result> points;
@@ -165,9 +161,8 @@ int main(int argc, char** argv) {
     cfg.replica_cfg.server.remote_apply_cpu = microseconds(100);
     cfg.replica_cfg.server.storage.request_latency = microseconds(170);
     cfg.gcs.batch_max = b;
-    if (b > 1)
-      cfg.gcs.batch_delay =
-          milliseconds(flags.get_int("batch-delay-ms"));
+    cfg.gcs.batch_delay = static_cast<sim_duration>(
+        flags.get_double("batch-delay-ms") * milliseconds(1));
 
     point_result p;
     p.batch_max = b;
@@ -177,21 +172,21 @@ int main(int argc, char** argv) {
       p.run_payloads += sr.run_payloads;
       p.pipeline_hw = std::max(p.pipeline_hw, sr.pipeline_high_water);
     }
-    if (b > 1 && amortization_decisions_diverge(b)) {
+    if (amortization_decisions_diverge(b)) {
       std::fprintf(stderr,
                    "[batching] FAIL: amortized certification diverged "
                    "from the oracle at batch_max=%zu\n", b);
       failed = true;
     }
-    if (smoke && b > 1) {
-      // Same config, fresh cluster: the batched path must be exactly
+    if (smoke && b == default_batch) {
+      // Same config, fresh cluster: the default path must be exactly
       // reproducible — any nondeterminism in run hand-off or pipeline
       // drain order shows up as diverging commit logs.
       core::experiment_result rerun =
           bench::run_point(cfg, "batching rerun batch_max=" + util::fmt(b));
       if (rerun.commit_logs != p.res.commit_logs) {
         std::fprintf(stderr,
-                     "[batching] FAIL: batched run not deterministic at "
+                     "[batching] FAIL: default run not deterministic at "
                      "batch_max=%zu (rerun commit logs differ)\n", b);
         failed = true;
       }
@@ -209,7 +204,8 @@ int main(int argc, char** argv) {
                       "checks_ok"});
   std::string json = "{\n  \"benchmark\": \"batching_ablation\",\n"
                      "  \"mix\": \"ycsb_a\",\n  \"points\": [\n";
-  const double serial_tpm = points.empty() ? 0.0 : points[0].res.tpm();
+  const double per_payload_tpm =
+      points.empty() ? 0.0 : points[0].res.tpm();
   for (std::size_t i = 0; i < points.size(); ++i) {
     const point_result& p = points[i];
     const double p95 = p.res.cert_latency_ms.empty()
@@ -220,14 +216,14 @@ int main(int argc, char** argv) {
                    p.batch_max, p.res.checks.summary().c_str());
       failed = true;
     }
-    // The point of batching: the amortized legs must not be slower than
-    // the serial leg (the simulation is deterministic, so this is a real
-    // regression signal, not noise).
-    if (p.batch_max >= 32 && p.res.tpm() < serial_tpm) {
+    // The point of batching: the default leg must not be slower than the
+    // one-record-per-payload leg (the simulation is deterministic, so this
+    // is a real regression signal, not noise).
+    if (p.batch_max == default_batch && p.res.tpm() < per_payload_tpm) {
       std::fprintf(stderr,
                    "[batching] FAIL: batch_max=%zu tpm %.0f below the "
                    "batch_max=1 leg (%.0f)\n",
-                   p.batch_max, p.res.tpm(), serial_tpm);
+                   p.batch_max, p.res.tpm(), per_payload_tpm);
       failed = true;
     }
     t.row({util::fmt(p.batch_max), util::fmt(p.res.tpm(), 0),

@@ -43,9 +43,7 @@ int main(int argc, char** argv) {
     cfg.sites = 3;
     cfg.cpus_per_site = 1;
     cfg.clients = static_cast<unsigned>(flags.get_int("clients"));
-    fault::plan loss;
-    loss.random_loss = 0.05;
-    cfg.faults = fault::from_plan(loss);
+    cfg.faults = fault::scenarios::random_loss();
     cfg.gcs.total_buffer_msgs = v.buffer_msgs;
     cfg.gcs.total_buffer_bytes =
         defaults.total_buffer_bytes * v.buffer_msgs / base;

@@ -22,21 +22,13 @@ int main(int argc, char** argv) {
 
   struct scenario {
     const char* label;
-    fault::plan plan;
+    fault::scenario faults;
   };
-  std::vector<scenario> scenarios;
-  scenarios.push_back({"No Faults", {}});
-  {
-    fault::plan p;
-    p.random_loss = 0.05;
-    scenarios.push_back({"Random Loss", p});
-  }
-  {
-    fault::plan p;
-    p.bursty_loss = 0.05;
-    p.burst_len = 5;
-    scenarios.push_back({"Bursty Loss", p});
-  }
+  const std::vector<scenario> scenarios = {
+      {"No Faults", {}},
+      {"Random Loss", fault::scenarios::random_loss()},
+      {"Bursty Loss", fault::scenarios::bursty_loss()},
+  };
 
   std::vector<core::experiment_result> results;
   for (const auto& s : scenarios) {
@@ -45,7 +37,7 @@ int main(int argc, char** argv) {
     cfg.sites = 3;
     cfg.cpus_per_site = 1;
     cfg.clients = static_cast<unsigned>(flags.get_int("clients"));
-    cfg.faults = fault::from_plan(s.plan, s.label);
+    cfg.faults = s.faults;
     results.push_back(bench::run_point(cfg, s.label));
   }
 

@@ -45,15 +45,16 @@ int main(int argc, char** argv) {
     gcs::group_config gcfg;
     gcfg.members = members;
     groups.push_back(std::make_unique<gcs::group>(*envs[i], gcfg));
-    groups[i]->set_deliver([&, i](node_id, std::uint64_t seq,
-                                  util::shared_bytes payload) {
-      delivered[i].emplace_back(payload->begin(), payload->end());
-      if (i == 0) {
-        std::printf("[node 0] delivery #%llu: %s\n",
-                    static_cast<unsigned long long>(seq),
-                    delivered[0].back().c_str());
+    groups[i]->set_deliver([&, i](std::vector<gcs::delivery>&& run) {
+      for (const gcs::delivery& d : run) {
+        delivered[i].emplace_back(d.payload->begin(), d.payload->end());
+        if (i == 0) {
+          std::printf("[node 0] delivery #%llu: %s\n",
+                      static_cast<unsigned long long>(d.global_seq),
+                      delivered[0].back().c_str());
+        }
+        total.fetch_add(1);
       }
-      total.fetch_add(1);
     });
   }
 

@@ -48,16 +48,15 @@ int main() {
                    4800, 150, 5.0});
   {
     auto cfg = scenario(3, 1, 500);
-    fault::plan p;
-    p.random_loss = 0.05;
-    cfg.faults = fault::from_plan(p);
+    cfg.faults = fault::scenarios::random_loss();
     gates.push_back({"3x1 @500 + 5% loss", cfg, 2200, 250, 6.0});
   }
   {
     auto cfg = scenario(3, 1, 300);
-    fault::plan p;
-    p.crashes.push_back({2, seconds(25)});
-    cfg.faults = fault::from_plan(p);
+    fault::scenarios::params p;
+    p.sites = 3;
+    p.onset = seconds(25);
+    cfg.faults = fault::scenarios::crash(p);
     gates.push_back({"3x1 @300 + crash", cfg, 1100, 200, 5.0});
   }
 

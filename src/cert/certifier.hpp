@@ -84,10 +84,9 @@ struct cert_config {
   /// every historical figure and anchor is unaffected.
   sim_duration cost_fork_join = nanoseconds(2500);
   /// Fixed modeled cost of a certification *amortized over a delivery
-  /// batch* (gcs batch mode): the first certification of a batch pays the
-  /// full cost_fixed (cache-cold entry into the cert path), the rest pay
-  /// only this — the PR 5 modeled-cost extended with the batching
-  /// amortization term. Decisions are unaffected; only charged CPU is.
+  /// run*: the first certification of a run pays the full cost_fixed
+  /// (cache-cold entry into the cert path), the rest pay only this.
+  /// Decisions are unaffected; only charged CPU is.
   sim_duration cost_batch_fixed = microseconds(2);
   /// Optional override of the sharded certifier's id -> shard map, e.g.
   /// to align certification shards with a data placement (the shard that

@@ -12,7 +12,6 @@
 #include "core/cluster.hpp"
 #include "core/safety.hpp"
 #include "core/txn_stats.hpp"
-#include "fault/fault_plan.hpp"
 #include "fault/scenarios.hpp"
 #include "place/placement.hpp"
 #include "tpcc/profile.hpp"
@@ -56,8 +55,8 @@ struct experiment_config {
 
   /// The fault schedule, installed against the cluster's injection points
   /// (network medium, per-site env bridges, crash and recover hooks).
-  /// Build one by composing fault_types, pick a named one from
-  /// fault::scenarios::, or adapt a flat paper plan with fault::from_plan.
+  /// Build one by composing fault_types, or pick a named one from
+  /// fault::scenarios:: (the paper's five campaigns included).
   fault::scenario faults;
 
   /// Membership recovery (off by default — the paper's campaigns are
@@ -130,9 +129,9 @@ struct site_report {
   /// Lease revocations observed (view change, suspicion, exclusion).
   std::uint64_t lease_revocations = 0;
 
-  // Batched-delivery accounting (zeros on the serial gcs path).
+  // Delivery-run accounting.
   /// Contiguous delivery runs handed to the pipelined commit path;
-  /// run_payloads / delivery_runs is the mean run length the batching
+  /// run_payloads / delivery_runs is the mean run length the run
   /// amortization actually saw.
   std::uint64_t delivery_runs = 0;
   std::uint64_t run_payloads = 0;

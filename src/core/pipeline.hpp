@@ -1,18 +1,19 @@
-// Certify→install hand-off of the batched delivery path.
+// Certify→install hand-off of the replica's delivery path.
 //
-// With gcs batch atomic broadcast on (group_config::batch_max > 1), the
-// replica splits one delivery run into two stages: stage 1 probes every
-// transaction of batch n against the sharded certifier back-to-back
+// The group hands totally ordered deliveries up as contiguous runs, and
+// the replica splits each run into two stages: stage 1 probes every
+// transaction of run n against the sharded certifier back-to-back
 // (decisions, commit log, monitors — all the order-dependent state), and
 // stage 2 installs the certified updates into db/ from a deferred job, so
-// batch n+1's probes run while batch n's installs drain. The hand-off is
+// run n+1's probes run while run n's installs drain. The hand-off is
 // this bounded FIFO: stage 1 pushes (payload, verdict) pairs in delivery
 // order, stage 2 drains them in the same order, and a full queue forces a
 // synchronous drain (deterministic back-pressure — no work is dropped,
 // reordered, or raced). Commit decisions and the committed sequence are
-// made entirely in stage 1, so they are bit-identical to the serial
-// path's for the same payload stream, whatever the queue does; the
-// tests/batching_test.cpp differential suite holds the two paths to that.
+// made entirely in stage 1, so they are bit-identical to certifying the
+// same payload stream one at a time, whatever the queue does and wherever
+// run boundaries fall; the tests/batching_test.cpp differential suite
+// holds the path to that against the cert::certifier oracle.
 #ifndef DBSM_CORE_PIPELINE_HPP
 #define DBSM_CORE_PIPELINE_HPP
 

@@ -95,15 +95,8 @@ bool replica::stores_read_set(
 }
 
 void replica::start() {
-  if (group_.batching()) {
-    group_.set_deliver_batch([this](std::vector<gcs::delivery>&& run) {
-      on_deliver_batch(std::move(run));
-    });
-    return;
-  }
-  group_.set_deliver([this](node_id sender, std::uint64_t seq,
-                            util::shared_bytes payload) {
-    on_deliver(sender, seq, std::move(payload));
+  group_.set_deliver([this](std::vector<gcs::delivery>&& run) {
+    on_deliver_batch(std::move(run));
   });
 }
 
@@ -230,68 +223,6 @@ std::pair<std::size_t, std::size_t> replica::owned_tuple_split(
   return {owned, total};
 }
 
-void replica::on_deliver(node_id, std::uint64_t global_seq,
-                         util::shared_bytes payload) {
-  if (halted_) return;
-  // Runs as real code in the delivery job: unmarshal and certify against
-  // the sharded last-writer index (O(|read_set| + |write_set|) probes,
-  // forked across shards when configured; decisions identical to the
-  // reference merge scan at every replica and at every shard count).
-  env_.charge(codec_cost(payload->size()));
-  const cert::txn_payload txn = cert::decode_txn(payload);
-
-  if (txn.write_set.empty()) {
-    // Read-only broadcast (read::mode::certified, or a fast-path
-    // fallback). Every site pays delivery + decode, but the decision is
-    // local to the origin: no update-order position, no commit-log entry,
-    // no apply — certification state is untouched by an empty write set.
-    delivered_payload_bytes_ += payload->size();
-    if (txn.origin == env_.self() &&
-        txn_counter(txn.id) > incarnation_floor_) {
-      const bool ok = cert_.certify_read_only(txn.begin_pos, txn.read_set);
-      env_.charge(cert_.last_cost());
-      env_.call_out([this, id = txn.id, ok] {
-        finish_certified_read(id, ok);
-      });
-    }
-    return;
-  }
-
-  const bool commit =
-      cert_.certify_update(txn.begin_pos, txn.read_set, txn.write_set);
-  env_.charge(cert_.last_cost());
-  const std::uint64_t pos = cert_.position();
-  if (commit) commit_log_.push_back(txn.id);
-  if (on_decision_) {
-    on_decision_(txn, pos, commit, commit_log_.size());
-  }
-  // Version the committed prefix for the fast read path: the snapshot at
-  // this delivery's global sequence (pure bookkeeping, gated so the other
-  // modes carry no memory cost).
-  if (cfg_.read.path == read::mode::fast)
-    snapshots_.note_delivery(global_seq, pos, commit_log_.size(),
-                             commit_log_.empty() ? 0 : commit_log_.back());
-
-  // Placement bookkeeping (pure — no modeled time, no randomness, so the
-  // full-placement default stays simulation-identical): account the
-  // delivered payload against what a placement-aware multicast would have
-  // shipped here, and fold committed writes into the granule directory.
-  delivered_payload_bytes_ += payload->size();
-  if (cfg_.placement.interested(env_.self(), txn.write_set))
-    interested_payload_bytes_ += payload->size();
-  if (commit) {
-    store_.apply(txn.write_set, txn.update_bytes);
-    if (on_apply_) {
-      cfg_.placement.slice(txn.write_set, env_.self(), slice_scratch_);
-      on_apply_(txn, pos, slice_scratch_, store_.durable_bytes());
-    }
-  }
-
-  env_.call_out([this, txn = std::move(txn), commit] {
-    install_decision(txn, commit);
-  });
-}
-
 void replica::finish_certified_read(std::uint64_t id, bool ok) {
   if (halted_) return;
   auto it = pending_.find(id);
@@ -409,14 +340,14 @@ void replica::drain_installs() {
 
 void replica::on_deliver_batch(std::vector<gcs::delivery>&& run) {
   if (halted_ || run.empty()) return;
-  // Stage 1 — certify the whole run back-to-back against the sharded
-  // index. Per-payload state transitions (decisions, commit log,
-  // observers, placement accounting) are exactly the serial path's, in
-  // the same delivery order — only the charged CPU is amortized: the
-  // fixed unmarshal cost once per run, and every update certification
-  // after the first pays cert_config::cost_batch_fixed instead of
-  // cost_fixed. Certified work is handed to pipeline_ instead of getting
-  // one deferred job each.
+  // Stage 1 — runs as real code in the delivery job: unmarshal and
+  // certify the whole run back-to-back against the sharded last-writer
+  // index (O(|read_set| + |write_set|) probes per payload, forked across
+  // shards when configured; decisions identical to the reference merge
+  // scan at every replica, shard count and run boundary). The charged CPU
+  // is amortized over the run: the fixed unmarshal cost once per run, and
+  // every update certification after the first pays
+  // cert_config::cost_batch_fixed instead of cost_fixed.
   env_.charge(cfg_.codec_cost_fixed);
   ++delivery_runs_;
   run_payloads_ += run.size();
@@ -426,8 +357,11 @@ void replica::on_deliver_batch(std::vector<gcs::delivery>&& run) {
     cert::txn_payload txn = cert::decode_txn(d.payload);
 
     if (txn.write_set.empty()) {
-      // Read-only broadcast: decision local to the origin (see
-      // on_deliver). Its finish keeps its delivery-order slot by queuing
+      // Read-only broadcast (read::mode::certified, or a fast-path
+      // fallback). Every site pays delivery + decode, but the decision is
+      // local to the origin: no update-order position, no commit-log
+      // entry, no apply — certification state is untouched by an empty
+      // write set. Its finish keeps its delivery-order slot by queuing
       // through the pipeline like an install.
       delivered_payload_bytes_ += d.payload->size();
       if (txn.origin == env_.self() &&
@@ -449,9 +383,16 @@ void replica::on_deliver_batch(std::vector<gcs::delivery>&& run) {
     const std::uint64_t pos = cert_.position();
     if (commit) commit_log_.push_back(txn.id);
     if (on_decision_) on_decision_(txn, pos, commit, commit_log_.size());
+    // Version the committed prefix for the fast read path: the snapshot at
+    // this delivery's global sequence (pure bookkeeping, gated so the other
+    // modes carry no memory cost).
     if (cfg_.read.path == read::mode::fast)
       snapshots_.note_delivery(d.global_seq, pos, commit_log_.size(),
                                commit_log_.empty() ? 0 : commit_log_.back());
+    // Placement bookkeeping (pure — no modeled time, no randomness):
+    // account the delivered payload against what a placement-aware
+    // multicast would have shipped here, and fold committed writes into
+    // the granule directory.
     delivered_payload_bytes_ += d.payload->size();
     if (cfg_.placement.interested(env_.self(), txn.write_set))
       interested_payload_bytes_ += d.payload->size();

@@ -61,10 +61,9 @@ class replica {
     read::read_config read;
 
     /// Bound (in transactions) of the certify→install hand-off queue of
-    /// the batched delivery path (gcs batch_max > 1): when full, the
-    /// install stage drains synchronously before more certifications
-    /// queue behind it — deterministic back-pressure, never dropped or
-    /// reordered work. Irrelevant on the serial path.
+    /// the delivery path: when full, the install stage drains
+    /// synchronously before more certifications queue behind it —
+    /// deterministic back-pressure, never dropped or reordered work.
     std::size_t pipeline_depth = 512;
   };
 
@@ -93,7 +92,7 @@ class replica {
   util::shared_bytes snapshot(node_id for_site) const;
 
   /// Installs a transferred snapshot on a freshly rebuilt replica; the
-  /// joiner then replays forwarded deliveries through on_deliver and
+  /// joiner then replays forwarded deliveries through the delivery path and
   /// converges on the donor's exact committed sequence.
   void install_snapshot(util::shared_bytes blob);
 
@@ -174,7 +173,7 @@ class replica {
   std::uint64_t ro_broadcasts() const { return ro_broadcasts_; }
   std::uint64_t lease_revocations() const { return lease_.revocations(); }
 
-  // --- batched-delivery probes (zero on the serial path) ---
+  // --- delivery-run probes ---
   /// Contiguous delivery runs handed to the pipelined path.
   std::uint64_t delivery_runs() const { return delivery_runs_; }
   /// Payloads delivered inside those runs (run_payloads / delivery_runs
@@ -206,22 +205,20 @@ class replica {
 
  private:
   void on_executed(const db::txn_request& req);
-  void on_deliver(node_id sender, std::uint64_t global_seq,
-                  util::shared_bytes payload);
-  /// Batched delivery (gcs batch mode): stage 1 certifies the whole run
-  /// back-to-back with amortized fixed costs, stage 2 drains the installs
-  /// from a deferred job through pipeline_.
+  /// Run delivery: stage 1 certifies the whole run back-to-back with
+  /// amortized fixed costs, stage 2 drains the installs from a deferred
+  /// job through pipeline_.
   void on_deliver_batch(std::vector<gcs::delivery>&& run);
-  /// Install stage of one certified update (the body of the serial
-  /// path's deferred job): origin finish/abort with disk accounting, or
-  /// remote apply with the placement slice.
+  /// Install stage of one certified update (drained from pipeline_):
+  /// origin finish/abort with disk accounting, or remote apply with the
+  /// placement slice.
   void install_decision(const cert::txn_payload& txn, bool commit);
   /// Completion of a certified read-only broadcast at its origin.
   void finish_certified_read(std::uint64_t id, bool ok);
   void drain_installs();
   sim_duration codec_cost(std::size_t bytes) const;
-  /// Per-byte share of codec_cost (the batched path charges the fixed
-  /// share once per run).
+  /// Per-byte share of codec_cost (delivery charges the fixed share once
+  /// per run).
   sim_duration codec_cost_bytes(std::size_t bytes) const;
   /// Lease check for a fast read, with the lazy suspension re-arm: a
   /// suspicion-suspended lease recovers once the uniform watermark has
@@ -271,7 +268,7 @@ class replica {
   std::uint64_t fallback_reads_ = 0;
   std::uint64_t ro_broadcasts_ = 0;
   place::granule_store store_;
-  /// Certify→install hand-off of the batched delivery path.
+  /// Certify→install hand-off of the delivery path.
   commit_pipeline pipeline_;
   /// Reused per-delivery buffer for placement slices.
   std::vector<db::item_id> slice_scratch_;

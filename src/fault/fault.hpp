@@ -17,9 +17,8 @@
 // knob to nominal. Give same-kind faults disjoint windows or disjoint
 // targets.
 //
-// Concrete fault types live in fault_types.hpp, the paper-compatible flat
-// plan + adapter in fault_plan.hpp, and the named scenario library in
-// scenarios.hpp.
+// Concrete fault types live in fault_types.hpp and the named scenario
+// library (the paper's five campaigns included) in scenarios.hpp.
 #ifndef DBSM_FAULT_FAULT_HPP
 #define DBSM_FAULT_FAULT_HPP
 

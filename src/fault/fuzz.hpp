@@ -103,12 +103,11 @@ struct config {
   /// generated timelines for a given (seed, cfg) are unchanged and
   /// existing corpus seeds stay byte-identical when it is off.
   bool read_fast_path = false;
-  /// Batch atomic broadcast size for each run
-  /// (gcs::group_config::batch_max; 1 keeps the serial per-payload
-  /// path). Only run_spec() consults it — like read_fast_path, generated
+  /// Sequencer batch size for each run (gcs::group_config::batch_max).
+  /// Only run_spec() consults it — like read_fast_path, generated
   /// timelines for a given (seed, cfg) are unchanged, so the same corpus
-  /// replays against the batched and the serial hot path.
-  std::size_t batch_max = 1;
+  /// replays at every batch size.
+  std::size_t batch_max = gcs::group_config{}.batch_max;
   /// Total-order protocol for each run (gcs::group_config::ordering).
   /// Only run_spec() consults it — generated timelines for a given
   /// (seed, cfg) are unchanged, so the same corpus replays against the

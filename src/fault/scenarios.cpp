@@ -2,7 +2,6 @@
 
 #include <cstring>
 
-#include "fault/fault_plan.hpp"
 #include "fault/fault_types.hpp"
 #include "util/check.hpp"
 
@@ -11,35 +10,37 @@ namespace dbsm::fault::scenarios {
 scenario no_faults(const params&) { return scenario("no_faults"); }
 
 scenario clock_drift(const params&) {
-  plan p;
-  p.clock_drift = 0.10;
-  return from_plan(p, "clock_drift");
+  // Odd sites only, so clocks drift relative to each other (§5.3).
+  scenario s("clock_drift");
+  s.add(std::make_shared<clock_drift_fault>(0.10, site_selector::odd()));
+  return s;
 }
 
 scenario sched_latency(const params&) {
-  plan p;
-  p.sched_latency_max = milliseconds(5);
-  return from_plan(p, "sched_latency");
+  scenario s("sched_latency");
+  s.add(std::make_shared<sched_latency_fault>(milliseconds(5),
+                                              site_selector::all()));
+  return s;
 }
 
 scenario random_loss(const params&) {
-  plan p;
-  p.random_loss = 0.05;
-  return from_plan(p, "random_loss");
+  scenario s("random_loss");
+  s.add(loss_fault::random(0.05));
+  return s;
 }
 
 scenario bursty_loss(const params&) {
-  plan p;
-  p.bursty_loss = 0.05;
-  p.burst_len = 5;
-  return from_plan(p, "bursty_loss");
+  scenario s("bursty_loss");
+  s.add(loss_fault::bursty(0.05, 5));
+  return s;
 }
 
 scenario crash(const params& p) {
   DBSM_CHECK(p.sites >= 2);
-  plan pl;
-  pl.crashes.push_back({p.sites - 1, p.onset});
-  return from_plan(pl, "crash");
+  scenario s("crash");
+  s.add(std::make_shared<crash_fault>(site_selector{site_set{p.sites - 1}}),
+        p.onset);
+  return s;
 }
 
 scenario partition_minority(const params& p) {
@@ -136,9 +137,8 @@ scenario batch_boundary_crash(const params& p) {
   // round — when it dies. The survivors' view-change flush must cut
   // through the half-propagated batches deterministically: each record
   // (with the payloads it orders) lands within the cut at every survivor
-  // or is dropped at every survivor, never split. Also meaningful with
-  // batching off (it then cuts through half-propagated per-payload
-  // assignment runs), so the scenario guards the serial path too.
+  // or is dropped at every survivor, never split. At batch_max = 1 it
+  // cuts through runs of one-key records instead.
   const sim_duration window = p.exclusion_timeout / 2;
   s.add(link_delay_fault::one_way(4 * p.exclusion_timeout, site_set{0}),
         p.onset, p.onset + window);

@@ -1,6 +1,6 @@
-// Named fault-scenario library: the paper's five §5.3 campaigns (built
-// through the from_plan adapter so they reproduce the published shapes)
-// plus the composed/timed scenarios the flat plan could not express.
+// Named fault-scenario library: the paper's five §5.3 campaigns (whole-run
+// faults, drift on the odd sites as the paper injects it) plus composed,
+// timed scenarios with targets and [start, stop) windows.
 //
 // Each catalog entry is a factory over `params` (system size, fault onset,
 // the GCS exclusion timeout) so one scenario definition scales to any
@@ -28,7 +28,7 @@ struct params {
   sim_duration exclusion_timeout = milliseconds(300);
 };
 
-// --- the paper's five (§5.3), via the from_plan adapter ---
+// --- the paper's five (§5.3) ---
 scenario no_faults(const params& p = {});
 scenario clock_drift(const params& p = {});    // 10% drift, odd sites
 scenario sched_latency(const params& p = {});  // <=5ms, all sites
@@ -36,7 +36,7 @@ scenario random_loss(const params& p = {});    // 5%
 scenario bursty_loss(const params& p = {});    // 5%, mean burst 5
 scenario crash(const params& p = {});          // last site at onset
 
-// --- composed / timed scenarios beyond the flat plan ---
+// --- composed / timed scenarios ---
 /// Cuts the highest site off the rest at onset, heals 4 exclusion
 /// timeouts later: the majority excludes it and keeps committing, the
 /// minority blocks (primary-partition rule) instead of split-braining.
@@ -76,7 +76,7 @@ scenario partial_k2_crash_rejoin(const params& p = {});
 /// later — batch assignment records minted in the window are sequenced
 /// but nowhere stable, and the survivors' flush must cut through them
 /// deterministically (each record within the cut everywhere or dropped
-/// everywhere). Exercises the serial per-payload path too.
+/// everywhere), at any batch_max.
 scenario batch_boundary_crash(const params& p = {});
 
 /// Rotating-token counterpart of batch_boundary_crash (the catalog entry

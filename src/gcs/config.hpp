@@ -12,8 +12,7 @@ namespace dbsm::gcs {
 /// Which total-order protocol the group runs (gcs/ordering.hpp seam).
 enum class ordering_kind : std::uint8_t {
   /// §3.4 fixed sequencer: the lowest-id view member mints every global
-  /// sequence (gcs/sequencer.hpp). The default — byte-identical to the
-  /// historical protocol and its seed-7 anchors.
+  /// sequence (gcs/sequencer.hpp). The default.
   fixed_sequencer = 0,
   /// Leaderless rotating token: a token circulates the view in site-id
   /// order; the holder mints the next run of global sequences for its own
@@ -75,17 +74,21 @@ struct group_config {
   bool unsafe_no_primary_partition = false;
 
   // --- total order ---
-  /// Ordering-protocol selection (the gcs/ordering.hpp seam). The default
-  /// fixed sequencer reproduces the historical protocol byte-for-byte;
-  /// every implementation must pass tests/ordering_test.cpp — the same
-  /// fault catalog, campaigns, and online monitors — before it ships.
+  /// Ordering-protocol selection (the gcs/ordering.hpp seam). Every
+  /// implementation must pass tests/ordering_test.cpp — the same fault
+  /// catalog, campaigns, and online monitors — before it ships.
   ordering_kind ordering = ordering_kind::fixed_sequencer;
 
   // --- total order (fixed sequencer) ---
-  /// Assignments accumulated before the sequencer flushes a SEQ message
-  /// (a timer flushes earlier ones).
-  std::size_t sequencer_batch = 16;
-  sim_duration sequencer_flush = microseconds(500);
+  /// The sequencer mints one assignment record per batch: up to this many
+  /// payloads with consecutive global sequences, closed by this size or
+  /// by batch_delay. Delivery hands whole contiguous runs to the
+  /// application in one callback either way; 1 mints a record per
+  /// payload. (The §3.4 prototype's flush rule: 16 assignments or 500 us.)
+  std::size_t batch_max = 16;
+  /// Age of the oldest pending payload at which a partial batch closes
+  /// anyway (the latency bound of batching).
+  sim_duration batch_delay = microseconds(500);
 
   // --- total order (rotating token) ---
   /// How long an idle token holder (nothing of its own to order) keeps the
@@ -97,19 +100,6 @@ struct group_config {
   /// sequence (the successor passed it on) or a view change regenerates
   /// the token; this is the retransmission cadence.
   sim_duration token_retry = milliseconds(25);
-
-  // --- batch atomic broadcast (off by default) ---
-  /// When > 1 the sequencer mints one *batch* assignment record covering
-  /// up to this many payloads with consecutive global sequences (closed
-  /// by this size threshold or by batch_delay), delivery hands whole
-  /// contiguous runs to the application in one callback, and the
-  /// stability/watermark ticks skip redundant work between batches. The
-  /// default 1 keeps the per-payload assignment path byte-identical to
-  /// the historical protocol (the seed-7 anchors).
-  std::size_t batch_max = 1;
-  /// Age of the oldest pending payload at which a partial batch closes
-  /// anyway (the latency bound of batching).
-  sim_duration batch_delay = microseconds(500);
 
   /// Deterministic CPU cost charged per handled datagram when real
   /// measurement is off (base protocol processing).

@@ -83,42 +83,16 @@ void group::build_stack(const view& v, std::uint64_t delivered) {
 
   order_ = make_ordering(env_, cfg_);
   if (delivered > 0) order_->start_at(delivered + 1);
-  order_->set_deliver([this](node_id sender, std::uint64_t seq,
-                             util::shared_bytes payload) {
-    // Strip the kind byte; hand the user payload up (and, when donating a
-    // state transfer, forward it to the rejoining site). View-change
-    // backlog delivery comes through here even in batch mode — a batch
-    // consumer gets it as a single-payload run.
-    auto user = std::make_shared<util::bytes>(payload->begin() + 1,
-                                              payload->end());
-    if (recovery_) recovery_->on_local_deliver(sender, seq, user);
-    if (deliver_batch_) {
-      std::vector<delivery> one;
-      one.push_back({sender, seq, std::move(user)});
-      deliver_batch_(std::move(one));
-      return;
+  order_->set_deliver([this](std::vector<delivery>&& run) {
+    // Strip the kind byte; hand the user payloads up (and, when donating a
+    // state transfer, forward them to the rejoining site).
+    for (delivery& d : run) {
+      d.payload = std::make_shared<util::bytes>(d.payload->begin() + 1,
+                                                d.payload->end());
+      if (recovery_)
+        recovery_->on_local_deliver(d.sender, d.global_seq, d.payload);
     }
-    if (deliver_) deliver_(sender, seq, std::move(user));
-  });
-  if (cfg_.batch_max > 1) {
-    order_->set_deliver_run([this](std::vector<delivery>&& run) {
-      for (delivery& d : run) {
-        d.payload = std::make_shared<util::bytes>(d.payload->begin() + 1,
-                                                  d.payload->end());
-        if (recovery_)
-          recovery_->on_local_deliver(d.sender, d.global_seq, d.payload);
-      }
-      if (deliver_batch_) {
-        deliver_batch_(std::move(run));
-        return;
-      }
-      if (deliver_)
-        for (delivery& d : run)
-          deliver_(d.sender, d.global_seq, std::move(d.payload));
-    });
-  }
-  order_->set_send_assignments([this](util::shared_bytes batch) {
-    rmcast_->broadcast(wrap(kind_assignments, batch));
+    if (deliver_) deliver_(std::move(run));
   });
   order_->set_send_batch([this](util::shared_bytes batch) {
     rmcast_->broadcast(wrap(kind_assignment_batch, batch));
@@ -182,15 +156,10 @@ void group::wire_recovery() {
   };
   rh.replay = [this](node_id sender, std::uint64_t seq,
                      util::shared_bytes payload) {
-    // A batch consumer gets each replayed delivery as a single-payload
-    // run, same as view-change backlog delivery.
-    if (deliver_batch_) {
-      std::vector<delivery> one;
-      one.push_back({sender, seq, std::move(payload)});
-      deliver_batch_(std::move(one));
-      return;
-    }
-    if (deliver_) deliver_(sender, seq, std::move(payload));
+    if (!deliver_) return;
+    std::vector<delivery> one;
+    one.push_back({sender, seq, std::move(payload)});
+    deliver_(std::move(one));
   };
   rh.delivered = [this] { return order_->delivered(); };
   rh.is_coordinator = [this] {
@@ -276,12 +245,6 @@ void group::on_app_msg(node_id sender, std::uint64_t app_seq,
     case kind_user:
       order_->on_user_msg(sender, app_seq, std::move(payload), last_dgram);
       break;
-    case kind_assignments: {
-      auto body = std::make_shared<util::bytes>(payload->begin() + 1,
-                                                payload->end());
-      order_->on_assignments(body);
-      break;
-    }
     case kind_assignment_batch: {
       auto body = std::make_shared<util::bytes>(payload->begin() + 1,
                                                 payload->end());
@@ -405,18 +368,15 @@ void group::stability_tick() {
   stability_->set_local_prefixes(rmcast_->prefixes());
   // Snapshot (delivered, prefixes) for the uniform watermark: once a
   // future stability round covers these prefixes at every member, the
-  // deliveries counted here are agreed. In batch mode the tick is
-  // amortized over batches: a sample that cannot move the watermark —
-  // delivery hasn't advanced past the watermark, or past the previous
-  // sample (which carries lower-or-equal prefixes, i.e. covers first) —
-  // is skipped. Gated on batch_max so the default ring stays
-  // byte-identical to the historical behavior.
+  // deliveries counted here are agreed. A sample that cannot move the
+  // watermark — delivery hasn't advanced past the watermark, or past the
+  // previous sample (which carries lower-or-equal prefixes, i.e. covers
+  // first) — is skipped.
   const std::uint64_t delivered = order_->delivered();
   const bool redundant =
-      cfg_.batch_max > 1 &&
-      (delivered <= uniform_ ||
-       (!uniform_ring_.empty() &&
-        uniform_ring_.back().delivered == delivered));
+      delivered <= uniform_ ||
+      (!uniform_ring_.empty() &&
+       uniform_ring_.back().delivered == delivered);
   if (!redundant)
     uniform_ring_.push_back({delivered, rmcast_->prefixes()});
   const stab_msg gossip =
@@ -492,10 +452,8 @@ void group::do_install(const view& v,
   rmcast_->install_view(v.members);
   rmcast_->set_view_id(v.id);
 
-  // Deterministic delivery of the flushed backlog, then the new roles
-  // (sequencer takeover / token regeneration at the new lead).
+  // Deterministic delivery of the flushed backlog.
   order_->install_view(old_members, cut, v.members);
-  order_->set_roles(v.members, v.sequencer());
 
   // Everything up to the cut is at every survivor: it is stable by
   // definition of the flush. Seed the new stability tracker with it.
@@ -513,6 +471,11 @@ void group::do_install(const view& v,
   fd_->reset(v.members, env_.now());
   rmcast_->resume_sending();
   if (view_cb_) view_cb_(v);
+  // The new roles (sequencer takeover / token regeneration at the new
+  // lead) come last: a new minter's first record is self-delivered at
+  // once, and it orders messages sent after the cut, so it must not land
+  // before the view handler has seen delivery stand exactly at the cut.
+  order_->set_roles(v.members, v.sequencer());
 }
 
 void group::rebuild_for_merge(const view& v, std::uint64_t delivered,

@@ -18,32 +18,6 @@ const char* ordering_name(ordering_kind k) {
   return "?";
 }
 
-util::shared_bytes encode_assignments(const std::vector<assignment>& as) {
-  util::buffer_writer w(4 + 20 * as.size());
-  w.put_u16(static_cast<std::uint16_t>(as.size()));
-  for (const assignment& a : as) {
-    w.put_u32(a.sender);
-    w.put_u64(a.app_seq);
-    w.put_u64(a.global_seq);
-  }
-  return w.take();
-}
-
-std::vector<assignment> decode_assignments(const util::shared_bytes& raw) {
-  util::buffer_reader r(raw);
-  const std::uint16_t n = r.get_u16();
-  std::vector<assignment> out;
-  out.reserve(n);
-  for (std::uint16_t i = 0; i < n; ++i) {
-    assignment a;
-    a.sender = r.get_u32();
-    a.app_seq = r.get_u64();
-    a.global_seq = r.get_u64();
-    out.push_back(a);
-  }
-  return out;
-}
-
 util::shared_bytes encode_assignment_batch(const assignment_batch& b) {
   util::buffer_writer w(10 + 12 * b.keys.size());
   w.put_u64(b.base);
@@ -96,16 +70,6 @@ void ordering::on_user_msg(node_id sender, std::uint64_t app_seq,
   try_deliver();
 }
 
-void ordering::on_assignments(const util::shared_bytes& batch) {
-  for (const assignment& a : decode_assignments(batch)) {
-    const msg_key key{a.sender, a.app_seq};
-    order_.emplace(a.global_seq, key);
-    assigned_.insert(key);
-    if (a.global_seq >= next_assign_) next_assign_ = a.global_seq + 1;
-  }
-  try_deliver();
-}
-
 void ordering::on_assignment_batch(const util::shared_bytes& raw) {
   const assignment_batch b = decode_assignment_batch(raw);
   std::uint64_t seq = b.base;
@@ -121,41 +85,24 @@ void ordering::on_assignment_batch(const util::shared_bytes& raw) {
 
 void ordering::try_deliver() {
   if (halted_) return;
-  if (deliver_run_) {
-    // Batch mode: hand the whole contiguous deliverable run out in one
-    // callback. State transitions per payload are identical to the
-    // per-payload loop below, so decisions downstream cannot depend on
-    // where run boundaries fall (they differ per site with arrival
-    // timing; only amortized CPU does).
-    std::vector<delivery> run;
-    auto it = order_.find(next_deliver_);
-    while (it != order_.end()) {
-      auto mit = complete_.find(it->second);
-      if (mit == complete_.end()) break;  // payload not yet received
-      const msg_key key = it->second;
-      pending_msg msg = std::move(mit->second);
-      complete_.erase(mit);
-      order_.erase(it);
-      assigned_.erase(key);
-      run.push_back({key.first, next_deliver_++, std::move(msg.payload)});
-      it = order_.find(next_deliver_);
-    }
-    if (!run.empty()) deliver_run_(std::move(run));
-    return;
-  }
+  // Hand the whole contiguous deliverable run out in one callback. Run
+  // boundaries differ per site with arrival timing; the per-payload state
+  // transitions do not, so decisions downstream cannot depend on them
+  // (only amortized CPU does).
+  std::vector<delivery> run;
   auto it = order_.find(next_deliver_);
   while (it != order_.end()) {
     auto mit = complete_.find(it->second);
-    if (mit == complete_.end()) return;  // payload not yet received
+    if (mit == complete_.end()) break;  // payload not yet received
     const msg_key key = it->second;
     pending_msg msg = std::move(mit->second);
     complete_.erase(mit);
     order_.erase(it);
     assigned_.erase(key);
-    const std::uint64_t seq = next_deliver_++;
-    if (deliver_) deliver_(key.first, seq, std::move(msg.payload));
+    run.push_back({key.first, next_deliver_++, std::move(msg.payload)});
     it = order_.find(next_deliver_);
   }
+  if (!run.empty() && deliver_) deliver_(std::move(run));
 }
 
 void ordering::install_view(const std::vector<node_id>& old_members,
@@ -189,7 +136,9 @@ void ordering::install_view(const std::vector<node_id>& old_members,
 
   // 2. Walk the assignment sequence; deliver what survives, skip orphaned
   //    assignments. Every survivor has the same state, so this is
-  //    deterministic and identical group-wide.
+  //    deterministic and identical group-wide. The whole backlog goes out
+  //    as one run.
+  std::vector<delivery> backlog;
   std::uint64_t last_assigned = next_assign_ - 1;
   for (auto it = order_.begin(); it != order_.end();) {
     auto mit = complete_.find(it->second);
@@ -200,8 +149,7 @@ void ordering::install_view(const std::vector<node_id>& old_members,
       assigned_.erase(key);
       last_assigned = std::max(last_assigned, it->first);
       it = order_.erase(it);
-      const std::uint64_t seq = next_deliver_++;
-      if (deliver_) deliver_(key.first, seq, std::move(msg.payload));
+      backlog.push_back({key.first, next_deliver_++, std::move(msg.payload)});
     } else {
       // Orphan: assigned by a crashed minter to a message nobody holds.
       last_assigned = std::max(last_assigned, it->first);
@@ -217,12 +165,12 @@ void ordering::install_view(const std::vector<node_id>& old_members,
       const msg_key key = it->first;
       pending_msg msg = std::move(it->second);
       it = complete_.erase(it);
-      const std::uint64_t seq = next_deliver_++;
-      if (deliver_) deliver_(key.first, seq, std::move(msg.payload));
+      backlog.push_back({key.first, next_deliver_++, std::move(msg.payload)});
     } else {
       ++it;
     }
   }
+  if (!backlog.empty() && deliver_) deliver_(std::move(backlog));
 
   // Renumber: the new minter continues after everything delivered.
   next_assign_ = std::max(last_assigned + 1, next_deliver_);

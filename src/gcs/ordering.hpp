@@ -39,21 +39,12 @@
 
 namespace dbsm::gcs {
 
-/// One total-order assignment: (sender, app_seq) -> global sequence.
-struct assignment {
-  node_id sender = 0;
-  std::uint64_t app_seq = 0;
-  std::uint64_t global_seq = 0;
-};
-
-util::shared_bytes encode_assignments(const std::vector<assignment>& as);
-std::vector<assignment> decode_assignments(const util::shared_bytes& raw);
-
-/// Batch assignment record (group_config::batch_max > 1, and the rotating
-/// token's native mint record): one base global sequence plus the
-/// (sender, app_seq) keys it covers, in minting order — key i gets global
-/// sequence base + i. 12 bytes per payload instead of 20, and one wire
-/// record (and one handler charge) per batch.
+/// The assignment record, the only ordering wire format: one base global
+/// sequence plus the (sender, app_seq) keys it covers, in minting order —
+/// key i gets global sequence base + i. 12 bytes per key plus 10, and one
+/// wire record (and one handler charge) per batch. The fixed sequencer
+/// closes a batch at group_config::batch_max keys or batch_delay; the
+/// rotating token mints one per token hold.
 struct assignment_batch {
   std::uint64_t base = 0;
   std::vector<std::pair<node_id, std::uint64_t>> keys;
@@ -62,7 +53,7 @@ struct assignment_batch {
 util::shared_bytes encode_assignment_batch(const assignment_batch& b);
 assignment_batch decode_assignment_batch(const util::shared_bytes& raw);
 
-/// One totally ordered delivery, as handed to a batch (run) consumer.
+/// One totally ordered delivery, as handed to the run consumer.
 struct delivery {
   node_id sender = 0;
   std::uint64_t global_seq = 0;
@@ -71,18 +62,14 @@ struct delivery {
 
 class ordering {
  public:
-  /// Final, totally ordered delivery to the application.
-  using deliver_fn = std::function<void(node_id sender,
-                                        std::uint64_t global_seq,
-                                        util::shared_bytes payload)>;
-  /// Contiguous run of totally ordered deliveries, handed out in one
-  /// callback (set only in batch mode; try_deliver then batches instead of
-  /// calling deliver_ per payload).
-  using deliver_run_fn = std::function<void(std::vector<delivery>&&)>;
+  /// Final, totally ordered delivery to the application: a contiguous
+  /// run of deliveries in one callback (a run of one is the degenerate
+  /// case). Run boundaries are a local timing artifact; the per-payload
+  /// order is the total order.
+  using deliver_fn = std::function<void(std::vector<delivery>&&)>;
   /// Used by the minting site to disseminate assignment records (wired to
   /// the group facade, which wraps and reliably multicasts them).
-  using send_assignments_fn =
-      std::function<void(util::shared_bytes batch)>;
+  using send_batch_fn = std::function<void(util::shared_bytes batch)>;
   /// Rotating token only: multicasts the token datagram naming the next
   /// holder (raw control plane, outside the reliable streams).
   using send_token_fn = std::function<void(std::uint64_t token_seq,
@@ -101,18 +88,9 @@ class ordering {
   void start_at(std::uint64_t next);
 
   void set_deliver(deliver_fn fn) { deliver_ = std::move(fn); }
-  /// Batch-mode delivery: contiguous runs go through `fn` in one call
-  /// instead of per-payload deliver_ (which install_view backlog delivery
-  /// still uses). Leave unset for the per-payload path.
-  void set_deliver_run(deliver_run_fn fn) { deliver_run_ = std::move(fn); }
-  void set_send_assignments(send_assignments_fn fn) {
-    send_assignments_ = std::move(fn);
-  }
-  /// Dissemination of batch assignment records (the group wraps these
-  /// under its own wire kind).
-  void set_send_batch(send_assignments_fn fn) {
-    send_batch_ = std::move(fn);
-  }
+  /// Dissemination of assignment records (the group wraps these under its
+  /// own wire kind).
+  void set_send_batch(send_batch_fn fn) { send_batch_ = std::move(fn); }
   /// Token dissemination (rotating token only; a fixed sequencer never
   /// calls it).
   void set_send_token(send_token_fn fn) { send_token_ = std::move(fn); }
@@ -147,10 +125,7 @@ class ordering {
   void on_user_msg(node_id sender, std::uint64_t app_seq,
                    util::shared_bytes payload, std::uint64_t last_dgram);
 
-  /// Assignment batch from the reliable layer.
-  void on_assignments(const util::shared_bytes& batch);
-
-  /// Batch assignment record from the reliable layer.
+  /// Assignment record from the reliable layer.
   void on_assignment_batch(const util::shared_bytes& raw);
 
   /// Token datagram from the control plane (rotating token only; the
@@ -158,8 +133,8 @@ class ordering {
   virtual void on_token(const token_msg& t);
 
   /// View change: removes state of failed senders beyond the cut and
-  /// deterministically delivers what remains (identically at every
-  /// survivor — they flushed to the same state):
+  /// deterministically delivers what remains, as one run (identically at
+  /// every survivor — they flushed to the same state):
   ///   1. assignments whose payload survives are delivered in order;
   ///   2. assignments whose payload is gone (assigned by a crashed
   ///      minter to a message nobody holds) are skipped;
@@ -188,7 +163,7 @@ class ordering {
   virtual void on_complete(node_id sender, std::uint64_t app_seq) = 0;
 
   /// install_view() entry: undo mint state that never reached the wire
-  /// (unflushed assignment batches) so the deterministic backlog delivery
+  /// (the open, unminted batch) so the deterministic backlog delivery
   /// sees only wire-visible assignments.
   virtual void rollback_unflushed() = 0;
 
@@ -201,9 +176,7 @@ class ordering {
   csrt::env& env_;
   const group_config cfg_;
   deliver_fn deliver_;
-  deliver_run_fn deliver_run_;
-  send_assignments_fn send_assignments_;
-  send_assignments_fn send_batch_;
+  send_batch_fn send_batch_;
   send_token_fn send_token_;
 
   bool quiesced_ = false;  // view change in progress: no new assignments

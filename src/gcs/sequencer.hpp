@@ -5,8 +5,9 @@
 //
 // The sequencer assigns a global sequence number to every complete
 // application message it receives (its own included) and disseminates the
-// assignments — batched — through its own reliable multicast stream, so
-// ordering information is itself reliable and flow-controlled. This makes
+// assignments — one record per batch, closed at group_config::batch_max
+// keys or after batch_delay — through its own reliable multicast stream,
+// so ordering information is itself reliable and flow-controlled. This makes
 // the sequencer multicast far more than anyone else, which is precisely the
 // §5.3 bottleneck the paper diagnoses.
 //
@@ -43,18 +44,15 @@ class total_order : public ordering {
   void post_install(const std::vector<node_id>& new_members) override;
 
  private:
-  void flush_batch();
   void close_batch();
   void maybe_assign(node_id sender, std::uint64_t app_seq);
-  bool batch_mode() const { return cfg_.batch_max > 1; }
 
   node_id sequencer_ = invalid_node;
   bool am_sequencer_ = false;
 
-  std::vector<assignment> batch_;
-  /// Batch mode: keys accumulated for the open batch. They are marked
-  /// assigned (so the rescan cannot double-add them) but their global
-  /// sequences are minted only when the batch closes.
+  /// Keys accumulated for the open batch. They are marked assigned (so the
+  /// rescan cannot double-add them) but their global sequences are minted
+  /// only when the batch closes.
   std::vector<msg_key> batch_keys_;
   csrt::timer_id batch_timer_ = 0;
 };

@@ -1,9 +1,9 @@
 // Tests of the composable fault-scenario API: target-site selection
 // (explicit sets drift exactly those sites — the odd-site hardwiring is
 // gone), [start, stop) fault windows on the simulator timeline, network
-// partition/heal and per-link delay injection, the from_plan adapter, the
-// named scenario catalog, and whole-run determinism (same seed + same
-// scenario => identical committed sequence).
+// partition/heal and per-link delay injection, the named scenario catalog
+// (the paper's odd-site drift included), and whole-run determinism (same
+// seed + same scenario => identical committed sequence).
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -109,14 +109,9 @@ TEST(fault_targeting, drift_hits_exactly_the_target_set) {
   for (sim_time t : after) EXPECT_EQ(t, milliseconds(100));
 }
 
-TEST(fault_targeting, from_plan_keeps_the_papers_odd_site_drift) {
+TEST(fault_targeting, clock_drift_scenario_keeps_the_papers_odd_site_drift) {
   site_rig rig(4);
-  scenario s = from_plan([] {
-    plan p;
-    p.clock_drift = 0.10;
-    return p;
-  }());
-  s.install(rig.s, rig.points());
+  scenarios::clock_drift().install(rig.s, rig.points());
 
   const auto fires = rig.timer_fires();
   EXPECT_EQ(fires[0], milliseconds(100));

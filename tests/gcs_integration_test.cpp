@@ -17,7 +17,7 @@
 namespace dbsm::gcs {
 namespace {
 
-struct delivery {
+struct received {
   node_id sender;
   std::uint64_t seq;
   std::string text;
@@ -30,7 +30,7 @@ struct group_harness {
   std::vector<std::unique_ptr<net::udp_transport>> transports;
   std::vector<std::unique_ptr<csrt::sim_env>> envs;
   std::vector<std::unique_ptr<group>> groups;
-  std::vector<std::vector<delivery>> delivered;
+  std::vector<std::vector<received>> delivered;
   std::vector<std::vector<std::uint32_t>> views;
 
   explicit group_harness(unsigned n, group_config cfg = {}) {
@@ -51,12 +51,11 @@ struct group_harness {
           util::rng(100 + i)));
       transports.back()->attach(*envs.back());
       groups.push_back(std::make_unique<group>(*envs.back(), cfg));
-      groups.back()->set_deliver([this, i](node_id sender,
-                                           std::uint64_t seq,
-                                           util::shared_bytes payload) {
-        delivered[i].push_back(
-            {sender, seq,
-             std::string(payload->begin(), payload->end())});
+      groups.back()->set_deliver([this, i](std::vector<delivery>&& run) {
+        for (const delivery& d : run)
+          delivered[i].push_back(
+              {d.sender, d.global_seq,
+               std::string(d.payload->begin(), d.payload->end())});
       });
       groups.back()->set_view_handler(
           [this, i](const view& v) { views[i].push_back(v.id); });

@@ -257,23 +257,34 @@ struct order_fixture {
   std::vector<util::shared_bytes> sent_batches;
 
   order_fixture() {
-    to.set_deliver([this](node_id, std::uint64_t seq,
-                          util::shared_bytes payload) {
-      delivered.emplace_back(seq,
-                             std::string(payload->begin(), payload->end()));
+    to.set_deliver([this](std::vector<delivery>&& run) {
+      for (const delivery& d : run)
+        delivered.emplace_back(
+            d.global_seq, std::string(d.payload->begin(), d.payload->end()));
     });
-    to.set_send_assignments([this](util::shared_bytes batch) {
+    to.set_send_batch([this](util::shared_bytes batch) {
       sent_batches.push_back(std::move(batch));
     });
   }
 };
+
+/// An assignment record as a remote minter would send it: `keys` get
+/// consecutive global sequences from `base`.
+util::shared_bytes record(
+    std::uint64_t base,
+    std::vector<std::pair<node_id, std::uint64_t>> keys) {
+  assignment_batch b;
+  b.base = base;
+  b.keys = std::move(keys);
+  return encode_assignment_batch(b);
+}
 
 TEST(total_order, non_sequencer_waits_for_assignments) {
   order_fixture f;
   f.to.set_sequencer(1);  // someone else
   f.to.on_user_msg(2, 1, text_payload("x"), 1);
   EXPECT_TRUE(f.delivered.empty());
-  f.to.on_assignments(encode_assignments({{2, 1, 1}}));
+  f.to.on_assignment_batch(record(1, {{2, 1}}));
   ASSERT_EQ(f.delivered.size(), 1u);
   EXPECT_EQ(f.delivered[0].first, 1u);
 }
@@ -282,24 +293,65 @@ TEST(total_order, sequencer_assignments_take_effect_via_wire_echo) {
   order_fixture f;
   f.to.set_sequencer(0);  // we are the sequencer
   f.to.on_user_msg(1, 1, text_payload("x"), 1);
-  // Batch flushes on the timer; nothing delivered until the batch comes
-  // back through our own reliable stream.
-  f.env.advance(f.cfg.sequencer_flush + 1);
+  // The batch closes on the timer; nothing delivered until the record
+  // comes back through our own reliable stream.
+  f.env.advance(f.cfg.batch_delay + 1);
   ASSERT_EQ(f.sent_batches.size(), 1u);
   EXPECT_TRUE(f.delivered.empty());
-  f.to.on_assignments(f.sent_batches[0]);
+  f.to.on_assignment_batch(f.sent_batches[0]);
   ASSERT_EQ(f.delivered.size(), 1u);
 }
 
 TEST(total_order, batch_flushes_at_size_threshold) {
   order_fixture f;
   f.to.set_sequencer(0);
-  for (std::uint64_t i = 1; i <= f.cfg.sequencer_batch; ++i)
+  for (std::uint64_t i = 1; i <= f.cfg.batch_max; ++i)
     f.to.on_user_msg(1, i, text_payload("m"), i);
-  // Full batch flushed without waiting for the timer.
+  // Full batch closed without waiting for the timer.
   ASSERT_EQ(f.sent_batches.size(), 1u);
-  EXPECT_EQ(decode_assignments(f.sent_batches[0]).size(),
-            f.cfg.sequencer_batch);
+  EXPECT_EQ(decode_assignment_batch(f.sent_batches[0]).keys.size(),
+            f.cfg.batch_max);
+}
+
+TEST(total_order, batch_of_one_closes_per_payload) {
+  // batch_max = 1, the degenerate case: every key is its own record, with
+  // no timer wait.
+  fake_env env{0, {0, 1, 2}};
+  group_config cfg;
+  cfg.batch_max = 1;
+  total_order to{env, cfg};
+  std::vector<util::shared_bytes> sent;
+  to.set_send_batch([&](util::shared_bytes b) { sent.push_back(b); });
+  to.set_sequencer(0);
+  to.on_user_msg(1, 1, text_payload("a"), 1);
+  to.on_user_msg(2, 1, text_payload("b"), 1);
+  ASSERT_EQ(sent.size(), 2u);
+  EXPECT_EQ(decode_assignment_batch(sent[1]).base, 2u);
+  EXPECT_EQ(env.pending_timers(), 0u);
+}
+
+TEST(total_order, takeover_rescan_survives_records_self_delivering) {
+  // A new sequencer assigns its whole complete-but-unordered backlog. With
+  // one-key batches every record closes inside the rescan, and its
+  // self-delivery (the echo below, synchronous as in the group) delivers
+  // and erases messages of the map being scanned.
+  fake_env env{0, {0, 1, 2}};
+  group_config cfg;
+  cfg.batch_max = 1;
+  total_order to{env, cfg};
+  std::vector<std::string> delivered;
+  to.set_deliver([&](std::vector<delivery>&& run) {
+    for (const delivery& d : run)
+      delivered.emplace_back(d.payload->begin(), d.payload->end());
+  });
+  to.set_send_batch([&](util::shared_bytes b) { to.on_assignment_batch(b); });
+  to.set_sequencer(1);
+  for (std::uint64_t i = 1; i <= 5; ++i)
+    to.on_user_msg(2, i, text_payload("m" + std::to_string(i)), i);
+  to.set_sequencer(0);  // takeover
+  EXPECT_EQ(delivered,
+            (std::vector<std::string>{"m1", "m2", "m3", "m4", "m5"}));
+  EXPECT_EQ(to.pending_unordered(), 0u);
 }
 
 TEST(total_order, delivery_strictly_follows_global_sequence) {
@@ -308,7 +360,7 @@ TEST(total_order, delivery_strictly_follows_global_sequence) {
   f.to.on_user_msg(2, 1, text_payload("second"), 1);
   f.to.on_user_msg(1, 1, text_payload("first"), 1);
   // Assignments: (1,1)->1, (2,1)->2; payload for 2 arrived first.
-  f.to.on_assignments(encode_assignments({{1, 1, 1}, {2, 1, 2}}));
+  f.to.on_assignment_batch(record(1, {{1, 1}, {2, 1}}));
   ASSERT_EQ(f.delivered.size(), 2u);
   EXPECT_EQ(f.delivered[0].second, "first");
   EXPECT_EQ(f.delivered[1].second, "second");
@@ -317,7 +369,7 @@ TEST(total_order, delivery_strictly_follows_global_sequence) {
 TEST(total_order, missing_payload_stalls_subsequent_deliveries) {
   order_fixture f;
   f.to.set_sequencer(1);
-  f.to.on_assignments(encode_assignments({{1, 1, 1}, {2, 1, 2}}));
+  f.to.on_assignment_batch(record(1, {{1, 1}, {2, 1}}));
   f.to.on_user_msg(2, 1, text_payload("later"), 1);
   EXPECT_TRUE(f.delivered.empty());  // seq 1's payload still missing
   f.to.on_user_msg(1, 1, text_payload("now"), 1);
@@ -333,7 +385,7 @@ TEST(total_order, install_view_delivers_backlog_deterministically) {
     f.to.on_user_msg(1, 1, text_payload(std::string("u1") + tag), 5);
     f.to.on_user_msg(2, 1, text_payload("u2"), 3);
     // One wire-visible assignment for (2,1); (1,1) never got ordered.
-    f.to.on_assignments(encode_assignments({{2, 1, 1}}));
+    f.to.on_assignment_batch(record(1, {{2, 1}}));
     // Old view {0,1,2} with cuts; sender 2 crashed; new view {0,1}.
     f.to.install_view({0, 1, 2}, {10, 10, 10}, {0, 1});
     std::vector<std::string> texts;
@@ -360,14 +412,14 @@ TEST(total_order, install_view_drops_dead_senders_beyond_cut) {
 
 TEST(total_order, quiesce_holds_the_flush_until_view_install) {
   // The flush-quiesce barrier directly: once a view change quiesces
-  // ordering, a firing flush timer must mint nothing; the held batch
+  // ordering, a firing close timer must mint nothing; the held batch
   // rolls back at install and surfaces as deterministic unassigned
   // backlog, and the continuing sequencer numbers past it.
   order_fixture f;
   f.to.set_sequencer(0);
   f.to.on_user_msg(1, 1, text_payload("held"), 1);
   f.to.quiesce();
-  f.env.advance(f.cfg.sequencer_flush + 1);
+  f.env.advance(f.cfg.batch_delay + 1);
   EXPECT_TRUE(f.sent_batches.empty());  // the fired timer minted nothing
   // A message completing mid-flush stays unassigned too.
   f.to.on_user_msg(2, 1, text_payload("late"), 1);
@@ -378,56 +430,55 @@ TEST(total_order, quiesce_holds_the_flush_until_view_install) {
   EXPECT_EQ(f.delivered[1].second, "late");
   f.to.set_sequencer(0);  // re-elected after the install
   f.to.on_user_msg(1, 2, text_payload("next"), 2);
-  f.env.advance(f.cfg.sequencer_flush + 1);
+  f.env.advance(f.cfg.batch_delay + 1);
   ASSERT_EQ(f.sent_batches.size(), 1u);
-  const auto as = decode_assignments(f.sent_batches[0]);
-  ASSERT_EQ(as.size(), 1u);
-  EXPECT_EQ(as[0].global_seq, 3u);  // continues past the two delivered
+  const assignment_batch b = decode_assignment_batch(f.sent_batches[0]);
+  ASSERT_EQ(b.keys.size(), 1u);
+  EXPECT_EQ(b.base, 3u);  // continues past the two delivered
 }
 
 TEST(total_order, view_change_rolls_back_the_open_batch) {
-  // The batch-barrier path (batch mode): keys accumulated in an open
-  // batch are marked assigned but unminted; a close firing mid-quiesce
-  // must hold, and the install must roll the marks back so the keys are
-  // delivered as plain backlog — nothing minted, nothing lost.
-  fake_env env{0, {0, 1, 2}};
-  group_config cfg;
-  cfg.batch_max = 8;
-  cfg.batch_delay = milliseconds(2);
-  total_order to{env, cfg};
-  std::vector<std::pair<std::uint64_t, std::string>> delivered;
-  std::vector<util::shared_bytes> sent;
-  to.set_deliver([&](node_id, std::uint64_t seq, util::shared_bytes p) {
-    delivered.emplace_back(seq, std::string(p->begin(), p->end()));
+  // Keys accumulated in an open batch are marked assigned but unminted; a
+  // close firing mid-quiesce must hold, and the install must roll the
+  // marks back so the keys are delivered as plain backlog — in one run —
+  // with nothing minted and nothing lost.
+  order_fixture f;
+  std::size_t runs = 0;
+  f.to.set_deliver([&](std::vector<delivery>&& run) {
+    ++runs;
+    for (const delivery& d : run)
+      f.delivered.emplace_back(
+          d.global_seq, std::string(d.payload->begin(), d.payload->end()));
   });
-  to.set_send_batch([&](util::shared_bytes b) { sent.push_back(b); });
-  to.set_sequencer(0);
-  to.on_user_msg(1, 1, text_payload("a"), 1);
-  to.on_user_msg(2, 1, text_payload("b"), 1);
-  EXPECT_TRUE(sent.empty());  // open batch: under size, before the delay
-  to.quiesce();
-  env.advance(cfg.batch_delay + 1);  // close timer fires while quiesced
-  EXPECT_TRUE(sent.empty());         // barrier holds: no mint mid-flush
-  to.install_view({0, 1, 2}, {10, 10, 10}, {0, 1, 2});
-  ASSERT_EQ(delivered.size(), 2u);  // rolled back and delivered as backlog
-  EXPECT_EQ(delivered[0].second, "a");
-  EXPECT_EQ(delivered[1].second, "b");
-  to.set_sequencer(0);
-  to.on_user_msg(1, 2, text_payload("c"), 2);
-  env.advance(cfg.batch_delay + 1);
-  ASSERT_EQ(sent.size(), 1u);
-  EXPECT_EQ(decode_assignment_batch(sent[0]).base, 3u);  // numbering runs on
-  to.on_assignment_batch(sent[0]);
-  ASSERT_EQ(delivered.size(), 3u);
-  EXPECT_EQ(delivered.back().first, 3u);
-  EXPECT_EQ(delivered.back().second, "c");
+  f.to.set_sequencer(0);
+  f.to.on_user_msg(1, 1, text_payload("a"), 1);
+  f.to.on_user_msg(2, 1, text_payload("b"), 1);
+  EXPECT_TRUE(f.sent_batches.empty());  // open batch: under size and delay
+  f.to.quiesce();
+  f.env.advance(f.cfg.batch_delay + 1);  // close timer fires while quiesced
+  EXPECT_TRUE(f.sent_batches.empty());   // barrier holds: no mint mid-flush
+  f.to.install_view({0, 1, 2}, {10, 10, 10}, {0, 1, 2});
+  ASSERT_EQ(f.delivered.size(), 2u);  // rolled back and delivered as backlog
+  EXPECT_EQ(runs, 1u);
+  EXPECT_EQ(f.delivered[0].second, "a");
+  EXPECT_EQ(f.delivered[1].second, "b");
+  f.to.set_sequencer(0);
+  f.to.on_user_msg(1, 2, text_payload("c"), 2);
+  f.env.advance(f.cfg.batch_delay + 1);
+  ASSERT_EQ(f.sent_batches.size(), 1u);
+  EXPECT_EQ(decode_assignment_batch(f.sent_batches[0]).base,
+            3u);  // numbering runs on
+  f.to.on_assignment_batch(f.sent_batches[0]);
+  ASSERT_EQ(f.delivered.size(), 3u);
+  EXPECT_EQ(f.delivered.back().first, 3u);
+  EXPECT_EQ(f.delivered.back().second, "c");
 }
 
 TEST(total_order, orphan_assignments_are_skipped_consistently) {
   order_fixture f;
   f.to.set_sequencer(2);
   // The crashed sequencer ordered a message nobody holds.
-  f.to.on_assignments(encode_assignments({{2, 9, 1}, {1, 1, 2}}));
+  f.to.on_assignment_batch(record(1, {{2, 9}, {1, 1}}));
   f.to.on_user_msg(1, 1, text_payload("real"), 4);
   // Only seq 1 is missing its payload; delivery stalls.
   EXPECT_TRUE(f.delivered.empty());

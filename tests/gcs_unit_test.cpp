@@ -1,11 +1,9 @@
 // Unit tests of group-communication building blocks: wire codecs,
-// stability gossip rounds, flow control, failure detection, assignment
-// batches.
+// stability gossip rounds, flow control, failure detection.
 #include <gtest/gtest.h>
 
 #include "gcs/failure_detector.hpp"
 #include "gcs/flow_control.hpp"
-#include "gcs/sequencer.hpp"
 #include "gcs/stability.hpp"
 #include "gcs/wire.hpp"
 
@@ -77,14 +75,6 @@ TEST(wire, type_mismatch_throws) {
   heartbeat_msg hb;
   hb.hdr = {msg_type::heartbeat, 1, 0};
   EXPECT_THROW(decode_data(encode(hb)), invariant_violation);
-}
-
-TEST(assignments, batch_round_trip) {
-  std::vector<assignment> as{{1, 10, 100}, {2, 20, 101}};
-  const auto decoded = decode_assignments(encode_assignments(as));
-  ASSERT_EQ(decoded.size(), 2u);
-  EXPECT_EQ(decoded[0].sender, 1u);
-  EXPECT_EQ(decoded[1].global_seq, 101u);
 }
 
 // ---------- stability ----------

@@ -2,12 +2,14 @@
 // seam): every total-order implementation must satisfy the same runtime
 // specification — the seven online monitors, the §5.3 off-line safety
 // check, and deterministic same-seed replay — across the full fault
-// catalog, the paper's campaign scenarios, recovery rejoin, and the
-// batching grid. The fixed sequencer (the default) is additionally held
-// to the historical seed-7 anchors byte-for-byte; the rotating token is
-// held to the protocol-level contract (regeneration at view change,
-// retransmission until superseded, holder-only minting) by scripted
-// fake-env unit tests, including token-loss and holder-crash cases.
+// catalog, the paper's campaign scenarios, recovery rejoin, and run
+// delivery. The fixed sequencer (the default) is additionally held
+// to the seed-7 anchors byte-for-byte; the rotating token is held to the
+// protocol-level contract (regeneration at view change, retransmission
+// until superseded, holder-only minting) by scripted fake-env unit tests,
+// including token-loss and holder-crash cases. Both are held to view
+// synchrony at a sequencer crash: a scripted group-level install and a
+// crash → rejoin seed sweep under the monitors.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,7 +20,9 @@
 
 #include "core/experiment.hpp"
 #include "fake_env.hpp"
+#include "fault/fault_types.hpp"
 #include "fault/scenarios.hpp"
+#include "gcs/group.hpp"
 #include "gcs/sequencer.hpp"
 #include "gcs/token_order.hpp"
 #include "util/distributions.hpp"
@@ -71,10 +75,10 @@ struct token_fixture {
   std::vector<pass> passes;
 
   token_fixture() {
-    to.set_deliver([this](node_id, std::uint64_t seq,
-                          util::shared_bytes payload) {
-      delivered.emplace_back(seq,
-                             std::string(payload->begin(), payload->end()));
+    to.set_deliver([this](std::vector<gcs::delivery>&& run) {
+      for (const gcs::delivery& d : run)
+        delivered.emplace_back(
+            d.global_seq, std::string(d.payload->begin(), d.payload->end()));
     });
     to.set_send_batch([this](util::shared_bytes b) {
       sent_mints.push_back(std::move(b));
@@ -298,11 +302,10 @@ core::experiment_config campaign_cfg(const fault::scenarios::catalog_entry& e,
   return cfg;
 }
 
-// The ordering seam must leave the default campaign byte-identical to the
-// PR 9 anchors (ROADMAP/REPRODUCING): the six paper scenarios at seed 7
-// commit exactly 1486/1486/1488/1484/1482/1489, site 0's committed
-// sequence hashes to the recorded value — and the fixed sequencer never
-// touches the token control plane.
+// The default campaign is pinned (ROADMAP/REPRODUCING): the six paper
+// scenarios at seed 7 commit exactly the recorded counts, site 0's
+// committed sequence hashes to the recorded value — and the fixed
+// sequencer never touches the token control plane.
 TEST(ordering_anchor, fixed_sequencer_reproduces_the_pr9_campaign) {
   struct anchor {
     const char* scenario;
@@ -343,8 +346,9 @@ const std::vector<gcs::ordering_kind>& both_orderings() {
   return k;
 }
 
-core::experiment_config kv_cfg(gcs::ordering_kind ord,
-                               std::size_t batch_max = 1) {
+core::experiment_config kv_cfg(
+    gcs::ordering_kind ord,
+    std::size_t batch_max = gcs::group_config{}.batch_max) {
   core::experiment_config cfg;
   cfg.sites = 3;
   cfg.clients = 45;
@@ -359,15 +363,16 @@ core::experiment_config kv_cfg(gcs::ordering_kind ord,
   cfg.workload = kv::factory(k);
   cfg.gcs.ordering = ord;
   cfg.gcs.batch_max = batch_max;
-  if (batch_max > 1) cfg.gcs.batch_delay = milliseconds(2);
   return cfg;
 }
 
-// Every catalog scenario under BOTH orderings: the monitors cross-check
-// every certification decision and apply online, the §5.3 off-line check
-// verifies identical committed sequences across operational sites, and
-// rejoin scenarios must actually bring the crashed site back. This is
-// the runtime specification every ordering implementation is held to.
+// Every catalog scenario under BOTH orderings at the default batch size:
+// the monitors cross-check every certification decision and apply
+// online, the §5.3 off-line check verifies identical committed sequences
+// across operational sites, and rejoin scenarios must actually bring the
+// crashed site back. This is the runtime specification every ordering
+// implementation is held to. (tests/batching_test.cpp runs the catalog
+// at the other batch sizes; only the fixed sequencer reads batch_max.)
 TEST(ordering_differential, full_fault_catalog_passes_under_both) {
   bool saw_token_holder_crash = false;
   for (const auto& e : fault::scenarios::catalog()) {
@@ -487,43 +492,36 @@ TEST(ordering_differential, commit_sets_reconcile_across_orderings) {
 // ---------- determinism: same seed => byte-identical per ordering ------
 
 TEST(ordering_differential, rotating_token_rerun_is_deterministic) {
-  for (const std::size_t batch_max : {std::size_t{1}, std::size_t{32}}) {
-    const auto a = core::run_experiment(
-        kv_cfg(gcs::ordering_kind::rotating_token, batch_max));
-    const auto b = core::run_experiment(
-        kv_cfg(gcs::ordering_kind::rotating_token, batch_max));
-    ASSERT_EQ(a.commit_logs.size(), b.commit_logs.size()) << batch_max;
-    EXPECT_EQ(a.commit_logs, b.commit_logs) << batch_max;
-    EXPECT_EQ(a.stats.total_committed(), b.stats.total_committed())
-        << batch_max;
-    EXPECT_EQ(a.responses, b.responses) << batch_max;
-  }
+  const auto a =
+      core::run_experiment(kv_cfg(gcs::ordering_kind::rotating_token));
+  const auto b =
+      core::run_experiment(kv_cfg(gcs::ordering_kind::rotating_token));
+  ASSERT_EQ(a.commit_logs.size(), b.commit_logs.size());
+  EXPECT_EQ(a.commit_logs, b.commit_logs);
+  EXPECT_EQ(a.stats.total_committed(), b.stats.total_committed());
+  EXPECT_EQ(a.responses, b.responses);
 }
 
-// ---------- batching grid points under the rotating token ----------
+// ---------- run delivery under the rotating token ----------
 
-// Batch atomic broadcast composes with the token: the holder's mint
-// records are batch records natively, and batch_max > 1 additionally
-// turns on run delivery + the pipelined commit path. Both grid points
-// must run clean under the monitors, and the batched one must actually
-// hand out runs.
+// The token composes with run delivery and the pipelined commit path: its
+// mint records are assignment records like the sequencer's, and the
+// group hands the runs they order to the replica in one callback each.
 TEST(ordering_differential, rotating_token_composes_with_batching) {
-  for (const std::size_t batch_max : {std::size_t{1}, std::size_t{32}}) {
-    const auto r = core::run_experiment(
-        kv_cfg(gcs::ordering_kind::rotating_token, batch_max));
-    EXPECT_TRUE(r.checks.ok) << batch_max << ": " << r.checks.summary();
-    EXPECT_TRUE(r.safety.ok) << batch_max << ": " << r.safety.detail;
-    EXPECT_GT(r.stats.total_committed(), 0u) << batch_max;
-    std::uint64_t runs = 0, token_traffic = 0;
-    for (const core::site_report& s : r.sites) {
-      runs += s.delivery_runs;
-      token_traffic += s.token_ctl_sent;
-    }
-    EXPECT_GT(token_traffic, 0u) << batch_max;
-    if (batch_max > 1) {
-      EXPECT_GT(runs, 0u);
-    }
+  const auto r =
+      core::run_experiment(kv_cfg(gcs::ordering_kind::rotating_token));
+  EXPECT_TRUE(r.checks.ok) << r.checks.summary();
+  EXPECT_TRUE(r.safety.ok) << r.safety.detail;
+  EXPECT_GT(r.stats.total_committed(), 0u);
+  std::uint64_t runs = 0, payloads = 0, token_traffic = 0;
+  for (const core::site_report& s : r.sites) {
+    runs += s.delivery_runs;
+    payloads += s.run_payloads;
+    token_traffic += s.token_ctl_sent;
   }
+  EXPECT_GT(token_traffic, 0u);
+  EXPECT_GT(runs, 0u);
+  EXPECT_GE(payloads, runs);
 }
 
 // The load-spreading claim itself: under the fixed sequencer the minting
@@ -548,6 +546,101 @@ TEST(ordering_differential, token_spreads_protocol_cpu_across_sites) {
   EXPECT_LT(spread(token), spread(fixed))
       << "fixed spread " << spread(fixed) << ", token spread "
       << spread(token);
+}
+
+// ---------- view synchrony at a sequencer crash ----------
+
+// One member (site 1 of {0, 1, 2}) driven through the view change that
+// excludes the crashed lead, site 0, by hand-fed wire messages from site 2
+// (the coordinator). Site 1 becomes the new lead — the minting site under
+// either ordering — and holds an own message broadcast after its state
+// report, so past the agreed cut. Its first mint in the new view orders
+// that message and self-delivers at once; the view handler must still see
+// delivery standing exactly at the cut.
+TEST(ordering_view_change, new_lead_mints_past_the_cut_after_the_view_handler) {
+  for (const gcs::ordering_kind ord : both_orderings()) {
+    const char* oname = gcs::ordering_name(ord);
+    fake_env env{1, {0, 1, 2}};
+    gcs::group_config cfg;
+    cfg.members = {0, 1, 2};
+    cfg.ordering = ord;
+    gcs::group g(env, cfg);
+    std::vector<std::uint64_t> delivered_at_view;
+    g.set_view_handler([&](const gcs::view&) {
+      delivered_at_view.push_back(g.delivered_count());
+    });
+    g.start();
+
+    // Site 2's message, complete here and never ordered by site 0.
+    gcs::data_msg m;
+    m.hdr = {gcs::msg_type::data, 1, 2};
+    m.dgram_seq = 1;
+    m.app_seq = 1;
+    m.payload = std::make_shared<util::bytes>(util::bytes{0, 'x'});
+    env.deliver(2, gcs::encode(m));
+
+    // Site 2 proposes {1, 2}; site 1 reports its flush state (prefixes
+    // {0, 0, 1}) and quiesces ordering.
+    gcs::view_propose_msg p;
+    p.hdr = {gcs::msg_type::view_propose, 1, 2};
+    p.new_view_id = 2;
+    p.proposed_members = {1, 2};
+    env.deliver(2, gcs::encode(p));
+
+    // Past the reported cut: self-delivered, held unordered.
+    g.broadcast(text_payload("own"));
+
+    const std::vector<std::uint64_t> cut = {0, 0, 1};
+    gcs::view_cut_msg c;
+    c.hdr = {gcs::msg_type::view_cut, 1, 2};
+    c.new_view_id = 2;
+    c.new_members = {1, 2};
+    c.cut = cut;
+    c.sources = {2, 2, 2};
+    env.deliver(2, gcs::encode(c));
+
+    gcs::view_install_msg i;
+    i.hdr = {gcs::msg_type::view_install, 1, 2};
+    i.new_view_id = 2;
+    i.new_members = {1, 2};
+    i.cut = cut;
+    env.deliver(2, gcs::encode(i));
+
+    // The backlog within the cut (site 2's message) is delivered before
+    // the handler; the own message only after it.
+    EXPECT_EQ(delivered_at_view, (std::vector<std::uint64_t>{1})) << oname;
+    EXPECT_TRUE(g.am_sequencer()) << oname;
+    EXPECT_EQ(g.delivered_count(), 2u) << oname;
+  }
+}
+
+// Crash the sequencer (site 0) at 20 s and restart it at 30 s on the
+// paper TPC-C mix with 1000 clients: the surviving lead takes over minting
+// at the install, and the crashed site rejoins by state transfer. Seed 61
+// broke view synchrony at batch_max = 16 while the new lead's first mint
+// could self-deliver before the view handler ran.
+TEST(ordering_view_change, crash_sequencer_rejoin_sweep_keeps_view_synchrony) {
+  for (std::uint64_t seed = 42; seed <= 61; ++seed) {
+    core::experiment_config cfg;
+    cfg.sites = 3;
+    cfg.clients = 1000;
+    cfg.target_responses = 0;
+    cfg.max_sim_time = seconds(35);
+    cfg.seed = seed;
+    cfg.enable_recovery = true;
+    fault::scenario s("crash_sequencer_rejoin");
+    s.add(std::make_shared<fault::crash_fault>(
+              fault::site_selector{fault::site_set{0}}),
+          seconds(20));
+    s.add(std::make_shared<fault::recover_fault>(
+              fault::site_selector{fault::site_set{0}}),
+          seconds(30));
+    cfg.faults = s;
+    const auto r = core::run_experiment(cfg);
+    EXPECT_TRUE(r.checks.ok) << "seed " << seed << ": " << r.checks.summary();
+    EXPECT_TRUE(r.safety.ok) << "seed " << seed << ": " << r.safety.detail;
+    EXPECT_EQ(r.rejoined_sites(), 1u) << "seed " << seed;
+  }
 }
 
 }  // namespace

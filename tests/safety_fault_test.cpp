@@ -1,8 +1,8 @@
 // The paper's §5.3 safety property as a parameterized test: under every
 // fault scenario (clock drift, scheduling latency, random loss, bursty
-// loss, crash, combinations — and the timed scenarios the flat plan could
-// not express: partitions with healing, transient loss windows), all
-// operational sites commit exactly the same sequence of transactions.
+// loss, crash, combinations — and timed scenarios: partitions with
+// healing, transient loss windows), all operational sites commit exactly
+// the same sequence of transactions.
 #include <gtest/gtest.h>
 
 #include "core/experiment.hpp"
@@ -34,50 +34,41 @@ fault_case make_case(const char* name, fault::scenario s, unsigned sites = 3,
 std::vector<fault_case> all_cases() {
   std::vector<fault_case> cases;
   cases.push_back(make_case("no_faults", {}));
+  cases.push_back(make_case("random_loss_5", fault::scenarios::random_loss()));
   {
-    fault::plan p;
-    p.random_loss = 0.05;
-    cases.push_back(make_case("random_loss_5", fault::from_plan(p)));
+    fault::scenario s("random_loss_15");
+    s.add(fault::loss_fault::random(0.15));
+    cases.push_back(make_case("random_loss_15", std::move(s)));
+  }
+  cases.push_back(make_case("bursty_loss_5", fault::scenarios::bursty_loss()));
+  cases.push_back(
+      make_case("clock_drift_10pct", fault::scenarios::clock_drift()));
+  cases.push_back(
+      make_case("sched_latency_5ms", fault::scenarios::sched_latency()));
+  {
+    fault::scenarios::params prm;
+    prm.sites = 3;
+    prm.onset = seconds(20);
+    cases.push_back(
+        make_case("crash_one_site", fault::scenarios::crash(prm)));
   }
   {
-    fault::plan p;
-    p.random_loss = 0.15;
-    cases.push_back(make_case("random_loss_15", fault::from_plan(p)));
+    fault::scenario s("crash_under_loss");
+    s.add(fault::loss_fault::random(0.05));
+    s.add(std::make_shared<fault::crash_fault>(
+              fault::site_selector{fault::site_set{1}}),
+          seconds(20));
+    cases.push_back(make_case("crash_under_loss", std::move(s), 4, 40));
   }
   {
-    fault::plan p;
-    p.bursty_loss = 0.05;
-    p.burst_len = 5;
-    cases.push_back(make_case("bursty_loss_5", fault::from_plan(p)));
+    fault::scenario s("drift_plus_latency");
+    s.add(std::make_shared<fault::clock_drift_fault>(
+        0.05, fault::site_selector::odd()));
+    s.add(std::make_shared<fault::sched_latency_fault>(
+        milliseconds(2), fault::site_selector::all()));
+    cases.push_back(make_case("drift_plus_latency", std::move(s)));
   }
-  {
-    fault::plan p;
-    p.clock_drift = 0.10;
-    cases.push_back(make_case("clock_drift_10pct", fault::from_plan(p)));
-  }
-  {
-    fault::plan p;
-    p.sched_latency_max = milliseconds(5);
-    cases.push_back(make_case("sched_latency_5ms", fault::from_plan(p)));
-  }
-  {
-    fault::plan p;
-    p.crashes.push_back({2, seconds(20)});
-    cases.push_back(make_case("crash_one_site", fault::from_plan(p)));
-  }
-  {
-    fault::plan p;
-    p.random_loss = 0.05;
-    p.crashes.push_back({1, seconds(20)});
-    cases.push_back(make_case("crash_under_loss", fault::from_plan(p), 4, 40));
-  }
-  {
-    fault::plan p;
-    p.clock_drift = 0.05;
-    p.sched_latency_max = milliseconds(2);
-    cases.push_back(make_case("drift_plus_latency", fault::from_plan(p)));
-  }
-  // --- timed/composed scenarios, inexpressible in the flat plan ---
+  // --- timed/composed scenarios ---
   {
     // Site 2 is cut off well past the suspicion timeout, then the
     // partition heals: the majority excludes it and keeps committing; the
@@ -190,9 +181,7 @@ TEST(safety_fault, loss_increases_abort_rate) {
   auto none = run_experiment(base);
 
   auto random_cfg = base;
-  fault::plan loss;
-  loss.random_loss = 0.05;
-  random_cfg.faults = fault::from_plan(loss);
+  random_cfg.faults = fault::scenarios::random_loss();
   auto random = run_experiment(random_cfg);
 
   EXPECT_TRUE(none.safety.ok);
