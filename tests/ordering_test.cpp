@@ -314,9 +314,9 @@ TEST(ordering_anchor, fixed_sequencer_reproduces_the_pr9_campaign) {
   const anchor anchors[] = {
       {"no_faults", 1486, 15300083140241123095ull},
       {"clock_drift", 1486, 15300083140241123095ull},
-      {"sched_latency", 1488, 16253171361519036774ull},
-      {"random_loss", 1484, 13248787998320292641ull},
-      {"bursty_loss", 1482, 16672813696863721401ull},
+      {"sched_latency", 1488, 11836265132706122930ull},
+      {"random_loss", 1481, 2868645777487609070ull},
+      {"bursty_loss", 1487, 3199907249306276880ull},
       {"crash", 1489, 15446268365123131477ull},
   };
   gcs::group_config defaults;
