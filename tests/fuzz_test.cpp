@@ -70,10 +70,9 @@ TEST(fuzz_run, read_fast_path_smoke) {
 }
 
 TEST(fuzz_run, batching_smoke) {
-  // The same fuzzed timelines with batch atomic broadcast + the pipelined
-  // commit path on: generation is untouched by the knob (same seed, same
-  // scenario), and every timeline must come out clean under the monitors
-  // with the batched delivery path doing the committing.
+  // The same fuzzed timelines at batch_max = 32, off the default:
+  // generation is untouched by the knob (same seed, same scenario), and
+  // every timeline must come out clean under the monitors.
   config cfg = quick_cfg();
   cfg.batch_max = 32;
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {

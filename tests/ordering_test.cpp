@@ -346,9 +346,7 @@ const std::vector<gcs::ordering_kind>& both_orderings() {
   return k;
 }
 
-core::experiment_config kv_cfg(
-    gcs::ordering_kind ord,
-    std::size_t batch_max = gcs::group_config{}.batch_max) {
+core::experiment_config kv_cfg(gcs::ordering_kind ord) {
   core::experiment_config cfg;
   cfg.sites = 3;
   cfg.clients = 45;
@@ -362,7 +360,6 @@ core::experiment_config kv_cfg(
   k.think_time = util::exponential_dist(0.5);
   cfg.workload = kv::factory(k);
   cfg.gcs.ordering = ord;
-  cfg.gcs.batch_max = batch_max;
   return cfg;
 }
 
