@@ -2,11 +2,11 @@
 //
 // Maps every identifier appearing in a committed write set to the delivery
 // position of its most recent committed writer. Identifiers keep the exact
-// equality semantics of the merge-scan certifier: tuple ids and granule ids
-// live in two parallel maps split by the granule bit, so
-//   * a point write probes the tuple index (write-write, first-committer-
-//     wins — granule markers never collide with tuple ids);
-//   * an escalated granule read probes the granule index, which catches
+// equality semantics of the merge-scan certifier. Tuple ids and granule ids
+// share one flat table: they differ in bit 0, so they never collide, and
+//   * a point write probes its tuple id (write-write, first-committer-
+//     wins — granule markers never equal tuple ids);
+//   * an escalated granule read probes its granule id, which catches
 //     point writes inside its granule because write sets advertise the
 //     granule marker of every written tuple (§3.3 escalation), and catches
 //     committed granule writes for the same reason.
@@ -18,10 +18,10 @@
 #define DBSM_CERT_CERT_INDEX_HPP
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "db/item.hpp"
+#include "util/open_table.hpp"
 
 namespace dbsm::cert {
 
@@ -35,9 +35,8 @@ class last_writer_index {
   /// Last committed delivery position that wrote `id`, or 0 if no retained
   /// committed write set contains it (positions start at 1).
   std::uint64_t last_writer(db::item_id id) const {
-    const auto& m = map_for(id);
-    const auto it = m.find(id);
-    return it == m.end() ? 0 : it->second;
+    const writer* w = table_.find(id);
+    return w == nullptr ? 0 : w->pos;
   }
 
   /// Drops every id of `write_set` whose recorded last writer is exactly
@@ -46,20 +45,22 @@ class last_writer_index {
   void forget_commit(const std::vector<db::item_id>& write_set,
                      std::uint64_t pos);
 
-  /// Live index entries across both maps (memory probe for tests/bench).
-  std::size_t size() const { return tuples_.size() + granules_.size(); }
+  /// Live index entries (memory probe for tests/bench).
+  std::size_t size() const { return table_.size(); }
 
  private:
-  std::unordered_map<db::item_id, std::uint64_t>& map_for(db::item_id id) {
-    return db::is_granule(id) ? granules_ : tuples_;
-  }
-  const std::unordered_map<db::item_id, std::uint64_t>& map_for(
-      db::item_id id) const {
-    return db::is_granule(id) ? granules_ : tuples_;
-  }
+  /// One table slot; positions start at 1, so pos 0 marks an empty slot.
+  struct writer {
+    db::item_id id;
+    std::uint64_t pos;
+  };
+  struct writer_policy {
+    static std::uint64_t key(const writer& w) { return w.id; }
+    static bool empty(const writer& w) { return w.pos == 0; }
+    static writer empty_slot() { return {0, 0}; }
+  };
 
-  std::unordered_map<db::item_id, std::uint64_t> tuples_;
-  std::unordered_map<db::item_id, std::uint64_t> granules_;
+  util::open_table<writer, writer_policy> table_;
 };
 
 }  // namespace dbsm::cert

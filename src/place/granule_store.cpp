@@ -19,22 +19,29 @@ void granule_store::apply(const std::vector<db::item_id>& write_set,
   bool any_stored = false;
   const std::uint64_t share =
       tuples > 0 ? update_bytes / tuples : update_bytes;
+  // Normalized write sets keep a granule's marker and tuples adjacent, so
+  // the directory entry is looked up once per run of one granule.
+  db::item_id g = 0;  // no granule id is 0 (bit 0 is set)
+  granule_state* st = nullptr;
+  bool owned = false;
   for (const db::item_id it : write_set) {
-    const db::item_id g = db::granule_of(it);
-    const bool owned = placement_.stores(self_, g);
-    any_stored = any_stored || owned;
-    auto& st = dir_[g];
-    if (std::find(touched_scratch_.begin(), touched_scratch_.end(), g) ==
-        touched_scratch_.end()) {
-      touched_scratch_.push_back(g);
-      if (st.updates == 0 && owned) ++owned_granules_;
-      ++st.updates;
+    if (db::granule_of(it) != g) {
+      g = db::granule_of(it);
+      owned = placement_.stores(self_, g);
+      any_stored = any_stored || owned;
+      st = &dir_[g];
+      if (std::find(touched_scratch_.begin(), touched_scratch_.end(), g) ==
+          touched_scratch_.end()) {
+        touched_scratch_.push_back(g);
+        if (st->updates == 0 && owned) ++owned_granules_;
+        ++st->updates;
+      }
     }
     if (db::is_granule(it)) continue;
     // First write of a tuple materializes it; later writes overwrite in
     // place and do not grow the modeled database.
-    if (st.tuples.insert(it).second) {
-      st.data_bytes += share;
+    if (st->tuples.insert_or_assign(it)) {
+      st->data_bytes += share;
       if (owned) {
         durable_bytes_ += share;
         ++durable_tuples_;
@@ -54,13 +61,17 @@ void granule_store::snapshot_for(util::buffer_writer& w,
     data += st.data_bytes;
   }
   w.put_u32(count);
+  std::vector<db::item_id> sorted;
   for (const auto& [g, st] : dir_) {
     if (!placement_.stores(for_site, g)) continue;
     w.put_u64(g);
     w.put_u64(st.updates);
     w.put_u64(st.data_bytes);
     w.put_u32(static_cast<std::uint32_t>(st.tuples.size()));
-    for (const db::item_id t : st.tuples) w.put_u64(t);
+    sorted.clear();
+    st.tuples.for_each([&](db::item_id t) { sorted.push_back(t); });
+    std::sort(sorted.begin(), sorted.end());
+    for (const db::item_id t : sorted) w.put_u64(t);
   }
   // The tuple data itself, modeled as padding of the slice's total size —
   // this is what makes a k-of-N snapshot genuinely smaller on the wire.
@@ -76,7 +87,11 @@ void granule_store::restore(util::buffer_reader& r) {
     st.updates = r.get_u64();
     st.data_bytes = r.get_u64();
     const std::uint32_t ntuples = r.get_u32();
-    for (std::uint32_t t = 0; t < ntuples; ++t) st.tuples.insert(r.get_u64());
+    for (std::uint32_t t = 0; t < ntuples; ++t) {
+      const db::item_id id = r.get_u64();
+      DBSM_CHECK_MSG(!db::is_granule(id), "granule id in a tuple list: " << id);
+      st.tuples.insert_or_assign(id);
+    }
     data += st.data_bytes;
     dir_[g] = std::move(st);
   }

@@ -20,8 +20,9 @@
 // simulated behavior to runs without the store.
 //
 // snapshot_for(site) serializes the directory slice a joining `site`
-// replicates, followed by padding bytes equal to the slice's modeled data
-// size — the same convention the txn codec uses for written values
+// replicates (each granule's tuples in ascending id order), followed by
+// padding bytes equal to the slice's modeled data size — the same
+// convention the txn codec uses for written values
 // ("padding of the same total size", §3.3) — so recovery join_chunk
 // counts genuinely track the placement-filtered database size instead of
 // the full one.
@@ -30,12 +31,12 @@
 
 #include <cstdint>
 #include <map>
-#include <set>
 #include <vector>
 
 #include "db/item.hpp"
 #include "place/placement.hpp"
 #include "util/byte_buffer.hpp"
+#include "util/open_table.hpp"
 
 namespace dbsm::place {
 
@@ -77,10 +78,19 @@ class granule_store {
   const placement& get_placement() const { return placement_; }
 
  private:
+  /// Tuple ids are even (bit 0 is the granule flag), so the all-ones id
+  /// is free to mark an empty slot.
+  struct tuple_policy {
+    static std::uint64_t key(db::item_id id) { return id; }
+    static bool empty(db::item_id id) { return id == ~0ull; }
+    static db::item_id empty_slot() { return ~0ull; }
+  };
+  using tuple_set = util::open_table<db::item_id, tuple_policy>;
+
   struct granule_state {
     std::uint64_t updates = 0;     // committed updates that touched it
     std::uint64_t data_bytes = 0;  // modeled materialized size
-    std::set<db::item_id> tuples;  // distinct written tuples (sorted)
+    tuple_set tuples;              // distinct written tuples (unordered)
   };
 
   void recount();

@@ -8,10 +8,20 @@ event_id simulator::schedule_at(sim_time t, event_fn fn) {
   DBSM_CHECK_MSG(t >= now_, "scheduling into the past: t=" << t
                                                            << " now=" << now_);
   DBSM_CHECK(fn != nullptr);
-  const event_id id = next_seq_++;
-  heap_.push(entry{t, id, id});
-  callbacks_.emplace(id, std::move(fn));
-  return id;
+  std::uint32_t i;
+  if (!free_.empty()) {
+    i = free_.back();
+    free_.pop_back();
+  } else {
+    DBSM_CHECK_MSG(slots_.size() <= slot_mask, "too many pending events");
+    i = static_cast<std::uint32_t>(slots_.size());
+    slots_.emplace_back();
+  }
+  const std::uint64_t seq = next_seq_++;
+  slots_[i].fn = std::move(fn);
+  slots_[i].seq = seq;
+  heap_.push(entry{t, seq, i});
+  return (seq << slot_bits) | i;
 }
 
 event_id simulator::schedule_after(sim_duration d, event_fn fn) {
@@ -20,33 +30,39 @@ event_id simulator::schedule_after(sim_duration d, event_fn fn) {
 }
 
 bool simulator::cancel(event_id id) {
-  auto it = callbacks_.find(id);
-  if (it == callbacks_.end()) return false;
-  callbacks_.erase(it);
-  cancelled_.insert(id);
+  const std::uint64_t seq = id >> slot_bits;
+  const std::uint64_t i = id & slot_mask;
+  if (seq == 0 || i >= slots_.size() || slots_[i].seq != seq) return false;
+  release(static_cast<std::uint32_t>(i));
   return true;
 }
 
-bool simulator::pop_and_run() {
+void simulator::release(std::uint32_t i) {
+  slots_[i].fn = nullptr;
+  slots_[i].seq = 0;
+  free_.push_back(i);
+}
+
+bool simulator::skip_cancelled() {
   while (!heap_.empty()) {
-    const entry e = heap_.top();
+    const entry& e = heap_.top();
+    if (slots_[e.slot].seq == e.seq) return true;
     heap_.pop();
-    auto cit = cancelled_.find(e.id);
-    if (cit != cancelled_.end()) {
-      cancelled_.erase(cit);
-      continue;
-    }
-    auto it = callbacks_.find(e.id);
-    DBSM_CHECK(it != callbacks_.end());
-    event_fn fn = std::move(it->second);
-    callbacks_.erase(it);
-    DBSM_CHECK_MSG(e.t >= now_, "event queue went backwards");
-    now_ = e.t;
-    ++executed_;
-    fn();
-    return true;
   }
   return false;
+}
+
+bool simulator::pop_and_run() {
+  if (!skip_cancelled()) return false;
+  const entry e = heap_.top();
+  heap_.pop();
+  event_fn fn = std::move(slots_[e.slot].fn);
+  release(e.slot);
+  DBSM_CHECK_MSG(e.t >= now_, "event queue went backwards");
+  now_ = e.t;
+  ++executed_;
+  fn();
+  return true;
 }
 
 std::size_t simulator::run() {
@@ -60,22 +76,7 @@ std::size_t simulator::run_until(sim_time limit) {
   DBSM_CHECK(limit >= now_);
   stop_requested_ = false;
   std::size_t n = 0;
-  while (!stop_requested_) {
-    // Peek the next live event without running it.
-    bool found = false;
-    sim_time next_t = 0;
-    while (!heap_.empty()) {
-      const entry& e = heap_.top();
-      if (cancelled_.count(e.id)) {
-        cancelled_.erase(e.id);
-        heap_.pop();
-        continue;
-      }
-      next_t = e.t;
-      found = true;
-      break;
-    }
-    if (!found || next_t > limit) break;
+  while (!stop_requested_ && skip_cancelled() && heap_.top().t <= limit) {
     pop_and_run();
     ++n;
   }

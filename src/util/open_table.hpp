@@ -1,0 +1,124 @@
+// Flat open-addressing hash table keyed by 64-bit integers.
+//
+// The one implementation behind the per-write tables of the hot path:
+// cert::last_writer_index (item id -> last writer position) and the tuple
+// set of each place::granule_store granule. Slots live in one
+// power-of-two array kept at most 3/4 full. Lookup probes linearly from
+// the key's home slot (Fibonacci hashing) to the first empty slot. Erase
+// shifts the rest of the probe run back into the hole (no tombstones), so
+// churn never lengthens probes.
+//
+// `Policy` describes a slot; the user gives up one slot value to mark
+// "empty" (a key sentinel, or a payload value that never occurs):
+//   static std::uint64_t key(const Slot&);
+//   static bool empty(const Slot&);
+//   static Slot empty_slot();
+//
+// Contents, and therefore for_each order, are a pure function of the
+// operation sequence, so runs stay deterministic. The order itself is
+// unspecified: callers that serialize must sort.
+#ifndef DBSM_UTIL_OPEN_TABLE_HPP
+#define DBSM_UTIL_OPEN_TABLE_HPP
+
+#include <cstddef>
+#include <cstdint>
+#include <utility>
+#include <vector>
+
+namespace dbsm::util {
+
+/// Home slot of `key` in a table of 2^`bits` slots (1 <= bits <= 63): the
+/// top `bits` bits of key × 2^64/φ. A key's home at fewer bits is a prefix
+/// of its home at more, which lets tests craft keys that collide at every
+/// table size.
+inline std::size_t open_table_home(std::uint64_t key, unsigned bits) {
+  return static_cast<std::size_t>((key * 0x9e3779b97f4a7c15ull) >>
+                                  (64 - bits));
+}
+
+template <typename Slot, typename Policy>
+class open_table {
+ public:
+  std::size_t size() const { return size_; }
+
+  /// The slot holding `key`, or nullptr.
+  const Slot* find(std::uint64_t key) const {
+    if (size_ == 0) return nullptr;
+    for (std::size_t i = open_table_home(key, bits_);; i = next(i)) {
+      const Slot& s = slots_[i];
+      if (Policy::empty(s)) return nullptr;
+      if (Policy::key(s) == key) return &s;
+    }
+  }
+
+  /// Stores `slot`, replacing the slot with the same key if there is one.
+  /// Returns true when the key was new.
+  bool insert_or_assign(const Slot& slot) {
+    if ((size_ + 1) * 4 > slots_.size() * 3) grow();
+    const std::uint64_t key = Policy::key(slot);
+    for (std::size_t i = open_table_home(key, bits_);; i = next(i)) {
+      Slot& s = slots_[i];
+      if (Policy::empty(s)) {
+        s = slot;
+        ++size_;
+        return true;
+      }
+      if (Policy::key(s) == key) {
+        s = slot;
+        return false;
+      }
+    }
+  }
+
+  /// Removes the slot `at`, which find() returned since the last change.
+  void erase(const Slot* at) {
+    std::size_t hole = static_cast<std::size_t>(at - slots_.data());
+    // Backward shift: walk the run after the hole and pull back every
+    // slot whose home lies at or before the hole (cyclically), so no
+    // probe from any home crosses an empty slot before reaching its key.
+    for (std::size_t j = next(hole);; j = next(j)) {
+      Slot& s = slots_[j];
+      if (Policy::empty(s)) break;
+      const std::size_t k = open_table_home(Policy::key(s), bits_);
+      if (((j - k) & mask()) >= ((j - hole) & mask())) {
+        slots_[hole] = s;
+        hole = j;
+      }
+    }
+    slots_[hole] = Policy::empty_slot();
+    --size_;
+  }
+
+  /// Calls `fn(slot)` for every stored slot, in unspecified order.
+  template <typename Fn>
+  void for_each(Fn&& fn) const {
+    for (const Slot& s : slots_)
+      if (!Policy::empty(s)) fn(s);
+  }
+
+ private:
+  static constexpr unsigned min_bits = 3;
+
+  std::size_t mask() const { return slots_.size() - 1; }
+  std::size_t next(std::size_t i) const { return (i + 1) & mask(); }
+
+  void grow() {
+    std::vector<Slot> old = std::move(slots_);
+    bits_ = old.empty() ? min_bits : bits_ + 1;
+    slots_.assign(std::size_t{1} << bits_, Policy::empty_slot());
+    for (const Slot& s : old) {
+      if (Policy::empty(s)) continue;
+      std::size_t i = open_table_home(Policy::key(s), bits_);
+      while (!Policy::empty(slots_[i])) i = next(i);
+      slots_[i] = s;
+    }
+  }
+
+  std::vector<Slot> slots_;
+  unsigned bits_ = 0;
+  std::size_t size_ = 0;
+};
+
+}  // namespace dbsm::util
+
+#endif  // DBSM_UTIL_OPEN_TABLE_HPP

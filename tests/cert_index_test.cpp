@@ -7,13 +7,17 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <deque>
+#include <unordered_map>
 #include <vector>
 
 #include "cert/cert_index.hpp"
 #include "cert/certifier.hpp"
+#include "cert/index_shard.hpp"
 #include "cert/reference_certifier.hpp"
 #include "db/item.hpp"
 #include "tpcc/workload.hpp"
+#include "util/open_table.hpp"
 #include "util/rng.hpp"
 
 namespace dbsm::cert {
@@ -39,7 +43,7 @@ TEST(last_writer_index, remembers_most_recent_writer_per_id) {
 
 TEST(last_writer_index, tuple_and_granule_ids_never_alias) {
   // A tuple id and a granule id are distinct keys even when their upper
-  // bits agree — the parallel maps are split by the granule bit.
+  // bits agree: they differ in the granule bit.
   last_writer_index idx;
   idx.note_commit({tup(7)}, 3);
   EXPECT_EQ(idx.last_writer(gran(7)), 0u);
@@ -56,6 +60,92 @@ TEST(last_writer_index, forget_drops_only_unsuperseded_entries) {
   EXPECT_EQ(idx.last_writer(tup(1)), 0u);  // last writer was 5: dropped
   EXPECT_EQ(idx.last_writer(tup(2)), 8u);  // superseded: kept
   EXPECT_EQ(idx.size(), 1u);
+}
+
+TEST(last_writer_index, tuple_and_granule_ids_share_one_table) {
+  last_writer_index idx;
+  idx.note_commit({tup(7), gran(7), tup(8)}, 1);
+  EXPECT_EQ(idx.size(), 3u);
+  idx.forget_commit({gran(7)}, 1);
+  EXPECT_EQ(idx.last_writer(tup(7)), 1u);
+  EXPECT_EQ(idx.last_writer(gran(7)), 0u);
+  EXPECT_EQ(idx.size(), 2u);
+}
+
+/// `count` random ids (tuples and granules mixed) whose home slot is `top`
+/// in a table of 2^`bits` slots. A key's home at fewer bits is a prefix of
+/// its home at more, so these ids share a home at every smaller size too,
+/// and keep colliding while the table grows.
+std::vector<item_id> colliding_ids(std::uint64_t top, unsigned bits,
+                                   std::size_t count, util::rng& g) {
+  std::vector<item_id> out;
+  while (out.size() < count) {
+    const item_id id = g.next_u64() & ~(1ull << 63);
+    if (util::open_table_home(id, bits) == top) out.push_back(id);
+  }
+  return out;
+}
+
+TEST(last_writer_index, randomized_differential_against_hash_map) {
+  // Three clusters on the highest home slot (runs wrap around to slot 0)
+  // and the two lowest ones, plus scattered ids: backward-shift deletion
+  // must move entries across the wrap-around without losing any, at every
+  // capacity the table grows through.
+  constexpr unsigned bits = 12;
+  util::rng g(4242);
+  std::vector<item_id> ids = colliding_ids((1u << bits) - 1, bits, 120, g);
+  for (const std::uint64_t top : {0u, 1u}) {
+    const std::vector<item_id> more = colliding_ids(top, bits, 60, g);
+    ids.insert(ids.end(), more.begin(), more.end());
+  }
+  for (int i = 0; i < 2000; ++i) ids.push_back(g.next_u64() >> 1);
+
+  last_writer_index idx;
+  std::unordered_map<item_id, std::uint64_t> model;
+  std::deque<cert_entry> live;  // committed, not yet forgotten
+  std::uint64_t pos = 0;
+  for (int step = 0; step < 60000; ++step) {
+    // Phases alternate growth and shrinkage so the table keeps rehashing
+    // and emptying its clusters.
+    const bool growing = (step / 5000) % 2 == 0;
+    if (live.empty() || g.bernoulli(growing ? 0.7 : 0.3)) {
+      cert_entry e{++pos, {}};
+      const int n = static_cast<int>(g.uniform_int(1, 8));
+      for (int k = 0; k < n; ++k) {
+        const auto pick = static_cast<std::size_t>(g.uniform_int(
+            0, static_cast<std::int64_t>(ids.size()) - 1));
+        e.write_set.push_back(ids[pick]);
+      }
+      idx.note_commit(e.write_set, e.pos);
+      for (const item_id id : e.write_set) model[id] = e.pos;
+      live.push_back(std::move(e));
+    } else {
+      // Mostly the oldest entry (window eviction), sometimes any entry.
+      std::size_t at = 0;
+      if (g.bernoulli(0.2))
+        at = static_cast<std::size_t>(
+            g.uniform_int(0, static_cast<std::int64_t>(live.size()) - 1));
+      const cert_entry& e = live[at];
+      idx.forget_commit(e.write_set, e.pos);
+      for (const item_id id : e.write_set) {
+        const auto it = model.find(id);
+        if (it != model.end() && it->second == e.pos) model.erase(it);
+      }
+      live.erase(live.begin() + static_cast<std::ptrdiff_t>(at));
+    }
+    ASSERT_EQ(idx.size(), model.size()) << "step " << step;
+    if (step % 97 == 0) {
+      for (const item_id id : ids) {
+        const auto it = model.find(id);
+        ASSERT_EQ(idx.last_writer(id), it == model.end() ? 0 : it->second)
+            << "step " << step << " id " << id;
+      }
+    }
+  }
+  for (const item_id id : ids) {
+    const auto it = model.find(id);
+    EXPECT_EQ(idx.last_writer(id), it == model.end() ? 0 : it->second);
+  }
 }
 
 // ---------- randomized differential property ----------
