@@ -27,7 +27,7 @@
 // leg slower than the batch_max = 1 leg (CI wiring).
 #include <cstdio>
 
-#include "cert/certifier.hpp"
+#include "cert/reference_certifier.hpp"
 #include "cert/sharded_certifier.hpp"
 #include "common.hpp"
 #include "db/item.hpp"
@@ -52,7 +52,7 @@ struct point_result {
 };
 
 /// Component-level divergence probe: one randomized update/read-only
-/// stream through the indexed oracle and a sharded instance charged with
+/// stream through the merge-scan oracle and a sharded instance charged with
 /// the batched amortization pattern (first certification of each
 /// simulated batch pays cost_fixed, the rest cost_batch_fixed). Any
 /// decision or counter mismatch is exactly the divergence the batched
@@ -62,7 +62,7 @@ bool amortization_decisions_diverge(std::size_t batch) {
   using db::item_id;
   cert::cert_config cfg;
   cfg.history_window = 4096;
-  cert::certifier oracle(cfg);
+  cert::reference_certifier oracle(cfg);
   cert::sharded_certifier amortized(cfg);
   util::rng g(607 + static_cast<std::uint64_t>(batch));
   std::size_t in_batch = 0;

@@ -14,8 +14,9 @@
 //   $ ./bench_ablation_cert_shards [--iters N] [--window N]
 //                                  [--csv out.csv] [--json out.json]
 //   $ ./bench_ablation_cert_shards --smoke   # CI: exercises the parallel
-//     path and differentially re-checks it against cert::certifier,
-//     exiting non-zero on any decision divergence.
+//     path and differentially re-checks it against the merge-scan
+//     cert::reference_certifier, exiting non-zero on any decision
+//     divergence.
 //
 // --json writes the machine-readable baseline (bench/BENCH_cert_shards.json).
 #include <chrono>
@@ -23,7 +24,7 @@
 #include <thread>
 #include <vector>
 
-#include "cert/certifier.hpp"
+#include "cert/reference_certifier.hpp"
 #include "cert/sharded_certifier.hpp"
 #include "common.hpp"
 #include "util/rng.hpp"
@@ -93,11 +94,11 @@ void run_point(sweep_point& p, std::size_t window, std::size_t iters) {
 }
 
 /// Differential re-check for the CI smoke: sharded decisions must match
-/// cert::certifier over a randomized conflict-heavy stream.
+/// cert::reference_certifier over a randomized conflict-heavy stream.
 bool smoke_differential(std::size_t shards, unsigned threads) {
   cert::cert_config cfg;
   cfg.history_window = 128;
-  cert::certifier oracle(cfg);
+  cert::reference_certifier oracle(cfg);
   cfg.shards = shards;
   cfg.certify_threads = threads;
   cert::sharded_certifier sharded(cfg);

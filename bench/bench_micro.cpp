@@ -3,7 +3,6 @@
 // the simulated LAN — the hot paths of every experiment.
 #include <benchmark/benchmark.h>
 
-#include "cert/certifier.hpp"
 #include "cert/reference_certifier.hpp"
 #include "cert/sharded_certifier.hpp"
 #include "cert/txn_codec.hpp"
@@ -92,7 +91,7 @@ void run_certify_window_bench(benchmark::State& state) {
 }
 
 void BM_certify_indexed(benchmark::State& state) {
-  run_certify_window_bench<cert::certifier>(state);
+  run_certify_window_bench<cert::sharded_certifier>(state);
 }
 BENCHMARK(BM_certify_indexed)->Arg(1000)->Arg(10000)->Arg(50000);
 

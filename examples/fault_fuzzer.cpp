@@ -31,8 +31,6 @@ fault::fuzz::config make_config(const util::flag_set& flags) {
   cfg.allow_recovery = flags.get_bool("recovery");
   cfg.break_primary_partition = flags.get_bool("break-primary-partition");
   cfg.shrink_budget = static_cast<unsigned>(flags.get_int("shrink-budget"));
-  if (flags.get_string("ordering") == "rotating")
-    cfg.ordering = gcs::ordering_kind::rotating_token;
   return cfg;
 }
 
@@ -74,9 +72,6 @@ int main(int argc, char** argv) {
   flags.declare("recovery", "true", "allow crash->recover sequences");
   flags.declare("break-primary-partition", "false",
                 "disable the majority rule (demo: monitors catch it)");
-  flags.declare("ordering", "fixed",
-                "total-order protocol under test: fixed or rotating "
-                "(timelines for a given seed are identical either way)");
   flags.declare("shrink-budget", "96", "max re-runs while shrinking");
   flags.declare("replay", "", "replay a saved scenario file and exit");
   flags.declare("out", "", "write the shrunk scenario here on failure");

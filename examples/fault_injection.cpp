@@ -32,19 +32,8 @@ int main(int argc, char** argv) {
                 "read-only termination: off (paper §5.1 local "
                 "certification), certified (broadcast), or fast (read/ "
                 "lease snapshots; prints per-site read counters)");
-  flags.declare("ordering", "default",
-                "total-order protocol: fixed, rotating, or default "
-                "(fixed, except for scenarios that target the token)");
   flags.declare("list", "false", "list available scenarios and exit");
   if (!flags.parse(argc, argv)) return 1;
-
-  const std::string ord = flags.get_string("ordering");
-  if (ord != "default" && ord != "fixed" && ord != "rotating") {
-    std::fprintf(stderr,
-                 "unknown --ordering '%s' (default|fixed|rotating)\n",
-                 ord.c_str());
-    return 1;
-  }
 
   const std::string rp = flags.get_string("read-path");
   if (rp != "off" && rp != "certified" && rp != "fast") {
@@ -97,13 +86,7 @@ int main(int argc, char** argv) {
     cfg.replica_cfg.read.path = read_mode;
     if (e->placement_degree > 0)
       cfg.placement = {place::strategy::round_robin, e->placement_degree};
-    // Ordering protocol: the flag wins; otherwise token-targeted scenarios
-    // run rotating and everything else keeps the fixed-sequencer default
-    // (preserving the campaign anchors).
-    if (ord == "rotating" || (ord == "default" && e->rotating_token))
-      cfg.gcs.ordering = gcs::ordering_kind::rotating_token;
-    std::fprintf(stderr, "[fault_injection] %s (%s) ...\n", e->name,
-                 gcs::ordering_name(cfg.gcs.ordering));
+    std::fprintf(stderr, "[fault_injection] %s ...\n", e->name);
     const auto r = core::run_experiment(cfg);
 
     bool ok = r.safety.ok && r.checks.ok;

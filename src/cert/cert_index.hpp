@@ -11,8 +11,8 @@
 //     granule marker of every written tuple (§3.3 escalation), and catches
 //     committed granule writes for the same reason.
 // Entries whose writer slid out of the history window are removed lazily
-// (see certifier): a stale entry is harmless for decisions because its
-// position precedes every snapshot that survives the conservative
+// (see cert::index_shard): a stale entry is harmless for decisions because
+// its position precedes every snapshot that survives the conservative
 // pre-window abort rule, so it can never satisfy `pos > begin_pos`.
 #ifndef DBSM_CERT_CERT_INDEX_HPP
 #define DBSM_CERT_CERT_INDEX_HPP

@@ -1,12 +1,12 @@
 // One hash-partition of the certification state, plus the canonical
-// snapshot format shared by cert::certifier and cert::sharded_certifier.
+// snapshot format of cert::sharded_certifier.
 //
 // A shard owns the last-writer entries of the item ids that hash into it
 // (tuple and granule spaces both) and the lazy-eviction ring for those
 // same ids. Probes, installs and eviction drains touch only this shard's
 // maps, so distinct shards can run concurrently with no synchronization:
-// the sharded certifier forks one task per shard range and the
-// single-index certifier simply owns one shard.
+// the sharded certifier forks one task per shard range (and at one shard
+// simply owns one).
 //
 // Snapshot format (cert_entry blocks): a membership-recovery state
 // transfer serializes write sets as flat position-ordered entries with
@@ -15,7 +15,7 @@
 // independent of cert_config::shards: the donor merges its per-shard
 // rings back into canonical entries and the joiner re-partitions them by
 // its own shard count on restore, so donor and joiner may disagree on
-// `shards` (and either end may run the single-index certifier). Replaying
+// `shards`. Replaying
 // the entries in order rebuilds identical index contents — stale backlog
 // entries included — at any partitioning.
 #ifndef DBSM_CERT_INDEX_SHARD_HPP

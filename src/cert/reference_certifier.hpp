@@ -1,6 +1,7 @@
 // Reference merge-scan certifier (§3.3) — the original O(window × |sets|)
 // implementation, retained verbatim in behavior as the oracle for
-// differential testing of the indexed certifier (cert/certifier.hpp).
+// differential testing of the indexed certifier
+// (cert/sharded_certifier.hpp).
 //
 // At each delivery it walks every retained committed write set newer than
 // the transaction's snapshot and runs a merge traversal per set:
@@ -18,7 +19,7 @@
 #include <deque>
 #include <vector>
 
-#include "cert/certifier.hpp"
+#include "cert/cert_config.hpp"
 #include "cert/rwset.hpp"
 #include "util/types.hpp"
 

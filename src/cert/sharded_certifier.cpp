@@ -58,8 +58,8 @@ bool sharded_certifier::merge_verdicts() const {
 
 sim_duration sharded_certifier::modeled_cost(bool amortized_fixed) const {
   // Critical path of the fork-join: the chunk of shards whose slices hold
-  // the most elements. One worker degenerates to the set-linear model of
-  // cert::certifier (total element count, no fork term).
+  // the most elements. One worker degenerates to the set-linear model
+  // (total element count, no fork term).
   std::size_t worst = 0;
   for (unsigned c = 0; c < workers_; ++c) {
     std::size_t elems = 0;
@@ -107,7 +107,11 @@ bool sharded_certifier::certify_update(
   partition(read_set, read_slices_);
   partition(write_set, write_slices_);
   // The conservative pre-window rule is global (positions only) and must
-  // precede every probe, exactly like cert::certifier::conflicts.
+  // precede every probe. A snapshot older than the retained history
+  // aborts by a rule deterministic across replicas, and the rule also
+  // makes stale (not yet drained) index entries harmless: any surviving
+  // snapshot satisfies begin_pos >= oldest_retained_ - 1 >= the stale
+  // entry's position.
   const bool pre_window = begin_pos + 1 < oldest_retained_;
   fork_join([&](std::size_t s) {
     shards_[s].drain(cfg_.evict_drain_per_delivery);
@@ -250,7 +254,7 @@ void sharded_certifier::restore(util::buffer_reader& r) {
   // Replay in donor order — evicted (older) entries first, then the
   // retained window — re-partitioned by the *local* shard count: the
   // canonical blocks carry full write sets, so the donor's shard count
-  // (or its use of cert::certifier) is irrelevant here. Installs run
+  // is irrelevant here. Installs run
   // inline: a per-entry fork-join would cost more than the few hash
   // inserts it parallelizes.
   for (cert_entry& e : read_entry_block(r))

@@ -1,42 +1,64 @@
-// Sharded, optionally parallel certification.
+// Deterministic certification (§1, §3.3), indexed, sharded and optionally
+// parallel.
 //
-// The last-writer index partitions cleanly by item id: every probe and
-// install touches exactly one id, so hash-splitting the tuple and granule
-// spaces across N cert::index_shards makes one delivery's certification a
+// Fed by the total order, every replica runs the same procedure over the
+// same sequence and reaches the same commit/abort decisions — the property
+// the off-line safety checker verifies. A transaction carries the position
+// of the last delivery it had locally applied when it began (its
+// snapshot). At its own delivery position, it conflicts with any
+// transaction *committed* in between:
+//   * write-write, at tuple granularity (first-committer-wins — the
+//     multi-version engine's rule);
+//   * granule-read vs write: point reads are served from tuple versions
+//     (snapshot reads never abort), but escalated scan reads (granule ids,
+//     §3.3's table-lock escalation) cannot be versioned and conflict with
+//     any committed write inside the granule.
+// Tuple-level reads still travel in the marshaled read set (message sizes
+// match the prototype, §3.3); they are simply never a conflict source.
+//
+// Instead of the historical merge scan over up to `history_window`
+// retained write sets (kept as cert/reference_certifier, the differential
+// oracle), certification probes an inverted last-writer index
+// (cert/cert_index.hpp): an element conflicts iff its last committed
+// writer position exceeds the snapshot. One certification is
+// O(|read_set| + |write_set|) hash probes regardless of the window; the
+// retained history ring exists only to evict stale index entries as the
+// window slides.
+//
+// The index partitions cleanly by item id: every probe and install
+// touches exactly one id, so hash-splitting the tuple and granule spaces
+// across N cert::index_shards makes one delivery's certification a
 // fork-join — each fork worker probes/installs a contiguous shard range,
 // writes its verdict into its own slot, and the verdicts are merged in
 // shard order. Decisions (and therefore abort attribution downstream) are
-// bit-identical to cert::certifier at every (shards, certify_threads)
-// combination, because
+// identical at every (shards, certify_threads) combination, because
 //   * the conservative pre-window rule depends only on global delivery
 //     positions and is applied before any shard is consulted;
 //   * a conflict is the OR of per-shard verdicts over disjoint id sets —
 //     commutative, and merged in a fixed order anyway;
 //   * installs and eviction drains touch disjoint shards, so the parallel
 //     pass reaches the same index contents as a serial one.
-// The differential suite (tests/cert_shard_test.cpp) checks this
-// decision-for-decision against cert::certifier, the way PR 1 checked the
-// index against the reference scan.
+// The differential suites (tests/cert_index_test.cpp,
+// tests/cert_shard_test.cpp) check this decision-for-decision against
+// cert::reference_certifier at every grid point.
 //
 // With the default cert_config (shards = 1, certify_threads = 1) no pool
-// is created, sets are never copied or partitioned, and behavior —
-// decisions, counters, modeled cost, snapshot bytes — is byte-identical
-// to cert::certifier.
+// is created and sets are never copied or partitioned.
 //
 // Modeled cost: certification CPU is charged along the fork-join critical
 // path — cost_fixed, plus cost_per_element times the element count of the
 // worker with the most probes, plus cost_fork_join once per certification
-// when the fork is real (more than one worker). At one worker this
-// degenerates to the certifier's set-linear model, so figure benches can
-// model multi-threaded delivery by just setting cert_config::{shards,
-// certify_threads}.
+// when the fork is real (more than one worker). At one worker this is the
+// set-linear model — deterministic and window-independent, like the real
+// work — so figure benches can model multi-threaded delivery by just
+// setting cert_config::{shards, certify_threads}.
 //
 // Snapshot/restore use the canonical shard-count-agnostic entry blocks of
 // cert/index_shard.hpp: the donor merges its per-shard eviction rings
 // back into full position-ordered entries; restore re-partitions by the
 // local shard count. Donor and joiner may therefore disagree on
 // cert_config::shards (recovery state transfer stays valid across
-// heterogeneous tunings), and either end may be a cert::certifier.
+// heterogeneous tunings).
 #ifndef DBSM_CERT_SHARDED_CERTIFIER_HPP
 #define DBSM_CERT_SHARDED_CERTIFIER_HPP
 
@@ -45,7 +67,7 @@
 #include <memory>
 #include <vector>
 
-#include "cert/certifier.hpp"
+#include "cert/cert_config.hpp"
 #include "cert/index_shard.hpp"
 #include "cert/rwset.hpp"
 #include "util/byte_buffer.hpp"
@@ -85,14 +107,17 @@ class sharded_certifier {
   std::size_t index_size() const;
   /// Queued eviction slices summed over every shard's ring. Note the
   /// unit: with shards > 1 one evicted write set contributes one slice
-  /// per shard that owns ids of it, so the count is comparable to
-  /// cert::certifier's only at shards == 1.
+  /// per shard that owns ids of it, so the count is in write sets only at
+  /// shards == 1.
   std::size_t evicted_backlog() const;
 
   /// Serializes the full certification state in the canonical
   /// shard-count-agnostic format (see cert/index_shard.hpp); restore()
-  /// on a fresh instance — of any shard count, or a cert::certifier —
-  /// reproduces the donor's decisions bit-for-bit.
+  /// on a fresh instance of any shard count reproduces the donor's
+  /// decisions bit-for-bit: the last-writer index is rebuilt by replaying
+  /// the serialized write sets in position order, which yields the exact
+  /// same index contents (including the decision-safe stale entries of
+  /// the eviction backlog).
   void snapshot(util::buffer_writer& w) const;
   void restore(util::buffer_reader& r);
 

@@ -33,7 +33,7 @@
 #include <string_view>
 #include <vector>
 
-#include "cert/certifier.hpp"
+#include "cert/cert_config.hpp"
 #include "cert/txn_codec.hpp"
 #include "gcs/view.hpp"
 #include "place/placement.hpp"

@@ -230,7 +230,6 @@ experiment_result run_experiment(const experiment_config& cfg) {
     sr.run_payloads = c.site(i).run_payloads();
     sr.pipeline_high_water = c.site(i).pipeline_high_water();
     sr.protocol_cpu = c.cpu(i).real_utilization();
-    sr.token_ctl_sent = c.group(i).token_ctl_sent();
     result.sites.push_back(sr);
 
     site_log_input in;

@@ -138,14 +138,10 @@ struct site_report {
   /// Peak certified-but-not-installed backlog in the hand-off queue.
   std::uint64_t pipeline_high_water = 0;
 
-  // Ordering-protocol accounting (gcs/ordering.hpp seam).
-  /// Busy fraction of this site's CPU spent in real protocol code. Under
-  /// the fixed sequencer the minting site's figure stands out (the §5.3
-  /// bottleneck); the rotating token spreads it — the contention signal
-  /// bench_ablation_ordering compares.
+  /// Busy fraction of this site's CPU spent in real protocol code. The
+  /// sequencer site's figure stands out: it mints and multicasts every
+  /// assignment record (the §5.3 bottleneck).
   double protocol_cpu = 0.0;
-  /// Token control datagrams this site multicast (rotating token only).
-  std::uint64_t token_ctl_sent = 0;
 };
 
 struct experiment_result {

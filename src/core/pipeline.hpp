@@ -13,7 +13,7 @@
 // made entirely in stage 1, so they are bit-identical to certifying the
 // same payload stream one at a time, whatever the queue does and wherever
 // run boundaries fall; the tests/batching_test.cpp differential suite
-// holds the path to that against the cert::certifier oracle.
+// holds the path to that against the cert::reference_certifier oracle.
 #ifndef DBSM_CORE_PIPELINE_HPP
 #define DBSM_CORE_PIPELINE_HPP
 

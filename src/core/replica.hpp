@@ -12,7 +12,7 @@
 // retained history window, and with cert_config::{shards,
 // certify_threads} > 1 the probes fork across a persistent worker pool
 // (decisions stay bit-identical at any shard/thread count; the default
-// 1/1 runs inline exactly like cert::certifier).
+// 1/1 runs inline).
 #ifndef DBSM_CORE_REPLICA_HPP
 #define DBSM_CORE_REPLICA_HPP
 

@@ -261,7 +261,6 @@ run_result run_spec(const scenario_spec& spec, const config& cfg) {
   ec.enable_recovery = cfg.allow_recovery || spec.needs_recovery();
   ec.gcs.unsafe_no_primary_partition = cfg.break_primary_partition;
   ec.gcs.batch_max = cfg.batch_max;
-  ec.gcs.ordering = cfg.ordering;
   ec.checks = cfg.checks;
   if (cfg.read_fast_path) {
     kv::kv_config k;

@@ -108,11 +108,6 @@ struct config {
   /// timelines for a given (seed, cfg) are unchanged, so the same corpus
   /// replays at every batch size.
   std::size_t batch_max = gcs::group_config{}.batch_max;
-  /// Total-order protocol for each run (gcs::group_config::ordering).
-  /// Only run_spec() consults it — generated timelines for a given
-  /// (seed, cfg) are unchanged, so the same corpus replays against the
-  /// fixed sequencer and the rotating token.
-  gcs::ordering_kind ordering = gcs::ordering_kind::fixed_sequencer;
   /// Monitor configuration for each run.
   check::config checks;
   /// Maximum experiment re-runs shrink() may spend.

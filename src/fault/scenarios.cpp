@@ -147,25 +147,6 @@ scenario batch_boundary_crash(const params& p) {
   return s;
 }
 
-scenario token_holder_crash(const params& p) {
-  DBSM_CHECK(p.sites >= 3);
-  scenario s("token_holder_crash");
-  // The batch_boundary_crash shape aimed at the rotating token: site 1 (a
-  // non-lead member the token visits every circulation) gets its outbound
-  // datagrams delayed far past its crash point, then dies mid-window. Its
-  // last token pass and any mint records are in flight — no retransmission
-  // can finish the hop, so ordering stalls until the failure detector
-  // forces a view change, the flush cuts through the half-propagated
-  // mints, and the surviving lead regenerates the token. Site 0 survives,
-  // so the view-change coordinator is unaffected by the fault.
-  const sim_duration window = p.exclusion_timeout / 2;
-  s.add(link_delay_fault::one_way(4 * p.exclusion_timeout, site_set{1}),
-        p.onset, p.onset + window);
-  s.add(std::make_shared<crash_fault>(site_selector{site_set{1}}),
-        p.onset + window / 2);
-  return s;
-}
-
 scenario partition_lease_window(const params& p) {
   DBSM_CHECK(p.sites >= 3);
   const unsigned victim = p.sites - 1;
@@ -236,9 +217,6 @@ const std::vector<catalog_entry>& catalog() {
       {"batch_boundary_crash",
        "delay sequencer egress, crash it mid-batch before stability", 3,
        false, &batch_boundary_crash, false},
-      {"token_holder_crash",
-       "rotating token: delay a holder's egress, crash it mid-hop", 3,
-       false, &token_holder_crash, false, 0, true},
       {"partition_lease_window",
        "sub-exclusion partition blips during the read-lease window", 3,
        false, &partition_lease_window, false},

@@ -79,15 +79,6 @@ scenario partial_k2_crash_rejoin(const params& p = {});
 /// everywhere), at any batch_max.
 scenario batch_boundary_crash(const params& p = {});
 
-/// Rotating-token counterpart of batch_boundary_crash (the catalog entry
-/// carries rotating_token = true): delay a non-lead site's egress from
-/// onset, then crash it half a window later. The token regularly visits
-/// the victim, so with high likelihood it dies holding (or having just
-/// passed) the token with mint records still in flight — the passer's
-/// retransmission cannot resurrect it and the view change must regenerate
-/// the token while the flush cuts through the half-propagated mints.
-scenario token_holder_crash(const params& p = {});
-
 // --- read-path (lease) scenarios: exercise the read/ fast path's
 // --- revocation races; meaningful with replica_cfg.read.path = fast ---
 /// Three partition blips of the last site, each shorter than the
@@ -117,10 +108,6 @@ struct catalog_entry {
   /// runner must set experiment_config::placement to a k-of-N strategy of
   /// this degree (0 keeps the default full replication).
   unsigned placement_degree = 0;
-  /// True when the scenario targets the rotating-token orderer: the
-  /// runner must set gcs::group_config::ordering = rotating_token (the
-  /// default campaign keeps fixed_sequencer, preserving its anchors).
-  bool rotating_token = false;
 };
 
 /// Every named scenario, in campaign order.

@@ -9,21 +9,6 @@
 
 namespace dbsm::gcs {
 
-/// Which total-order protocol the group runs (gcs/ordering.hpp seam).
-enum class ordering_kind : std::uint8_t {
-  /// §3.4 fixed sequencer: the lowest-id view member mints every global
-  /// sequence (gcs/sequencer.hpp). The default.
-  fixed_sequencer = 0,
-  /// Leaderless rotating token: a token circulates the view in site-id
-  /// order; the holder mints the next run of global sequences for its own
-  /// pending messages, then passes the token on (gcs/token_order.hpp).
-  /// Token loss (holder crash, partition) is recovered at view change by
-  /// deterministic regeneration.
-  rotating_token = 1,
-};
-
-const char* ordering_name(ordering_kind k);
-
 struct group_config {
   /// Static initial membership (node ids on the transport).
   std::vector<node_id> members;
@@ -73,12 +58,6 @@ struct group_config {
   /// in real configurations.
   bool unsafe_no_primary_partition = false;
 
-  // --- total order ---
-  /// Ordering-protocol selection (the gcs/ordering.hpp seam). Every
-  /// implementation must pass tests/ordering_test.cpp — the same fault
-  /// catalog, campaigns, and online monitors — before it ships.
-  ordering_kind ordering = ordering_kind::fixed_sequencer;
-
   // --- total order (fixed sequencer) ---
   /// The sequencer mints one assignment record per batch: up to this many
   /// payloads with consecutive global sequences, closed by this size or
@@ -89,17 +68,6 @@ struct group_config {
   /// Age of the oldest pending payload at which a partial batch closes
   /// anyway (the latency bound of batching).
   sim_duration batch_delay = microseconds(500);
-
-  // --- total order (rotating token) ---
-  /// How long an idle token holder (nothing of its own to order) keeps the
-  /// token before passing it on. Bounds the token's idle circulation rate
-  /// (one hop per delay) and the extra ordering latency a busy site sees
-  /// while the token sits at an idle one.
-  sim_duration token_idle_delay = milliseconds(1);
-  /// A passer re-multicasts its token until it observes a higher token
-  /// sequence (the successor passed it on) or a view change regenerates
-  /// the token; this is the retransmission cadence.
-  sim_duration token_retry = milliseconds(25);
 
   /// Deterministic CPU cost charged per handled datagram when real
   /// measurement is off (base protocol processing).

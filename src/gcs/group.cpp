@@ -1,6 +1,7 @@
 #include "gcs/group.hpp"
 
 #include <algorithm>
+#include <variant>
 
 #include "util/check.hpp"
 #include "util/log.hpp"
@@ -81,7 +82,7 @@ void group::build_stack(const view& v, std::uint64_t delivered) {
     on_app_msg(sender, app_seq, std::move(payload), last_dgram);
   });
 
-  order_ = make_ordering(env_, cfg_);
+  order_ = std::make_unique<total_order>(env_, cfg_);
   if (delivered > 0) order_->start_at(delivered + 1);
   order_->set_deliver([this](std::vector<delivery>&& run) {
     // Strip the kind byte; hand the user payloads up (and, when donating a
@@ -97,19 +98,7 @@ void group::build_stack(const view& v, std::uint64_t delivered) {
   order_->set_send_batch([this](util::shared_bytes batch) {
     rmcast_->broadcast(wrap(kind_assignment_batch, batch));
   });
-  order_->set_send_token([this](std::uint64_t token_seq,
-                                std::uint64_t next_assign, node_id holder) {
-    // Raw control plane like heartbeats: loss is covered by the passer's
-    // retransmission and, terminally, by regeneration at the next view.
-    token_msg t;
-    t.hdr = {msg_type::token, membership_->current().id, env_.self()};
-    t.token_seq = token_seq;
-    t.next_assign = next_assign;
-    t.holder = holder;
-    ++token_ctl_sent_;
-    env_.multicast(encode(t));
-  });
-  order_->set_roles(v.members, v.sequencer());
+  order_->set_sequencer(v.sequencer());
 
   stability_ = std::make_unique<stability_tracker>(v.members, env_.self());
   reset_uniform();
@@ -258,21 +247,33 @@ void group::on_app_msg(node_id sender, std::uint64_t app_seq,
 }
 
 void group::dispatch(node_id from, util::shared_bytes raw) {
-  if (stopped_ || raw->size() < 9) return;
+  (void)from;
+  if (stopped_) return;
   env_.charge(cfg_.handler_cpu_cost);
-  const header hdr = decode_header(raw);
+  // Decode first and handle after: a datagram that does not decode is
+  // dropped and counted, while an invariant failure inside a handler still
+  // stops the run.
+  message msg;
+  try {
+    msg = decode(raw);
+  } catch (const invariant_violation&) {
+    ++malformed_dropped_;
+    return;
+  }
+  const header& hdr =
+      std::visit([](const auto& m) -> const header& { return m.hdr; }, msg);
   if (joining_) {
     // A recovering site runs nothing but the join protocol: the rest of
     // the stack is rebuilt when the merged view installs.
     switch (hdr.type) {
       case msg_type::join_chunk:
-        recovery_->on_chunk(decode_join_chunk(raw));
+        recovery_->on_chunk(std::get<join_chunk_msg>(msg));
         break;
       case msg_type::join_fwd:
-        recovery_->on_fwd(decode_join_fwd(raw));
+        recovery_->on_fwd(std::get<join_fwd_msg>(msg));
         break;
       case msg_type::join_commit:
-        recovery_->on_commit(decode_join_commit(raw));
+        recovery_->on_commit(std::get<join_commit_msg>(msg));
         break;
       default:
         break;
@@ -286,16 +287,14 @@ void group::dispatch(node_id from, util::shared_bytes raw) {
   membership_->on_foreign_view(hdr.view_id);
   fd_->heard_from(hdr.sender, env_.now());
   switch (hdr.type) {
-    case msg_type::data: {
-      const data_msg m = decode_data(raw);
-      rmcast_->on_data(m, raw);
+    case msg_type::data:
+      rmcast_->on_data(std::get<data_msg>(msg), raw);
       break;
-    }
     case msg_type::nak:
-      rmcast_->on_nak(decode_nak(raw));
+      rmcast_->on_nak(std::get<nak_msg>(msg));
       break;
     case msg_type::stab: {
-      const stab_msg m = decode_stab(raw);
+      const stab_msg& m = std::get<stab_msg>(msg);
       // Only merge gossip from the same view (vector layout must match).
       if (m.hdr.view_id == membership_->current().id &&
           m.stable.size() == stability_->members().size()) {
@@ -306,61 +305,51 @@ void group::dispatch(node_id from, util::shared_bytes raw) {
       }
       break;
     }
-    case msg_type::heartbeat:
+    case msg_type::heartbeat: {
       // Liveness already recorded; in recovery mode the heartbeat also
       // advertises the sender's stream high water, exposing datagram gaps
       // that no later traffic would reveal (a rejoined member's blind
       // spot between the members' install and its own).
-      if (cfg_.enable_recovery) {
-        const heartbeat_msg hb = decode_heartbeat(raw);
-        if (hb.sent_high && hb.hdr.view_id == membership_->current().id)
-          rmcast_->note_sender_high(hb.hdr.sender, *hb.sent_high);
-      }
+      const heartbeat_msg& hb = std::get<heartbeat_msg>(msg);
+      if (cfg_.enable_recovery && hb.sent_high &&
+          hb.hdr.view_id == membership_->current().id)
+        rmcast_->note_sender_high(hb.hdr.sender, *hb.sent_high);
       break;
+    }
     case msg_type::view_propose:
-      membership_->on_propose(decode_view_propose(raw));
+      membership_->on_propose(std::get<view_propose_msg>(msg));
       break;
     case msg_type::view_state:
-      membership_->on_state(decode_view_state(raw));
+      membership_->on_state(std::get<view_state_msg>(msg));
       break;
     case msg_type::view_cut:
-      membership_->on_cut(decode_view_cut(raw));
+      membership_->on_cut(std::get<view_cut_msg>(msg));
       break;
     case msg_type::view_flush_ok:
-      membership_->on_flush_ok(decode_view_flush_ok(raw));
+      membership_->on_flush_ok(std::get<view_flush_ok_msg>(msg));
       break;
     case msg_type::view_install:
-      membership_->on_install(decode_view_install(raw));
+      membership_->on_install(std::get<view_install_msg>(msg));
       break;
     case msg_type::join_request:
-      if (recovery_) recovery_->on_join_request(decode_join_request(raw));
+      if (recovery_)
+        recovery_->on_join_request(std::get<join_request_msg>(msg));
       break;
     case msg_type::join_chunk_ack:
-      if (recovery_) recovery_->on_chunk_ack(decode_join_chunk_ack(raw));
+      if (recovery_)
+        recovery_->on_chunk_ack(std::get<join_chunk_ack_msg>(msg));
       break;
     case msg_type::join_fwd_ack:
-      if (recovery_) recovery_->on_fwd_ack(decode_join_fwd_ack(raw));
+      if (recovery_) recovery_->on_fwd_ack(std::get<join_fwd_ack_msg>(msg));
       break;
     case msg_type::join_done:
-      if (recovery_) recovery_->on_done(decode_join_done(raw));
+      if (recovery_) recovery_->on_done(std::get<join_done_msg>(msg));
       break;
     case msg_type::join_chunk:
     case msg_type::join_fwd:
     case msg_type::join_commit:
       break;  // stale join traffic to a live member
-    case msg_type::token:
-      // Rotating-token ordering control. Tokens of other views are dead —
-      // every install regenerates the token at the new lead — and during
-      // a view change the membership barrier holds the token clock still:
-      // a hop accepted mid-flush could mint assignments that breach view
-      // synchrony.
-      if (hdr.view_id == membership_->current().id &&
-          !membership_->barrier_active()) {
-        order_->on_token(decode_token(raw));
-      }
-      break;
   }
-  (void)from;
 }
 
 void group::stability_tick() {
@@ -471,11 +460,11 @@ void group::do_install(const view& v,
   fd_->reset(v.members, env_.now());
   rmcast_->resume_sending();
   if (view_cb_) view_cb_(v);
-  // The new roles (sequencer takeover / token regeneration at the new
-  // lead) come last: a new minter's first record is self-delivered at
-  // once, and it orders messages sent after the cut, so it must not land
-  // before the view handler has seen delivery stand exactly at the cut.
-  order_->set_roles(v.members, v.sequencer());
+  // The sequencer role comes last: a new sequencer's first record is
+  // self-delivered at once, and it orders messages sent after the cut, so
+  // it must not land before the view handler has seen delivery stand
+  // exactly at the cut.
+  order_->set_sequencer(v.sequencer());
 }
 
 void group::rebuild_for_merge(const view& v, std::uint64_t delivered,

@@ -2,8 +2,7 @@
 // multicast as used by the DBSM termination protocol.
 //
 // Wires together the reliable multicast layer, gossip stability detection,
-// the configured total-order protocol (the gcs/ordering.hpp seam: fixed
-// sequencer or rotating token), heartbeat failure detection, and
+// fixed-sequencer total order, heartbeat failure detection, and
 // view-change membership — the full §3.4 stack — on top of the env
 // abstraction, so the identical protocol code runs simulated (sim_env) or
 // on real sockets (native_env).
@@ -17,9 +16,9 @@
 #include "gcs/config.hpp"
 #include "gcs/failure_detector.hpp"
 #include "gcs/membership.hpp"
-#include "gcs/ordering.hpp"
 #include "gcs/recovery.hpp"
 #include "gcs/rmcast.hpp"
+#include "gcs/sequencer.hpp"
 #include "gcs/stability.hpp"
 #include "gcs/view.hpp"
 
@@ -97,8 +96,6 @@ class group {
 
   const view& current_view() const;
   bool am_sequencer() const;
-  /// The running total-order protocol (probe access for tests/monitors).
-  const ordering& order_protocol() const { return *order_; }
   node_id self() const { return env_.self(); }
 
   // --- probes ---
@@ -121,9 +118,10 @@ class group {
   std::uint64_t join_snapshot_bytes() const;
   /// join_chunk payload bytes sent (retransmissions included).
   std::uint64_t join_chunk_bytes() const;
-  /// Token control datagrams multicast by this node (rotating-token
-  /// ordering only; passes and retransmissions).
-  std::uint64_t token_ctl_sent() const { return token_ctl_sent_; }
+  /// Datagrams dropped because they failed to decode: truncated or
+  /// corrupt bytes, or an unknown or retired type. Hostile input is
+  /// counted, never fatal.
+  std::uint64_t malformed_dropped() const { return malformed_dropped_; }
 
  private:
   static constexpr std::uint8_t kind_user = 0;
@@ -171,7 +169,7 @@ class group {
   state_transfer_hooks xfer_;
 
   std::unique_ptr<reliable_mcast> rmcast_;
-  std::unique_ptr<ordering> order_;
+  std::unique_ptr<total_order> order_;
   std::unique_ptr<stability_tracker> stability_;
   std::unique_ptr<failure_detector> fd_;
   std::unique_ptr<membership> membership_;
@@ -179,7 +177,7 @@ class group {
 
   std::deque<uniform_sample> uniform_ring_;
   std::uint64_t uniform_ = 0;
-  std::uint64_t token_ctl_sent_ = 0;
+  std::uint64_t malformed_dropped_ = 0;
 
   bool started_ = false;
   bool stopped_ = false;

@@ -53,16 +53,6 @@ void membership::admit(node_id joiner) {
   start_change();
 }
 
-bool membership::barrier_active() const {
-  // The token barrier mirrors the flush rules the ordering layer already
-  // obeys (quiesce on propose, halt on exclusion): once a change starts
-  // flushing, a token hop could mint assignments that never reach the
-  // other members before they install — view synchrony breached at one
-  // site. The install regenerates the token, so holding the clock still
-  // here loses nothing.
-  return changing_ || excluded_;
-}
-
 void membership::force_view(const view& v) {
   DBSM_CHECK(!v.members.empty());
   DBSM_CHECK(std::is_sorted(v.members.begin(), v.members.end()));

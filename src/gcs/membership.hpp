@@ -98,11 +98,6 @@ class membership {
   /// though its stale current() still lists it first.
   bool excluded() const { return excluded_; }
 
-  /// The ordering-control barrier (rotating token): true while accepting
-  /// ordering control traffic would be unsafe — a change is mid-flush, or
-  /// this node was excluded. See group::dispatch (msg_type::token).
-  bool barrier_active() const;
-
   // Control-message dispatch (from the group facade).
   void on_propose(const view_propose_msg& m);
   void on_state(const view_state_msg& m);

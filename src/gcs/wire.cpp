@@ -46,6 +46,18 @@ std::vector<node_id> get_node_vec(util::buffer_reader& r) {
   return v;
 }
 
+/// A length-prefixed byte blob. The length is checked against the bytes
+/// left before anything is allocated, so a corrupt prefix cannot request
+/// gigabytes.
+util::shared_bytes get_blob(util::buffer_reader& r) {
+  const std::uint32_t len = r.get_u32();
+  DBSM_CHECK_MSG(len <= r.remaining(),
+                 "blob of " << len << " bytes overruns the datagram");
+  auto blob = std::make_shared<util::bytes>(len);
+  r.get_bytes(blob->data(), len);
+  return blob;
+}
+
 util::buffer_reader open(const util::shared_bytes& raw, msg_type expect,
                          header& h) {
   util::buffer_reader r(raw);
@@ -77,10 +89,7 @@ data_msg decode_data(const util::shared_bytes& raw) {
   m.app_seq = r.get_u64();
   m.frag_idx = r.get_u16();
   m.frag_cnt = r.get_u16();
-  const std::uint32_t len = r.get_u32();
-  auto payload = std::make_shared<util::bytes>(len);
-  r.get_bytes(payload->data(), len);
-  m.payload = std::move(payload);
+  m.payload = get_blob(r);
   return m;
 }
 
@@ -135,7 +144,7 @@ util::shared_bytes encode(const heartbeat_msg& m) {
 heartbeat_msg decode_heartbeat(const util::shared_bytes& raw) {
   heartbeat_msg m;
   auto r = open(raw, msg_type::heartbeat, m.hdr);
-  if (r.remaining() >= 8) m.sent_high = r.get_u64();
+  if (!r.done()) m.sent_high = r.get_u64();
   return m;
 }
 
@@ -258,10 +267,7 @@ join_chunk_msg decode_join_chunk(const util::shared_bytes& raw) {
   m.snap_pos = r.get_u64();
   m.chunk_idx = r.get_u32();
   m.chunk_cnt = r.get_u32();
-  const std::uint32_t len = r.get_u32();
-  auto payload = std::make_shared<util::bytes>(len);
-  r.get_bytes(payload->data(), len);
-  m.payload = std::move(payload);
+  m.payload = get_blob(r);
   return m;
 }
 
@@ -299,10 +305,7 @@ join_fwd_msg decode_join_fwd(const util::shared_bytes& raw) {
   m.incarnation = r.get_u64();
   m.global_seq = r.get_u64();
   m.orig_sender = r.get_u32();
-  const std::uint32_t len = r.get_u32();
-  auto payload = std::make_shared<util::bytes>(len);
-  r.get_bytes(payload->data(), len);
-  m.payload = std::move(payload);
+  m.payload = get_blob(r);
   return m;
 }
 
@@ -356,27 +359,49 @@ join_done_msg decode_join_done(const util::shared_bytes& raw) {
   return m;
 }
 
-util::shared_bytes encode(const token_msg& m) {
-  util::buffer_writer w(32);
-  put_header(w, m.hdr);
-  w.put_u64(m.token_seq);
-  w.put_u64(m.next_assign);
-  w.put_u32(m.holder);
-  return w.take();
-}
-
-token_msg decode_token(const util::shared_bytes& raw) {
-  token_msg m;
-  auto r = open(raw, msg_type::token, m.hdr);
-  m.token_seq = r.get_u64();
-  m.next_assign = r.get_u64();
-  m.holder = r.get_u32();
-  return m;
-}
-
 header decode_header(const util::shared_bytes& raw) {
   util::buffer_reader r(raw);
   return get_header(r);
+}
+
+message decode(const util::shared_bytes& raw) {
+  switch (decode_header(raw).type) {
+    case msg_type::data:
+      return decode_data(raw);
+    case msg_type::nak:
+      return decode_nak(raw);
+    case msg_type::stab:
+      return decode_stab(raw);
+    case msg_type::heartbeat:
+      return decode_heartbeat(raw);
+    case msg_type::view_propose:
+      return decode_view_propose(raw);
+    case msg_type::view_state:
+      return decode_view_state(raw);
+    case msg_type::view_cut:
+      return decode_view_cut(raw);
+    case msg_type::view_flush_ok:
+      return decode_view_flush_ok(raw);
+    case msg_type::view_install:
+      return decode_view_install(raw);
+    case msg_type::join_request:
+      return decode_join_request(raw);
+    case msg_type::join_chunk:
+      return decode_join_chunk(raw);
+    case msg_type::join_chunk_ack:
+      return decode_join_chunk_ack(raw);
+    case msg_type::join_fwd:
+      return decode_join_fwd(raw);
+    case msg_type::join_fwd_ack:
+      return decode_join_fwd_ack(raw);
+    case msg_type::join_commit:
+      return decode_join_commit(raw);
+    case msg_type::join_done:
+      return decode_join_done(raw);
+  }
+  DBSM_CHECK_MSG(false, "unknown wire type "
+                            << static_cast<int>((*raw)[0]));
+  return {};
 }
 
 }  // namespace dbsm::gcs

@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <variant>
 #include <vector>
 
 #include "util/byte_buffer.hpp"
@@ -36,8 +37,8 @@ enum class msg_type : std::uint8_t {
   join_fwd_ack = 14,
   join_commit = 15,
   join_done = 16,
-  // Rotating-token total order (gcs/token_order.hpp).
-  token = 17,
+  // 17 is retired (the token of a removed rotating-token orderer): decode()
+  // rejects it like any other unknown type.
 };
 
 struct header {
@@ -184,22 +185,6 @@ struct join_done_msg {
   std::uint64_t incarnation = 0;
 };
 
-/// Rotating-token total order (gcs/token_order.hpp): the passer multicasts
-/// the token naming the next holder. Raw control plane like heartbeats —
-/// not part of any reliable stream; loss is covered by the passer's
-/// retransmission (token_retry) and, terminally, by deterministic token
-/// regeneration at the next view install. `token_seq` counts completed
-/// hops within the view (receivers deduplicate on it); `next_assign` is
-/// the first unminted global sequence, carried so the new holder continues
-/// the numbering even if it has not yet received the passer's last
-/// assignment record.
-struct token_msg {
-  header hdr;
-  std::uint64_t token_seq = 0;
-  std::uint64_t next_assign = 1;
-  node_id holder = 0;
-};
-
 // --- encoding ---
 
 util::shared_bytes encode(const data_msg& m);
@@ -218,7 +203,6 @@ util::shared_bytes encode(const join_fwd_msg& m);
 util::shared_bytes encode(const join_fwd_ack_msg& m);
 util::shared_bytes encode(const join_commit_msg& m);
 util::shared_bytes encode(const join_done_msg& m);
-util::shared_bytes encode(const token_msg& m);
 
 /// Peeks the header of any protocol datagram.
 header decode_header(const util::shared_bytes& raw);
@@ -240,7 +224,18 @@ join_fwd_msg decode_join_fwd(const util::shared_bytes& raw);
 join_fwd_ack_msg decode_join_fwd_ack(const util::shared_bytes& raw);
 join_commit_msg decode_join_commit(const util::shared_bytes& raw);
 join_done_msg decode_join_done(const util::shared_bytes& raw);
-token_msg decode_token(const util::shared_bytes& raw);
+
+/// Any protocol datagram, decoded.
+using message =
+    std::variant<data_msg, nak_msg, stab_msg, heartbeat_msg, view_propose_msg,
+                 view_state_msg, view_cut_msg, view_flush_ok_msg,
+                 view_install_msg, join_request_msg, join_chunk_msg,
+                 join_chunk_ack_msg, join_fwd_msg, join_fwd_ack_msg,
+                 join_commit_msg, join_done_msg>;
+
+/// Decodes a datagram by its type byte. Throws dbsm::invariant_violation
+/// on a truncated or malformed datagram and on an unknown or retired type.
+message decode(const util::shared_bytes& raw);
 
 }  // namespace dbsm::gcs
 

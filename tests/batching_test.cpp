@@ -2,12 +2,12 @@
 // pipelined commit: the assignment record codec, the certify→install
 // hand-off queue, and the differential batching-equivalence suite — the
 // run/amortized certification path must produce byte-identical decisions
-// and committed sequences to the one-at-a-time cert::certifier oracle at
-// every batch_max × shards × certify_threads grid point, on randomized,
-// TPC-C-shaped, and KV streams. The default path is held to the seed-7
-// anchors; every batch size is held to the invariant monitors, the §5.3
-// safety check, and same-config rerun determinism, across the whole fault
-// catalog (the batch-boundary crash scenario included).
+// and committed sequences to the one-at-a-time cert::reference_certifier
+// oracle at every batch_max × shards × certify_threads grid point, on
+// randomized, TPC-C-shaped, and KV streams. The default path is held to
+// the seed-7 anchors; every batch size is held to the invariant monitors,
+// the §5.3 safety check, and same-config rerun determinism, across the
+// whole fault catalog (the batch-boundary crash scenario included).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,7 +15,7 @@
 #include <string>
 #include <vector>
 
-#include "cert/certifier.hpp"
+#include "cert/reference_certifier.hpp"
 #include "cert/sharded_certifier.hpp"
 #include "core/experiment.hpp"
 #include "core/pipeline.hpp"
@@ -154,10 +154,10 @@ TEST(commit_pipeline, probes_track_enqueued_drained_high_water) {
 // fixed term amortized after a run's first probe, and installs drain
 // through the commit_pipeline a stage behind. Neither may move a decision
 // or a committed id. This harness feeds one recorded request stream
-// through (a) the one-at-a-time cert::certifier oracle and (b) the run
-// pipeline at a (batch_max, shards, threads) grid point, and asserts the
-// decision sequence, the stage-1 commit log, and the stage-2 install
-// sequence are byte-identical.
+// through (a) the one-at-a-time cert::reference_certifier oracle and (b)
+// the run pipeline at a (batch_max, shards, threads) grid point, and
+// asserts the decision sequence, the stage-1 commit log, and the stage-2
+// install sequence are byte-identical.
 
 struct request {
   std::uint64_t id = 0;
@@ -191,10 +191,11 @@ struct path_trace {
   std::vector<std::uint64_t> installed;   // ids drained from the pipeline
 };
 
-/// The oracle: one certifier, one payload at a time, installs inline.
+/// The oracle: the merge-scan certifier, one payload at a time, installs
+/// inline.
 path_trace run_serial(const std::vector<request>& stream,
                       const cert::cert_config& cfg) {
-  cert::certifier oracle(cfg);
+  cert::reference_certifier oracle(cfg);
   path_trace t;
   for (const request& r : stream) {
     const bool ok =
@@ -498,8 +499,8 @@ TEST(batching_enabled, same_config_rerun_is_deterministic) {
 // ---------- fault catalog off the default batch size ----------
 
 // Every catalog scenario at batch_max 1 (a record per payload) and 32
-// (2 ms close delay); tests/ordering_test.cpp covers the default under
-// both orderings. The online monitors cross-check every decision and
+// (2 ms close delay); tests/ordering_test.cpp covers the default. The
+// online monitors cross-check every decision and
 // apply, and the §5.3 off-line safety check must hold — view changes land
 // on batch boundaries or roll accumulated-but-unminted keys back into the
 // deterministic flush. Covers the batch_boundary_crash scenario.

@@ -12,9 +12,9 @@
 #include <vector>
 
 #include "cert/cert_index.hpp"
-#include "cert/certifier.hpp"
 #include "cert/index_shard.hpp"
 #include "cert/reference_certifier.hpp"
+#include "cert/sharded_certifier.hpp"
 #include "db/item.hpp"
 #include "tpcc/workload.hpp"
 #include "util/open_table.hpp"
@@ -168,7 +168,7 @@ void run_differential(std::uint64_t seed, int steps, std::uint64_t id_space,
                       diff_stats& st) {
   cert_config cfg;
   cfg.history_window = window;
-  certifier indexed(cfg);
+  sharded_certifier indexed(cfg);
   reference_certifier reference(cfg);
   util::rng g(seed);
 
@@ -269,7 +269,7 @@ TEST(cert_differential, tpcc_shaped_workload_agrees) {
   // advertised write granules, snapshots lagging a few dozen deliveries.
   cert_config cfg;
   cfg.history_window = 512;
-  certifier indexed(cfg);
+  sharded_certifier indexed(cfg);
   reference_certifier reference(cfg);
   tpcc::workload load(tpcc::workload_profile::pentium3_1ghz(), 10,
                       util::rng(71));
@@ -303,7 +303,7 @@ TEST(cert_index_memory, index_stays_bounded_by_window) {
   // linearly with the number of deliveries.
   cert_config cfg;
   cfg.history_window = 100;
-  certifier c(cfg);
+  sharded_certifier c(cfg);
   util::rng g(91);
   for (int i = 0; i < 20000; ++i) {
     std::vector<item_id> ws;

@@ -1,10 +1,11 @@
 // Shard-count invariance of the sharded certifier: at every
 // (shards, certify_threads) combination the decisions must match
-// cert::certifier transaction-for-transaction — the same differential
-// discipline PR 1 used for index-vs-scan, extended over the partitioned
-// parallel path. Covers randomized mixes, TPC-C-shaped sets, KV
-// scan-escalation sets, the read-only path, window expiry, and the
-// canonical snapshot format (byte-identical at 1 shard / 1 thread).
+// cert::reference_certifier, the merge-scan oracle, transaction for
+// transaction — the index-vs-scan differential of tests/cert_index_test.cpp
+// extended over the partitioned parallel path. Covers randomized mixes,
+// TPC-C-shaped sets, KV scan-escalation sets, the read-only path, window
+// expiry, and the canonical snapshot format (the same bytes at any shard
+// count).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,7 +13,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "cert/certifier.hpp"
+#include "cert/reference_certifier.hpp"
 #include "cert/sharded_certifier.hpp"
 #include "db/item.hpp"
 #include "tpcc/workload.hpp"
@@ -46,14 +47,16 @@ cert_config with_sharding(cert_config cfg, const grid_point& p) {
 }
 
 /// Drives the oracle and one sharded instance through the same randomized
-/// transaction stream and asserts decision-for-decision agreement.
+/// transaction stream and asserts decision-for-decision agreement. A
+/// single-shard instance rides along as the index-size baseline.
 void run_differential(const grid_point& p, std::uint64_t seed, int steps,
                       std::uint64_t id_space, double granule_read_p,
                       double granule_write_p, std::uint64_t max_age,
                       std::size_t window) {
   cert_config cfg;
   cfg.history_window = window;
-  certifier oracle(cfg);
+  reference_certifier oracle(cfg);
+  sharded_certifier single(cfg);
   sharded_certifier sharded(with_sharding(cfg, p));
   util::rng g(seed);
 
@@ -95,6 +98,7 @@ void run_differential(const grid_point& p, std::uint64_t seed, int steps,
               oracle.certify_update(begin, rs, ws))
         << "update: shards " << p.shards << " threads " << p.threads
         << " seed " << seed << " step " << i << " begin " << begin;
+    single.certify_update(begin, rs, ws);
 
     ASSERT_EQ(sharded.position(), oracle.position());
     ASSERT_EQ(sharded.commits(), oracle.commits());
@@ -102,12 +106,9 @@ void run_differential(const grid_point& p, std::uint64_t seed, int steps,
     ASSERT_EQ(sharded.history_size(), oracle.history_size());
     ASSERT_EQ(sharded.oldest_retained(), oracle.oldest_retained());
     // Per-shard rings drain their own fronts, so the sharded instance can
-    // only be *ahead* on stale-entry cleanup, never behind on content the
-    // decisions see.
-    ASSERT_LE(sharded.index_size(), oracle.index_size());
-    if (p.shards == 1) {
-      ASSERT_EQ(sharded.index_size(), oracle.index_size());
-    }
+    // only be *ahead* of the single index on stale-entry cleanup, never
+    // behind on content the decisions see.
+    ASSERT_LE(sharded.index_size(), single.index_size());
   }
   EXPECT_GT(oracle.commits(), 100u);
   EXPECT_GT(oracle.aborts(), 0u);
@@ -135,7 +136,7 @@ TEST(cert_shard_differential, tpcc_shaped_workload_agrees) {
   for (const grid_point& p : grid()) {
     cert_config cfg;
     cfg.history_window = 512;
-    certifier oracle(cfg);
+    reference_certifier oracle(cfg);
     sharded_certifier sharded(with_sharding(cfg, p));
     tpcc::workload load(tpcc::workload_profile::pentium3_1ghz(), 10,
                         util::rng(71));
@@ -175,7 +176,7 @@ TEST(cert_shard_differential, kv_scan_escalation_agrees) {
   for (const grid_point& p : grid()) {
     cert_config cfg;
     cfg.history_window = 256;
-    certifier oracle(cfg);
+    reference_certifier oracle(cfg);
     sharded_certifier sharded(with_sharding(cfg, p));
 
     kv::kv_config k;
@@ -221,13 +222,14 @@ TEST(cert_shard_differential, kv_scan_escalation_agrees) {
 }
 
 TEST(cert_shard_differential, default_config_snapshot_bytes_identical) {
-  // shards = 1 / certify_threads = 1 is not merely decision-equal to
-  // cert::certifier — the serialized state must be byte-identical, since
-  // replicas snapshot through the sharded path now.
+  // The snapshot format is canonical: the default config's state, restored
+  // at one shard and at eight, serializes back to the identical bytes — so
+  // a recovery transfer means the same thing whatever shard count either
+  // end runs.
   cert_config cfg;
   cfg.history_window = 48;
-  certifier oracle(cfg);
-  sharded_certifier sharded(cfg);
+  reference_certifier oracle(cfg);
+  sharded_certifier donor(cfg);
   util::rng g(99);
   for (int i = 0; i < 600; ++i) {
     std::vector<item_id> rs, ws;
@@ -242,39 +244,44 @@ TEST(cert_shard_differential, default_config_snapshot_bytes_identical) {
     const std::uint64_t begin =
         pos - std::min<std::uint64_t>(
                   pos, static_cast<std::uint64_t>(g.uniform_int(0, 60)));
-    ASSERT_EQ(sharded.certify_update(begin, rs, ws),
+    ASSERT_EQ(donor.certify_update(begin, rs, ws),
               oracle.certify_update(begin, rs, ws));
   }
-  util::buffer_writer wo, ws_;
-  oracle.snapshot(wo);
-  sharded.snapshot(ws_);
-  const auto a = wo.take();
-  const auto b = ws_.take();
-  ASSERT_EQ(*a, *b);
+  util::buffer_writer w;
+  donor.snapshot(w);
+  const auto blob = w.take();
+  for (const grid_point& p : {grid_point{1, 1}, grid_point{8, 4}}) {
+    sharded_certifier joiner(with_sharding(cfg, p));
+    util::buffer_reader r(blob);
+    joiner.restore(r);
+    util::buffer_writer again;
+    joiner.snapshot(again);
+    ASSERT_EQ(*again.take(), *blob) << "shards " << p.shards;
+  }
 }
 
 TEST(cert_shard_differential, modeled_cost_parallel_term_scales) {
   // The parallel term: with enough shards and threads, the critical path
   // charges roughly elements / workers, plus the fork overhead — and one
-  // worker charges exactly the certifier's set-linear model.
+  // worker charges exactly the set-linear model.
   cert_config cfg;
   std::vector<item_id> ws;
   for (std::uint64_t i = 0; i < 512; ++i) ws.push_back(tup(i * 7 + 1));
   normalize(ws);
-
-  certifier oracle(cfg);
-  oracle.certify_update(0, {}, ws);
+  const sim_duration set_linear =
+      cfg.cost_fixed +
+      cfg.cost_per_element * static_cast<sim_duration>(ws.size());
 
   sharded_certifier serial(cfg);
   serial.certify_update(0, {}, ws);
-  EXPECT_EQ(serial.last_cost(), oracle.last_cost());
+  EXPECT_EQ(serial.last_cost(), set_linear);
 
   cert_config par = cfg;
   par.shards = 16;
   par.certify_threads = 4;
   sharded_certifier forked(par);
   forked.certify_update(0, {}, ws);
-  EXPECT_LT(forked.last_cost(), oracle.last_cost());
+  EXPECT_LT(forked.last_cost(), set_linear);
   // Critical path >= perfect split, and the fork overhead is charged.
   EXPECT_GE(forked.last_cost(),
             cfg.cost_fixed + par.cost_fork_join +
@@ -353,14 +360,16 @@ TEST(cert_shard_zero_sets, short_circuit_keeps_decisions_and_state) {
   // Zero-set transactions (an empty-read-set RO probe, or an empty
   // update payload occupying a total-order slot) skip the fork-join
   // entirely — the decision is the global pre-window rule alone. The
-  // short-circuit must be invisible in decisions, counters, history,
-  // index contents, and serialized state; only the modeled cost drops
-  // (no fork term). Interleave zero-set and real transactions against
-  // the oracle at several grid points to prove it.
+  // short-circuit must be invisible in decisions, counters and history,
+  // must still drain the eviction rings, and must leave the serialized
+  // state shard-count invariant; only the modeled cost drops (no fork
+  // term). Interleave zero-set and real transactions against the oracle
+  // and a single-shard instance at several grid points to prove it.
   for (const grid_point& p : grid()) {
     cert_config cfg;
     cfg.history_window = 32;
-    certifier oracle(cfg);
+    reference_certifier oracle(cfg);
+    sharded_certifier single(cfg);
     sharded_certifier sharded(with_sharding(cfg, p));
     util::rng g(4242);
     for (int i = 0; i < 800; ++i) {
@@ -380,6 +389,7 @@ TEST(cert_shard_zero_sets, short_circuit_keeps_decisions_and_state) {
         ASSERT_EQ(sharded.certify_update(begin, {}, {}),
                   oracle.certify_update(begin, {}, {}));
         ASSERT_EQ(sharded.last_cost(), cfg.cost_fixed);
+        single.certify_update(begin, {}, {});
       } else {
         std::vector<item_id> rs, ws;
         const auto n = static_cast<std::uint64_t>(g.uniform_int(0, 120));
@@ -389,26 +399,25 @@ TEST(cert_shard_zero_sets, short_circuit_keeps_decisions_and_state) {
         normalize(ws);
         ASSERT_EQ(sharded.certify_update(begin, rs, ws),
                   oracle.certify_update(begin, rs, ws));
+        single.certify_update(begin, rs, ws);
       }
       ASSERT_EQ(sharded.position(), oracle.position());
       ASSERT_EQ(sharded.commits(), oracle.commits());
       ASSERT_EQ(sharded.aborts(), oracle.aborts());
       ASSERT_EQ(sharded.history_size(), oracle.history_size());
       ASSERT_EQ(sharded.oldest_retained(), oracle.oldest_retained());
-      if (p.shards == 1)
-        ASSERT_EQ(sharded.index_size(), oracle.index_size());
+      // Every update drains first, so at most the last eviction's slices
+      // are queued, one per shard.
+      ASSERT_LE(sharded.evicted_backlog(), sharded.shards());
+      ASSERT_EQ(sharded.index_size(), single.index_size());
     }
     EXPECT_GT(oracle.aborts(), 0u);  // pre-window aborts actually hit
-    // At 1 shard / 1 thread the serialized state stays byte-identical
+    // The serialized state is the same bytes at every shard count,
     // through the short-circuit path too.
-    if (p.shards == 1 && p.threads == 1) {
-      util::buffer_writer wo, ws_;
-      oracle.snapshot(wo);
-      sharded.snapshot(ws_);
-      const auto a = wo.take();
-      const auto b = ws_.take();
-      ASSERT_EQ(*a, *b);
-    }
+    util::buffer_writer wa, wb;
+    single.snapshot(wa);
+    sharded.snapshot(wb);
+    ASSERT_EQ(*wa.take(), *wb.take()) << "shards " << p.shards;
   }
 }
 

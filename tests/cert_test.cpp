@@ -2,9 +2,9 @@
 // escalation semantics, determinism, snapshot windows, and the codec.
 #include <gtest/gtest.h>
 
-#include "cert/certifier.hpp"
 #include "cert/reference_certifier.hpp"
 #include "cert/rwset.hpp"
+#include "cert/sharded_certifier.hpp"
 #include "cert/txn_codec.hpp"
 #include "db/item.hpp"
 #include "util/rng.hpp"
@@ -85,7 +85,7 @@ constexpr item_id tup(std::uint64_t n) { return n << 1; }
 constexpr item_id gran(std::uint64_t n) { return (n << 1) | 1; }
 
 TEST(certifier, no_conflict_commits) {
-  certifier c;
+  sharded_certifier c;
   EXPECT_TRUE(c.certify_update(0, {tup(1), tup(2)}, {tup(3)}));
   EXPECT_TRUE(c.certify_update(0, {tup(4)}, {tup(5)}));
   EXPECT_EQ(c.commits(), 2u);
@@ -95,7 +95,7 @@ TEST(certifier, no_conflict_commits) {
 TEST(certifier, point_reads_are_snapshot_served) {
   // Multi-version engine: a tuple-level read of a concurrently committed
   // write is served from the snapshot — no abort.
-  certifier c;
+  sharded_certifier c;
   ASSERT_TRUE(c.certify_update(0, {}, {tup(10)}));
   EXPECT_TRUE(c.certify_update(0, {tup(10)}, {tup(99)}));
 }
@@ -103,27 +103,27 @@ TEST(certifier, point_reads_are_snapshot_served) {
 TEST(certifier, granule_read_conflicts_with_concurrent_write) {
   // Escalated scans cannot be versioned: a granule read aborts on any
   // concurrent committed write advertising that granule.
-  certifier c;
+  sharded_certifier c;
   ASSERT_TRUE(c.certify_update(0, {}, {gran(7), tup(10)}));
   EXPECT_FALSE(c.certify_update(0, {gran(7)}, {tup(99)}));
   EXPECT_TRUE(c.certify_update(1, {gran(7)}, {tup(99)}));  // after: fine
 }
 
 TEST(certifier, write_write_conflict_aborts) {
-  certifier c;
+  sharded_certifier c;
   ASSERT_TRUE(c.certify_update(0, {}, {tup(10)}));
   EXPECT_FALSE(c.certify_update(0, {}, {tup(10), tup(11)}));
 }
 
 TEST(certifier, granule_granule_writes_do_not_conflict) {
   // Two writers inside the same granule (different tuples) commit both.
-  certifier c;
+  sharded_certifier c;
   ASSERT_TRUE(c.certify_update(0, {}, {gran(7), tup(10)}));
   EXPECT_TRUE(c.certify_update(0, {}, {gran(7), tup(11)}));
 }
 
 TEST(certifier, aborted_transactions_leave_no_trace) {
-  certifier c;
+  sharded_certifier c;
   ASSERT_TRUE(c.certify_update(0, {}, {tup(10)}));
   ASSERT_FALSE(c.certify_update(0, {}, {tup(10)}));  // aborts (pos 2)
   // Conflicts come only from *committed* write sets — the aborted one at
@@ -132,7 +132,7 @@ TEST(certifier, aborted_transactions_leave_no_trace) {
 }
 
 TEST(certifier, snapshot_window_bounds_conflicts) {
-  certifier c;
+  sharded_certifier c;
   ASSERT_TRUE(c.certify_update(0, {}, {tup(1), gran(1)}));  // pos 1
   ASSERT_TRUE(c.certify_update(1, {}, {tup(2), gran(2)}));  // pos 2
   ASSERT_TRUE(c.certify_update(2, {}, {tup(3), gran(3)}));  // pos 3
@@ -142,7 +142,7 @@ TEST(certifier, snapshot_window_bounds_conflicts) {
 }
 
 TEST(certifier, read_only_certification_is_positionless) {
-  certifier c;
+  sharded_certifier c;
   ASSERT_TRUE(c.certify_update(0, {}, {gran(4), tup(10)}));
   const auto pos = c.position();
   EXPECT_FALSE(c.certify_read_only(0, {gran(4)}));
@@ -154,7 +154,7 @@ TEST(certifier, read_only_certification_is_positionless) {
 
 TEST(certifier, identical_sequences_identical_decisions) {
   // The safety core: two replicas fed the same sequence decide alike.
-  certifier a, b;
+  sharded_certifier a, b;
   util::rng g(17);
   for (int i = 0; i < 2000; ++i) {
     const auto begin =
@@ -175,7 +175,7 @@ TEST(certifier, identical_sequences_identical_decisions) {
 TEST(certifier, history_window_gc_conservative_abort) {
   cert_config cfg;
   cfg.history_window = 10;
-  certifier c(cfg);
+  sharded_certifier c(cfg);
   for (int i = 0; i < 30; ++i)
     ASSERT_TRUE(c.certify_update(c.position(), {}, {tup(1000 + i)}));
   // Snapshot far behind the retained window: conservative abort even
@@ -196,16 +196,16 @@ TEST(certifier, evict_drain_rate_controls_index_reclamation) {
     cert_config cfg;
     cfg.history_window = window;
     cfg.evict_drain_per_delivery = rate;
-    certifier c(cfg);
+    sharded_certifier c(cfg);
     for (int i = 0; i < commits; ++i) {
       EXPECT_TRUE(
           c.certify_update(c.position(), {}, {tup(5000 + i)}));
     }
     return c;
   };
-  certifier never = run(0);
-  certifier slow = run(1);
-  certifier fast = run(8);
+  sharded_certifier never = run(0);
+  sharded_certifier slow = run(1);
+  sharded_certifier fast = run(8);
 
   // Larger rate => backlog drained at least as fast, strictly faster
   // than the disabled drain.
@@ -232,7 +232,7 @@ TEST(certifier, cost_model_is_window_independent_and_set_linear) {
   // Indexed certification probes each element of the transaction's own
   // sets once: the modeled cost depends only on the set sizes, never on
   // how much history the snapshot spans.
-  certifier c;
+  sharded_certifier c;
   for (int i = 0; i < 50; ++i)
     ASSERT_TRUE(c.certify_update(c.position(), {}, {tup(i)}));
   c.certify_update(c.position(), {gran(9999)}, {tup(8888)});
@@ -242,7 +242,7 @@ TEST(certifier, cost_model_is_window_independent_and_set_linear) {
   EXPECT_EQ(big_window, small_window);
 
   cert_config cfg;
-  certifier d(cfg);
+  sharded_certifier d(cfg);
   d.certify_update(0, {tup(1)}, {tup(2)});
   const auto two_elems = d.last_cost();
   d.certify_update(0, {tup(3), tup(4)}, {tup(5), tup(6)});

@@ -8,8 +8,9 @@
 #include <map>
 #include <set>
 
-#include "cert/certifier.hpp"
+#include "cert/reference_certifier.hpp"
 #include "cert/rwset.hpp"
+#include "cert/sharded_certifier.hpp"
 #include "db/lock_table.hpp"
 #include "db/storage.hpp"
 #include "sim/simulator.hpp"
@@ -132,7 +133,9 @@ TEST(storage_property, partial_cache_scales_read_cost) {
 TEST(certifier_property, replicas_agree_for_any_seed) {
   for (std::uint64_t seed : {7u, 21u, 404u}) {
     util::rng g(seed);
-    cert::certifier a, b, c;
+    // Two replicas plus the merge-scan oracle.
+    cert::sharded_certifier a, b;
+    cert::reference_certifier c;
     for (int i = 0; i < 3000; ++i) {
       const auto begin = static_cast<std::uint64_t>(
           g.uniform_int(std::max<std::int64_t>(
@@ -168,7 +171,7 @@ TEST(certifier_property, commit_implies_no_overlap_with_window) {
   // Soundness spot-check: after a commit decision, re-verify by hand that
   // no committed write set in the window overlapped.
   util::rng g(5);
-  cert::certifier c;
+  cert::sharded_certifier c;
   std::vector<std::pair<std::uint64_t, std::vector<item_id>>> committed;
   for (int i = 0; i < 1500; ++i) {
     const auto begin = static_cast<std::uint64_t>(

@@ -1,11 +1,14 @@
 // Protocol-level unit tests of the reliable multicast and total order
-// layers, driven by a scripted fake env: exact control over datagram
-// delivery, loss, reordering, and timer firing.
+// layers, and of the group's datagram dispatch under malformed input,
+// driven by a scripted fake env: exact control over datagram delivery,
+// loss, reordering, and timer firing.
 #include <gtest/gtest.h>
 
 #include "fake_env.hpp"
+#include "gcs/group.hpp"
 #include "gcs/rmcast.hpp"
 #include "gcs/sequencer.hpp"
+#include "util/check.hpp"
 
 namespace dbsm::gcs {
 namespace {
@@ -268,7 +271,7 @@ struct order_fixture {
   }
 };
 
-/// An assignment record as a remote minter would send it: `keys` get
+/// An assignment record as a remote sequencer would send it: `keys` get
 /// consecutive global sequences from `base`.
 util::shared_bytes record(
     std::uint64_t base,
@@ -485,6 +488,172 @@ TEST(total_order, orphan_assignments_are_skipped_consistently) {
   f.to.install_view({0, 1, 2}, {10, 10, 10}, {0, 1});
   ASSERT_EQ(f.delivered.size(), 1u);
   EXPECT_EQ(f.delivered[0].second, "real");
+}
+
+// ---------- malformed datagrams at the group dispatch ----------
+
+/// One well-formed encoding of every wire type, as member 2 would send it
+/// in view 1.
+std::vector<util::shared_bytes> one_of_each_type() {
+  auto hdr = [](msg_type t) { return header{t, 1, 2}; };
+  std::vector<util::shared_bytes> out;
+  data_msg d;
+  d.hdr = hdr(msg_type::data);
+  d.dgram_seq = 1;
+  d.app_seq = 1;
+  d.payload = text_payload("payload");
+  out.push_back(encode(d));
+  nak_msg n;
+  n.hdr = hdr(msg_type::nak);
+  n.target_sender = 1;
+  n.missing = {3, 4};
+  out.push_back(encode(n));
+  stab_msg st;
+  st.hdr = hdr(msg_type::stab);
+  st.stable = {1, 2, 3};
+  st.min_received = {1, 2, 3};
+  out.push_back(encode(st));
+  heartbeat_msg hb;
+  hb.hdr = hdr(msg_type::heartbeat);
+  hb.sent_high = 9;
+  out.push_back(encode(hb));
+  view_propose_msg vp;
+  vp.hdr = hdr(msg_type::view_propose);
+  vp.new_view_id = 2;
+  vp.proposed_members = {1, 2};
+  out.push_back(encode(vp));
+  view_state_msg vs;
+  vs.hdr = hdr(msg_type::view_state);
+  vs.new_view_id = 2;
+  vs.prefixes = {0, 0, 1};
+  out.push_back(encode(vs));
+  view_cut_msg vc;
+  vc.hdr = hdr(msg_type::view_cut);
+  vc.new_view_id = 2;
+  vc.new_members = {1, 2};
+  vc.cut = {0, 0, 1};
+  vc.sources = {2, 2, 2};
+  out.push_back(encode(vc));
+  view_flush_ok_msg vf;
+  vf.hdr = hdr(msg_type::view_flush_ok);
+  vf.new_view_id = 2;
+  out.push_back(encode(vf));
+  view_install_msg vi;
+  vi.hdr = hdr(msg_type::view_install);
+  vi.new_view_id = 2;
+  vi.new_members = {1, 2};
+  vi.cut = {0, 0, 1};
+  out.push_back(encode(vi));
+  join_request_msg jr;
+  jr.hdr = hdr(msg_type::join_request);
+  jr.incarnation = 5;
+  out.push_back(encode(jr));
+  join_chunk_msg jc;
+  jc.hdr = hdr(msg_type::join_chunk);
+  jc.incarnation = 5;
+  jc.payload = text_payload("chunk");
+  out.push_back(encode(jc));
+  join_chunk_ack_msg ja;
+  ja.hdr = hdr(msg_type::join_chunk_ack);
+  ja.incarnation = 5;
+  out.push_back(encode(ja));
+  join_fwd_msg jf;
+  jf.hdr = hdr(msg_type::join_fwd);
+  jf.incarnation = 5;
+  jf.payload = text_payload("fwd");
+  out.push_back(encode(jf));
+  join_fwd_ack_msg jfa;
+  jfa.hdr = hdr(msg_type::join_fwd_ack);
+  jfa.incarnation = 5;
+  out.push_back(encode(jfa));
+  join_commit_msg jcm;
+  jcm.hdr = hdr(msg_type::join_commit);
+  jcm.incarnation = 5;
+  jcm.members = {0, 1, 2};
+  out.push_back(encode(jcm));
+  join_done_msg jd;
+  jd.hdr = hdr(msg_type::join_done);
+  jd.incarnation = 5;
+  out.push_back(encode(jd));
+  return out;
+}
+
+TEST(group_dispatch, malformed_datagrams_are_dropped_and_counted) {
+  fake_env env{0, {0, 1, 2}};
+  group_config cfg;
+  cfg.members = {0, 1, 2};
+  group g(env, cfg);
+  std::vector<std::string> delivered;
+  g.set_deliver([&](std::vector<delivery>&& run) {
+    for (const delivery& d : run)
+      delivered.emplace_back(d.payload->begin(), d.payload->end());
+  });
+  g.start();
+
+  // Every type truncated at every shorter length. Each prefix fails to
+  // decode except one: a heartbeat cut back to its bare header is itself
+  // a valid heartbeat (the high-water field is optional).
+  const std::vector<util::shared_bytes> all = one_of_each_type();
+  ASSERT_EQ(all.size(), 16u);  // wire types 1-16
+  std::uint64_t expected = 0;
+  for (const util::shared_bytes& raw : all) {
+    EXPECT_EQ(decode_header(raw).view_id, 1u);
+    for (std::size_t len = 0; len < raw->size(); ++len) {
+      auto cut = std::make_shared<util::bytes>(raw->begin(),
+                                               raw->begin() + len);
+      EXPECT_NO_THROW(env.deliver(2, cut)) << "type " << int((*raw)[0])
+                                           << " at " << len << " bytes";
+      ++expected;
+    }
+  }
+  --expected;  // the bare heartbeat header
+  // The retired token type (17, in its old 29-byte layout) and a type
+  // byte never assigned.
+  for (const std::uint8_t type : {std::uint8_t{17}, std::uint8_t{200}}) {
+    util::buffer_writer w(29);
+    w.put_u8(type);
+    w.put_u32(1);  // view
+    w.put_u32(2);  // sender
+    w.put_u64(1);
+    w.put_u64(1);
+    w.put_u32(0);
+    EXPECT_NO_THROW(env.deliver(2, w.take())) << "type " << int(type);
+    ++expected;
+  }
+  // A payload length far past the datagram's end is rejected before
+  // anything is allocated.
+  util::buffer_writer huge(33);
+  huge.put_u8(static_cast<std::uint8_t>(msg_type::data));
+  huge.put_u32(1);  // view
+  huge.put_u32(2);  // sender
+  huge.put_u64(1);  // dgram_seq
+  huge.put_u64(1);  // app_seq
+  huge.put_u16(0);  // frag_idx
+  huge.put_u16(1);  // frag_cnt
+  huge.put_u32(0xffffffffu);
+  EXPECT_NO_THROW(env.deliver(2, huge.take()));
+  ++expected;
+  EXPECT_EQ(g.malformed_dropped(), expected);
+  EXPECT_EQ(g.view_changes(), 0u);
+
+  // Valid traffic still flows: member 2's message is ordered by this
+  // node (the sequencer) and delivered once the batch closes.
+  data_msg m;
+  m.hdr = {msg_type::data, 1, 2};
+  m.dgram_seq = 1;
+  m.app_seq = 1;
+  m.payload = std::make_shared<util::bytes>(util::bytes{0, 'o', 'k'});
+  env.deliver(2, encode(m));
+  env.advance(cfg.batch_delay + 1);
+  EXPECT_EQ(delivered, (std::vector<std::string>{"ok"}));
+  EXPECT_EQ(g.malformed_dropped(), expected);
+
+  // A datagram that decodes but breaks an invariant inside its handler
+  // (an application message of unknown kind) still stops the run.
+  m.dgram_seq = 2;
+  m.app_seq = 2;
+  m.payload = std::make_shared<util::bytes>(util::bytes{7, 'x'});
+  EXPECT_THROW(env.deliver(2, encode(m)), invariant_violation);
 }
 
 }  // namespace

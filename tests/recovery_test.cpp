@@ -10,7 +10,6 @@
 #include <algorithm>
 #include <memory>
 
-#include "cert/certifier.hpp"
 #include "cert/sharded_certifier.hpp"
 #include "core/experiment.hpp"
 #include "fault/fault_types.hpp"
@@ -250,10 +249,10 @@ std::vector<db::item_id> random_set(util::rng& gen, std::size_t max_items) {
 TEST(recovery, certifier_snapshot_restore_reproduces_decisions) {
   cert::cert_config ccfg;
   ccfg.history_window = 64;  // small window: exercise eviction + backlog
-  cert::certifier donor(ccfg);
+  cert::sharded_certifier donor(ccfg);
   util::rng gen(321);
 
-  auto feed = [&gen](cert::certifier& c, int rounds) {
+  auto feed = [&gen](cert::sharded_certifier& c, int rounds) {
     for (int i = 0; i < rounds; ++i) {
       const std::uint64_t pos = c.position();
       const std::uint64_t begin =
@@ -270,7 +269,7 @@ TEST(recovery, certifier_snapshot_restore_reproduces_decisions) {
   util::buffer_writer w;
   donor.snapshot(w);
   util::buffer_reader r(w.take());
-  cert::certifier joiner(ccfg);
+  cert::sharded_certifier joiner(ccfg);
   joiner.restore(r);
 
   EXPECT_EQ(joiner.position(), donor.position());
@@ -284,12 +283,12 @@ TEST(recovery, certifier_snapshot_restore_reproduces_decisions) {
   util::rng replay_gen(654);
   util::rng replay_gen2 = replay_gen;
   util::rng* gens[2] = {&replay_gen, &replay_gen2};
-  cert::certifier* certs[2] = {&donor, &joiner};
+  cert::sharded_certifier* certs[2] = {&donor, &joiner};
   for (int i = 0; i < 400; ++i) {
     bool decisions[2];
     for (int k = 0; k < 2; ++k) {
       util::rng& g = *gens[k];
-      cert::certifier& c = *certs[k];
+      cert::sharded_certifier& c = *certs[k];
       const std::uint64_t pos = c.position();
       const std::uint64_t begin =
           pos == 0 ? 0
@@ -306,9 +305,9 @@ TEST(recovery, certifier_snapshot_restore_reproduces_decisions) {
 }
 
 // A recovery state transfer must be valid between ends that disagree on
-// cert_config::shards (and between the sharded and single-index
-// certifiers): the snapshot carries canonical full-set entries that each
-// end re-partitions locally (cert/index_shard.hpp).
+// cert_config::shards (one shard included): the snapshot carries
+// canonical full-set entries that each end re-partitions locally
+// (cert/index_shard.hpp).
 TEST(recovery, sharded_snapshot_is_shard_count_agnostic) {
   cert::cert_config donor_cfg;
   donor_cfg.history_window = 64;  // exercise per-shard eviction rings
@@ -334,8 +333,8 @@ TEST(recovery, sharded_snapshot_is_shard_count_agnostic) {
   donor.snapshot(w);
   const auto blob = w.take();
 
-  // Restore at a different shard count, and into the single-index
-  // certifier, from the same bytes.
+  // Restore at a different shard count, and at one shard, from the same
+  // bytes.
   cert::cert_config joiner_cfg = donor_cfg;
   joiner_cfg.shards = 2;
   joiner_cfg.certify_threads = 1;
@@ -344,7 +343,7 @@ TEST(recovery, sharded_snapshot_is_shard_count_agnostic) {
     util::buffer_reader r(blob);
     joiner.restore(r);
   }
-  cert::certifier single(
+  cert::sharded_certifier single(
       [&] {
         cert::cert_config c = donor_cfg;
         c.shards = 1;
