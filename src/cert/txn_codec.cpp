@@ -47,12 +47,17 @@ txn_payload decode_txn(const util::shared_bytes& raw) {
   p.cls = r.get_u16();
   p.origin = r.get_u32();
   p.begin_pos = r.get_u64();
-  const std::uint32_t nr = r.get_u32();
-  p.read_set.reserve(nr);
-  for (std::uint32_t i = 0; i < nr; ++i) p.read_set.push_back(r.get_u64());
-  const std::uint32_t nw = r.get_u32();
-  p.write_set.reserve(nw);
-  for (std::uint32_t i = 0; i < nw; ++i) p.write_set.push_back(r.get_u64());
+  // Each count is checked against the bytes left before anything is
+  // reserved, so a corrupt count cannot request gigabytes.
+  const auto get_set = [&r](std::vector<db::item_id>& set) {
+    const std::uint32_t n = r.get_u32();
+    DBSM_CHECK_MSG(n <= r.remaining() / 8,
+                   "set of " << n << " items overruns the payload");
+    set.reserve(n);
+    for (std::uint32_t i = 0; i < n; ++i) set.push_back(r.get_u64());
+  };
+  get_set(p.read_set);
+  get_set(p.write_set);
   p.disk_sectors = r.get_u16();
   p.update_bytes = r.get_u32();
   r.skip(p.update_bytes);

@@ -56,10 +56,6 @@ struct config {
   /// Stop the simulation at the first violation so the run ends with the
   /// offending event on top instead of thousands of events later.
   bool halt_on_violation = true;
-  /// Cross-check certification decisions against the reference merge-scan
-  /// oracle (monitor 4). The oracle scans only the concurrency window per
-  /// decision, so it is cheap at experiment scale; disable for huge runs.
-  bool cert_oracle = true;
   /// A rejoined site may trail the longest observed commit log by at most
   /// this many transactions at the instant its merged view installs.
   std::uint64_t rejoin_max_lag = 50;

@@ -229,7 +229,6 @@ experiment_result run_experiment(const experiment_config& cfg) {
     sr.delivery_runs = c.site(i).delivery_runs();
     sr.run_payloads = c.site(i).run_payloads();
     sr.pipeline_high_water = c.site(i).pipeline_high_water();
-    sr.protocol_cpu = c.cpu(i).real_utilization();
     result.sites.push_back(sr);
 
     site_log_input in;

@@ -137,11 +137,6 @@ struct site_report {
   std::uint64_t run_payloads = 0;
   /// Peak certified-but-not-installed backlog in the hand-off queue.
   std::uint64_t pipeline_high_water = 0;
-
-  /// Busy fraction of this site's CPU spent in real protocol code. The
-  /// sequencer site's figure stands out: it mints and multicasts every
-  /// assignment record (the §5.3 bottleneck).
-  double protocol_cpu = 0.0;
 };
 
 struct experiment_result {

@@ -17,6 +17,12 @@ std::uint64_t make_txn_id(node_id site, std::uint64_t counter) {
 std::uint64_t txn_counter(std::uint64_t id) {
   return id & ((std::uint64_t{1} << 40) - 1);
 }
+
+/// Bound (in transactions) of the certify→install hand-off queue of the
+/// delivery path: when full, the install stage drains synchronously
+/// before more certifications queue behind it — deterministic
+/// back-pressure, never dropped or reordered work.
+constexpr std::size_t pipeline_depth = 512;
 }  // namespace
 
 replica::replica(sim::simulator& sim, csrt::cpu_pool& cpu,
@@ -26,7 +32,7 @@ replica::replica(sim::simulator& sim, csrt::cpu_pool& cpu,
       server_(sim, cpu, cfg.server, gen.fork("server")),
       cert_(cfg.cert), rng_(gen.fork("replica")),
       next_local_txn_(first_local_txn), incarnation_floor_(first_local_txn),
-      store_(cfg.placement, env.self()), pipeline_(cfg.pipeline_depth) {}
+      store_(cfg.placement, env.self()), pipeline_(pipeline_depth) {}
 
 util::shared_bytes replica::snapshot(node_id for_site) const {
   util::buffer_writer w;

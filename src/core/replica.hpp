@@ -59,12 +59,6 @@ class replica {
     /// at the gcs uniform watermark, zero broadcasts). Default off keeps
     /// every path bit-identical to the historical behavior.
     read::read_config read;
-
-    /// Bound (in transactions) of the certify→install hand-off queue of
-    /// the delivery path: when full, the install stage drains
-    /// synchronously before more certifications queue behind it —
-    /// deterministic back-pressure, never dropped or reordered work.
-    std::size_t pipeline_depth = 512;
   };
 
   /// `first_local_txn` seeds the local transaction counter: a replica

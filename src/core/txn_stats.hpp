@@ -54,8 +54,6 @@ class txn_stats {
       case db::txn_outcome::aborted_preempt: ++s.aborted_preempt; break;
       case db::txn_outcome::aborted_cert: ++s.aborted_cert; break;
     }
-    if (first_finish_ == 0) first_finish_ = finished;
-    last_finish_ = finished;
   }
 
   const class_stats& of(db::txn_class cls) const {
@@ -107,13 +105,8 @@ class txn_stats {
            to_seconds(span) * 60.0;
   }
 
-  sim_time first_finish() const { return first_finish_; }
-  sim_time last_finish() const { return last_finish_; }
-
  private:
   std::vector<class_stats> per_class_;
-  sim_time first_finish_ = 0;
-  sim_time last_finish_ = 0;
 };
 
 }  // namespace dbsm::core

@@ -70,9 +70,6 @@ class cpu_pool {
   double real_utilization() const { return real_busy_.utilization(sim_.now()); }
   /// Integrated busy nanoseconds (per-CPU normalized).
   double busy_integral() const { return total_busy_.busy_integral(sim_.now()); }
-  double real_busy_integral() const {
-    return real_busy_.busy_integral(sim_.now());
-  }
 
  private:
   struct pending_job {

@@ -121,8 +121,6 @@ void sim_env::send(node_id to, util::shared_bytes msg) {
   DBSM_CHECK_MSG(msg->size() <= max_datagram(),
                  "datagram too large: " << msg->size());
   job_elapsed_ += cfg_.costs.send_cost(msg->size());
-  bytes_sent_ += msg->size();
-  ++datagrams_sent_;
   const sim_time when = job_start_ + job_elapsed_;
   sim_.schedule_at(when, [this, to, msg] { net_.send(to, msg); });
 }
@@ -136,8 +134,6 @@ void sim_env::multicast(util::shared_bytes msg) {
   const unsigned fanout = net_.multicast_fanout();
   job_elapsed_ += cfg_.costs.send_cost(msg->size()) *
                   static_cast<sim_duration>(fanout);
-  bytes_sent_ += msg->size() * fanout;
-  datagrams_sent_ += fanout;
   const sim_time when = job_start_ + job_elapsed_;
   sim_.schedule_at(when, [this, msg] { net_.multicast(msg); });
 }
@@ -156,8 +152,6 @@ void sim_env::set_handler(msg_handler h) { handler_ = std::move(h); }
 
 void sim_env::deliver_datagram(node_id from, util::shared_bytes payload) {
   DBSM_CHECK(payload != nullptr);
-  bytes_received_ += payload->size();
-  ++datagrams_received_;
   const sim_duration recv_cost = cfg_.costs.recv_cost(payload->size());
   post_job(recv_cost, [this, from, payload] {
     if (handler_) handler_(from, payload);

@@ -75,9 +75,6 @@ class sim_env final : public env {
   /// charging protocol CPU).
   void call_out(std::function<void()> fn);
 
-  /// True while a real-code job of this env is executing.
-  bool in_job() const { return in_job_; }
-
   /// Cancels every timer currently armed through this env (site teardown:
   /// a restarting site's protocol stack is destroyed mid-run, and no
   /// pending timer callback may outlive it).
@@ -95,12 +92,6 @@ class sim_env final : public env {
   /// Scheduling latency: a uniform random delay in [0, max] added to every
   /// timer armed by real code while the fault is active; 0 disarms.
   void set_timer_jitter(sim_duration max) { timer_jitter_max_ = max; }
-
-  /// Total bytes handed to the transport (protocol egress accounting).
-  std::uint64_t bytes_sent() const { return bytes_sent_; }
-  std::uint64_t bytes_received() const { return bytes_received_; }
-  std::uint64_t datagrams_sent() const { return datagrams_sent_; }
-  std::uint64_t datagrams_received() const { return datagrams_received_; }
 
  private:
   friend class bridge_guard;
@@ -129,11 +120,6 @@ class sim_env final : public env {
   double timer_scale_ = 1.0;      // clock drift: postpone factor
   double charge_scale_ = 1.0;     // clock drift: duration shrink factor
   sim_duration timer_jitter_max_ = 0;  // scheduling latency fault
-
-  std::uint64_t bytes_sent_ = 0;
-  std::uint64_t bytes_received_ = 0;
-  std::uint64_t datagrams_sent_ = 0;
-  std::uint64_t datagrams_received_ = 0;
 };
 
 }  // namespace dbsm::csrt

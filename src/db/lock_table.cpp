@@ -186,13 +186,6 @@ bool lock_table::waiting(std::uint64_t txn) const {
   return it != txns_.end() && !it->second.holding;
 }
 
-std::size_t lock_table::waiting_txns() const {
-  std::size_t n = 0;
-  for (const auto& [id, rec] : txns_)
-    if (!rec.holding) ++n;
-  return n;
-}
-
 void lock_table::check_invariants() const {
   for (const auto& [item, holder] : holders_) {
     auto it = txns_.find(holder);

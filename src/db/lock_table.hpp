@@ -61,7 +61,6 @@ class lock_table {
   bool waiting(std::uint64_t txn) const;
 
   std::size_t held_items() const { return holders_.size(); }
-  std::size_t waiting_txns() const;
 
   /// Invariant audit for tests: every holder/waiter structure consistent.
   void check_invariants() const;

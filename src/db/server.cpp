@@ -26,7 +26,6 @@ std::size_t server::disk_write_bytes(const txn_request& req,
 void server::submit(txn_request req, executed_fn executed, done_fn done) {
   const std::uint64_t id = req.id;
   DBSM_CHECK_MSG(!txns_.count(id), "duplicate txn id " << id);
-  ++local_started_;
 
   active_txn txn;
   txn.req = std::move(req);

@@ -79,7 +79,6 @@ class server {
   lock_table& locks() { return locks_; }
   const lock_table& locks() const { return locks_; }
 
-  std::uint64_t local_started() const { return local_started_; }
   std::uint64_t remote_applied() const { return remote_applied_; }
 
   /// Bytes the commit writes to disk (one sector-aligned write per tuple,
@@ -122,7 +121,6 @@ class server {
   /// paths (lock_table::acquire copies, so reuse across calls is safe).
   std::vector<item_id> lock_scratch_;
   std::uint64_t next_epoch_ = 1;
-  std::uint64_t local_started_ = 0;
   std::uint64_t remote_applied_ = 0;
 };
 

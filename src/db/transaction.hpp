@@ -56,12 +56,6 @@ struct txn_request {
     for (item_id it : write_set)
       if (!is_granule(it)) out.push_back(it);
   }
-
-  std::vector<item_id> lock_items() const {
-    std::vector<item_id> out;
-    lock_items_into(out);
-    return out;
-  }
 };
 
 /// Terminal outcome of a transaction, with the abort cause.
@@ -71,16 +65,6 @@ enum class txn_outcome : std::uint8_t {
   aborted_preempt,  // holder preempted by a certified (remote) transaction
   aborted_cert,     // certification found a conflicting concurrent commit
 };
-
-constexpr const char* outcome_name(txn_outcome o) {
-  switch (o) {
-    case txn_outcome::committed: return "committed";
-    case txn_outcome::aborted_lock: return "aborted_lock";
-    case txn_outcome::aborted_preempt: return "aborted_preempt";
-    case txn_outcome::aborted_cert: return "aborted_cert";
-  }
-  return "?";
-}
 
 }  // namespace dbsm::db
 

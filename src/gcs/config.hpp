@@ -13,14 +13,8 @@ struct group_config {
   /// Static initial membership (node ids on the transport).
   std::vector<node_id> members;
 
-  /// Maximum payload carried by one DATA datagram; the prototype restricts
-  /// packets to a safe size well under the Ethernet MTU (§4.2).
-  std::size_t max_fragment = 1024;
-
   // --- reliability (window-based, receiver-initiated; §3.4) ---
   sim_duration nak_delay = milliseconds(8);     // gap age before first NAK
-  sim_duration nak_backoff_max = milliseconds(100);
-  std::size_t nak_batch = 64;                   // max seqs per NAK message
 
   // --- buffering / window flow control ---
   /// Total buffer space for unstable messages; each member may only use
@@ -31,25 +25,11 @@ struct group_config {
   std::size_t total_buffer_msgs = 120;
   std::size_t total_buffer_bytes = 256 * 1024;
 
-  // --- rate-based flow control (dissemination phase) ---
-  double send_rate_bytes_per_s = 8e6;
-  std::size_t send_burst_bytes = 32 * 1024;
-
   // --- stability detection (gossip rounds; §3.4) ---
   sim_duration stability_period = milliseconds(40);
 
   // --- failure detection / view synchrony ---
-  sim_duration heartbeat_period = milliseconds(20);
   sim_duration suspect_timeout = milliseconds(300);
-  /// Miss-count hysteresis: a member is only suspected after this many
-  /// consecutive heartbeat intervals with no traffic from it — a single
-  /// late arrival (one delayed datagram past suspect_timeout) is not
-  /// enough. The default adds no latency over the plain timeout (any
-  /// silence longer than suspect_timeout spans well over 3 heartbeat
-  /// ticks); raise it to tolerate transient link-delay windows longer
-  /// than suspect_timeout without flapping views.
-  unsigned suspect_misses = 3;
-  sim_duration view_change_retry = milliseconds(500);
 
   /// TESTING ONLY — disables the primary-partition majority rule in
   /// membership, allowing a minority partition to install views and keep
@@ -78,20 +58,6 @@ struct group_config {
   /// wire bytes, timers, or state — runs are bit-identical to the
   /// crash-stop protocol the paper evaluates.
   bool enable_recovery = false;
-  /// State-transfer chunk payload (must fit the transport datagram limit).
-  std::size_t join_chunk_bytes = 32 * 1024;
-  /// Retransmission cadence of the join protocol (chunks, forwarded
-  /// deliveries, commit message).
-  sim_duration join_retry = milliseconds(40);
-  /// A join attempt with no progress for this long is abandoned (donor
-  /// side) or restarted with a fresh incarnation (joiner side) — a second
-  /// failure during transfer must not wedge either end.
-  sim_duration join_timeout = seconds(2);
-  /// Forwarded-delivery window (go-back-N) during catch-up.
-  std::size_t join_fwd_window = 32;
-  /// The donor asks membership to merge the joiner in once the joiner's
-  /// replay lags the live delivery position by at most this much.
-  std::uint64_t join_merge_lag = 16;
 };
 
 }  // namespace dbsm::gcs

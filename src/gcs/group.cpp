@@ -8,11 +8,24 @@
 
 namespace dbsm::gcs {
 
+namespace {
+
+// Heartbeats also clock failure detection.
+constexpr sim_duration heartbeat_period = milliseconds(20);
+// Miss-count hysteresis: a member is only suspected after this many
+// consecutive heartbeat intervals with no traffic from it — a single late
+// arrival (one delayed datagram past suspect_timeout) is not enough. It
+// adds no latency over the plain timeout: any silence longer than
+// suspect_timeout spans well over 3 heartbeat ticks.
+constexpr unsigned suspect_misses = 3;
+
+}  // namespace
+
 group::group(csrt::env& env, group_config cfg)
     : env_(env), cfg_(std::move(cfg)) {
   DBSM_CHECK(!cfg_.members.empty());
   std::sort(cfg_.members.begin(), cfg_.members.end());
-  DBSM_CHECK_MSG(cfg_.max_fragment + 64 <= env_.max_datagram(),
+  DBSM_CHECK_MSG(reliable_mcast::max_fragment + 64 <= env_.max_datagram(),
                  "fragment size too large for the transport");
 
   view initial;
@@ -21,7 +34,7 @@ group::group(csrt::env& env, group_config cfg)
 
   fd_ = std::make_unique<failure_detector>(
       cfg_.members, env_.self(), cfg_.suspect_timeout, env_.now(),
-      cfg_.heartbeat_period, cfg_.suspect_misses);
+      heartbeat_period, suspect_misses);
 
   membership::hooks h;
   h.stop_sends = [this] { rmcast_->stop_sending(); };
@@ -165,7 +178,7 @@ void group::wire_recovery() {
     send_ctl(to, std::move(raw));
   };
   rh.mcast = [this](util::shared_bytes raw) { env_.multicast(std::move(raw)); };
-  recovery_ = std::make_unique<recovery>(env_, cfg_, std::move(rh));
+  recovery_ = std::make_unique<recovery>(env_, std::move(rh));
 }
 
 util::shared_bytes group::wrap(std::uint8_t kind,
@@ -387,8 +400,7 @@ void group::heartbeat_tick() {
     membership_->suspect(s);
     if (suspicion_cb_) suspicion_cb_(s);
   }
-  hb_timer_ =
-      env_.set_timer(cfg_.heartbeat_period, [this] { heartbeat_tick(); });
+  hb_timer_ = env_.set_timer(heartbeat_period, [this] { heartbeat_tick(); });
 }
 
 void group::send_ctl(node_id to, util::shared_bytes raw) {
@@ -503,8 +515,6 @@ std::uint64_t group::view_changes() const {
 std::uint64_t group::delivered_count() const { return order_->delivered(); }
 
 std::size_t group::quota_used() const { return rmcast_->quota_used(); }
-
-bool group::send_blocked() const { return rmcast_->blocked(); }
 
 std::uint64_t group::joins_served() const {
   return recovery_ ? recovery_->joins_served() : 0;

@@ -111,7 +111,6 @@ class group {
   /// onset. Resets to the agreed cut at every view install.
   std::uint64_t uniform_delivered() const { return uniform_; }
   std::size_t quota_used() const;
-  bool send_blocked() const;
   /// Completed state transfers this node donated (recovery probe).
   std::uint64_t joins_served() const;
   /// Snapshot blob bytes this node donated across join attempts.

@@ -7,6 +7,13 @@
 
 namespace dbsm::gcs {
 
+namespace {
+
+// A view change that has not installed by then is proposed again.
+constexpr sim_duration view_change_retry = milliseconds(500);
+
+}  // namespace
+
 membership::membership(csrt::env& env, const group_config& cfg, view initial,
                        hooks h)
     : env_(env), cfg_(cfg), hooks_(std::move(h)),
@@ -298,8 +305,7 @@ void membership::finish_install(const view_install_msg& m) {
 
 void membership::arm_retry() {
   if (retry_timer_ != 0) return;
-  retry_timer_ =
-      env_.set_timer(cfg_.view_change_retry, [this] { retry_fire(); });
+  retry_timer_ = env_.set_timer(view_change_retry, [this] { retry_fire(); });
 }
 
 void membership::retry_fire() {

@@ -8,13 +8,27 @@
 
 namespace dbsm::gcs {
 
-recovery::recovery(csrt::env& env, const group_config& cfg, hooks h)
-    : env_(env), cfg_(cfg), hooks_(std::move(h)) {
-  DBSM_CHECK(cfg_.join_chunk_bytes > 0);
-  DBSM_CHECK(cfg_.join_retry > 0);
-  DBSM_CHECK(cfg_.join_timeout > cfg_.join_retry);
-  DBSM_CHECK(cfg_.join_fwd_window > 0);
-}
+namespace {
+
+// State-transfer chunk payload (must fit the transport datagram limit).
+constexpr std::size_t join_chunk_bytes = 32 * 1024;
+// Retransmission cadence of chunks, forwarded deliveries and the commit
+// message; the joiner checks on its attempt at four times this.
+constexpr sim_duration join_retry = milliseconds(40);
+// A join attempt with no progress for this long is abandoned (donor side)
+// or restarted with a fresh incarnation (joiner side): a second failure
+// during transfer must not wedge either end.
+constexpr sim_duration join_timeout = seconds(2);
+// Forwarded-delivery window (go-back-N) during catch-up.
+constexpr std::uint64_t join_fwd_window = 32;
+// The donor asks membership to merge the joiner in once the joiner's
+// replay lags the live delivery position by at most this much.
+constexpr std::uint64_t join_merge_lag = 16;
+
+}  // namespace
+
+recovery::recovery(csrt::env& env, hooks h)
+    : env_(env), hooks_(std::move(h)) {}
 
 recovery::~recovery() {
   if (donor_timer_ != 0) env_.cancel_timer(donor_timer_);
@@ -49,9 +63,8 @@ void recovery::on_join_request(const join_request_msg& m) {
   DBSM_CHECK(d.blob != nullptr);
   snapshot_bytes_donated_ += d.blob->size();
   d.chunks = std::max<std::uint32_t>(
-      1, static_cast<std::uint32_t>((d.blob->size() + cfg_.join_chunk_bytes -
-                                     1) /
-                                    cfg_.join_chunk_bytes));
+      1, static_cast<std::uint32_t>((d.blob->size() + join_chunk_bytes - 1) /
+                                    join_chunk_bytes));
   d.acked = d.snap_pos;
   d.last_progress = env_.now();
   donor_ = std::move(d);
@@ -66,9 +79,8 @@ void recovery::on_join_request(const join_request_msg& m) {
 
 void recovery::send_chunk(std::uint32_t idx) {
   DBSM_CHECK(donor_ && idx < donor_->chunks);
-  const std::size_t lo = static_cast<std::size_t>(idx) * cfg_.join_chunk_bytes;
-  const std::size_t hi =
-      std::min(donor_->blob->size(), lo + cfg_.join_chunk_bytes);
+  const std::size_t lo = static_cast<std::size_t>(idx) * join_chunk_bytes;
+  const std::size_t hi = std::min(donor_->blob->size(), lo + join_chunk_bytes);
   join_chunk_msg m;
   m.hdr = {msg_type::join_chunk, 0, env_.self()};
   m.incarnation = donor_->incarnation;
@@ -105,7 +117,7 @@ void recovery::on_local_deliver(node_id sender, std::uint64_t global_seq,
     return;  // new-epoch traffic the joiner receives as a member
   donor_->fwd.push_back({global_seq, sender, std::move(payload)});
   if (donor_->ph != donor_state::phase::transfer &&
-      global_seq <= donor_->acked + cfg_.join_fwd_window) {
+      global_seq <= donor_->acked + join_fwd_window) {
     const fwd_entry& e = donor_->fwd.back();
     join_fwd_msg m;
     m.hdr = {msg_type::join_fwd, 0, env_.self()};
@@ -119,7 +131,7 @@ void recovery::on_local_deliver(node_id sender, std::uint64_t global_seq,
 
 void recovery::send_fwd_window() {
   DBSM_CHECK(donor_.has_value());
-  const std::uint64_t hi = donor_->acked + cfg_.join_fwd_window;
+  const std::uint64_t hi = donor_->acked + join_fwd_window;
   for (const fwd_entry& e : donor_->fwd) {
     if (e.seq <= donor_->acked) continue;
     if (e.seq > hi) break;
@@ -192,7 +204,7 @@ void recovery::abandon_join(const char* why) {
 
 void recovery::arm_donor_tick() {
   if (donor_timer_ != 0) return;
-  donor_timer_ = env_.set_timer(cfg_.join_retry, [this] {
+  donor_timer_ = env_.set_timer(join_retry, [this] {
     donor_timer_ = 0;
     donor_tick();
   });
@@ -200,7 +212,7 @@ void recovery::arm_donor_tick() {
 
 void recovery::donor_tick() {
   if (!donor_) return;
-  if (env_.now() - donor_->last_progress > cfg_.join_timeout) {
+  if (env_.now() - donor_->last_progress > join_timeout) {
     // Second failure during transfer: the joiner went silent. Forget it —
     // a fresh recovery restarts the protocol cleanly.
     abandon_join("no progress from joiner");
@@ -215,7 +227,7 @@ void recovery::donor_tick() {
       // Caught up close enough? Ask membership for the view merge. The
       // request is repeated every tick until an install includes the
       // joiner (membership ignores it while another change runs).
-      if (hooks_.delivered() - donor_->acked <= cfg_.join_merge_lag &&
+      if (hooks_.delivered() - donor_->acked <= join_merge_lag &&
           hooks_.is_coordinator() && !hooks_.membership_changing()) {
         hooks_.admit(donor_->joiner);
       }
@@ -262,7 +274,7 @@ void recovery::restart_join(const char* why) {
 
 void recovery::arm_joiner_tick() {
   if (joiner_timer_ != 0) return;
-  joiner_timer_ = env_.set_timer(cfg_.join_retry * 4, [this] {
+  joiner_timer_ = env_.set_timer(join_retry * 4, [this] {
     joiner_timer_ = 0;
     joiner_tick();
   });
@@ -270,7 +282,7 @@ void recovery::arm_joiner_tick() {
 
 void recovery::joiner_tick() {
   if (!joining_) return;
-  if (env_.now() - last_progress_ > cfg_.join_timeout) {
+  if (env_.now() - last_progress_ > join_timeout) {
     // The donor went silent (it may have crashed, or our request/either
     // side's traffic was lost): restart against the current coordinator
     // with a fresh incarnation — stale chunks can never mix in.

@@ -30,7 +30,6 @@
 #include <vector>
 
 #include "csrt/env.hpp"
-#include "gcs/config.hpp"
 #include "gcs/view.hpp"
 #include "gcs/wire.hpp"
 
@@ -67,7 +66,7 @@ class recovery {
     std::function<void(util::shared_bytes raw)> mcast;
   };
 
-  recovery(csrt::env& env, const group_config& cfg, hooks h);
+  recovery(csrt::env& env, hooks h);
   ~recovery();  // cancels both tick timers
 
   recovery(const recovery&) = delete;
@@ -93,7 +92,6 @@ class recovery {
   /// A view was installed locally; if it merged our joiner in, freeze the
   /// commit position and tell the joiner.
   void on_view_installed(const view& v, std::uint64_t delivered);
-  bool serving_join() const { return donor_.has_value(); }
   std::uint64_t joins_served() const { return joins_served_; }
   /// Sum of snapshot blob sizes this node donated (one per served join
   /// attempt) — under partial replication this is the placement-filtered
@@ -144,7 +142,6 @@ class recovery {
   void send_fwd_ack();
 
   csrt::env& env_;
-  const group_config& cfg_;
   hooks hooks_;
 
   // Donor side (one joiner at a time; others keep retrying).

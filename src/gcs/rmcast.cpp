@@ -8,10 +8,22 @@
 
 namespace dbsm::gcs {
 
+namespace {
+
+// NAKs back off exponentially up to this interval while a gap persists.
+constexpr sim_duration nak_backoff_max = milliseconds(100);
+// Most sequence numbers one NAK asks for.
+constexpr std::size_t nak_batch = 64;
+// Rate-based flow control of the dissemination phase.
+constexpr double send_rate_bytes_per_s = 8e6;
+constexpr std::size_t send_burst_bytes = 32 * 1024;
+
+}  // namespace
+
 reliable_mcast::reliable_mcast(csrt::env& env, group_config cfg,
                                std::vector<node_id> members)
     : env_(env), cfg_(std::move(cfg)), members_(std::move(members)),
-      bucket_(cfg_.send_rate_bytes_per_s, cfg_.send_burst_bytes),
+      bucket_(send_rate_bytes_per_s, send_burst_bytes),
       quota_(std::max<std::size_t>(
                  1, cfg_.total_buffer_msgs /
                         std::max<std::size_t>(1, members_.size())),
@@ -57,9 +69,9 @@ std::size_t reliable_mcast::member_index(node_id n) const {
 
 void reliable_mcast::broadcast(util::shared_bytes payload) {
   DBSM_CHECK(payload != nullptr);
-  const std::size_t frag = cfg_.max_fragment;
   const std::size_t count =
-      payload->empty() ? 1 : (payload->size() + frag - 1) / frag;
+      payload->empty() ? 1
+                       : (payload->size() + max_fragment - 1) / max_fragment;
   DBSM_CHECK_MSG(count <= 0xffff, "app message too large");
 
   const std::uint64_t app_seq = ++my_app_seq_;
@@ -70,8 +82,8 @@ void reliable_mcast::broadcast(util::shared_bytes payload) {
     m.app_seq = app_seq;
     m.frag_idx = static_cast<std::uint16_t>(i);
     m.frag_cnt = static_cast<std::uint16_t>(count);
-    const std::size_t lo = i * frag;
-    const std::size_t hi = std::min(payload->size(), lo + frag);
+    const std::size_t lo = i * max_fragment;
+    const std::size_t hi = std::min(payload->size(), lo + max_fragment);
     m.payload = std::make_shared<const util::bytes>(payload->begin() + lo,
                                                     payload->begin() + hi);
     out_entry entry;
@@ -244,7 +256,7 @@ void reliable_mcast::nak_fire(node_id sender) {
   nak.hdr = {msg_type::nak, view_id_, env_.self()};
   nak.target_sender = sender;
   for (std::uint64_t s = st.prefix + 1;
-       s <= st.max_seen && nak.missing.size() < cfg_.nak_batch; ++s) {
+       s <= st.max_seen && nak.missing.size() < nak_batch; ++s) {
     if (!st.ooo.count(s)) nak.missing.push_back(s);
   }
   if (!nak.missing.empty()) {
@@ -252,7 +264,7 @@ void reliable_mcast::nak_fire(node_id sender) {
     env_.send(sender, encode(nak));
   }
   // Exponential backoff while the gap persists.
-  st.nak_interval = std::min(st.nak_interval * 2, cfg_.nak_backoff_max);
+  st.nak_interval = std::min(st.nak_interval * 2, nak_backoff_max);
   st.nak_timer = env_.set_timer(st.nak_interval,
                                 [this, sender] { nak_fire(sender); });
 }
@@ -371,7 +383,7 @@ void reliable_mcast::flush_fire() {
     nak.hdr = {msg_type::nak, view_id_, env_.self()};
     nak.target_sender = m;
     for (std::uint64_t s = st.prefix + 1;
-         s <= flush_cut_[i] && nak.missing.size() < cfg_.nak_batch; ++s) {
+         s <= flush_cut_[i] && nak.missing.size() < nak_batch; ++s) {
       if (!st.ooo.count(s)) nak.missing.push_back(s);
     }
     if (!nak.missing.empty()) {

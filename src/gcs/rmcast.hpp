@@ -37,6 +37,10 @@ class reliable_mcast {
       std::function<void(node_id sender, std::uint64_t app_seq,
                          util::shared_bytes payload, std::uint64_t last_dgram)>;
 
+  /// Maximum payload carried by one DATA datagram; the prototype restricts
+  /// packets to a safe size well under the Ethernet MTU (§4.2).
+  static constexpr std::size_t max_fragment = 1024;
+
   reliable_mcast(csrt::env& env, group_config cfg,
                  std::vector<node_id> members);
   ~reliable_mcast();  // cancels all armed timers (safe mid-run teardown)

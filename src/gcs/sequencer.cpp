@@ -6,31 +6,6 @@
 
 namespace dbsm::gcs {
 
-util::shared_bytes encode_assignment_batch(const assignment_batch& b) {
-  util::buffer_writer w(10 + 12 * b.keys.size());
-  w.put_u64(b.base);
-  w.put_u16(static_cast<std::uint16_t>(b.keys.size()));
-  for (const auto& [sender, app_seq] : b.keys) {
-    w.put_u32(sender);
-    w.put_u64(app_seq);
-  }
-  return w.take();
-}
-
-assignment_batch decode_assignment_batch(const util::shared_bytes& raw) {
-  util::buffer_reader r(raw);
-  assignment_batch b;
-  b.base = r.get_u64();
-  const std::uint16_t n = r.get_u16();
-  b.keys.reserve(n);
-  for (std::uint16_t i = 0; i < n; ++i) {
-    const node_id sender = r.get_u32();
-    const std::uint64_t app_seq = r.get_u64();
-    b.keys.emplace_back(sender, app_seq);
-  }
-  return b;
-}
-
 total_order::total_order(csrt::env& env, const group_config& cfg)
     : env_(env), cfg_(cfg) {}
 

@@ -36,21 +36,9 @@
 
 #include "csrt/env.hpp"
 #include "gcs/config.hpp"
-#include "util/byte_buffer.hpp"
+#include "gcs/wire.hpp"
 
 namespace dbsm::gcs {
-
-/// The assignment record, the only ordering wire format: one base global
-/// sequence plus the (sender, app_seq) keys it covers, in minting order —
-/// key i gets global sequence base + i. 12 bytes per key plus 10, and one
-/// wire record (and one handler charge) per batch.
-struct assignment_batch {
-  std::uint64_t base = 0;
-  std::vector<std::pair<node_id, std::uint64_t>> keys;
-};
-
-util::shared_bytes encode_assignment_batch(const assignment_batch& b);
-assignment_batch decode_assignment_batch(const util::shared_bytes& raw);
 
 /// One totally ordered delivery, as handed to the run consumer.
 struct delivery {

@@ -75,8 +75,6 @@ class granule_store {
   /// directory (they refresh the joiner's stale view of them).
   void restore(util::buffer_reader& r);
 
-  const placement& get_placement() const { return placement_; }
-
  private:
   /// Tuple ids are even (bit 0 is the granule flag), so the all-ones id
   /// is free to mark an empty slot.

@@ -14,18 +14,6 @@ const char* mode_name(mode m) {
   return "?";
 }
 
-const char* revoke_reason_name(revoke_reason r) {
-  switch (r) {
-    case revoke_reason::view_change:
-      return "view_change";
-    case revoke_reason::suspicion:
-      return "suspicion";
-    case revoke_reason::exclusion:
-      return "exclusion";
-  }
-  return "?";
-}
-
 void lease::grant(std::uint32_t view_id) {
   if (held_ && view_ != 0 && view_id > view_) ++revocations_;
   held_ = true;

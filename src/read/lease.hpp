@@ -55,8 +55,6 @@ enum class revoke_reason : std::uint8_t {
   exclusion = 2,
 };
 
-const char* revoke_reason_name(revoke_reason r);
-
 class lease {
  public:
   /// Grants (or re-grants) the lease for `view_id`. A grant for a newer

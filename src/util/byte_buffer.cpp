@@ -109,6 +109,7 @@ double buffer_reader::get_double() {
 
 void buffer_reader::get_bytes(std::uint8_t* out, std::size_t n) {
   need(n);
+  if (n == 0) return;  // an empty destination may be null, UB for memcpy
   std::memcpy(out, data_ + pos_, n);
   pos_ += n;
 }

@@ -15,7 +15,6 @@ class csv_writer {
   csv_writer() = default;
   explicit csv_writer(const std::string& path);
 
-  bool is_open() const { return out_.is_open(); }
   void row(const std::vector<std::string>& cells);
 
  private:

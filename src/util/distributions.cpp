@@ -69,26 +69,6 @@ class lognormal_impl final : public distribution {
   double mu_ = 0.0, sigma_ = 0.0;
 };
 
-class truncated_normal_impl final : public distribution {
- public:
-  truncated_normal_impl(double mean, double stddev, double floor)
-      : mean_(mean), stddev_(stddev), floor_(floor) {
-    DBSM_CHECK(stddev >= 0.0);
-    DBSM_CHECK_MSG(mean > floor, "mean=" << mean << " floor=" << floor);
-  }
-  double sample(rng& gen) const override {
-    for (int i = 0; i < 64; ++i) {
-      const double v = gen.normal(mean_, stddev_);
-      if (v >= floor_) return v;
-    }
-    return floor_;  // pathological parameters; degrade gracefully
-  }
-  double mean() const override { return mean_; }
-
- private:
-  double mean_, stddev_, floor_;
-};
-
 class empirical_impl final : public distribution {
  public:
   explicit empirical_impl(std::vector<double> points)
@@ -144,23 +124,6 @@ class mixture_impl final : public distribution {
   double mean_ = 0.0;
 };
 
-class scaled_impl final : public distribution {
- public:
-  scaled_impl(distribution_ptr base, double factor)
-      : base_(std::move(base)), factor_(factor) {
-    DBSM_CHECK(base_ != nullptr);
-    DBSM_CHECK(factor >= 0.0);
-  }
-  double sample(rng& gen) const override {
-    return base_->sample(gen) * factor_;
-  }
-  double mean() const override { return base_->mean() * factor_; }
-
- private:
-  distribution_ptr base_;
-  double factor_;
-};
-
 }  // namespace
 
 distribution_ptr constant_dist(double value) {
@@ -175,19 +138,12 @@ distribution_ptr exponential_dist(double mean) {
 distribution_ptr lognormal_dist(double mean, double cv, double cap) {
   return std::make_shared<lognormal_impl>(mean, cv, cap);
 }
-distribution_ptr truncated_normal_dist(double mean, double stddev,
-                                       double floor) {
-  return std::make_shared<truncated_normal_impl>(mean, stddev, floor);
-}
 distribution_ptr empirical_dist(std::vector<double> points) {
   return std::make_shared<empirical_impl>(std::move(points));
 }
 distribution_ptr mixture_dist(
     std::vector<std::pair<double, distribution_ptr>> parts) {
   return std::make_shared<mixture_impl>(std::move(parts));
-}
-distribution_ptr scaled_dist(distribution_ptr base, double factor) {
-  return std::make_shared<scaled_impl>(std::move(base), factor);
 }
 
 }  // namespace dbsm::util

@@ -39,10 +39,6 @@ distribution_ptr exponential_dist(double mean);
 /// written. Samples are truncated at `cap` (<=0 means no cap).
 distribution_ptr lognormal_dist(double mean, double cv, double cap = 0.0);
 
-/// Normal truncated below at `floor` (resampled).
-distribution_ptr truncated_normal_dist(double mean, double stddev,
-                                       double floor = 0.0);
-
 /// Empirical distribution: samples uniformly among the given points with
 /// linear interpolation between adjacent sorted points (a smoothed
 /// bootstrap of a profile log).
@@ -51,9 +47,6 @@ distribution_ptr empirical_dist(std::vector<double> points);
 /// Mixture of (weight, component) pairs; weights need not be normalized.
 distribution_ptr mixture_dist(
     std::vector<std::pair<double, distribution_ptr>> parts);
-
-/// Scales every sample of `base` by `factor` (e.g. CPU-speed scaling).
-distribution_ptr scaled_dist(distribution_ptr base, double factor);
 
 }  // namespace dbsm::util
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
-#include <sstream>
 
 #include "util/check.hpp"
 
@@ -94,30 +93,6 @@ double sample_set::ecdf_at(double x) const {
   return static_cast<double>(it - s.begin()) / static_cast<double>(s.size());
 }
 
-std::vector<std::pair<double, double>> sample_set::ecdf_points() const {
-  std::vector<std::pair<double, double>> out;
-  const auto& s = sorted();
-  out.reserve(s.size());
-  for (std::size_t i = 0; i < s.size(); ++i) {
-    out.emplace_back(s[i],
-                     static_cast<double>(i + 1) / static_cast<double>(s.size()));
-  }
-  return out;
-}
-
-std::vector<std::pair<double, double>> sample_set::ecdf_series(
-    std::size_t n) const {
-  std::vector<std::pair<double, double>> out;
-  if (samples_.empty() || n == 0) return out;
-  out.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const double q =
-        n == 1 ? 1.0 : static_cast<double>(i) / static_cast<double>(n - 1);
-    out.emplace_back(quantile(q), q);
-  }
-  return out;
-}
-
 std::vector<std::pair<double, double>> qq_series(const sample_set& a,
                                                  const sample_set& b,
                                                  std::size_t n) {
@@ -129,40 +104,6 @@ std::vector<std::pair<double, double>> qq_series(const sample_set& a,
     out.emplace_back(a.quantile(q), b.quantile(q));
   }
   return out;
-}
-
-histogram::histogram(double lo, double hi, std::size_t buckets)
-    : lo_(lo), hi_(hi), width_((hi - lo) / static_cast<double>(buckets)),
-      counts_(buckets, 0) {
-  DBSM_CHECK(hi > lo);
-  DBSM_CHECK(buckets > 0);
-}
-
-void histogram::add(double x) {
-  std::size_t i;
-  if (x < lo_) {
-    i = 0;
-  } else if (x >= hi_) {
-    i = counts_.size() - 1;
-  } else {
-    i = static_cast<std::size_t>((x - lo_) / width_);
-    if (i >= counts_.size()) i = counts_.size() - 1;
-  }
-  ++counts_[i];
-  ++total_;
-}
-
-double histogram::bucket_low(std::size_t i) const {
-  return lo_ + width_ * static_cast<double>(i);
-}
-
-std::string histogram::to_string() const {
-  std::ostringstream os;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    os << "[" << bucket_low(i) << ", " << bucket_low(i + 1)
-       << "): " << counts_[i] << "\n";
-  }
-  return os.str();
 }
 
 utilization_tracker::utilization_tracker(double capacity)
@@ -178,10 +119,6 @@ void utilization_tracker::set_busy(std::int64_t now, double busy_units) {
   integral_ += busy_ * static_cast<double>(now - last_change_);
   busy_ = std::clamp(busy_units, 0.0, capacity_);
   last_change_ = now;
-}
-
-void utilization_tracker::add_busy(std::int64_t now, double delta) {
-  set_busy(now, busy_ + delta);
 }
 
 double utilization_tracker::utilization(std::int64_t now) const {

@@ -4,7 +4,7 @@
 #define DBSM_UTIL_STATS_HPP
 
 #include <cstddef>
-#include <string>
+#include <cstdint>
 #include <utility>
 #include <vector>
 
@@ -49,13 +49,6 @@ class sample_set {
   /// Empirical CDF value at x: fraction of samples <= x.
   double ecdf_at(double x) const;
 
-  /// (x, F(x)) pairs of the full empirical CDF (one point per sample).
-  std::vector<std::pair<double, double>> ecdf_points() const;
-
-  /// Downsampled ECDF: `n` evenly spaced quantile points, suitable for
-  /// printing a plot series.
-  std::vector<std::pair<double, double>> ecdf_series(std::size_t n) const;
-
   const std::vector<double>& sorted() const;
 
  private:
@@ -69,24 +62,6 @@ std::vector<std::pair<double, double>> qq_series(const sample_set& a,
                                                  const sample_set& b,
                                                  std::size_t n);
 
-/// Fixed-bucket histogram over [lo, hi); out-of-range values clamp into the
-/// first/last bucket. Used for coarse latency breakdowns in logs.
-class histogram {
- public:
-  histogram(double lo, double hi, std::size_t buckets);
-  void add(double x);
-  std::size_t bucket_count() const { return counts_.size(); }
-  std::size_t count_at(std::size_t i) const { return counts_[i]; }
-  double bucket_low(std::size_t i) const;
-  std::size_t total() const { return total_; }
-  std::string to_string() const;
-
- private:
-  double lo_, hi_, width_;
-  std::vector<std::size_t> counts_;
-  std::size_t total_ = 0;
-};
-
 /// Tracks the busy fraction of a resource over simulated time.
 /// Feed it (time, busy-units) transitions; it integrates utilization.
 class utilization_tracker {
@@ -95,14 +70,11 @@ class utilization_tracker {
 
   /// Records that from `now` onward, `busy_units` units are in use.
   void set_busy(std::int64_t now, double busy_units);
-  /// Adds `delta` units of usage starting at `now`.
-  void add_busy(std::int64_t now, double delta);
 
   /// Utilization in [0,1] over [start, now].
   double utilization(std::int64_t now) const;
   /// Integrated busy time (unit-nanoseconds / capacity).
   double busy_integral(std::int64_t now) const;
-  double current_busy() const { return busy_; }
 
  private:
   double capacity_;

@@ -49,7 +49,6 @@ class client {
   void resume();
 
   std::uint64_t completed() const { return completed_; }
-  bool waiting_for_reply() const { return waiting_; }
 
  private:
   void issue();

@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "catalog_run.hpp"
 #include "cert/reference_certifier.hpp"
 #include "cert/sharded_certifier.hpp"
 #include "core/experiment.hpp"
@@ -507,31 +508,17 @@ TEST(batching_enabled, same_config_rerun_is_deterministic) {
 TEST(batching_enabled, survives_the_full_fault_catalog) {
   bool saw_batch_boundary_crash = false;
   for (const std::size_t batch_max : {std::size_t{1}, std::size_t{32}}) {
-    for (const auto& e : fault::scenarios::catalog()) {
-      const unsigned sites = e.min_sites > 3 ? 5 : 3;
-      auto cfg = batched_kv_cfg(batch_max);
-      cfg.sites = sites;
-      fault::scenarios::params prm;
-      prm.sites = sites;
-      prm.onset = seconds(2);  // inside the run, not past its end
-      cfg.faults = e.make(prm);
-      cfg.enable_recovery = e.needs_recovery;
-      if (e.placement_degree != 0)
-        cfg.placement = {place::strategy::round_robin, e.placement_degree};
-      cfg.target_responses = 0;
-      cfg.max_sim_time =
-          std::string(e.name) == "rolling_restarts" ? seconds(55)
-          : e.needs_recovery                        ? seconds(25)
-                                                    : seconds(15);
-      const auto r = core::run_experiment(cfg);
-      EXPECT_TRUE(r.checks.ok)
-          << e.name << "/" << batch_max << ": " << r.checks.summary();
-      EXPECT_TRUE(r.safety.ok)
-          << e.name << "/" << batch_max << ": " << r.safety.detail;
-      EXPECT_GT(r.stats.total_committed(), 0u) << e.name << "/" << batch_max;
-      if (std::string(e.name) == "batch_boundary_crash")
-        saw_batch_boundary_crash = true;
-    }
+    test::for_each_catalog_run(
+        batched_kv_cfg(batch_max), [&](const auto& e, const auto& r) {
+          EXPECT_TRUE(r.checks.ok)
+              << e.name << "/" << batch_max << ": " << r.checks.summary();
+          EXPECT_TRUE(r.safety.ok)
+              << e.name << "/" << batch_max << ": " << r.safety.detail;
+          EXPECT_GT(r.stats.total_committed(), 0u)
+              << e.name << "/" << batch_max;
+          if (std::string(e.name) == "batch_boundary_crash")
+            saw_batch_boundary_crash = true;
+        });
   }
   EXPECT_TRUE(saw_batch_boundary_crash);  // the scenario is cataloged
 }

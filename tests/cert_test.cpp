@@ -7,6 +7,7 @@
 #include "cert/sharded_certifier.hpp"
 #include "cert/txn_codec.hpp"
 #include "db/item.hpp"
+#include "util/check.hpp"
 #include "util/rng.hpp"
 
 namespace dbsm::cert {
@@ -285,6 +286,17 @@ TEST(txn_codec, round_trip) {
   EXPECT_EQ(q.read_set, p.read_set);
   EXPECT_EQ(q.write_set, p.write_set);
   EXPECT_EQ(q.update_bytes, p.update_bytes);
+}
+
+TEST(txn_codec, oversized_set_count_is_rejected_before_allocation) {
+  txn_payload p;
+  p.read_set = {make_item(1, 2, 3, 4)};
+  util::bytes b = *encode_txn(p);
+  // The read-set count follows id (8), class (2), origin (4) and the
+  // snapshot position (8).
+  for (int i = 0; i < 4; ++i) b[22 + i] = 0xff;
+  EXPECT_THROW(decode_txn(std::make_shared<const util::bytes>(b)),
+               invariant_violation);
 }
 
 TEST(txn_codec, payload_size_includes_value_padding) {

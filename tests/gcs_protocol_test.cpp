@@ -77,7 +77,7 @@ TEST(rmcast_protocol, broadcast_self_delivers_and_transmits) {
   const auto out = f.env.take_outbox();
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].to, invalid_node);  // multicast
-  const data_msg m = decode_data(out[0].payload);
+  const data_msg m = std::get<data_msg>(decode(out[0].payload));
   EXPECT_EQ(m.dgram_seq, 1u);
   EXPECT_EQ(m.frag_cnt, 1);
 }
@@ -88,7 +88,7 @@ TEST(rmcast_protocol, large_payload_fragments) {
   const auto out = f.env.take_outbox();
   ASSERT_EQ(out.size(), 3u);
   for (unsigned i = 0; i < 3; ++i) {
-    const data_msg m = decode_data(out[i].payload);
+    const data_msg m = std::get<data_msg>(decode(out[i].payload));
     EXPECT_EQ(m.frag_idx, i);
     EXPECT_EQ(m.frag_cnt, 3);
     EXPECT_EQ(m.app_seq, 1u);
@@ -126,7 +126,7 @@ TEST(rmcast_protocol, gap_triggers_nak_with_backoff) {
   auto out = f.env.take_outbox();
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].to, 1u);  // unicast to the sender
-  const nak_msg nak = decode_nak(out[0].payload);
+  const nak_msg nak = std::get<nak_msg>(decode(out[0].payload));
   EXPECT_EQ(nak.target_sender, 1u);
   EXPECT_EQ(nak.missing, (std::vector<std::uint64_t>{2, 3}));
   // Still missing: the next NAK fires after a doubled interval.
@@ -135,7 +135,7 @@ TEST(rmcast_protocol, gap_triggers_nak_with_backoff) {
   f.env.advance(f.cfg.nak_delay + 1);
   out = f.env.take_outbox();
   ASSERT_EQ(out.size(), 1u);
-  EXPECT_EQ(decode_nak(out[0].payload).missing.size(), 2u);
+  EXPECT_EQ(std::get<nak_msg>(decode(out[0].payload)).missing.size(), 2u);
   EXPECT_GT(f.rm->get_stats().naks_sent, 1u);
 }
 
@@ -170,7 +170,7 @@ TEST(rmcast_protocol, serves_retransmissions_from_send_buffer) {
   const auto out = f.env.take_outbox();
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].to, 2u);
-  const data_msg m = decode_data(out[0].payload);
+  const data_msg m = std::get<data_msg>(decode(out[0].payload));
   EXPECT_EQ(m.dgram_seq, 1u);
   EXPECT_EQ(f.rm->get_stats().retransmissions, 1u);
 }
@@ -189,7 +189,7 @@ TEST(rmcast_protocol, forwards_foreign_datagrams_from_retention) {
   const auto out = f.env.take_outbox();
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].to, 2u);
-  const data_msg m = decode_data(out[0].payload);
+  const data_msg m = std::get<data_msg>(decode(out[0].payload));
   EXPECT_EQ(m.hdr.sender, 1u);  // original sender preserved
 }
 
@@ -242,7 +242,7 @@ TEST(rmcast_protocol, flush_reaches_cut_and_reports) {
   auto out = f.env.take_outbox();
   ASSERT_FALSE(out.empty());
   EXPECT_EQ(out[0].to, 2u);
-  const nak_msg nak = decode_nak(out[0].payload);
+  const nak_msg nak = std::get<nak_msg>(decode(out[0].payload));
   EXPECT_EQ(nak.target_sender, 1u);
   EXPECT_EQ(nak.missing, (std::vector<std::uint64_t>{2, 3}));
   f.receive(1, 2, 2, "b");

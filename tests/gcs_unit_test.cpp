@@ -2,10 +2,16 @@
 // stability gossip rounds, flow control, failure detection.
 #include <gtest/gtest.h>
 
+#include <concepts>
+#include <typeinfo>
+#include <utility>
+
 #include "gcs/failure_detector.hpp"
 #include "gcs/flow_control.hpp"
 #include "gcs/stability.hpp"
 #include "gcs/wire.hpp"
+#include "util/check.hpp"
+#include "util/rng.hpp"
 
 namespace dbsm::gcs {
 namespace {
@@ -25,7 +31,7 @@ TEST(wire, data_round_trip) {
   m.frag_cnt = 3;
   m.payload = bytes_of(50);
   const auto raw = encode(m);
-  const data_msg d = decode_data(raw);
+  const data_msg d = std::get<data_msg>(decode(raw));
   EXPECT_EQ(d.hdr.view_id, 7u);
   EXPECT_EQ(d.hdr.sender, 3u);
   EXPECT_EQ(d.dgram_seq, 100u);
@@ -40,7 +46,7 @@ TEST(wire, nak_and_stab_round_trip) {
   n.hdr = {msg_type::nak, 1, 2};
   n.target_sender = 9;
   n.missing = {4, 5, 9};
-  const nak_msg n2 = decode_nak(encode(n));
+  const nak_msg n2 = std::get<nak_msg>(decode(encode(n)));
   EXPECT_EQ(n2.target_sender, 9u);
   EXPECT_EQ(n2.missing, n.missing);
 
@@ -50,7 +56,7 @@ TEST(wire, nak_and_stab_round_trip) {
   s.voters_bitmap = 0b101;
   s.stable = {1, 2, 3};
   s.min_received = {4, 5, 6};
-  const stab_msg s2 = decode_stab(encode(s));
+  const stab_msg s2 = std::get<stab_msg>(decode(encode(s)));
   EXPECT_EQ(s2.round, 12u);
   EXPECT_EQ(s2.voters_bitmap, 0b101u);
   EXPECT_EQ(s2.stable, s.stable);
@@ -64,17 +70,141 @@ TEST(wire, view_messages_round_trip) {
   c.new_members = {0, 2};
   c.cut = {10, 20, 30};
   c.sources = {0, 2, 2};
-  const view_cut_msg c2 = decode_view_cut(encode(c));
+  const view_cut_msg c2 = std::get<view_cut_msg>(decode(encode(c)));
   EXPECT_EQ(c2.new_view_id, 4u);
   EXPECT_EQ(c2.new_members, c.new_members);
   EXPECT_EQ(c2.cut, c.cut);
   EXPECT_EQ(c2.sources, c.sources);
 }
 
+// ---------- codec properties over every format ----------
+
+// Random field values, by field kind. The header's type byte is set from
+// the format afterwards (random_format).
+template <std::integral T> void fill(util::rng& g, T& v) {
+  v = static_cast<T>(g.next_u64());
+}
+void fill(util::rng&, msg_type&) {}
+void fill(util::rng& g, util::shared_bytes& v) {
+  auto blob = std::make_shared<util::bytes>(g.uniform_int(0, 40));
+  for (std::uint8_t& b : *blob) b = static_cast<std::uint8_t>(g.next_u64());
+  v = std::move(blob);
+}
+template <class A, class B> void fill(util::rng& g, std::pair<A, B>& v) {
+  fill(g, v.first);
+  fill(g, v.second);
+}
+template <class T> void fill(util::rng& g, std::vector<T>& v) {
+  v.resize(g.uniform_int(0, 4));
+  for (T& x : v) fill(g, x);
+}
+template <class T> void fill(util::rng& g, std::optional<T>& v) {
+  v.reset();
+  if (g.bernoulli(0.5)) fill(g, v.emplace());
+}
+template <class T>
+  requires requires(T& m) { T::fields(m); }
+void fill(util::rng& g, T& m) {
+  std::apply([&g](auto&... f) { (fill(g, f), ...); }, T::fields(m));
+}
+
+/// A random valid instance of format T: the header names T's wire type,
+/// and the vectors the cross-field rules pair up have equal lengths.
+template <class T> T random_format(util::rng& g) {
+  T m;
+  fill(g, m);
+  if constexpr (requires { T::wire_type; }) m.hdr.type = T::wire_type;
+  if constexpr (std::is_same_v<T, stab_msg>)
+    m.min_received.resize(m.stable.size());
+  if constexpr (std::is_same_v<T, view_cut_msg>)
+    m.sources.resize(m.cut.size());
+  return m;
+}
+
+template <class T> util::shared_bytes encode_format(const T& m) {
+  if constexpr (std::is_same_v<T, assignment_batch>)
+    return encode_assignment_batch(m);
+  else
+    return encode(m);
+}
+
+template <class T> util::shared_bytes reencode(const util::bytes& b) {
+  const auto raw = std::make_shared<const util::bytes>(b);
+  if constexpr (std::is_same_v<T, assignment_batch>)
+    return encode_assignment_batch(decode_assignment_batch(raw));
+  else
+    return encode(decode(raw));
+}
+
+/// Calls f(T{}) for every datagram format, in wire-type order, then for
+/// the assignment record.
+template <class F> void for_each_format(F&& f) {
+  [&f]<std::size_t... I>(std::index_sequence<I...>) {
+    (f(std::variant_alternative_t<I, message>{}), ...);
+  }(std::make_index_sequence<std::variant_size_v<message>>{});
+  f(assignment_batch{});
+}
+
 TEST(wire, type_mismatch_throws) {
+  // decode() returns the alternative its type byte names (alternative i is
+  // wire type i + 1), and no per-type decoder is left to mismatch: the
+  // same bytes under another type byte parse as that type or not at all.
+  util::rng g(15);
+  for_each_format([&g](auto proto) {
+    using T = decltype(proto);
+    if constexpr (!std::is_same_v<T, assignment_batch>) {
+      const util::shared_bytes raw = encode(random_format<T>(g));
+      EXPECT_EQ(decode(raw).index() + 1, (*raw)[0]);
+      EXPECT_EQ(decode_header(raw).type, T::wire_type);
+    }
+  });
   heartbeat_msg hb;
   hb.hdr = {msg_type::heartbeat, 1, 0};
-  EXPECT_THROW(decode_data(encode(hb)), invariant_violation);
+  auto relabeled = std::make_shared<util::bytes>(*encode(hb));
+  (*relabeled)[0] = static_cast<std::uint8_t>(msg_type::data);
+  EXPECT_THROW(decode(relabeled), invariant_violation);
+}
+
+// Random valid messages of every format survive encode -> decode ->
+// encode byte for byte. Each encoding is then mutated — every byte
+// flipped, every truncation, 1-8 appended bytes, every u16 window (so
+// every count field) set to 0xFFFF — and each mutant either decodes to a
+// message that re-encodes to exactly its bytes or throws
+// invariant_violation. Any other exception fails the test.
+TEST(wire, every_format_round_trips_and_rejects_mutations) {
+  util::rng g(16);
+  for_each_format([&g](auto proto) {
+    using T = decltype(proto);
+    const auto exact_or_rejected = [](const util::bytes& b) {
+      try {
+        EXPECT_EQ(*reencode<T>(b), b) << typeid(T).name();
+      } catch (const invariant_violation&) {
+      }
+    };
+    for (int rep = 0; rep < 40; ++rep) {
+      const util::shared_bytes raw = encode_format(random_format<T>(g));
+      EXPECT_EQ(raw->capacity(), raw->size());  // one exact allocation
+      const util::bytes& b = *raw;
+      ASSERT_EQ(*reencode<T>(b), b) << typeid(T).name();
+      for (std::size_t i = 0; i < b.size(); ++i) {
+        util::bytes m = b;
+        m[i] ^= static_cast<std::uint8_t>(g.uniform_int(1, 255));
+        exact_or_rejected(m);
+      }
+      for (std::size_t len = 0; len < b.size(); ++len)
+        exact_or_rejected(util::bytes(b.begin(), b.begin() + len));
+      util::bytes longer = b;
+      for (int extra = 1; extra <= 8; ++extra) {
+        longer.push_back(static_cast<std::uint8_t>(g.next_u64()));
+        exact_or_rejected(longer);
+      }
+      for (std::size_t i = 0; i + 1 < b.size(); ++i) {
+        util::bytes m = b;
+        m[i] = m[i + 1] = 0xff;
+        exact_or_rejected(m);
+      }
+    }
+  });
 }
 
 // ---------- stability ----------

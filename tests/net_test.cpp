@@ -3,12 +3,10 @@
 // isolation, WAN latency.
 #include <gtest/gtest.h>
 
-#include <sstream>
 #include <vector>
 
 #include "net/lan.hpp"
 #include "net/loss_model.hpp"
-#include "net/trace.hpp"
 #include "net/wan.hpp"
 #include "sim/simulator.hpp"
 
@@ -144,6 +142,13 @@ TEST(lan, tracer_sees_events) {
   ASSERT_EQ(kinds.size(), 2u);
   EXPECT_EQ(kinds[0], 's');
   EXPECT_EQ(kinds[1], 'd');
+  // A datagram the receiver's loss model drops is seen as a loss.
+  f.net->set_rx_loss(1, random_loss(1.0));
+  f.net->send(0, 1, payload_of(100));
+  f.s.run();
+  ASSERT_EQ(kinds.size(), 4u);
+  EXPECT_EQ(kinds[2], 's');
+  EXPECT_EQ(kinds[3], 'l');
 }
 
 TEST(loss_models, random_loss_rate_converges) {
@@ -194,27 +199,6 @@ TEST(wan, latency_and_fanout) {
   ASSERT_EQ(at[2].size(), 1u);
   EXPECT_NEAR(to_millis(at[1][0]), 25.0, 1.0);
   EXPECT_NEAR(to_millis(at[2][0]), 80.0, 1.0);
-}
-
-
-TEST(trace, records_events_and_summarizes) {
-  lan_fixture f(2);
-  std::ostringstream os;
-  trace_log log(&os);
-  log.attach(*f.net);
-  f.net->set_rx_loss(1, random_loss(1.0));
-  f.net->send(0, 1, payload_of(100));
-  f.s.run();
-  EXPECT_EQ(log.events(), 2u);  // send + drop
-  const auto& flow = log.flows().at({0u, 1u});
-  EXPECT_EQ(flow.sent, 1u);
-  EXPECT_EQ(flow.lost, 1u);
-  EXPECT_EQ(flow.delivered, 0u);
-  EXPECT_EQ(flow.bytes, 100u);
-  const std::string text = os.str();
-  EXPECT_NE(text.find("send 0 > 1  100 bytes"), std::string::npos);
-  EXPECT_NE(text.find("drop 0 > 1"), std::string::npos);
-  EXPECT_NE(log.summary().find("0 > 1"), std::string::npos);
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "catalog_run.hpp"
 #include "core/experiment.hpp"
 #include "fake_env.hpp"
 #include "fault/fault_types.hpp"
@@ -111,30 +112,14 @@ core::experiment_config kv_cfg() {
 // site back. (tests/batching_test.cpp runs the catalog at batch_max 1 and
 // 32.)
 TEST(ordering_catalog, full_fault_catalog_passes_at_the_default_batch) {
-  for (const auto& e : fault::scenarios::catalog()) {
-    const unsigned sites = e.min_sites > 3 ? 5 : 3;
-    auto cfg = kv_cfg();
-    cfg.sites = sites;
-    fault::scenarios::params prm;
-    prm.sites = sites;
-    prm.onset = seconds(2);
-    cfg.faults = e.make(prm);
-    cfg.enable_recovery = e.needs_recovery;
-    if (e.placement_degree != 0)
-      cfg.placement = {place::strategy::round_robin, e.placement_degree};
-    cfg.target_responses = 0;
-    cfg.max_sim_time =
-        std::string(e.name) == "rolling_restarts" ? seconds(55)
-        : e.needs_recovery                        ? seconds(25)
-                                                  : seconds(15);
-    const auto r = core::run_experiment(cfg);
+  test::for_each_catalog_run(kv_cfg(), [](const auto& e, const auto& r) {
     EXPECT_TRUE(r.checks.ok) << e.name << ": " << r.checks.summary();
     EXPECT_TRUE(r.safety.ok) << e.name << ": " << r.safety.detail;
     EXPECT_GT(r.stats.total_committed(), 0u) << e.name;
     if (e.needs_recovery) {
       EXPECT_GE(r.rejoined_sites(), 1u) << e.name;
     }
-  }
+  });
 }
 
 // ---------- view synchrony at a sequencer crash ----------

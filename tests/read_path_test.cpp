@@ -6,9 +6,9 @@
 // armed, including the lease-revocation race scenarios.
 #include <gtest/gtest.h>
 
-#include <string>
 #include <vector>
 
+#include "catalog_run.hpp"
 #include "core/experiment.hpp"
 #include "fault/scenarios.hpp"
 #include "read/lease.hpp"
@@ -226,25 +226,8 @@ TEST(read_path_fast, ycsb_b_mixes_reads_and_updates) {
 // cycles (partition_cut_heal_rejoin et al.) and the lease-race
 // scenarios.
 TEST(read_path_fast, survives_the_full_fault_catalog) {
-  for (const auto& e : fault::scenarios::catalog()) {
-    const unsigned sites = e.min_sites > 3 ? 5 : 3;
-    auto cfg = kv_cfg(read::mode::fast, kv::mix::ycsb_b);
-    cfg.sites = sites;
-    fault::scenarios::params prm;
-    prm.sites = sites;
-    prm.onset = seconds(2);  // inside the run, not past its end
-    cfg.faults = e.make(prm);
-    cfg.enable_recovery = e.needs_recovery;
-    if (e.placement_degree != 0)
-      cfg.placement = {place::strategy::round_robin, e.placement_degree};
-    // Run on sim time, long enough to cover each scenario's whole
-    // timeline (rolling_restarts cycles every site at 20 s apart).
-    cfg.target_responses = 0;
-    cfg.max_sim_time =
-        std::string(e.name) == "rolling_restarts" ? seconds(55)
-        : e.needs_recovery                        ? seconds(25)
-                                                  : seconds(15);
-    const auto r = core::run_experiment(cfg);
+  const auto base = kv_cfg(read::mode::fast, kv::mix::ycsb_b);
+  test::for_each_catalog_run(base, [](const auto& e, const auto& r) {
     EXPECT_TRUE(r.checks.ok) << e.name << ": " << r.checks.summary();
     EXPECT_TRUE(r.safety.ok) << e.name << ": " << r.safety.detail;
     const read_totals t = totals(r);
@@ -252,7 +235,7 @@ TEST(read_path_fast, survives_the_full_fault_catalog) {
     // A restart rebuilds the site's replica (fresh counters), so the
     // monitor may have seen more reads than the end-of-run counters hold.
     EXPECT_GE(r.checks.reads_checked, t.fast + t.fallback) << e.name;
-  }
+  });
 }
 
 // The full-cut recovery scenario is the stale-snapshot case the lease
