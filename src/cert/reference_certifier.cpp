@@ -1,8 +1,32 @@
 #include "cert/reference_certifier.hpp"
 
+#include <algorithm>
+#include <span>
+
 #include "util/check.hpp"
 
 namespace dbsm::cert {
+
+namespace {
+
+/// True if two ascending id runs share an element (one merge traversal).
+bool shares_id(std::span<const db::item_id> a,
+               std::span<const db::item_id> b) {
+  auto ia = a.begin();
+  auto ib = b.begin();
+  while (ia != a.end() && ib != b.end()) {
+    if (*ia < *ib) {
+      ++ia;
+    } else if (*ib < *ia) {
+      ++ib;
+    } else {
+      return true;
+    }
+  }
+  return false;
+}
+
+}  // namespace
 
 reference_certifier::reference_certifier(cert_config cfg) : cfg_(cfg) {
   DBSM_CHECK(cfg_.history_window > 0);
@@ -19,7 +43,8 @@ bool reference_certifier::conflicts(std::uint64_t begin_pos,
     return true;
   }
   // Point reads are snapshot-served; only escalated (granule) reads can
-  // conflict with committed writes.
+  // conflict with committed writes, and only with committed granules. Two
+  // writers conflict only on a shared tuple.
   std::vector<db::item_id>& read_granules = read_granules_scratch_;
   read_granules.clear();
   for (db::item_id it : read_set) {
@@ -27,32 +52,52 @@ bool reference_certifier::conflicts(std::uint64_t begin_pos,
   }
   cost += cfg_.cost_per_element *
           static_cast<sim_duration>(read_set.size());
-
-  // Binary search for the first committed entry after the snapshot.
-  std::size_t lo = 0, hi = history_.size();
-  while (lo < hi) {
-    const std::size_t mid = (lo + hi) / 2;
-    if (history_[mid].pos > begin_pos) {
-      hi = mid;
-    } else {
-      lo = mid + 1;
+  std::vector<db::item_id>& write_tuples = write_tuples_scratch_;
+  write_tuples.clear();
+  if (write_set != nullptr) {
+    for (db::item_id it : *write_set) {
+      if (!db::is_granule(it)) write_tuples.push_back(it);
     }
   }
-  for (std::size_t i = lo; i < history_.size(); ++i) {
-    const entry& e = history_[i];
+
+  // The first committed entry after the snapshot.
+  const auto first = std::upper_bound(
+      history_.begin() + static_cast<std::ptrdiff_t>(head_), history_.end(),
+      begin_pos,
+      [](std::uint64_t pos, const entry& e) { return pos < e.pos; });
+  for (auto e = first; e != history_.end(); ++e) {
+    const std::span<const db::item_id> tuples(ids_.data() + e->begin,
+                                              e->tuples);
+    const std::span<const db::item_id> granules(tuples.data() + e->tuples,
+                                                e->granules);
+    // The modeled cost charges a merge over both whole sets.
+    const std::size_t size = tuples.size() + granules.size();
     if (!read_granules.empty()) {
-      cost += cfg_.cost_per_element * static_cast<sim_duration>(
-                                          merge_cost(e.write_set,
-                                                     read_granules));
-      if (intersects(e.write_set, read_granules)) return true;
+      cost += cfg_.cost_per_element *
+              static_cast<sim_duration>(size + read_granules.size());
+      if (shares_id(granules, read_granules)) return true;
     }
     if (write_set != nullptr) {
       cost += cfg_.cost_per_element *
-              static_cast<sim_duration>(merge_cost(e.write_set, *write_set));
-      if (write_write_conflicts(e.write_set, *write_set)) return true;
+              static_cast<sim_duration>(size + write_set->size());
+      if (shares_id(tuples, write_tuples)) return true;
     }
   }
   return false;
+}
+
+void reference_certifier::evict_oldest() {
+  oldest_retained_ = history_[head_].pos + 1;
+  ++head_;
+  if (2 * head_ < history_.size()) return;
+  const std::size_t dead_ids =
+      head_ < history_.size() ? history_[head_].begin : ids_.size();
+  ids_.erase(ids_.begin(),
+             ids_.begin() + static_cast<std::ptrdiff_t>(dead_ids));
+  history_.erase(history_.begin(),
+                 history_.begin() + static_cast<std::ptrdiff_t>(head_));
+  head_ = 0;
+  for (entry& e : history_) e.begin -= dead_ids;
 }
 
 bool reference_certifier::certify_update(
@@ -70,11 +115,18 @@ bool reference_certifier::certify_update(
     return false;
   }
   ++commits_;
-  history_.push_back(entry{position_, write_set});
-  while (history_.size() > cfg_.history_window) {
-    oldest_retained_ = history_.front().pos + 1;
-    history_.pop_front();
+  // conflicts() ran the whole scan, so the scratch holds the tuples.
+  const std::size_t begin = ids_.size();
+  ids_.insert(ids_.end(), write_tuples_scratch_.begin(),
+              write_tuples_scratch_.end());
+  for (db::item_id it : write_set) {
+    if (db::is_granule(it)) ids_.push_back(it);
   }
+  const auto tuples = static_cast<std::uint32_t>(write_tuples_scratch_.size());
+  history_.push_back(entry{
+      position_, begin, tuples,
+      static_cast<std::uint32_t>(ids_.size() - begin - tuples)});
+  while (history_size() > cfg_.history_window) evict_oldest();
   return true;
 }
 

@@ -8,6 +8,8 @@
 //   * write-write at tuple granularity (first-committer-wins);
 //   * escalated granule reads against any committed write advertising the
 //     granule (point reads are snapshot-served and never conflict).
+// A retained write set keeps its tuples and its granules apart, so each
+// traversal walks only the ids that can match.
 // Its decisions define the protocol; the indexed certifier must match them
 // bit for bit (tests/cert_index_test.cpp). Its modeled cost keeps the
 // historical scan cost model — cost grows with the concurrent window — so
@@ -16,7 +18,6 @@
 #define DBSM_CERT_REFERENCE_CERTIFIER_HPP
 
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "cert/cert_config.hpp"
@@ -45,28 +46,40 @@ class reference_certifier {
   sim_duration last_cost() const { return last_cost_; }
   std::uint64_t commits() const { return commits_; }
   std::uint64_t aborts() const { return aborts_; }
-  std::size_t history_size() const { return history_.size(); }
+  std::size_t history_size() const { return history_.size() - head_; }
 
  private:
+  /// One committed write set: ids_[begin, begin + tuples) are its tuples
+  /// and the next `granules` ids its granules, each run ascending.
   struct entry {
     std::uint64_t pos;
-    std::vector<db::item_id> write_set;
+    std::size_t begin;
+    std::uint32_t tuples;
+    std::uint32_t granules;
   };
 
   /// Conflict scan over history entries with pos in (begin_pos, +inf).
+  /// `write_set` is null for a read-only certification.
   bool conflicts(std::uint64_t begin_pos,
                  const std::vector<db::item_id>& read_set,
                  const std::vector<db::item_id>* write_set,
                  sim_duration& cost) const;
+  /// Drops the oldest retained write set; once the dropped prefix is as
+  /// long as the live part, both vectors are compacted (amortized O(1)).
+  void evict_oldest();
 
   cert_config cfg_;
-  std::deque<entry> history_;  // ascending positions, committed only
+  /// history_[head_, end): ascending positions, committed only.
+  std::vector<entry> history_;
+  std::size_t head_ = 0;
+  std::vector<db::item_id> ids_;  // every retained entry's ids
   std::uint64_t position_ = 0;
   std::uint64_t oldest_retained_ = 1;
   mutable sim_duration last_cost_ = 0;
-  /// Per-call scratch for the escalated-read subset of the read set,
+  /// Per-call scratch for the escalated reads and the written tuples,
   /// reused across calls so the hot path does not heap-allocate.
   mutable std::vector<db::item_id> read_granules_scratch_;
+  mutable std::vector<db::item_id> write_tuples_scratch_;
   std::uint64_t commits_ = 0;
   std::uint64_t aborts_ = 0;
 };

@@ -49,11 +49,6 @@ bool write_write_conflicts(const std::vector<db::item_id>& a,
   return false;
 }
 
-std::size_t merge_cost(const std::vector<db::item_id>& a,
-                       const std::vector<db::item_id>& b) {
-  return a.size() + b.size();
-}
-
 void append_scan(std::vector<db::item_id>& out,
                  const std::vector<db::item_id>& scan_tuples,
                  db::item_id granule, std::size_t threshold) {

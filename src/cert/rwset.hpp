@@ -27,10 +27,6 @@ bool intersects(const std::vector<db::item_id>& a,
 bool write_write_conflicts(const std::vector<db::item_id>& a,
                            const std::vector<db::item_id>& b);
 
-/// Elements visited by one merge traversal (cost model input).
-std::size_t merge_cost(const std::vector<db::item_id>& a,
-                       const std::vector<db::item_id>& b);
-
 /// Applies read-set escalation: if `scan_tuples` exceeds `threshold`, the
 /// scan contributes only its granule id; otherwise the tuples themselves.
 /// Appends to `out` (normalize afterwards).

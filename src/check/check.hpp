@@ -9,6 +9,8 @@
 // delivery/install jobs but never schedule simulator events, charge CPU,
 // or consume randomness, so a run with monitors on is bit-identical to the
 // same run with monitors off (the determinism anchors hold either way).
+// In measured mode (§2.3) the cluster calls them with the site's profiling
+// clock stopped, so their own thread CPU is never charged either.
 //
 // The standard suite (check::standard_checker) implements:
 //   agreed_prefix       — every site's commit log is a prefix of the global

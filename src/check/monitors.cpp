@@ -229,6 +229,14 @@ std::uint64_t cert_oracle_monitor::member_mask() const {
   return mask_of(members_);
 }
 
+bool cert_oracle_monitor::certify(const verdict& v) {
+  const db::item_id* const first = ids_.data() + v.offset;
+  writes_scratch_.assign(first, first + v.writes);
+  reads_scratch_.assign(first + v.writes,
+                        first + v.writes + v.read_granules);
+  return ref_->certify_update(v.begin_pos, reads_scratch_, writes_scratch_);
+}
+
 void cert_oracle_monitor::on_decision(const decision_event& e, sink& s) {
   const std::uint64_t n = e.global_seq;
   if (n == 0) return;
@@ -240,10 +248,20 @@ void cert_oracle_monitor::on_decision(const decision_event& e, sink& s) {
   }
   if (idx == verdicts_.size()) {
     // First site to reach position n: feed the oracle.
-    const bool commit =
-        ref_->certify_update(e.txn->begin_pos, e.txn->read_set,
-                             e.txn->write_set);
-    verdicts_.push_back(verdict{*e.txn, commit, 0});
+    verdict v;
+    v.txn_id = e.txn->id;
+    v.begin_pos = e.txn->begin_pos;
+    v.offset = ids_.size();
+    v.writes = static_cast<std::uint32_t>(e.txn->write_set.size());
+    ids_.insert(ids_.end(), e.txn->write_set.begin(),
+                e.txn->write_set.end());
+    for (db::item_id it : e.txn->read_set) {
+      if (!db::is_granule(it)) continue;
+      ids_.push_back(it);
+      ++v.read_granules;
+    }
+    v.commit = certify(v);
+    verdicts_.push_back(v);
   } else if (idx > verdicts_.size()) {
     s.raise({std::string(name()), e.site, e.at,
              "decision at position " + std::to_string(n) +
@@ -252,11 +270,11 @@ void cert_oracle_monitor::on_decision(const decision_event& e, sink& s) {
     return;
   }
   verdict& v = verdicts_[idx];
-  if (v.txn.id != e.txn->id) {
+  if (v.txn_id != e.txn->id) {
     s.raise({std::string(name()), e.site, e.at,
              "position " + std::to_string(n) + " delivered txn " +
                  std::to_string(e.txn->id) + " but the first decider saw txn " +
-                 std::to_string(v.txn.id)});
+                 std::to_string(v.txn_id)});
     return;
   }
   if (v.commit != e.commit) {
@@ -284,12 +302,10 @@ void cert_oracle_monitor::on_view(const view_event& e, sink&) {
       // the discarded branch's write sets stop polluting its history. The
       // replay reproduces the original verdicts (a verdict depends only
       // on the positions before it).
+      ids_.resize(verdicts_[i].offset);
       verdicts_.resize(i);
       ref_.emplace(cfg_);
-      for (verdict& v : verdicts_) {
-        v.commit = ref_->certify_update(v.txn.begin_pos, v.txn.read_set,
-                                        v.txn.write_set);
-      }
+      for (verdict& v : verdicts_) v.commit = certify(v);
       break;
     }
   }

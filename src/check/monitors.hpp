@@ -109,6 +109,10 @@ class primary_partition_monitor final : public monitor {
 /// view installs (the oracle is rebuilt by replaying the kept prefix, so
 /// the discarded branch's write sets stop polluting its history), and an
 /// excluded site's further decisions past the cut are ignored here.
+///
+/// The replay needs each position's snapshot, write set and escalated
+/// (granule) reads, the only reads certification consults: they are kept
+/// in one id arena, not as a copy of the payload.
 class cert_oracle_monitor final : public monitor {
  public:
   explicit cert_oracle_monitor(const cert::cert_config& cfg)
@@ -118,16 +122,28 @@ class cert_oracle_monitor final : public monitor {
   void on_view(const view_event& e, sink& s) override;
 
  private:
+  /// The oracle at one position. ids_[offset, offset + writes) is the
+  /// write set and the next `read_granules` ids the escalated reads.
+  struct verdict {
+    std::uint64_t txn_id = 0;
+    std::uint64_t begin_pos = 0;
+    std::uint64_t deciders = 0;  // bitmask of sites seen deciding it
+    std::size_t offset = 0;
+    std::uint32_t writes = 0;
+    std::uint32_t read_granules = 0;
+    bool commit = false;
+  };
+
   bool is_member(unsigned site) const;
   std::uint64_t member_mask() const;
-  struct verdict {
-    cert::txn_payload txn;  // copy: replayed when the branch rolls back
-    bool commit = false;
-    std::uint64_t deciders = 0;  // bitmask of sites seen deciding it
-  };
+  /// Feeds `v`'s transaction to the reference certifier; true to commit.
+  bool certify(const verdict& v);
+
   cert::cert_config cfg_;
   std::optional<cert::reference_certifier> ref_;
   std::vector<verdict> verdicts_;  // verdicts_[n - 1] = oracle at position n
+  std::vector<db::item_id> ids_;   // every verdict's ids, in position order
+  std::vector<db::item_id> reads_scratch_, writes_scratch_;
   std::vector<node_id> members_;   // latest primary view (empty: all sites)
   std::uint32_t top_id_ = 1;
   std::uint64_t cut_ = 0;  // delivered count at that view's cut

@@ -93,8 +93,7 @@ void cluster::build_site_stack(unsigned i, bool joining,
          }});
     groups_[i]->set_joined_handler([this, i](const gcs::view&) {
       status_[i] = site_status::rejoined;
-      if (obs_.on_rejoined)
-        obs_.on_rejoined(i, replicas_[i]->commit_log().size());
+      notify(i, obs_.on_rejoined, replicas_[i]->commit_log().size());
       if (on_rejoined_[i]) on_rejoined_[i](i);
     });
   }
@@ -109,7 +108,7 @@ void cluster::build_site_stack(unsigned i, bool joining,
       status_[i] = site_status::excluded;
     }
     replicas_[i]->revoke_lease(read::revoke_reason::exclusion);
-    if (obs_.on_excluded) obs_.on_excluded(i);
+    notify(i, obs_.on_excluded);
   });
   // Lease protocol wiring (no-ops unless the fast read path is on): a
   // local suspicion suspends the site's lease until connectivity is
@@ -134,7 +133,7 @@ void cluster::wire_observer(unsigned i) {
     replicas_[i]->set_decision_observer(
         [this, i](const cert::txn_payload& txn, std::uint64_t seq,
                   bool commit, std::uint64_t len) {
-          obs_.on_decision(i, txn, seq, commit, len);
+          notify(i, obs_.on_decision, txn, seq, commit, len);
         });
   }
   if (obs_.on_apply) {
@@ -142,13 +141,13 @@ void cluster::wire_observer(unsigned i) {
         [this, i](const cert::txn_payload& txn, std::uint64_t seq,
                   const std::vector<db::item_id>& slice,
                   std::uint64_t durable_bytes) {
-          obs_.on_apply(i, txn, seq, slice, durable_bytes);
+          notify(i, obs_.on_apply, txn, seq, slice, durable_bytes);
         });
   }
   if (obs_.on_log_reset) {
     replicas_[i]->set_log_reset_observer(
         [this, i](const std::vector<std::uint64_t>& log) {
-          obs_.on_log_reset(i, log);
+          notify(i, obs_.on_log_reset, log);
         });
   }
   // Always wired: every view install re-grants the site's read lease
@@ -156,13 +155,13 @@ void cluster::wire_observer(unsigned i) {
   // rides along when set.
   groups_[i]->set_view_handler([this, i](const gcs::view& v) {
     replicas_[i]->grant_lease(v.id);
-    if (obs_.on_view) obs_.on_view(i, v, groups_[i]->delivered_count());
+    notify(i, obs_.on_view, v, groups_[i]->delivered_count());
   });
   if (obs_.on_read) {
     replicas_[i]->set_read_observer(
         [this, i](bool fast, std::uint64_t epoch, std::uint64_t log_len,
                   std::uint64_t last_commit_id) {
-          obs_.on_read(i, fast, epoch, log_len, last_commit_id);
+          notify(i, obs_.on_read, fast, epoch, log_len, last_commit_id);
         });
   }
 }
@@ -192,7 +191,7 @@ void cluster::recover_site(unsigned i,
   const std::uint64_t epoch = ++recover_epoch_[i];
   status_[i] = site_status::recovering;
   on_rejoined_[i] = std::move(on_rejoined);
-  if (obs_.on_recovery_start) obs_.on_recovery_start(i);
+  notify(i, obs_.on_recovery_start);
   DBSM_LOG(info, "core.cluster", "site " << i << " begins recovery");
 
   // Phase 1 — quiesce: detach the datagram handler, kill every armed

@@ -88,10 +88,12 @@ class cluster {
   std::vector<unsigned> operational_sites() const;
 
   /// Observation seam for the check layer: passive callbacks fired
-  /// synchronously from inside the protocol jobs. The cluster rewires
-  /// every callback into a site's stack when recovery rebuilds it, so
-  /// observers outlive replica/group incarnations. Callbacks must not
-  /// schedule simulator work or mutate the observed objects.
+  /// synchronously from inside the protocol jobs, with the site's
+  /// profiling clock stopped (measured mode never charges them). The
+  /// cluster rewires every callback into a site's stack when recovery
+  /// rebuilds it, so observers outlive replica/group incarnations.
+  /// Callbacks must not schedule simulator work or mutate the observed
+  /// objects.
   struct observer {
     /// Certification decision applied at `site` (see
     /// replica::set_decision_observer).
@@ -135,6 +137,11 @@ class cluster {
   void build_site_stack(unsigned i, bool joining,
                         std::uint64_t first_local_txn, unsigned restart_no);
   void wire_observer(unsigned i);
+  /// Calls observer `hook` for site `i` off the site's profiling clock.
+  template <class Hook, class... Args>
+  void notify(unsigned i, const Hook& hook, const Args&... args) {
+    if (hook) envs_[i]->off_clock([&] { hook(i, args...); });
+  }
   void finish_recover(unsigned i, std::uint64_t epoch);
 
   config cfg_;

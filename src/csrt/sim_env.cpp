@@ -4,27 +4,6 @@
 
 namespace dbsm::csrt {
 
-namespace {
-/// RAII clock-stop: pauses the profiling clock while bridge (simulation
-/// runtime) code executes inside a measured real-code job (Fig 1b).
-class clock_stop {
- public:
-  clock_stop(thread_cpu_profiler& prof, bool active)
-      : prof_(prof), active_(active && prof.running()) {
-    if (active_) prof_.pause();
-  }
-  ~clock_stop() {
-    if (active_) prof_.resume();
-  }
-  clock_stop(const clock_stop&) = delete;
-  clock_stop& operator=(const clock_stop&) = delete;
-
- private:
-  thread_cpu_profiler& prof_;
-  bool active_;
-};
-}  // namespace
-
 sim_env::sim_env(sim::simulator& sim, cpu_pool& cpu, transport& net,
                  config cfg, util::rng rng)
     : sim_(sim), cpu_(cpu), net_(net), cfg_(std::move(cfg)), rng_(rng) {

@@ -10,6 +10,7 @@
 #define DBSM_CSRT_SIM_ENV_HPP
 
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "csrt/cpu.hpp"
@@ -75,6 +76,14 @@ class sim_env final : public env {
   /// charging protocol CPU).
   void call_out(std::function<void()> fn);
 
+  /// Runs `fn` now with the profiling clock stopped: code that rides
+  /// inside a real-code job but is not protocol work (the check/
+  /// observers) is never charged as protocol CPU.
+  template <class F> void off_clock(F&& fn) {
+    clock_stop guard(profiler_, cfg_.measure_real_time && in_job_);
+    std::forward<F>(fn)();
+  }
+
   /// Cancels every timer currently armed through this env (site teardown:
   /// a restarting site's protocol stack is destroyed mid-run, and no
   /// pending timer callback may outlive it).
@@ -94,7 +103,24 @@ class sim_env final : public env {
   void set_timer_jitter(sim_duration max) { timer_jitter_max_ = max; }
 
  private:
-  friend class bridge_guard;
+  /// RAII clock-stop: pauses the profiling clock while bridge (simulation
+  /// runtime) code executes inside a measured real-code job (Fig 1b).
+  class clock_stop {
+   public:
+    clock_stop(thread_cpu_profiler& prof, bool active)
+        : prof_(prof), active_(active && prof.running()) {
+      if (active_) prof_.pause();
+    }
+    ~clock_stop() {
+      if (active_) prof_.resume();
+    }
+    clock_stop(const clock_stop&) = delete;
+    clock_stop& operator=(const clock_stop&) = delete;
+
+   private:
+    thread_cpu_profiler& prof_;
+    bool active_;
+  };
 
   /// Submits a real-code job with an initial charged cost.
   void post_job(sim_duration pre_charge, std::function<void()> fn);

@@ -7,7 +7,7 @@
 
 namespace dbsm::db {
 
-bool lock_table::all_free(const std::vector<item_id>& items) const {
+bool lock_table::all_free(std::span<const item_id> items) const {
   for (item_id it : items)
     if (holders_.count(it)) return false;
   return true;
@@ -64,11 +64,16 @@ void lock_table::acquire(std::uint64_t txn, std::span<const item_id> items,
   rec.granted = std::move(granted);
   rec.aborted = std::move(aborted);
 
+  auto [pos, inserted] = txns_.emplace(txn, std::move(rec));
+  DBSM_CHECK(inserted);
+  if (all_free(items)) {
+    // Nothing to preempt and nobody to hand a lock off: grant at once.
+    grant(txn, pos->second);
+    return;
+  }
   // Register as a waiter first so that lock hand-offs triggered below (by
   // preemption) consider this transaction — certified requests must win
   // over older uncertified waiters.
-  auto [pos, inserted] = txns_.emplace(txn, std::move(rec));
-  DBSM_CHECK(inserted);
   for (item_id it : pos->second.items) waiters_[it].push_back(txn);
 
   if (certified) {

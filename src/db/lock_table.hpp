@@ -75,7 +75,7 @@ class lock_table {
     aborted_fn aborted;
   };
 
-  bool all_free(const std::vector<item_id>& items) const;
+  bool all_free(std::span<const item_id> items) const;
   void grant(std::uint64_t txn, txn_rec& rec);
   void remove_waiter_entries(std::uint64_t txn, const txn_rec& rec);
   void abort_txn(std::uint64_t txn, lock_abort_cause cause);

@@ -18,6 +18,17 @@ constexpr std::size_t nak_batch = 64;
 constexpr double send_rate_bytes_per_s = 8e6;
 constexpr std::size_t send_burst_bytes = 32 * 1024;
 
+constexpr std::size_t max_fragment = reliable_mcast::max_fragment;
+
+std::size_t fragment_count(std::size_t bytes) {
+  return bytes == 0 ? 1 : (bytes + max_fragment - 1) / max_fragment;
+}
+
+/// Bytes in fragment `idx` of application message `app`.
+std::size_t fragment_size(const util::bytes& app, std::size_t idx) {
+  return std::min(max_fragment, app.size() - idx * max_fragment);
+}
+
 }  // namespace
 
 reliable_mcast::reliable_mcast(csrt::env& env, group_config cfg,
@@ -55,10 +66,41 @@ void reliable_mcast::note_sender_high(node_id sender, std::uint64_t high) {
 
 std::vector<util::shared_bytes> reliable_mcast::unflushed_app_msgs(
     std::uint64_t cut_self) const {
+  // A message whose last datagram lies past the cut has its datagrams
+  // past the cut still unstable: walk them, one payload per message.
   std::vector<util::shared_bytes> out;
-  for (const auto& [app_seq, entry] : pending_app_)
-    if (entry.second > cut_self) out.push_back(entry.first);
+  std::uint64_t last_app_seq = 0;
+  for (std::uint64_t seq = std::max(send_base(), cut_self + 1);
+       seq <= my_dgram_seq_; ++seq) {
+    const out_entry& e = send_buffer_[seq - send_base()];
+    if (e.app_seq == last_app_seq) continue;
+    last_app_seq = e.app_seq;
+    out.push_back(e.app);
+  }
   return out;
+}
+
+reliable_mcast::out_entry* reliable_mcast::own_entry(std::uint64_t seq) {
+  if (seq < send_base() || seq > my_dgram_seq_) return nullptr;
+  return &send_buffer_[seq - send_base()];
+}
+
+util::shared_bytes reliable_mcast::encode_entry(std::uint64_t seq,
+                                                const out_entry& e) const {
+  data_msg m;
+  m.hdr = {msg_type::data, e.view_id, env_.self()};
+  m.dgram_seq = seq;
+  m.app_seq = e.app_seq;
+  m.frag_idx = e.frag_idx;
+  m.frag_cnt = static_cast<std::uint16_t>(fragment_count(e.app->size()));
+  if (m.frag_cnt == 1) {
+    m.payload = e.app;  // the whole message: no fragment copy
+  } else {
+    const auto lo = e.app->begin() + e.frag_idx * max_fragment;
+    m.payload = std::make_shared<const util::bytes>(
+        lo, lo + fragment_size(*e.app, e.frag_idx));
+  }
+  return encode(m);
 }
 
 std::size_t reliable_mcast::member_index(node_id n) const {
@@ -69,30 +111,16 @@ std::size_t reliable_mcast::member_index(node_id n) const {
 
 void reliable_mcast::broadcast(util::shared_bytes payload) {
   DBSM_CHECK(payload != nullptr);
-  const std::size_t count =
-      payload->empty() ? 1
-                       : (payload->size() + max_fragment - 1) / max_fragment;
+  const std::size_t count = fragment_count(payload->size());
   DBSM_CHECK_MSG(count <= 0xffff, "app message too large");
 
   const std::uint64_t app_seq = ++my_app_seq_;
   for (std::size_t i = 0; i < count; ++i) {
-    data_msg m;
-    m.hdr = {msg_type::data, view_id_, env_.self()};
-    m.dgram_seq = ++my_dgram_seq_;
-    m.app_seq = app_seq;
-    m.frag_idx = static_cast<std::uint16_t>(i);
-    m.frag_cnt = static_cast<std::uint16_t>(count);
-    const std::size_t lo = i * max_fragment;
-    const std::size_t hi = std::min(payload->size(), lo + max_fragment);
-    m.payload = std::make_shared<const util::bytes>(payload->begin() + lo,
-                                                    payload->begin() + hi);
-    out_entry entry;
-    entry.raw = encode(m);
-    send_buffer_.emplace(m.dgram_seq, std::move(entry));
-    tx_queue_.push_back(m.dgram_seq);
+    send_buffer_.push_back(
+        {payload, app_seq, view_id_, static_cast<std::uint16_t>(i), nullptr});
   }
+  my_dgram_seq_ += count;
   ++stats_.app_msgs_sent;
-  pending_app_.emplace(app_seq, std::make_pair(payload, my_dgram_seq_));
   // Local copy delivered immediately (the transport does not loop back).
   ++stats_.app_msgs_delivered;
   if (app_handler_)
@@ -101,15 +129,15 @@ void reliable_mcast::broadcast(util::shared_bytes payload) {
 }
 
 void reliable_mcast::pump_tx() {
-  while (sending_allowed_ && !tx_queue_.empty()) {
-    const std::uint64_t seq = tx_queue_.front();
-    auto it = send_buffer_.find(seq);
-    if (it == send_buffer_.end() || it->second.sent) {
+  while (sending_allowed_ && next_tx_ <= my_dgram_seq_) {
+    out_entry* e = own_entry(next_tx_);
+    if (e == nullptr || e->raw != nullptr) {
       // Already stable (single-member group) or force-sent during a flush.
-      tx_queue_.pop_front();
+      ++next_tx_;
       continue;
     }
-    const std::size_t bytes = it->second.raw->size();
+    const std::size_t bytes =
+        data_msg_size(fragment_size(*e->app, e->frag_idx));
     if (!quota_.fits(bytes)) {
       // Window flow control: the share of the group buffer is exhausted;
       // block until stability detection garbage-collects (§5.3).
@@ -136,13 +164,13 @@ void reliable_mcast::pump_tx() {
       blocked_ = false;
       stats_.blocked_time += env_.now() - blocked_since_;
     }
+    e->raw = encode_entry(next_tx_, *e);
     quota_.add(bytes);
-    it->second.sent = true;
-    tx_queue_.pop_front();
+    ++next_tx_;
     ++stats_.dgrams_sent;
-    env_.multicast(it->second.raw);
+    env_.multicast(e->raw);
   }
-  if (blocked_ && tx_queue_.empty()) {
+  if (blocked_ && next_tx_ > my_dgram_seq_) {
     blocked_ = false;
     stats_.blocked_time += env_.now() - blocked_since_;
   }
@@ -274,16 +302,16 @@ void reliable_mcast::on_nak(const nak_msg& m) {
   if (m.hdr.view_id < min_accept_view_) return;  // pre-merge epoch
   if (m.target_sender == env_.self()) {
     for (std::uint64_t seq : m.missing) {
-      auto it = send_buffer_.find(seq);
-      if (it == send_buffer_.end()) continue;
-      if (!it->second.sent) {
+      out_entry* e = own_entry(seq);
+      if (e == nullptr) continue;
+      if (e->raw == nullptr) {
         // View-change flush can legitimately request datagrams still queued
         // behind flow control (the cut covers everything assigned): force
         // them out, accounting the quota so garbage collection balances.
-        it->second.sent = true;
-        quota_.add(it->second.raw->size());
+        e->raw = encode_entry(seq, *e);
+        quota_.add(e->raw->size());
       }
-      retx_queue_.emplace_back(requester, it->second.raw);
+      retx_queue_.emplace_back(requester, e->raw);
     }
   } else {
     // Flush-time forwarding: serve another sender's datagrams from the
@@ -319,14 +347,11 @@ void reliable_mcast::collect_garbage(
   for (std::size_t i = 0; i < members_.size(); ++i) {
     const node_id m = members_[i];
     if (m == env_.self()) {
-      auto it = send_buffer_.begin();
-      while (it != send_buffer_.end() && it->first <= stable[i]) {
-        if (it->second.sent) quota_.remove(it->second.raw->size());
-        it = send_buffer_.erase(it);
+      while (!send_buffer_.empty() && send_base() <= stable[i]) {
+        const out_entry& e = send_buffer_.front();
+        if (e.raw != nullptr) quota_.remove(e.raw->size());
+        send_buffer_.pop_front();
       }
-      auto pit = pending_app_.begin();
-      while (pit != pending_app_.end() && pit->second.second <= stable[i])
-        pit = pending_app_.erase(pit);
     } else {
       auto sit = senders_.find(m);
       if (sit == senders_.end()) continue;

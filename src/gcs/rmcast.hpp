@@ -10,6 +10,9 @@
 //   * Each sender owns a share of the group's buffer space for unstable
 //     (not yet garbage-collectable) datagrams; when the share fills, the
 //     sender blocks — the fairness rule behind the paper's §5.3 analysis.
+//     Datagrams queued behind the block hold only a reference to their
+//     application message: a datagram is encoded when first transmitted,
+//     and its bytes are kept while it is unstable.
 //   * Stability garbage collection and view-change flushing are driven
 //     from above (the group facade).
 #ifndef DBSM_GCS_RMCAST_HPP
@@ -118,13 +121,19 @@ class reliable_mcast {
   };
   const stats& get_stats() const { return stats_; }
   std::size_t quota_used() const { return quota_.used(); }
-  std::size_t tx_backlog() const { return tx_queue_.size(); }
+  std::size_t tx_backlog() const { return my_dgram_seq_ + 1 - next_tx_; }
   bool blocked() const { return blocked_; }
 
  private:
+  /// One own datagram, from broadcast until stable. The header fields are
+  /// fixed at broadcast time; `raw` is set when the datagram is first
+  /// transmitted or forced out by a flush NAK.
   struct out_entry {
+    util::shared_bytes app;  // the whole application message
+    std::uint64_t app_seq = 0;
+    std::uint32_t view_id = 0;
+    std::uint16_t frag_idx = 0;
     util::shared_bytes raw;
-    bool sent = false;
   };
 
   struct sender_state {
@@ -140,6 +149,14 @@ class reliable_mcast {
   };
 
   std::size_t member_index(node_id n) const;
+  /// Sequence number of send_buffer_.front().
+  std::uint64_t send_base() const {
+    return my_dgram_seq_ + 1 - send_buffer_.size();
+  }
+  /// Own datagram `seq` while it is unstable, else null.
+  out_entry* own_entry(std::uint64_t seq);
+  util::shared_bytes encode_entry(std::uint64_t seq,
+                                  const out_entry& e) const;
   void pump_tx();
   void pump_retx();
   void advance_prefix(node_id sender, sender_state& st);
@@ -159,13 +176,10 @@ class reliable_mcast {
   // Send side.
   std::uint64_t my_dgram_seq_ = 0;
   std::uint64_t my_app_seq_ = 0;
-  std::map<std::uint64_t, out_entry> send_buffer_;
-  /// app_seq -> {whole payload, last fragment's dgram_seq}; consulted only
-  /// at a view-merge rebuild (unflushed_app_msgs), pruned with the send
-  /// buffer.
-  std::map<std::uint64_t, std::pair<util::shared_bytes, std::uint64_t>>
-      pending_app_;
-  std::deque<std::uint64_t> tx_queue_;
+  /// Own datagrams not yet stable, ascending and contiguous: the last one
+  /// is my_dgram_seq_.
+  std::deque<out_entry> send_buffer_;
+  std::uint64_t next_tx_ = 1;  // first datagram pump_tx has not handled
   std::deque<std::pair<node_id, util::shared_bytes>> retx_queue_;
   token_bucket bucket_;
   buffer_quota quota_;

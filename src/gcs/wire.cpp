@@ -164,6 +164,17 @@ util::shared_bytes encode(const message& m) {
   return std::visit([](const auto& v) { return write(v); }, m);
 }
 
+std::size_t data_msg_size(std::size_t fragment_bytes) {
+  static const std::size_t fixed = [] {
+    data_msg m;
+    m.payload = std::make_shared<const util::bytes>();
+    byte_counter n;
+    put(n, m);
+    return n.n;
+  }();
+  return fixed + fragment_bytes;
+}
+
 message decode(const util::shared_bytes& raw) {
   const std::size_t type = util::buffer_reader(raw).get_u8();
   DBSM_CHECK_MSG(type >= 1 && type <= readers.size(),

@@ -296,6 +296,9 @@ using message =
 
 util::shared_bytes encode(const message& m);
 
+/// Encoded size of a DATA datagram carrying `fragment_bytes` of payload.
+std::size_t data_msg_size(std::size_t fragment_bytes);
+
 /// Decodes a datagram by its type byte. Throws dbsm::invariant_violation
 /// on a truncated or malformed datagram, on bytes left over after its last
 /// field, and on an unknown or retired type.

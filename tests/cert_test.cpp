@@ -264,6 +264,49 @@ TEST(reference_certifier, cost_model_scales_with_window) {
   EXPECT_GT(big_window, small_window);
 }
 
+TEST(reference_certifier, seeded_stream_output_is_pinned) {
+  // One seeded stream through a 64-entry window: evictions, 364 snapshots
+  // that predate the window (conservative aborts), escalated granule reads
+  // (in 2190 read sets), point reads and read-only certifications. The
+  // five figures come from the deque-of-vectors history this oracle kept
+  // before its flat layout, and any layout must reproduce them.
+  cert_config cfg;
+  cfg.history_window = 64;
+  reference_certifier c(cfg);
+  util::rng g(2005);
+  sim_duration cost_sum = 0;
+  for (int i = 0; i < 5000; ++i) {
+    const auto lag = static_cast<std::uint64_t>(g.uniform_int(0, 120));
+    const std::uint64_t begin = c.position() > lag ? c.position() - lag : 0;
+    std::vector<item_id> rs, ws;
+    for (std::int64_t k = g.uniform_int(0, 6); k > 0; --k) {
+      if (g.bernoulli(0.2)) {
+        rs.push_back(gran(static_cast<std::uint64_t>(g.uniform_int(0, 40))));
+      } else {
+        rs.push_back(tup(static_cast<std::uint64_t>(g.uniform_int(0, 3000))));
+      }
+    }
+    for (std::int64_t k = g.uniform_int(1, 4); k > 0; --k) {
+      const auto row = static_cast<std::uint64_t>(g.uniform_int(0, 3000));
+      ws.push_back(tup(row));
+      ws.push_back(gran(row % 41));  // the granule the tuple falls into
+    }
+    normalize(rs);
+    normalize(ws);
+    if (i % 7 == 6) {
+      c.certify_read_only(begin, rs);
+    } else {
+      c.certify_update(begin, rs, ws);
+    }
+    cost_sum += c.last_cost();
+  }
+  EXPECT_EQ(c.commits(), 2498u);
+  EXPECT_EQ(c.aborts(), 1788u);
+  EXPECT_EQ(c.history_size(), 64u);
+  EXPECT_EQ(c.oldest_retained(), 4172u);
+  EXPECT_EQ(cost_sum, 108518840);
+}
+
 // ---------- codec ----------
 
 TEST(txn_codec, round_trip) {

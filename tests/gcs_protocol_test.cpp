@@ -220,6 +220,94 @@ TEST(rmcast_protocol, quota_exhaustion_blocks_then_gc_unblocks) {
   EXPECT_EQ(f.rm->get_stats().blocked_episodes, 1u);
 }
 
+TEST(rmcast_protocol, unflushed_app_msgs_returns_each_payload_past_the_cut) {
+  // A view-merge rebuild re-broadcasts what the flush cut left out: every
+  // message whose last datagram lies past the cut, once, in order.
+  group_config cfg;
+  cfg.total_buffer_msgs = 3 * 2;  // share: 2 datagrams
+  rmcast_fixture f(cfg);
+  const util::shared_bytes m1 = text_payload("m1");               // dgram 1
+  const util::shared_bytes big = text_payload(std::string(2500, 'x'));
+  const util::shared_bytes m3 = text_payload("m3");               // dgram 5
+  const util::shared_bytes m4 = text_payload("m4");               // dgram 6
+  for (const auto& p : {m1, big, m3, m4}) f.rm->broadcast(p);  // big: 2-4
+  ASSERT_EQ(f.env.take_outbox().size(), 2u);
+  ASSERT_TRUE(f.rm->blocked());
+  ASSERT_EQ(f.rm->tx_backlog(), 4u);
+  using list = std::vector<util::shared_bytes>;
+  EXPECT_EQ(f.rm->unflushed_app_msgs(0), (list{m1, big, m3, m4}));
+  EXPECT_EQ(f.rm->unflushed_app_msgs(1), (list{big, m3, m4}));
+  EXPECT_EQ(f.rm->unflushed_app_msgs(2), (list{big, m3, m4}));  // straddles
+  EXPECT_EQ(f.rm->unflushed_app_msgs(3), (list{big, m3, m4}));
+  EXPECT_EQ(f.rm->unflushed_app_msgs(4), (list{m3, m4}));
+  EXPECT_EQ(f.rm->unflushed_app_msgs(6), list{});
+  // Stability drops a message's datagrams; the rest of the walk stands.
+  f.rm->collect_garbage({2, 0, 0});
+  EXPECT_EQ(f.rm->unflushed_app_msgs(0), (list{big, m3, m4}));
+  EXPECT_EQ(f.rm->unflushed_app_msgs(3), (list{big, m3, m4}));
+}
+
+TEST(rmcast_protocol, flush_nak_forces_out_a_queued_datagram) {
+  // The NAK'd datagram is still queued behind flow control: it goes out
+  // with the bytes a normal send produces, charged to the quota, and is
+  // not multicast again when the queue drains.
+  group_config cfg;
+  cfg.total_buffer_msgs = 3 * 2;  // share: 2 datagrams
+  rmcast_fixture blocked(cfg);
+  rmcast_fixture flowing;
+  for (rmcast_fixture* f : {&blocked, &flowing})
+    for (const char* text : {"m1", "m2", "m3"})
+      f->rm->broadcast(text_payload(text));
+  const auto normal = flowing.env.take_outbox();
+  ASSERT_EQ(normal.size(), 3u);
+  ASSERT_EQ(blocked.env.take_outbox().size(), 2u);
+  ASSERT_TRUE(blocked.rm->blocked());
+  const std::size_t sent_bytes =
+      normal[0].payload->size() + normal[1].payload->size();
+  EXPECT_EQ(blocked.rm->quota_used(), sent_bytes);
+
+  nak_msg nak;
+  nak.hdr = {msg_type::nak, 1, 2};  // node 2 flushes
+  nak.target_sender = 0;
+  nak.missing = {3};
+  blocked.rm->on_nak(nak);
+  const auto out = blocked.env.take_outbox();
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0].to, 2u);
+  EXPECT_EQ(*out[0].payload, *normal[2].payload);
+  EXPECT_EQ(blocked.rm->quota_used(),
+            sent_bytes + normal[2].payload->size());
+
+  blocked.rm->collect_garbage({2, 0, 0});
+  EXPECT_FALSE(blocked.rm->blocked());
+  EXPECT_EQ(blocked.rm->tx_backlog(), 0u);
+  EXPECT_TRUE(blocked.env.take_outbox().empty());
+  EXPECT_EQ(blocked.rm->quota_used(), normal[2].payload->size());
+  blocked.rm->collect_garbage({3, 0, 0});
+  EXPECT_EQ(blocked.rm->quota_used(), 0u);
+}
+
+TEST(rmcast_protocol, queued_datagram_keeps_its_broadcast_time_view_id) {
+  group_config cfg;
+  cfg.total_buffer_msgs = 3;  // share: 1 datagram
+  rmcast_fixture f(cfg);
+  f.rm->broadcast(text_payload("a"));  // sent in view 1
+  f.rm->broadcast(text_payload("b"));  // queued in view 1
+  f.rm->set_view_id(2);
+  f.rm->broadcast(text_payload("c"));  // queued in view 2
+  ASSERT_EQ(f.env.take_outbox().size(), 1u);
+  std::vector<std::uint32_t> views;
+  for (std::uint64_t stable = 1; stable <= 2; ++stable) {
+    f.rm->collect_garbage({stable, 0, 0});
+    const auto out = f.env.take_outbox();
+    ASSERT_EQ(out.size(), 1u);
+    const data_msg m = std::get<data_msg>(decode(out[0].payload));
+    EXPECT_EQ(m.dgram_seq, stable + 1);
+    views.push_back(m.hdr.view_id);
+  }
+  EXPECT_EQ(views, (std::vector<std::uint32_t>{1, 2}));
+}
+
 TEST(rmcast_protocol, fragments_reassemble_in_order_only) {
   rmcast_fixture f;
   // Fragments arrive out of order; the message completes when the prefix

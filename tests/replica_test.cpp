@@ -5,6 +5,7 @@
 
 #include "cert/rwset.hpp"
 #include "core/cluster.hpp"
+#include "csrt/profiler.hpp"
 #include "tpcc/schema.hpp"
 
 namespace dbsm::core {
@@ -241,6 +242,53 @@ TEST(replica, halted_replica_never_replies) {
   });
   c.sim().run_until(seconds(2));
   EXPECT_FALSE(replied);
+}
+
+TEST(replica, measured_mode_never_charges_observer_cpu) {
+  // In measured mode a real-code job is charged its thread CPU time. An
+  // observer fired inside the job is not protocol work: burning 1 ms per
+  // decision there must leave the charged protocol CPU per decision
+  // within noise of a no-op observer (unguarded, it adds the whole 1 ms).
+  constexpr sim_duration burn = milliseconds(1);
+  auto protocol_ns_per_decision = [](bool burning) {
+    cluster::config cfg = small_cluster(3);
+    cfg.measure_real_time = true;
+    cluster c(cfg);
+    std::uint64_t decisions = 0;
+    cluster::observer obs;
+    obs.on_decision = [&decisions, burning](unsigned,
+                                            const cert::txn_payload&,
+                                            std::uint64_t, bool,
+                                            std::uint64_t) {
+      ++decisions;
+      if (!burning) return;
+      csrt::thread_cpu_profiler clock;
+      clock.start();
+      while (clock.elapsed() < burn) {
+      }
+      clock.stop();
+    };
+    c.set_observer(std::move(obs));
+    c.start();
+    for (unsigned k = 0; k < 30; ++k) {
+      c.sim().schedule_at(milliseconds(50 + 20 * k), [&c, k] {
+        c.site(k % 3).submit(update_txn((100 + k) << 1, milliseconds(1)),
+                             [](db::txn_outcome) {});
+      });
+    }
+    c.sim().run_until(seconds(3));
+    EXPECT_EQ(decisions, 90u);
+    double protocol_ns = 0;
+    for (unsigned i = 0; i < 3; ++i) {
+      protocol_ns += c.cpu(i).real_utilization() *
+                     static_cast<double>(c.sim().now());
+    }
+    return protocol_ns / static_cast<double>(decisions);
+  };
+  const double quiet = protocol_ns_per_decision(false);
+  const double burning = protocol_ns_per_decision(true);
+  EXPECT_LT(burning - quiet, static_cast<double>(burn) / 2)
+      << "quiet " << quiet << " ns, burning " << burning << " ns per decision";
 }
 
 }  // namespace
