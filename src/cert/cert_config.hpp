@@ -14,9 +14,11 @@
 namespace dbsm::cert {
 
 struct cert_config {
-  /// Committed write-sets retained for conflict checks. A transaction
+  /// Committed write sets retained for conflict checks. A transaction
   /// whose snapshot predates the window aborts conservatively (identical
-  /// rule — thus identical decisions — at every replica).
+  /// rule — thus identical decisions — at every replica). The sharded
+  /// certifier keeps only their positions and the last-writer index,
+  /// which holds the ids of at most 2 × this many commits.
   std::size_t history_window = 50000;
   /// Modeled CPU cost per set element probed during certification. The
   /// indexed certifier visits each element of the transaction's own sets
@@ -27,15 +29,6 @@ struct cert_config {
   sim_duration cost_per_element = nanoseconds(60);
   /// Fixed modeled CPU cost per certification.
   sim_duration cost_fixed = microseconds(10);
-  /// Evicted write sets whose stale index entries are drained per
-  /// certify_update. Steady state evicts at most one set per delivery,
-  /// so any positive rate bounds the backlog at one set; the default
-  /// keeps headroom. 0 defers cleanup entirely — decisions are unchanged
-  /// (stale entries predate every snapshot that survives the pre-window
-  /// rule) but index memory then grows with every distinct item ever
-  /// written. Larger rates clear an accumulated backlog in fewer
-  /// deliveries.
-  std::size_t evict_drain_per_delivery = 2;
   /// Hash partitions of the last-writer index (tuple and granule spaces
   /// both). Decisions are shard-count-invariant; 1 keeps a single index.
   std::size_t shards = 1;

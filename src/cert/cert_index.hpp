@@ -1,4 +1,5 @@
-// Inverted last-writer index over the retained certification history.
+// Inverted last-writer index: one shard of cert::sharded_certifier's
+// certification state.
 //
 // Maps every identifier appearing in a committed write set to the delivery
 // position of its most recent committed writer. Identifiers keep the exact
@@ -10,10 +11,11 @@
 //     point writes inside its granule because write sets advertise the
 //     granule marker of every written tuple (§3.3 escalation), and catches
 //     committed granule writes for the same reason.
-// Entries whose writer slid out of the history window are removed lazily
-// (see cert::index_shard): a stale entry is harmless for decisions because
-// its position precedes every snapshot that survives the conservative
-// pre-window abort rule, so it can never satisfy `pos > begin_pos`.
+// An entry whose writer slid out of the history window stays until the
+// certifier's next purge_before(): a stale entry is harmless for decisions
+// because its position precedes every snapshot that survives the
+// conservative pre-window abort rule, so it can never satisfy
+// `pos > begin_pos`.
 #ifndef DBSM_CERT_CERT_INDEX_HPP
 #define DBSM_CERT_CERT_INDEX_HPP
 
@@ -32,20 +34,35 @@ class last_writer_index {
   void note_commit(const std::vector<db::item_id>& write_set,
                    std::uint64_t pos);
 
-  /// Last committed delivery position that wrote `id`, or 0 if no retained
-  /// committed write set contains it (positions start at 1).
+  /// Records `pos` as the last committed writer of `id` (restore).
+  void set_last_writer(db::item_id id, std::uint64_t pos);
+
+  /// Last committed delivery position that wrote `id`, or 0 if the index
+  /// holds no entry for it (positions start at 1).
   std::uint64_t last_writer(db::item_id id) const {
     const writer* w = table_.find(id);
     return w == nullptr ? 0 : w->pos;
   }
 
-  /// Drops every id of `write_set` whose recorded last writer is exactly
-  /// `pos` (nothing newer overwrote it) — called when the committed entry
-  /// at `pos` leaves the history window.
-  void forget_commit(const std::vector<db::item_id>& write_set,
-                     std::uint64_t pos);
+  /// Probes a transaction's sets (or this shard's slices of them):
+  /// escalated (granule) reads against the last committed writer of the
+  /// granule, writes against tuple-granularity write-write. The global
+  /// pre-window rule is the caller's job — it depends only on positions.
+  bool conflicts(std::uint64_t begin_pos,
+                 const std::vector<db::item_id>& read_set,
+                 const std::vector<db::item_id>* write_set) const;
 
-  /// Live index entries (memory probe for tests/bench).
+  /// Drops every entry whose last writer precedes `oldest`, compacting the
+  /// table in place (util::open_table::erase_if).
+  void purge_before(std::uint64_t oldest);
+
+  /// Calls `fn(id, pos)` for every entry, in unspecified order.
+  template <typename Fn>
+  void for_each(Fn&& fn) const {
+    table_.for_each([&](const writer& w) { fn(w.id, w.pos); });
+  }
+
+  /// Index entries, stale ones included (memory probe for tests/bench).
   std::size_t size() const { return table_.size(); }
 
  private:

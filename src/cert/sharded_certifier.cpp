@@ -1,7 +1,6 @@
 #include "cert/sharded_certifier.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <utility>
 
 #include "util/check.hpp"
@@ -19,7 +18,6 @@ sharded_certifier::sharded_certifier(cert_config cfg) : cfg_(cfg) {
     pool_ = std::make_unique<util::thread_pool>(workers_);
   read_slices_.resize(shards_.size());
   write_slices_.resize(shards_.size());
-  evict_slices_.resize(shards_.size());
   shard_elems_.resize(shards_.size());
   verdicts_.resize(shards_.size());
 }
@@ -82,39 +80,28 @@ bool sharded_certifier::certify_update(
                  "snapshot " << begin_pos << " is in the future of "
                              << position_);
   ++position_;
+  // The conservative pre-window rule is global (positions only) and must
+  // precede every probe. A snapshot older than the retained window aborts
+  // by a rule deterministic across replicas, and the rule also makes
+  // stale (not yet purged) index entries harmless: any surviving snapshot
+  // satisfies begin_pos >= oldest_retained_ - 1 >= the stale entry's
+  // position.
+  const bool pre_window = begin_pos + 1 < oldest_retained_;
   // Zero-set short-circuit: with nothing to probe or install, no shard can
-  // produce a verdict and the decision is the global pre-window rule alone
-  // — so skip the fork-join (and its modeled fork cost) entirely. The
-  // eviction rings still drain serially and the (empty) entry still enters
-  // the history, so index contents and drain positions stay identical to
-  // the long path.
+  // produce a verdict and the decision is the pre-window rule alone — so
+  // skip the fork-join (and its modeled fork cost) entirely.
   if (read_set.empty() && write_set.empty()) {
-    for (auto& s : shards_) s.drain(cfg_.evict_drain_per_delivery);
     last_cost_ = amortized_fixed ? cfg_.cost_batch_fixed : cfg_.cost_fixed;
-    if (begin_pos + 1 < oldest_retained_) {
+    if (pre_window) {
       ++aborts_;
       return false;
     }
-    ++commits_;
-    history_.push_back(cert_entry{position_, {}});
-    while (history_.size() > cfg_.history_window) {
-      oldest_retained_ = history_.front().pos + 1;
-      queue_evicted(std::move(history_.front()));
-      history_.pop_front();
-    }
+    retain_commit();
     return true;
   }
   partition(read_set, read_slices_);
   partition(write_set, write_slices_);
-  // The conservative pre-window rule is global (positions only) and must
-  // precede every probe. A snapshot older than the retained history
-  // aborts by a rule deterministic across replicas, and the rule also
-  // makes stale (not yet drained) index entries harmless: any surviving
-  // snapshot satisfies begin_pos >= oldest_retained_ - 1 >= the stale
-  // entry's position.
-  const bool pre_window = begin_pos + 1 < oldest_retained_;
   fork_join([&](std::size_t s) {
-    shards_[s].drain(cfg_.evict_drain_per_delivery);
     const auto& rs = slice_of(read_set, s, read_slices_);
     const auto& ws = slice_of(write_set, s, write_slices_);
     shard_elems_[s] = rs.size() + ws.size();
@@ -127,17 +114,24 @@ bool sharded_certifier::certify_update(
     ++aborts_;
     return false;
   }
-  ++commits_;
   fork_join([&](std::size_t s) {
-    shards_[s].install(slice_of(write_set, s, write_slices_), position_);
+    shards_[s].note_commit(slice_of(write_set, s, write_slices_), position_);
   });
-  history_.push_back(cert_entry{position_, write_set});
-  while (history_.size() > cfg_.history_window) {
-    oldest_retained_ = history_.front().pos + 1;
-    queue_evicted(std::move(history_.front()));
-    history_.pop_front();
-  }
+  retain_commit();
   return true;
+}
+
+void sharded_certifier::retain_commit() {
+  ++commits_;
+  window_.push_back(position_);
+  if (window_.size() > cfg_.history_window) {
+    oldest_retained_ = window_.front() + 1;
+    window_.pop_front();
+  }
+  if (commits_ > cfg_.history_window &&
+      commits_ % cfg_.history_window == 0) {
+    for (last_writer_index& s : shards_) s.purge_before(oldest_retained_);
+  }
 }
 
 bool sharded_certifier::certify_read_only(
@@ -161,79 +155,10 @@ bool sharded_certifier::certify_read_only(
   return !conflict;
 }
 
-void sharded_certifier::queue_evicted(cert_entry e, bool install) {
-  if (shards_.size() == 1) {
-    if (install) shards_[0].install(e.write_set, e.pos);
-    shards_[0].queue_eviction(std::move(e));
-    return;
-  }
-  partition(e.write_set, evict_slices_);
-  bool queued = false;
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    if (evict_slices_[s].empty()) continue;
-    if (install) shards_[s].install(evict_slices_[s], e.pos);
-    // Scratch slices are cleared by the next partition(); moving them
-    // out here is free.
-    shards_[s].queue_eviction(cert_entry{e.pos, std::move(evict_slices_[s])});
-    queued = true;
-  }
-  // An (unusual) empty write set still occupies one ring slot, like the
-  // single-index layout, so drains converge at the same positions.
-  if (!queued) shards_[0].queue_eviction(cert_entry{e.pos, {}});
-}
-
 std::size_t sharded_certifier::index_size() const {
   std::size_t n = 0;
-  for (const index_shard& s : shards_) n += s.index_size();
+  for (const last_writer_index& s : shards_) n += s.size();
   return n;
-}
-
-std::size_t sharded_certifier::evicted_backlog() const {
-  std::size_t n = 0;
-  for (const index_shard& s : shards_) n += s.evicted_backlog();
-  return n;
-}
-
-std::vector<cert_entry> sharded_certifier::merged_evicted() const {
-  // K-way merge of the per-shard rings by position. Shards may have
-  // drained to different positions (an entry's slice can be absent from a
-  // shard that already dropped it, or never owned part of the set) — the
-  // merged entry then carries the surviving subset, which restore replays
-  // identically: stale entries are decision-safe whatever their extent.
-  std::vector<cert_entry> out;
-  if (shards_.size() == 1) {
-    const auto& ring = shards_[0].evicted();
-    out.assign(ring.begin(), ring.end());
-    return out;
-  }
-  std::vector<std::size_t> cursor(shards_.size(), 0);
-  for (;;) {
-    std::uint64_t pos = std::numeric_limits<std::uint64_t>::max();
-    bool any = false;
-    for (std::size_t s = 0; s < shards_.size(); ++s) {
-      const auto& ring = shards_[s].evicted();
-      if (cursor[s] < ring.size()) {
-        pos = std::min(pos, ring[cursor[s]].pos);
-        any = true;
-      }
-    }
-    if (!any) break;
-    cert_entry e;
-    e.pos = pos;
-    for (std::size_t s = 0; s < shards_.size(); ++s) {
-      const auto& ring = shards_[s].evicted();
-      if (cursor[s] < ring.size() && ring[cursor[s]].pos == pos) {
-        const auto& slice = ring[cursor[s]].write_set;
-        e.write_set.insert(e.write_set.end(), slice.begin(), slice.end());
-        ++cursor[s];
-      }
-    }
-    // Slices are disjoint id subsets; sorting restores the canonical
-    // (normalized write set) order.
-    std::sort(e.write_set.begin(), e.write_set.end());
-    out.push_back(std::move(e));
-  }
-  return out;
 }
 
 void sharded_certifier::snapshot(util::buffer_writer& w) const {
@@ -241,8 +166,20 @@ void sharded_certifier::snapshot(util::buffer_writer& w) const {
   w.put_u64(oldest_retained_);
   w.put_u64(commits_);
   w.put_u64(aborts_);
-  write_entry_block(w, merged_evicted());
-  write_entry_block(w, history_);
+  w.put_u64(window_.size());
+  for (const std::uint64_t pos : window_) w.put_u64(pos);
+  std::vector<std::pair<db::item_id, std::uint64_t>> entries;
+  entries.reserve(index_size());
+  for (const last_writer_index& s : shards_)
+    s.for_each([&](db::item_id id, std::uint64_t pos) {
+      entries.emplace_back(id, pos);
+    });
+  std::sort(entries.begin(), entries.end());
+  w.put_u64(entries.size());
+  for (const auto& [id, pos] : entries) {
+    w.put_u64(id);
+    w.put_u64(pos);
+  }
 }
 
 void sharded_certifier::restore(util::buffer_reader& r) {
@@ -251,19 +188,39 @@ void sharded_certifier::restore(util::buffer_reader& r) {
   oldest_retained_ = r.get_u64();
   commits_ = r.get_u64();
   aborts_ = r.get_u64();
-  // Replay in donor order — evicted (older) entries first, then the
-  // retained window — re-partitioned by the *local* shard count: the
-  // canonical blocks carry full write sets, so the donor's shard count
-  // is irrelevant here. Installs run
-  // inline: a per-entry fork-join would cost more than the few hash
-  // inserts it parallelizes.
-  for (cert_entry& e : read_entry_block(r))
-    queue_evicted(std::move(e), /*install=*/true);
-  for (cert_entry& e : read_entry_block(r)) {
-    partition(e.write_set, write_slices_);
-    for (std::size_t s = 0; s < shards_.size(); ++s)
-      shards_[s].install(slice_of(e.write_set, s, write_slices_), e.pos);
-    history_.push_back(std::move(e));
+  // Every position is one commit or one abort, and oldest_retained_ is
+  // one past an evicted position.
+  DBSM_CHECK_MSG(commits_ <= position_ && aborts_ == position_ - commits_ &&
+                     oldest_retained_ >= 1 &&
+                     oldest_retained_ - 1 <= position_,
+                 "cert snapshot: inconsistent counters");
+  // Every commit is retained until the window evicts it.
+  const std::uint64_t retained = r.get_u64();
+  DBSM_CHECK_MSG(
+      retained == std::min<std::uint64_t>(commits_, cfg_.history_window) &&
+          retained <= r.remaining() / 8,
+      "cert snapshot: " << retained << " retained positions");
+  std::uint64_t prev = 0;
+  for (std::uint64_t i = 0; i < retained; ++i) {
+    const std::uint64_t pos = r.get_u64();
+    DBSM_CHECK_MSG(pos > prev && pos >= oldest_retained_ && pos <= position_,
+                   "cert snapshot: retained position " << pos);
+    window_.push_back(pos);
+    prev = pos;
+  }
+  const std::uint64_t entries = r.get_u64();
+  DBSM_CHECK_MSG(entries <= r.remaining() / 16,
+                 "cert snapshot: " << entries << " index entries");
+  db::item_id prev_id = 0;
+  for (std::uint64_t i = 0; i < entries; ++i) {
+    const db::item_id id = r.get_u64();
+    const std::uint64_t pos = r.get_u64();
+    DBSM_CHECK_MSG(i == 0 || id > prev_id,
+                   "cert snapshot: index id " << id << " out of order");
+    DBSM_CHECK_MSG(pos >= 1 && pos <= position_,
+                   "cert snapshot: index position " << pos);
+    shards_[shard_of(id)].set_last_writer(id, pos);
+    prev_id = id;
   }
 }
 

@@ -21,13 +21,31 @@
 // oracle), certification probes an inverted last-writer index
 // (cert/cert_index.hpp): an element conflicts iff its last committed
 // writer position exceeds the snapshot. One certification is
-// O(|read_set| + |write_set|) hash probes regardless of the window; the
-// retained history ring exists only to evict stale index entries as the
-// window slides.
+// O(|read_set| + |write_set|) hash probes regardless of the window.
+//
+// State: the counters (position, oldest_retained, commits, aborts), the
+// delivery positions of the retained committed write sets (at most
+// `history_window`; history_size() counts them) and one last-writer index
+// per shard. No write set is copied: once certify_update returns, the
+// index entries it installed are all that is left of the transaction.
+//
+// Eviction: when a commit pushes the oldest retained position out of the
+// window, oldest_retained advances and nothing happens per id — an index
+// entry with pos < oldest_retained is decision-safe under the pre-window
+// rule (every snapshot it could affect aborts first). Stale entries are
+// dropped in bulk: whenever commits() > history_window and commits() is a
+// multiple of history_window, every shard serially compacts its table
+// down to its live entries. The purge moment depends on commits() alone,
+// so index contents are identical at every shard count and on donor and
+// joiner after a restore, and the index holds at most the ids of the last
+// 2 × history_window committed write sets. Each purge walks the whole
+// table, so the cadence trades index memory for certification time: once
+// per window, a purge costs less per commit than removing one evicted
+// write set's ids per commit would.
 //
 // The index partitions cleanly by item id: every probe and install
 // touches exactly one id, so hash-splitting the tuple and granule spaces
-// across N cert::index_shards makes one delivery's certification a
+// across N last_writer_index shards makes one delivery's certification a
 // fork-join — each fork worker probes/installs a contiguous shard range,
 // writes its verdict into its own slot, and the verdicts are merged in
 // shard order. Decisions (and therefore abort attribution downstream) are
@@ -36,8 +54,8 @@
 //     positions and is applied before any shard is consulted;
 //   * a conflict is the OR of per-shard verdicts over disjoint id sets —
 //     commutative, and merged in a fixed order anyway;
-//   * installs and eviction drains touch disjoint shards, so the parallel
-//     pass reaches the same index contents as a serial one.
+//   * installs touch disjoint shards, so the parallel pass reaches the
+//     same index contents as a serial one.
 // The differential suites (tests/cert_index_test.cpp,
 // tests/cert_shard_test.cpp) check this decision-for-decision against
 // cert::reference_certifier at every grid point.
@@ -53,12 +71,20 @@
 // work — so figure benches can model multi-threaded delivery by just
 // setting cert_config::{shards, certify_threads}.
 //
-// Snapshot/restore use the canonical shard-count-agnostic entry blocks of
-// cert/index_shard.hpp: the donor merges its per-shard eviction rings
-// back into full position-ordered entries; restore re-partitions by the
-// local shard count. Donor and joiner may therefore disagree on
-// cert_config::shards (recovery state transfer stays valid across
-// heterogeneous tunings).
+// Snapshot format (recovery state transfer), all fields u64
+// little-endian, in order: position, oldest_retained, commits, aborts; the
+// count of retained positions, then those positions ascending; the count
+// of index entries, then every entry as (id, pos) in ascending id order,
+// stale entries included. The format does not depend on
+// cert_config::shards: restore re-partitions the entries by the local
+// shard count, so donor and joiner may disagree on `shards`. Restore
+// checks every count against the bytes left before it allocates and
+// rejects what snapshot never writes with an invariant_violation:
+// commits + aborts other than position, oldest_retained outside
+// [1, position + 1], a retained count other than min(commits,
+// history_window), retained positions not strictly ascending or outside
+// [oldest_retained, position], ids not strictly ascending, and an entry
+// position outside [1, position].
 #ifndef DBSM_CERT_SHARDED_CERTIFIER_HPP
 #define DBSM_CERT_SHARDED_CERTIFIER_HPP
 
@@ -68,7 +94,7 @@
 #include <vector>
 
 #include "cert/cert_config.hpp"
-#include "cert/index_shard.hpp"
+#include "cert/cert_index.hpp"
 #include "cert/rwset.hpp"
 #include "util/byte_buffer.hpp"
 #include "util/thread_pool.hpp"
@@ -81,11 +107,12 @@ class sharded_certifier {
   explicit sharded_certifier(cert_config cfg = {});
 
   /// Certifies an update transaction at the next delivery position.
-  /// Returns true to commit (its write set then enters the history and
-  /// the per-shard last-writer indexes). `amortized_fixed` switches the
-  /// modeled fixed term to cert_config::cost_batch_fixed — set by the
-  /// batched delivery path for every certification after a batch's first.
-  /// It changes charged CPU only, never the decision.
+  /// Returns true to commit (its position then enters the retained window
+  /// and its write set the per-shard last-writer indexes).
+  /// `amortized_fixed` switches the modeled fixed term to
+  /// cert_config::cost_batch_fixed — set by the batched delivery path for
+  /// every certification after a batch's first. It changes charged CPU
+  /// only, never the decision.
   bool certify_update(std::uint64_t begin_pos,
                       const std::vector<db::item_id>& read_set,
                       const std::vector<db::item_id>& write_set,
@@ -101,23 +128,16 @@ class sharded_certifier {
   sim_duration last_cost() const { return last_cost_; }
   std::uint64_t commits() const { return commits_; }
   std::uint64_t aborts() const { return aborts_; }
-  std::size_t history_size() const { return history_.size(); }
+  std::size_t history_size() const { return window_.size(); }
 
-  /// Live entries summed over every shard's last-writer index.
+  /// Entries summed over every shard's last-writer index.
   std::size_t index_size() const;
-  /// Queued eviction slices summed over every shard's ring. Note the
-  /// unit: with shards > 1 one evicted write set contributes one slice
-  /// per shard that owns ids of it, so the count is in write sets only at
-  /// shards == 1.
-  std::size_t evicted_backlog() const;
 
-  /// Serializes the full certification state in the canonical
-  /// shard-count-agnostic format (see cert/index_shard.hpp); restore()
-  /// on a fresh instance of any shard count reproduces the donor's
-  /// decisions bit-for-bit: the last-writer index is rebuilt by replaying
-  /// the serialized write sets in position order, which yields the exact
-  /// same index contents (including the decision-safe stale entries of
-  /// the eviction backlog).
+  /// Serializes the full certification state in the shard-count-agnostic
+  /// format described above; restore() on a fresh instance of any shard
+  /// count reproduces the donor's index contents and therefore its
+  /// decisions bit for bit. restore() throws invariant_violation on input
+  /// snapshot() never writes.
   void snapshot(util::buffer_writer& w) const;
   void restore(util::buffer_reader& r);
 
@@ -172,23 +192,18 @@ class sharded_certifier {
   /// `amortized_fixed` substitutes cost_batch_fixed for cost_fixed.
   sim_duration modeled_cost(bool amortized_fixed) const;
 
-  /// Queues an entry that slid out of the window onto the owning shards'
-  /// eviction rings — one partition pass. `install` additionally replays
-  /// the slices into the shard indexes (restore(); on the delivery path
-  /// the install already happened at commit time).
-  void queue_evicted(cert_entry e, bool install = false);
-
-  /// Per-shard eviction rings merged back into canonical full-set
-  /// position-ordered entries (slices of equal position re-joined).
-  std::vector<cert_entry> merged_evicted() const;
+  /// Commit bookkeeping of the current position: counts it, retains it in
+  /// the window (evicting the oldest past history_window) and runs the
+  /// purge when its commit count is due.
+  void retain_commit();
 
   cert_config cfg_;
-  std::vector<index_shard> shards_;
+  std::vector<last_writer_index> shards_;
   unsigned workers_ = 1;
   /// Null unless the fork is real (certify_threads > 1 and shards > 1).
   std::unique_ptr<util::thread_pool> pool_;
 
-  std::deque<cert_entry> history_;  // full sets, ascending positions
+  std::deque<std::uint64_t> window_;  // retained commit positions, ascending
   std::uint64_t position_ = 0;
   std::uint64_t oldest_retained_ = 1;
   mutable sim_duration last_cost_ = 0;
@@ -199,7 +214,6 @@ class sharded_certifier {
   // steady state. Mutable: the read-only path is logically const.
   mutable std::vector<std::vector<db::item_id>> read_slices_;
   mutable std::vector<std::vector<db::item_id>> write_slices_;
-  mutable std::vector<std::vector<db::item_id>> evict_slices_;
   mutable std::vector<std::size_t> shard_elems_;
   mutable std::vector<std::uint8_t> verdicts_;
 };

@@ -55,6 +55,8 @@ void replica::install_snapshot(util::shared_bytes blob) {
   cert_.restore(r);
   commit_log_.clear();
   const std::uint64_t n = r.get_u64();
+  DBSM_CHECK_MSG(n <= r.remaining() / 8,
+                 "replica snapshot: commit log of " << n << " ids");
   commit_log_.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i) commit_log_.push_back(r.get_u64());
   if (!cfg_.placement.is_full()) {
@@ -94,7 +96,6 @@ bool replica::lease_usable() {
 
 bool replica::stores_read_set(
     const std::vector<db::item_id>& read_set) const {
-  if (cfg_.placement.is_full()) return true;
   for (const db::item_id item : read_set)
     if (!cfg_.placement.stores(env_.self(), item)) return false;
   return true;
@@ -257,28 +258,19 @@ void replica::install_decision(const cert::txn_payload& txn, bool commit) {
       }
       if (server_.active(txn.id)) {
         if (commit) {
-          if (cfg_.placement.is_full()) {
-            // Full replication: byte-exact historical path.
-            db::txn_request probe;
-            probe.write_set = txn.write_set;
-            probe.disk_sectors = txn.disk_sectors;
-            applied_update_bytes_ += db::server::disk_write_bytes(probe,
-                                                                  sector);
-            server_.finish_commit(txn.id);
-          } else {
-            // Partial: the origin makes durable only its placement slice
-            // (pro-rated when the workload packed explicit sectors).
-            const auto [owned, total] = owned_tuple_split(txn.write_set);
-            db::txn_request probe;
-            probe.write_set = txn.write_set;
-            probe.disk_sectors = txn.disk_sectors;
-            const std::size_t full_bytes =
-                db::server::disk_write_bytes(probe, sector);
-            const std::size_t bytes =
-                total != 0 ? full_bytes * owned / total : full_bytes;
-            applied_update_bytes_ += bytes;
-            server_.finish_commit_bytes(txn.id, bytes);
-          }
+          // The origin makes durable only its placement slice (pro-rated
+          // when the workload packed explicit sectors); under a full
+          // placement it owns every tuple and writes the whole set.
+          const auto [owned, total] = owned_tuple_split(txn.write_set);
+          db::txn_request probe;
+          probe.write_set = txn.write_set;
+          probe.disk_sectors = txn.disk_sectors;
+          const std::size_t full_bytes =
+              db::server::disk_write_bytes(probe, sector);
+          const std::size_t bytes =
+              total != 0 ? full_bytes * owned / total : full_bytes;
+          applied_update_bytes_ += bytes;
+          server_.finish_commit_bytes(txn.id, bytes);
         } else {
           server_.finish_abort(txn.id);
         }
@@ -301,31 +293,24 @@ void replica::install_decision(const cert::txn_payload& txn, bool commit) {
       req.cls = txn.cls;
       req.origin = txn.origin;
       req.read_set = txn.read_set;
-      if (cfg_.placement.is_full()) {
+      cfg_.placement.slice(txn.write_set, env_.self(), slice_scratch_);
+      if (slice_scratch_.empty()) return;  // not in any replica set
+      const auto [owned, total] = owned_tuple_split(txn.write_set);
+      if (owned == total) {
+        // Whole write set stored here (always, under a full placement).
         req.write_set = txn.write_set;
         req.update_bytes = txn.update_bytes;
         req.disk_sectors = txn.disk_sectors;
       } else {
-        cfg_.placement.slice(txn.write_set, env_.self(), slice_scratch_);
-        if (slice_scratch_.empty()) return;  // not in any replica set
-        const auto [owned, total] = owned_tuple_split(txn.write_set);
-        if (owned == total) {
-          // Whole write set stored here: apply exactly as full would.
-          req.write_set = txn.write_set;
-          req.update_bytes = txn.update_bytes;
-          req.disk_sectors = txn.disk_sectors;
-        } else {
-          req.write_set = slice_scratch_;
-          req.update_bytes = static_cast<std::uint32_t>(
-              total != 0
-                  ? static_cast<std::uint64_t>(txn.update_bytes) * owned /
-                        total
-                  : txn.update_bytes);
-          req.disk_sectors = static_cast<std::uint16_t>(
-              total != 0 ? static_cast<std::size_t>(txn.disk_sectors) *
-                               owned / total
-                         : txn.disk_sectors);
-        }
+        req.write_set = slice_scratch_;
+        req.update_bytes = static_cast<std::uint32_t>(
+            total != 0
+                ? static_cast<std::uint64_t>(txn.update_bytes) * owned / total
+                : txn.update_bytes);
+        req.disk_sectors = static_cast<std::uint16_t>(
+            total != 0 ? static_cast<std::size_t>(txn.disk_sectors) * owned /
+                             total
+                       : txn.disk_sectors);
       }
       applied_update_bytes_ += db::server::disk_write_bytes(req, sector);
       server_.apply_remote(req, {});

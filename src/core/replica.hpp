@@ -75,19 +75,22 @@ class replica {
   void start();
 
   /// Marshals the replica state for a membership-recovery transfer: the
-  /// certification state (position, history, index — in the canonical
-  /// shard-count-agnostic format of cert/index_shard.hpp, so donor and
-  /// joiner may run different cert_config::shards), the committed
-  /// sequence, the placement (donor and joiner must agree — a mismatch
-  /// would silently mis-route every slice), and the granule directory
-  /// slice `for_site` replicates, with data-sized padding. Under partial
+  /// certification state (counters, retained window positions and the
+  /// last-writer index entries, in the shard-count-agnostic format of
+  /// cert/sharded_certifier.hpp, so donor and joiner may run different
+  /// cert_config::shards), the committed sequence (u64 count, then the
+  /// ids), the placement (donor and joiner must agree — a mismatch would
+  /// silently mis-route every slice), and the granule directory slice
+  /// `for_site` replicates, with data-sized padding. Under partial
   /// replication the blob therefore shrinks with the degree. Called by
   /// the donor between deliveries.
   util::shared_bytes snapshot(node_id for_site) const;
 
   /// Installs a transferred snapshot on a freshly rebuilt replica; the
   /// joiner then replays forwarded deliveries through the delivery path and
-  /// converges on the donor's exact committed sequence.
+  /// converges on the donor's exact committed sequence. A blob that is
+  /// truncated or carries a count larger than its bytes throws
+  /// invariant_violation before anything is allocated for it.
   void install_snapshot(util::shared_bytes blob);
 
   /// Local transaction counter (passed to the successor on restart).
@@ -220,7 +223,7 @@ class replica {
   /// round proves full-membership connectivity).
   bool lease_usable();
   /// Whether this site replicates every granule the read set touches
-  /// (always true under full placement).
+  /// (always true under full placement, where stores() always is).
   bool stores_read_set(const std::vector<db::item_id>& read_set) const;
   /// (owned non-granule tuples, total non-granule tuples) of a write set
   /// under this site's placement — the pro-rating basis for partial

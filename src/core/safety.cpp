@@ -5,42 +5,6 @@
 
 namespace dbsm::core {
 
-safety_report check_commit_logs(
-    const std::vector<std::vector<std::uint64_t>>& logs) {
-  safety_report report;
-  if (logs.empty()) return report;
-
-  std::size_t longest = 0;
-  for (const auto& log : logs) longest = std::max(longest, log.size());
-  std::size_t shortest = longest;
-  for (const auto& log : logs) shortest = std::min(shortest, log.size());
-  report.common_prefix = shortest;
-
-  for (std::size_t pos = 0; pos < longest; ++pos) {
-    std::uint64_t expect = 0;
-    bool have = false;
-    for (std::size_t site = 0; site < logs.size(); ++site) {
-      if (pos >= logs[site].size()) continue;
-      if (!have) {
-        expect = logs[site][pos];
-        have = true;
-        continue;
-      }
-      if (logs[site][pos] != expect) {
-        report.ok = false;
-        std::ostringstream os;
-        os << "divergence at position " << pos << ": site logs disagree ("
-           << expect << " vs " << logs[site][pos] << " at site " << site
-           << ")";
-        report.detail = os.str();
-        report.common_prefix = pos;
-        return report;
-      }
-    }
-  }
-  return report;
-}
-
 safety_report check_commit_logs(const std::vector<site_log_input>& sites,
                                 std::uint64_t rejoin_max_lag) {
   safety_report report;

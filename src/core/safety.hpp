@@ -12,27 +12,21 @@ namespace dbsm::core {
 
 struct safety_report {
   bool ok = true;
-  /// Length of the longest common prefix across all logs (operational and
-  /// rejoined sites only, in the per-site overload).
+  /// Length of the longest common prefix across the logs of the
+  /// operational and rejoined sites.
   std::size_t common_prefix = 0;
   std::string detail;  // first divergence, when !ok
   /// Index of the first site that failed a per-site check (divergence,
   /// count mismatch, or excessive rejoin lag); -1 when ok or unknown.
   int first_mismatch_site = -1;
   /// Commits held only by crashed/excluded sites past their agreement
-  /// point with the live order (per-site overload only): non-uniform
-  /// deliveries the surviving majority's view change discarded. Not a
-  /// violation off-line — the online check layer bounds them exactly.
+  /// point with the live order: non-uniform deliveries the surviving
+  /// majority's view change discarded. Not a violation off-line — the
+  /// online check layer bounds them exactly.
   std::size_t orphaned = 0;
 };
 
-/// Verifies that every log is a prefix of the longest one (sites may lag
-/// by in-flight transactions at the instant the run stops, but may never
-/// disagree on the order or content of what they committed).
-safety_report check_commit_logs(
-    const std::vector<std::vector<std::uint64_t>>& logs);
-
-/// Per-site input for the extended check: the site's full commit log, its
+/// Per-site input for the check: the site's full commit log, its
 /// end-of-run life-cycle state, and the committed count it reported
 /// (experiment_result::sites) to cross-check against the log itself.
 struct site_log_input {
@@ -46,7 +40,7 @@ struct site_log_input {
   std::uint64_t reported_committed = 0;
 };
 
-/// Extended §5.3 check over every site, crashed included: live
+/// The §5.3 check over every site, crashed included: live
 /// (operational and rejoined) sites must agree position-wise — their logs
 /// define the consensus order; each site's reported committed count must
 /// equal its log length; a crashed-never-rejoined site may lag

@@ -86,13 +86,20 @@ void granule_store::restore(util::buffer_reader& r) {
     granule_state st;
     st.updates = r.get_u64();
     st.data_bytes = r.get_u64();
+    // The padding that follows the directory is `data` bytes long, so
+    // neither one granule's share nor the running sum can exceed what is
+    // left.
+    DBSM_CHECK_MSG(data <= r.remaining() &&
+                       st.data_bytes <= r.remaining() - data,
+                   "granule snapshot: " << st.data_bytes
+                                        << " data bytes past the end");
+    data += st.data_bytes;
     const std::uint32_t ntuples = r.get_u32();
     for (std::uint32_t t = 0; t < ntuples; ++t) {
       const db::item_id id = r.get_u64();
       DBSM_CHECK_MSG(!db::is_granule(id), "granule id in a tuple list: " << id);
       st.tuples.insert_or_assign(id);
     }
-    data += st.data_bytes;
     dir_[g] = std::move(st);
   }
   r.skip(static_cast<std::size_t>(data));

@@ -18,8 +18,11 @@
 // granule id: deterministic across sites and runs, snapshot-able in a few
 // bytes, and cheap enough to evaluate per delivered write-set element.
 // The default-constructed placement is FULL replication over any cluster
-// size and is gated out of every hot path (`is_full()`), so default
-// configurations stay bit-identical to the pre-placement code.
+// size. The hot paths do not fork on it: under a full placement stores()
+// is always true, so slices are whole write sets and every pro-rated
+// share is the full amount. `is_full()` gates only setup and the
+// recovery wire format (no placement stamp or granule slice), which keeps
+// default configurations bit-identical to the pre-placement code.
 #ifndef DBSM_PLACE_PLACEMENT_HPP
 #define DBSM_PLACE_PLACEMENT_HPP
 
@@ -61,8 +64,7 @@ class placement {
   /// Resolves a spec against the actual cluster size (degree clamped).
   static placement make(const spec& s, unsigned sites);
 
-  /// True when every site replicates everything — the gate that keeps the
-  /// default path code-identical to pre-placement behavior.
+  /// True when every site replicates everything.
   bool is_full() const {
     return sites_ == 0 || degree_ == 0 || degree_ >= sites_;
   }

@@ -59,7 +59,7 @@ buffer_reader::buffer_reader(const std::uint8_t* p, std::size_t n)
     : data_(p), size_(n) {}
 
 void buffer_reader::need(std::size_t n) const {
-  DBSM_CHECK_MSG(pos_ + n <= size_,
+  DBSM_CHECK_MSG(n <= size_ - pos_,
                  "buffer underflow: pos=" << pos_ << " need=" << n
                                           << " size=" << size_);
 }

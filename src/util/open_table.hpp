@@ -4,9 +4,9 @@
 // cert::last_writer_index (item id -> last writer position) and the tuple
 // set of each place::granule_store granule. Slots live in one
 // power-of-two array kept at most 3/4 full. Lookup probes linearly from
-// the key's home slot (Fibonacci hashing) to the first empty slot. Erase
-// shifts the rest of the probe run back into the hole (no tombstones), so
-// churn never lengthens probes.
+// the key's home slot (Fibonacci hashing) to the first empty slot. Entries
+// leave only in bulk: erase_if compacts the array in one pass, moving each
+// survivor back toward its home (no tombstones, so probes never lengthen).
 //
 // `Policy` describes a slot; the user gives up one slot value to mark
 // "empty" (a key sentinel, or a payload value that never occurs):
@@ -70,23 +70,33 @@ class open_table {
     }
   }
 
-  /// Removes the slot `at`, which find() returned since the last change.
-  void erase(const Slot* at) {
-    std::size_t hole = static_cast<std::size_t>(at - slots_.data());
-    // Backward shift: walk the run after the hole and pull back every
-    // slot whose home lies at or before the hole (cyclically), so no
-    // probe from any home crosses an empty slot before reaching its key.
-    for (std::size_t j = next(hole);; j = next(j)) {
-      Slot& s = slots_[j];
-      if (Policy::empty(s)) break;
-      const std::size_t k = open_table_home(Policy::key(s), bits_);
-      if (((j - k) & mask()) >= ((j - hole) & mask())) {
-        slots_[hole] = s;
-        hole = j;
+  /// Removes every slot `dead(slot)` selects, in one pass over the array
+  /// and without reallocating: each survivor moves back to the first
+  /// free slot at or after its home.
+  template <typename Pred>
+  void erase_if(Pred&& dead) {
+    if (size_ == 0) return;
+    // Start after an empty slot: no probe run crosses it, so every
+    // survivor's home is visited before the survivor itself.
+    std::size_t start = 0;
+    while (!Policy::empty(slots_[start])) start = next(start);
+    std::size_t i = start;
+    for (std::size_t n = slots_.size(); n > 0; --n) {
+      i = next(i);
+      Slot& s = slots_[i];
+      if (Policy::empty(s)) continue;
+      if (dead(s)) {
+        s = Policy::empty_slot();
+        --size_;
+        continue;
+      }
+      std::size_t j = open_table_home(Policy::key(s), bits_);
+      while (j != i && !Policy::empty(slots_[j])) j = next(j);
+      if (j != i) {
+        slots_[j] = s;
+        s = Policy::empty_slot();
       }
     }
-    slots_[hole] = Policy::empty_slot();
-    --size_;
   }
 
   /// Calls `fn(slot)` for every stored slot, in unspecified order.

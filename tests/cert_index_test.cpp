@@ -7,12 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <deque>
+#include <iterator>
 #include <unordered_map>
 #include <vector>
 
 #include "cert/cert_index.hpp"
-#include "cert/index_shard.hpp"
 #include "cert/reference_certifier.hpp"
 #include "cert/sharded_certifier.hpp"
 #include "db/item.hpp"
@@ -52,13 +51,16 @@ TEST(last_writer_index, tuple_and_granule_ids_never_alias) {
   EXPECT_EQ(idx.last_writer(gran(7)), 4u);
 }
 
-TEST(last_writer_index, forget_drops_only_unsuperseded_entries) {
+TEST(last_writer_index, purge_drops_only_entries_before_the_window) {
   last_writer_index idx;
   idx.note_commit({tup(1), tup(2)}, 5);
   idx.note_commit({tup(2)}, 8);
-  idx.forget_commit({tup(1), tup(2)}, 5);  // entry at 5 leaves the window
+  idx.purge_before(6);  // the commit at 5 has left the window
   EXPECT_EQ(idx.last_writer(tup(1)), 0u);  // last writer was 5: dropped
-  EXPECT_EQ(idx.last_writer(tup(2)), 8u);  // superseded: kept
+  EXPECT_EQ(idx.last_writer(tup(2)), 8u);  // superseded at 8: kept
+  EXPECT_EQ(idx.size(), 1u);
+  idx.purge_before(8);  // an entry at the boundary stays
+  EXPECT_EQ(idx.last_writer(tup(2)), 8u);
   EXPECT_EQ(idx.size(), 1u);
 }
 
@@ -66,8 +68,9 @@ TEST(last_writer_index, tuple_and_granule_ids_share_one_table) {
   last_writer_index idx;
   idx.note_commit({tup(7), gran(7), tup(8)}, 1);
   EXPECT_EQ(idx.size(), 3u);
-  idx.forget_commit({gran(7)}, 1);
-  EXPECT_EQ(idx.last_writer(tup(7)), 1u);
+  idx.note_commit({tup(7), tup(8)}, 2);
+  idx.purge_before(2);
+  EXPECT_EQ(idx.last_writer(tup(7)), 2u);
   EXPECT_EQ(idx.last_writer(gran(7)), 0u);
   EXPECT_EQ(idx.size(), 2u);
 }
@@ -88,9 +91,9 @@ std::vector<item_id> colliding_ids(std::uint64_t top, unsigned bits,
 
 TEST(last_writer_index, randomized_differential_against_hash_map) {
   // Three clusters on the highest home slot (runs wrap around to slot 0)
-  // and the two lowest ones, plus scattered ids: backward-shift deletion
-  // must move entries across the wrap-around without losing any, at every
-  // capacity the table grows through.
+  // and the two lowest ones, plus scattered ids: every purge compacts the
+  // table in place and must move the live entries across the wrap-around
+  // without losing any, at every capacity the table grows through.
   constexpr unsigned bits = 12;
   util::rng g(4242);
   std::vector<item_id> ids = colliding_ids((1u << bits) - 1, bits, 120, g);
@@ -102,36 +105,37 @@ TEST(last_writer_index, randomized_differential_against_hash_map) {
 
   last_writer_index idx;
   std::unordered_map<item_id, std::uint64_t> model;
-  std::deque<cert_entry> live;  // committed, not yet forgotten
   std::uint64_t pos = 0;
+  std::size_t purges = 0;
   for (int step = 0; step < 60000; ++step) {
-    // Phases alternate growth and shrinkage so the table keeps rehashing
-    // and emptying its clusters.
-    const bool growing = (step / 5000) % 2 == 0;
-    if (live.empty() || g.bernoulli(growing ? 0.7 : 0.3)) {
-      cert_entry e{++pos, {}};
+    // Phases alternate a long window and a short one, so purges
+    // alternately keep most entries and empty the clusters.
+    const std::uint64_t window = (step / 5000) % 2 == 0 ? 4000 : 20;
+    if (g.bernoulli(0.95)) {
+      std::vector<item_id> ws;
       const int n = static_cast<int>(g.uniform_int(1, 8));
       for (int k = 0; k < n; ++k) {
         const auto pick = static_cast<std::size_t>(g.uniform_int(
             0, static_cast<std::int64_t>(ids.size()) - 1));
-        e.write_set.push_back(ids[pick]);
+        ws.push_back(ids[pick]);
       }
-      idx.note_commit(e.write_set, e.pos);
-      for (const item_id id : e.write_set) model[id] = e.pos;
-      live.push_back(std::move(e));
+      idx.note_commit(ws, ++pos);
+      for (const item_id id : ws) model[id] = pos;
     } else {
-      // Mostly the oldest entry (window eviction), sometimes any entry.
-      std::size_t at = 0;
-      if (g.bernoulli(0.2))
-        at = static_cast<std::size_t>(
-            g.uniform_int(0, static_cast<std::int64_t>(live.size()) - 1));
-      const cert_entry& e = live[at];
-      idx.forget_commit(e.write_set, e.pos);
-      for (const item_id id : e.write_set) {
-        const auto it = model.find(id);
-        if (it != model.end() && it->second == e.pos) model.erase(it);
+      const std::uint64_t oldest = pos > window ? pos - window : 0;
+      idx.purge_before(oldest);
+      ++purges;
+      for (auto it = model.begin(); it != model.end();) {
+        it = it->second < oldest ? model.erase(it) : std::next(it);
       }
-      live.erase(live.begin() + static_cast<std::ptrdiff_t>(at));
+      std::size_t visited = 0, wrong = 0;
+      idx.for_each([&](item_id id, std::uint64_t p) {
+        ++visited;
+        const auto it = model.find(id);
+        if (it == model.end() || it->second != p) ++wrong;
+      });
+      ASSERT_EQ(visited, model.size()) << "step " << step;
+      ASSERT_EQ(wrong, 0u) << "step " << step;
     }
     ASSERT_EQ(idx.size(), model.size()) << "step " << step;
     if (step % 97 == 0) {
@@ -146,6 +150,7 @@ TEST(last_writer_index, randomized_differential_against_hash_map) {
     const auto it = model.find(id);
     EXPECT_EQ(idx.last_writer(id), it == model.end() ? 0 : it->second);
   }
+  EXPECT_GT(purges, 2000u);
 }
 
 // ---------- randomized differential property ----------
@@ -298,9 +303,9 @@ TEST(cert_differential, tpcc_shaped_workload_agrees) {
 }
 
 TEST(cert_index_memory, index_stays_bounded_by_window) {
-  // The lazy eviction ring must actually reclaim index entries: with a
-  // small window and an ever-growing id space, the index cannot grow
-  // linearly with the number of deliveries.
+  // The purge must actually reclaim index entries: with a small window
+  // and an ever-growing id space, the index cannot grow linearly with the
+  // number of deliveries.
   cert_config cfg;
   cfg.history_window = 100;
   sharded_certifier c(cfg);
@@ -312,7 +317,7 @@ TEST(cert_index_memory, index_stays_bounded_by_window) {
     normalize(ws);
     c.certify_update(c.position(), {}, ws);
   }
-  // 100 retained entries × 4 distinct tuples, plus a bounded drain lag.
+  // 100 retained commits × 4 distinct tuples (the last commit purges).
   EXPECT_LE(c.index_size(), 100u * 4u + 16u);
   EXPECT_EQ(c.history_size(), 100u);
 }

@@ -17,6 +17,8 @@
 #include "cert/sharded_certifier.hpp"
 #include "db/item.hpp"
 #include "tpcc/workload.hpp"
+#include "util/byte_buffer.hpp"
+#include "util/check.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 #include "workload/kv.hpp"
@@ -105,9 +107,8 @@ void run_differential(const grid_point& p, std::uint64_t seed, int steps,
     ASSERT_EQ(sharded.aborts(), oracle.aborts());
     ASSERT_EQ(sharded.history_size(), oracle.history_size());
     ASSERT_EQ(sharded.oldest_retained(), oracle.oldest_retained());
-    // Per-shard rings drain their own fronts, so the sharded instance can
-    // only be *ahead* of the single index on stale-entry cleanup, never
-    // behind on content the decisions see.
+    // Every shard purges at the same commit counts, so the sharded
+    // instance never holds more entries than the single index.
     ASSERT_LE(sharded.index_size(), single.index_size());
   }
   EXPECT_GT(oracle.commits(), 100u);
@@ -361,7 +362,7 @@ TEST(cert_shard_zero_sets, short_circuit_keeps_decisions_and_state) {
   // update payload occupying a total-order slot) skip the fork-join
   // entirely — the decision is the global pre-window rule alone. The
   // short-circuit must be invisible in decisions, counters and history,
-  // must still drain the eviction rings, and must leave the serialized
+  // must still count toward the purge, and must leave the serialized
   // state shard-count invariant; only the modeled cost drops (no fork
   // term). Interleave zero-set and real transactions against the oracle
   // and a single-shard instance at several grid points to prove it.
@@ -406,18 +407,124 @@ TEST(cert_shard_zero_sets, short_circuit_keeps_decisions_and_state) {
       ASSERT_EQ(sharded.aborts(), oracle.aborts());
       ASSERT_EQ(sharded.history_size(), oracle.history_size());
       ASSERT_EQ(sharded.oldest_retained(), oracle.oldest_retained());
-      // Every update drains first, so at most the last eviction's slices
-      // are queued, one per shard.
-      ASSERT_LE(sharded.evicted_backlog(), sharded.shards());
       ASSERT_EQ(sharded.index_size(), single.index_size());
     }
     EXPECT_GT(oracle.aborts(), 0u);  // pre-window aborts actually hit
+    // The first purge runs at 2 × window commits: the index and snapshot
+    // checks have crossed it.
+    EXPECT_GE(sharded.commits(), 2 * cfg.history_window);
     // The serialized state is the same bytes at every shard count,
     // through the short-circuit path too.
     util::buffer_writer wa, wb;
     single.snapshot(wa);
     sharded.snapshot(wb);
     ASSERT_EQ(*wa.take(), *wb.take()) << "shards " << p.shards;
+  }
+}
+
+// The certification snapshot, mutated: every byte flipped, every
+// truncation, and each count field set to all-ones. Each mutant either
+// throws invariant_violation or restores on a fresh certifier and
+// re-serializes to exactly the bytes restore consumed. Any other
+// exception fails the test. The donors, at 1 and at 8 shards, have
+// crossed several purges.
+TEST(cert_snapshot, every_mutant_restores_exactly_or_throws) {
+  util::bytes at_one_shard;
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{8}}) {
+    cert_config cfg;
+    cfg.history_window = 8;
+    cfg.shards = shards;
+    sharded_certifier donor(cfg);
+    util::rng g(61);
+    for (int i = 0; i < 80; ++i) {
+      std::vector<item_id> rs, ws;
+      const auto n = static_cast<std::uint64_t>(g.uniform_int(0, 60));
+      rs.push_back(g.bernoulli(0.3) ? gran(n >> 3) : tup(n));
+      ws.push_back(tup(n + 1));
+      if (g.bernoulli(0.5)) ws.push_back(gran((n + 1) >> 3));
+      normalize(rs);
+      normalize(ws);
+      const std::uint64_t pos = donor.position();
+      const std::uint64_t begin =
+          pos - std::min<std::uint64_t>(
+                    pos, static_cast<std::uint64_t>(g.uniform_int(0, 12)));
+      donor.certify_update(begin, rs, ws);
+    }
+    // Purges run at every multiple of the window past the first.
+    ASSERT_GE(donor.commits(), 4 * cfg.history_window);
+    util::buffer_writer w;
+    donor.snapshot(w);
+    const util::bytes b = *w.take();
+    if (shards == 1) at_one_shard = b;
+    EXPECT_EQ(b, at_one_shard);
+
+    const auto exact_or_rejected = [&cfg](const util::bytes& m) {
+      try {
+        sharded_certifier joiner(cfg);
+        util::buffer_reader r(m.data(), m.size());
+        joiner.restore(r);
+        util::buffer_writer again;
+        joiner.snapshot(again);
+        EXPECT_EQ(*again.take(),
+                  util::bytes(m.begin(), m.begin() + r.position()));
+      } catch (const invariant_violation&) {
+      }
+    };
+    {
+      sharded_certifier joiner(cfg);
+      util::buffer_reader r(b.data(), b.size());
+      joiner.restore(r);
+      ASSERT_TRUE(r.done());
+      EXPECT_EQ(joiner.index_size(), donor.index_size());
+    }
+    for (std::size_t i = 0; i < b.size(); ++i) {
+      util::bytes m = b;
+      m[i] ^= static_cast<std::uint8_t>(g.uniform_int(1, 255));
+      exact_or_rejected(m);
+    }
+    for (std::size_t len = 0; len < b.size(); ++len)
+      exact_or_rejected(util::bytes(b.begin(), b.begin() + len));
+    // What snapshot never writes: retained positions out of order or past
+    // `position`, more of them than the window, an index entry past
+    // `position`, and one commit more than the positions hold. Bytes 0,
+    // 8, 16 hold position, oldest retained and commits, byte 32 the count
+    // of retained positions, then the positions, then the entry count.
+    const std::size_t entries_at = 40 + 8 * donor.history_size();
+    const auto put_u64_at = [](util::bytes& m, std::size_t at,
+                               std::uint64_t v) {
+      for (int k = 0; k < 8; ++k)
+        m[at + k] = static_cast<std::uint8_t>(v >> (8 * k));
+    };
+    std::vector<util::bytes> invalid(5, b);
+    std::swap_ranges(invalid[0].begin() + 40, invalid[0].begin() + 48,
+                     invalid[0].begin() + 48);
+    put_u64_at(invalid[1], 40 + 8 * (donor.history_size() - 1),
+               donor.position() + 1);
+    put_u64_at(invalid[2], 32, cfg.history_window + 1);
+    put_u64_at(invalid[3], entries_at + 16, donor.position() + 1);
+    put_u64_at(invalid[4], 16, donor.commits() + 1);
+    for (const util::bytes& m : invalid) {
+      EXPECT_THROW(
+          {
+            sharded_certifier joiner(cfg);
+            util::buffer_reader r(m.data(), m.size());
+            joiner.restore(r);
+          },
+          invariant_violation);
+    }
+    // The two counts set to all ones.
+    for (const std::size_t at : {std::size_t{32}, entries_at}) {
+      util::bytes m = b;
+      std::fill(m.begin() + static_cast<std::ptrdiff_t>(at),
+                m.begin() + static_cast<std::ptrdiff_t>(at + 8), 0xff);
+      EXPECT_THROW(
+          {
+            sharded_certifier joiner(cfg);
+            util::buffer_reader r(m.data(), m.size());
+            joiner.restore(r);
+          },
+          invariant_violation);
+    }
   }
 }
 

@@ -16,6 +16,7 @@
 #include "place/granule_store.hpp"
 #include "place/placement.hpp"
 #include "util/byte_buffer.hpp"
+#include "util/check.hpp"
 #include "util/rng.hpp"
 
 namespace dbsm {
@@ -216,6 +217,36 @@ TEST(granule_store, snapshot_bytes_are_pinned_and_round_trip) {
     EXPECT_EQ(*again.take(), *bytes) << "site " << s;
   }
   EXPECT_EQ(combined, 10295361786548623698ull);
+}
+
+// Data lengths come off the wire: each granule's, and their running sum,
+// must fit in the bytes left (the padding follows the directory), or
+// restore throws before it skips. Two 2^63 lengths sum to 0 modulo 2^64.
+TEST(granule_store, data_lengths_past_the_end_are_rejected) {
+  const placement p = placement::round_robin(4, 2);
+  const auto blob = [](const std::vector<std::uint64_t>& lengths) {
+    util::buffer_writer w;
+    w.put_u32(static_cast<std::uint32_t>(lengths.size()));
+    for (std::uint32_t i = 0; i < lengths.size(); ++i) {
+      w.put_u64(db::granule_of(db::make_item(1, i, 0, 1)));
+      w.put_u64(1);           // updates
+      w.put_u64(lengths[i]);  // data bytes
+      w.put_u32(0);           // no tuples
+    }
+    w.put_padding(64);
+    return w.take();
+  };
+  const std::vector<std::vector<std::uint64_t>> past_the_end = {
+      {1ull << 63, 1ull << 63}, {~0ull}, {65}, {32, 33}};
+  for (const auto& lengths : past_the_end) {
+    place::granule_store joiner(p, 0);
+    util::buffer_reader r(blob(lengths));
+    EXPECT_THROW(joiner.restore(r), invariant_violation) << lengths[0];
+  }
+  place::granule_store joiner(p, 0);
+  util::buffer_reader r(blob({32, 32}));
+  joiner.restore(r);
+  EXPECT_TRUE(r.done());
 }
 
 // ---------- the placement-consistency monitor ----------

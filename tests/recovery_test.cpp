@@ -248,7 +248,7 @@ std::vector<db::item_id> random_set(util::rng& gen, std::size_t max_items) {
 
 TEST(recovery, certifier_snapshot_restore_reproduces_decisions) {
   cert::cert_config ccfg;
-  ccfg.history_window = 64;  // small window: exercise eviction + backlog
+  ccfg.history_window = 64;  // small window: exercise eviction + purges
   cert::sharded_certifier donor(ccfg);
   util::rng gen(321);
 
@@ -263,7 +263,7 @@ TEST(recovery, certifier_snapshot_restore_reproduces_decisions) {
       c.certify_update(begin, random_set(gen, 4), random_set(gen, 6));
     }
   };
-  // Warm the donor past the window so the eviction backlog is non-empty.
+  // Warm the donor past the window so purges have run.
   feed(donor, 500);
 
   util::buffer_writer w;
@@ -276,7 +276,6 @@ TEST(recovery, certifier_snapshot_restore_reproduces_decisions) {
   EXPECT_EQ(joiner.oldest_retained(), donor.oldest_retained());
   EXPECT_EQ(joiner.history_size(), donor.history_size());
   EXPECT_EQ(joiner.index_size(), donor.index_size());
-  EXPECT_EQ(joiner.evicted_backlog(), donor.evicted_backlog());
 
   // Identical decisions from here on: both replicas continue from the
   // same state through another randomized stretch.
@@ -305,12 +304,12 @@ TEST(recovery, certifier_snapshot_restore_reproduces_decisions) {
 }
 
 // A recovery state transfer must be valid between ends that disagree on
-// cert_config::shards (one shard included): the snapshot carries
-// canonical full-set entries that each end re-partitions locally
-// (cert/index_shard.hpp).
+// cert_config::shards (one shard included): the snapshot carries every
+// last-writer entry in id order, and each end re-partitions them locally
+// (cert/sharded_certifier.hpp).
 TEST(recovery, sharded_snapshot_is_shard_count_agnostic) {
   cert::cert_config donor_cfg;
-  donor_cfg.history_window = 64;  // exercise per-shard eviction rings
+  donor_cfg.history_window = 64;  // exercise eviction and purges
   donor_cfg.shards = 4;
   donor_cfg.certify_threads = 2;
   cert::sharded_certifier donor(donor_cfg);
@@ -326,7 +325,7 @@ TEST(recovery, sharded_snapshot_is_shard_count_agnostic) {
                                                   pos, 80)));
     return c.certify_update(begin, make_set(g, 4), make_set(g, 6));
   };
-  // Warm the donor past the window so every shard ring is non-empty.
+  // Warm the donor past the window so every shard has purged.
   for (int i = 0; i < 500; ++i) random_step(donor, gen, random_set);
 
   util::buffer_writer w;

@@ -3,10 +3,15 @@
 // conflicts, remote preemption, and identical commit logs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+
 #include "cert/rwset.hpp"
 #include "core/cluster.hpp"
 #include "csrt/profiler.hpp"
 #include "tpcc/schema.hpp"
+#include "util/byte_buffer.hpp"
+#include "util/check.hpp"
 
 namespace dbsm::core {
 namespace {
@@ -242,6 +247,42 @@ TEST(replica, halted_replica_never_replies) {
   });
   c.sim().run_until(seconds(2));
   EXPECT_FALSE(replied);
+}
+
+TEST(replica, corrupt_snapshot_is_rejected_before_allocation) {
+  // A donor with a few commits in its log.
+  cluster donor(small_cluster(3));
+  donor.start();
+  for (int i = 0; i < 3; ++i) {
+    donor.sim().schedule_at(milliseconds(50 + 200 * i), [&donor, i] {
+      donor.site(0).submit(update_txn((60 + i) << 1, milliseconds(5)),
+                           [](db::txn_outcome) {});
+    });
+  }
+  donor.sim().run_until(seconds(3));
+  const std::size_t log_len = donor.site(0).commit_log().size();
+  ASSERT_EQ(log_len, 3u);
+  const util::bytes blob = *donor.site(0).snapshot(1);
+
+  const auto install = [](const util::bytes& b) {
+    cluster joiner(small_cluster(3));
+    joiner.site(1).install_snapshot(std::make_shared<util::bytes>(b));
+  };
+  install(blob);  // the intact blob installs
+  // Truncated: inside the certification state, at the commit-log count,
+  // inside the log.
+  const std::size_t count_at = blob.size() - 8 * (log_len + 1);
+  for (const std::size_t len : {std::size_t{0}, std::size_t{20}, count_at,
+                                count_at + 4, blob.size() - 1}) {
+    EXPECT_THROW(install(util::bytes(blob.begin(), blob.begin() + len)),
+                 invariant_violation)
+        << "cut at " << len;
+  }
+  // A commit-log count of all ones must not reach reserve().
+  util::bytes huge = blob;
+  std::fill(huge.begin() + static_cast<std::ptrdiff_t>(count_at),
+            huge.begin() + static_cast<std::ptrdiff_t>(count_at + 8), 0xff);
+  EXPECT_THROW(install(huge), invariant_violation);
 }
 
 TEST(replica, measured_mode_never_charges_observer_cpu) {

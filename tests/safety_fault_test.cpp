@@ -5,7 +5,11 @@
 // the same sequence of transactions.
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "core/experiment.hpp"
+#include "core/safety.hpp"
 #include "fault/fault_types.hpp"
 #include "fault/scenarios.hpp"
 
@@ -154,18 +158,74 @@ INSTANTIATE_TEST_SUITE_P(
       return info.param.name;
     });
 
+/// One checker input per log: every site operational, reporting exactly
+/// the commits its log holds.
+std::vector<site_log_input> operational_sites(
+    const std::vector<std::vector<std::uint64_t>>& logs) {
+  std::vector<site_log_input> sites;
+  for (const auto& log : logs) {
+    site_log_input s;
+    s.log = log;
+    s.reported_committed = log.size();
+    sites.push_back(std::move(s));
+  }
+  return sites;
+}
+
 TEST(safety_checker, detects_divergence) {
-  std::vector<std::vector<std::uint64_t>> logs{{1, 2, 3}, {1, 2, 4}};
-  const auto report = check_commit_logs(logs);
+  const auto report =
+      check_commit_logs(operational_sites({{1, 2, 3}, {1, 2, 4}}));
   EXPECT_FALSE(report.ok);
   EXPECT_EQ(report.common_prefix, 2u);
 }
 
 TEST(safety_checker, accepts_prefix_lag) {
-  std::vector<std::vector<std::uint64_t>> logs{{1, 2, 3}, {1, 2}, {1, 2, 3}};
-  const auto report = check_commit_logs(logs);
+  const auto report =
+      check_commit_logs(operational_sites({{1, 2, 3}, {1, 2}, {1, 2, 3}}));
   EXPECT_TRUE(report.ok);
   EXPECT_EQ(report.common_prefix, 2u);
+}
+
+TEST(safety_checker, crashed_site_lags_freely_and_its_orphans_are_counted) {
+  auto sites = operational_sites({{1, 2, 3, 4}, {1, 2, 3, 4}, {1, 2, 9, 8}});
+  sites[2].state = site_log_input::kind::crashed;
+  const auto report = check_commit_logs(sites);
+  EXPECT_TRUE(report.ok) << report.detail;
+  EXPECT_EQ(report.orphaned, 2u);  // 9 and 8, past the agreement at 2
+  EXPECT_EQ(report.common_prefix, 4u);  // the crashed site is not counted
+  EXPECT_EQ(report.first_mismatch_site, -1);
+
+  // A crashed site that merely lags holds no orphan.
+  sites[2].log = {1};
+  sites[2].reported_committed = 1;
+  EXPECT_EQ(check_commit_logs(sites).orphaned, 0u);
+}
+
+TEST(safety_checker, reported_count_must_match_the_log) {
+  auto sites = operational_sites({{1, 2, 3}, {1, 2, 3}});
+  sites[1].reported_committed = 4;
+  const auto report = check_commit_logs(sites);
+  EXPECT_FALSE(report.ok);
+  EXPECT_EQ(report.first_mismatch_site, 1);
+}
+
+TEST(safety_checker, rejoined_site_must_converge_within_the_lag_bound) {
+  std::vector<std::uint64_t> full(60);
+  for (std::size_t i = 0; i < full.size(); ++i) full[i] = i + 1;
+  const std::vector<std::uint64_t> behind(full.begin(), full.begin() + 20);
+  auto sites = operational_sites({full, full, behind});
+  sites[2].state = site_log_input::kind::rejoined;
+  const auto far = check_commit_logs(sites, /*rejoin_max_lag=*/30);
+  EXPECT_FALSE(far.ok);
+  EXPECT_EQ(far.first_mismatch_site, 2);
+  EXPECT_TRUE(check_commit_logs(sites, /*rejoin_max_lag=*/40).ok);
+
+  // A rejoined site is live: it must agree position-wise.
+  sites[2].log[5] = 999;
+  const auto diverged = check_commit_logs(sites, 40);
+  EXPECT_FALSE(diverged.ok);
+  EXPECT_EQ(diverged.first_mismatch_site, 2);
+  EXPECT_EQ(diverged.common_prefix, 5u);
 }
 
 TEST(safety_fault, loss_increases_abort_rate) {

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 
 #include "util/byte_buffer.hpp"
 #include "util/check.hpp"
@@ -211,6 +212,22 @@ TEST(byte_buffer, underflow_throws) {
   buffer_reader r(data);
   r.get_u16();
   EXPECT_THROW(r.get_u8(), invariant_violation);
+}
+
+TEST(byte_buffer, oversized_skip_throws_instead_of_wrapping) {
+  // A length read off the wire can be as large as the type allows: the
+  // bounds check must not overflow and let the cursor wrap backwards.
+  buffer_writer w;
+  w.put_u64(0x0102030405060708ull);
+  w.put_u64(0x1112131415161718ull);
+  auto data = w.take();
+  buffer_reader r(data);
+  EXPECT_EQ(r.get_u64(), 0x0102030405060708ull);
+  EXPECT_THROW(r.skip(SIZE_MAX), invariant_violation);
+  EXPECT_THROW(r.skip(SIZE_MAX - 7), invariant_violation);
+  EXPECT_EQ(r.position(), 8u);
+  EXPECT_EQ(r.get_u64(), 0x1112131415161718ull);
+  EXPECT_TRUE(r.done());
 }
 
 TEST(table, renders_aligned) {
