@@ -55,7 +55,7 @@ int main(int argc, char** argv) {
     const auto& s = r.stats.of(c);
     t.row({r.class_names.at(c), util::fmt(s.total()),
            util::fmt(s.committed), util::fmt(s.abort_rate_pct(), 2),
-           util::fmt(s.latency_ms.mean(), 1)});
+           util::fmt(s.mean_latency_ms(), 1)});
   }
   std::printf("\n%s", t.to_string().c_str());
   return r.safety.ok ? 0 : 1;

@@ -60,12 +60,11 @@ bool reference_certifier::conflicts(std::uint64_t begin_pos,
     }
   }
 
-  // The first committed entry after the snapshot.
-  const auto first = std::upper_bound(
-      history_.begin() + static_cast<std::ptrdiff_t>(head_), history_.end(),
-      begin_pos,
-      [](std::uint64_t pos, const entry& e) { return pos < e.pos; });
-  for (auto e = first; e != history_.end(); ++e) {
+  // The first committed entry after the snapshot. It is live: the rule
+  // above leaves every evicted entry at or before the snapshot.
+  for (auto e = history_.begin() +
+                static_cast<std::ptrdiff_t>(first_after(begin_pos));
+       e != history_.end(); ++e) {
     const std::span<const db::item_id> tuples(ids_.data() + e->begin,
                                               e->tuples);
     const std::span<const db::item_id> granules(tuples.data() + e->tuples,
@@ -86,18 +85,59 @@ bool reference_certifier::conflicts(std::uint64_t begin_pos,
   return false;
 }
 
+std::size_t reference_certifier::first_after(std::uint64_t p) const {
+  return static_cast<std::size_t>(
+      std::upper_bound(
+          history_.begin(), history_.end(), p,
+          [](std::uint64_t pos, const entry& e) { return pos < e.pos; }) -
+      history_.begin());
+}
+
 void reference_certifier::evict_oldest() {
   oldest_retained_ = history_[head_].pos + 1;
-  ++head_;
-  if (2 * head_ < history_.size()) return;
+  std::size_t dead = ++head_;
+  if (settled_) {
+    // A rollback to the first unsettled commit restores the window
+    // before it, and the entry before that sets oldest_retained().
+    const std::size_t unsettled = first_after(*settled_);
+    const std::size_t keep = cfg_.history_window + 1;
+    dead = std::min(dead, unsettled > keep ? unsettled - keep : 0);
+  }
+  if (2 * dead < history_.size()) return;
   const std::size_t dead_ids =
-      head_ < history_.size() ? history_[head_].begin : ids_.size();
+      dead < history_.size() ? history_[dead].begin : ids_.size();
   ids_.erase(ids_.begin(),
              ids_.begin() + static_cast<std::ptrdiff_t>(dead_ids));
   history_.erase(history_.begin(),
-                 history_.begin() + static_cast<std::ptrdiff_t>(head_));
-  head_ = 0;
+                 history_.begin() + static_cast<std::ptrdiff_t>(dead));
+  head_ -= dead;
   for (entry& e : history_) e.begin -= dead_ids;
+}
+
+void reference_certifier::rollback(std::uint64_t p) {
+  DBSM_CHECK_MSG(settled() < p && p <= position_ + 1,
+                 "rollback to " << p << " outside (" << settled() << ", "
+                                << position_ + 1 << "]");
+  const std::size_t kept = first_after(p - 1);
+  // The stored entries are the newest commits; compaction erased the rest.
+  const std::uint64_t erased = commits_ - history_.size();
+  DBSM_CHECK_MSG(erased == 0 || kept > cfg_.history_window,
+                 "rollback to " << p
+                                << " needs write sets compaction freed");
+  const std::uint64_t undone_commits = history_.size() - kept;
+  commits_ -= undone_commits;
+  aborts_ -= position_ + 1 - p - undone_commits;
+  position_ = p - 1;
+  if (kept < history_.size()) ids_.resize(history_[kept].begin);
+  history_.resize(kept);
+  head_ = kept > cfg_.history_window ? kept - cfg_.history_window : 0;
+  oldest_retained_ = head_ == 0 ? 1 : history_[head_ - 1].pos + 1;
+}
+
+void reference_certifier::settle(std::uint64_t p) {
+  DBSM_CHECK_MSG(p <= position_,
+                 "settle " << p << " past position " << position_);
+  settled_ = std::max(settled(), p);
 }
 
 bool reference_certifier::certify_update(

@@ -14,10 +14,15 @@
 // bit for bit (tests/cert_index_test.cpp). Its modeled cost keeps the
 // historical scan cost model — cost grows with the concurrent window — so
 // the two certifiers' real and modeled costs can be compared directly.
+//
+// It is also the online 1SR oracle (check::cert_oracle_monitor), which
+// undoes orphan branches with rollback() and marks with settle() the
+// prefix no rollback can reach, so that compaction can free below it.
 #ifndef DBSM_CERT_REFERENCE_CERTIFIER_HPP
 #define DBSM_CERT_REFERENCE_CERTIFIER_HPP
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "cert/cert_config.hpp"
@@ -41,12 +46,30 @@ class reference_certifier {
   bool certify_read_only(std::uint64_t begin_pos,
                          const std::vector<db::item_id>& read_set) const;
 
+  /// Forgets every position >= p as if only positions < p had been
+  /// certified: the counters step back and the write sets the forgotten
+  /// commits evicted are live again. Needs settled() < p <= position() + 1,
+  /// and a certifier never settled must still store those write sets.
+  void rollback(std::uint64_t p);
+
+  /// Marks positions <= p (p <= position()) as settled: no rollback may
+  /// reach them. The first call opts in to rollback-safe compaction: the
+  /// history_window + 1 write sets before the first unsettled commit stay
+  /// stored. A certifier never settled keeps no evicted write set for
+  /// a rollback: it compacts whenever the evicted prefix is as long as
+  /// the live window.
+  void settle(std::uint64_t p);
+
   std::uint64_t position() const { return position_; }
+  std::uint64_t settled() const { return settled_.value_or(0); }
   std::uint64_t oldest_retained() const { return oldest_retained_; }
   sim_duration last_cost() const { return last_cost_; }
   std::uint64_t commits() const { return commits_; }
   std::uint64_t aborts() const { return aborts_; }
   std::size_t history_size() const { return history_.size() - head_; }
+  /// Write sets stored: the live window plus the evicted ones not yet
+  /// compacted away.
+  std::size_t stored_size() const { return history_.size(); }
 
  private:
   /// One committed write set: ids_[begin, begin + tuples) are its tuples
@@ -64,17 +87,22 @@ class reference_certifier {
                  const std::vector<db::item_id>& read_set,
                  const std::vector<db::item_id>* write_set,
                  sim_duration& cost) const;
-  /// Drops the oldest retained write set; once the dropped prefix is as
-  /// long as the live part, both vectors are compacted (amortized O(1)).
+  /// Index of the first stored entry at a position > p.
+  std::size_t first_after(std::uint64_t p) const;
+  /// Drops the oldest retained write set; once the erasable prefix is as
+  /// long as the rest, both vectors are compacted (amortized O(1)).
   void evict_oldest();
 
   cert_config cfg_;
-  /// history_[head_, end): ascending positions, committed only.
+  /// history_[head_, end): the live window; history_[0, head_): evicted
+  /// write sets not yet compacted away. Ascending positions: the newest
+  /// history_.size() of the commits_ commits.
   std::vector<entry> history_;
   std::size_t head_ = 0;
   std::vector<db::item_id> ids_;  // every retained entry's ids
   std::uint64_t position_ = 0;
   std::uint64_t oldest_retained_ = 1;
+  std::optional<std::uint64_t> settled_;  // unset: never settled
   mutable sim_duration last_cost_ = 0;
   /// Per-call scratch for the escalated reads and the written tuples,
   /// reused across calls so the hot path does not heap-allocate.

@@ -28,7 +28,7 @@ std::unique_ptr<checker> checker::standard(config cfg, unsigned sites,
   c->add(std::make_unique<agreed_prefix_monitor>());
   c->add(std::make_unique<view_synchrony_monitor>(sites));
   c->add(std::make_unique<primary_partition_monitor>(sites));
-  c->add(std::make_unique<cert_oracle_monitor>(cert_cfg));
+  c->add(std::make_unique<cert_oracle_monitor>(sites, cert_cfg));
   c->add(std::make_unique<recovery_convergence_monitor>(cfg));
   // Only partial placements add the placement-consistency monitor: full
   // runs keep the historical five-monitor set (and synthetic event-stream

@@ -20,7 +20,9 @@
 //   primary_partition   — views chain through majorities and no site
 //                         commits after learning a view excluded it;
 //   cert_oracle (1SR)   — every certification decision cross-checked
-//                         against the reference merge-scan certifier;
+//                         against the reference merge-scan certifier,
+//                         rolled back with orphan branches and settled
+//                         where every member decided (bounded memory);
 //   recovery_convergence— a rejoined site carries the donor's exact state
 //                         within a bounded lag, and started recoveries
 //                         finish within a deadline.
@@ -196,7 +198,8 @@ class checker final : public sink {
   explicit checker(config cfg);
 
   /// The standard monitor suite for a `sites`-site system whose replicas
-  /// certify under `cert_cfg` (the oracle must match the window). When
+  /// certify under `cert_cfg` (the oracle must match the window; under
+  /// the initial view it settles what all `sites` decided). When
   /// `placement` is partial, the suite additionally includes the
   /// placement-consistency monitor ("every committed update is durable at
   /// exactly its replica set"); a full placement keeps the historical

@@ -221,47 +221,38 @@ void primary_partition_monitor::on_decision(const decision_event& e, sink& s) {
 
 // --- (4) 1SR certification oracle --------------------------------------
 
-bool cert_oracle_monitor::is_member(unsigned site) const {
-  return member_of(members_, site);
+cert_oracle_monitor::cert_oracle_monitor(unsigned sites,
+                                         const cert::cert_config& cfg)
+    : ref_(cfg), all_sites_(mask_of(all_members(sites))) {
+  ref_.settle(0);  // opt in to rollback-safe compaction from the start
 }
 
 std::uint64_t cert_oracle_monitor::member_mask() const {
-  return mask_of(members_);
+  return members_.empty() ? all_sites_ : mask_of(members_);
 }
 
-bool cert_oracle_monitor::certify(const verdict& v) {
-  const db::item_id* const first = ids_.data() + v.offset;
-  writes_scratch_.assign(first, first + v.writes);
-  reads_scratch_.assign(first + v.writes,
-                        first + v.writes + v.read_granules);
-  return ref_->certify_update(v.begin_pos, reads_scratch_, writes_scratch_);
+void cert_oracle_monitor::settle() {
+  const std::uint64_t mask = member_mask();
+  std::uint64_t p = ref_.settled();
+  while (p < verdicts_.size() && (verdicts_[p].deciders & mask) == mask) ++p;
+  ref_.settle(p);
 }
 
 void cert_oracle_monitor::on_decision(const decision_event& e, sink& s) {
   const std::uint64_t n = e.global_seq;
   if (n == 0) return;
   const std::uint64_t idx = n - 1;
-  if (!is_member(e.site) && idx >= cut_) {
+  if (!member_of(members_, e.site) && idx >= cut_) {
     // Excluded branch past the cut: not part of the agreed order (see the
     // agreed-prefix monitor's branch rule), so the oracle ignores it.
     return;
   }
   if (idx == verdicts_.size()) {
     // First site to reach position n: feed the oracle.
-    verdict v;
-    v.txn_id = e.txn->id;
-    v.begin_pos = e.txn->begin_pos;
-    v.offset = ids_.size();
-    v.writes = static_cast<std::uint32_t>(e.txn->write_set.size());
-    ids_.insert(ids_.end(), e.txn->write_set.begin(),
-                e.txn->write_set.end());
-    for (db::item_id it : e.txn->read_set) {
-      if (!db::is_granule(it)) continue;
-      ids_.push_back(it);
-      ++v.read_granules;
-    }
-    v.commit = certify(v);
-    verdicts_.push_back(v);
+    verdicts_.push_back(verdict{
+        e.txn->id, 0,
+        ref_.certify_update(e.txn->begin_pos, e.txn->read_set,
+                            e.txn->write_set)});
   } else if (idx > verdicts_.size()) {
     s.raise({std::string(name()), e.site, e.at,
              "decision at position " + std::to_string(n) +
@@ -287,28 +278,35 @@ void cert_oracle_monitor::on_decision(const decision_event& e, sink& s) {
     return;
   }
   v.deciders |= site_bit(e.site);
+  settle();
 }
 
-void cert_oracle_monitor::on_view(const view_event& e, sink&) {
+void cert_oracle_monitor::on_view(const view_event& e, sink& s) {
   if (e.v.id <= top_id_) return;
   top_id_ = e.v.id;
   members_ = e.v.members;
   cut_ = e.delivered;
   const std::uint64_t mask = member_mask();
   for (std::size_t i = cut_; i < verdicts_.size(); ++i) {
-    if ((verdicts_[i].deciders & mask) == 0) {
-      // Positions past the cut decided only by now-excluded sites: roll
-      // them back and rebuild the oracle by replaying the kept prefix, so
-      // the discarded branch's write sets stop polluting its history. The
-      // replay reproduces the original verdicts (a verdict depends only
-      // on the positions before it).
-      ids_.resize(verdicts_[i].offset);
-      verdicts_.resize(i);
-      ref_.emplace(cfg_);
-      for (verdict& v : verdicts_) v.commit = certify(v);
-      break;
+    if ((verdicts_[i].deciders & mask) != 0) continue;
+    // Positions past the cut decided only by now-excluded sites: roll
+    // them back, so the discarded branch's write sets leave the oracle's
+    // history and the write sets they evicted come back.
+    if (i < ref_.settled()) {
+      s.raise({std::string(name()), e.site, e.at,
+               view_str(e.v.members, e.v.id) + " rolls back position " +
+                   std::to_string(i + 1) +
+                   " past its cut, but every member of an earlier primary " +
+                   "view decided positions 1.." +
+                   std::to_string(ref_.settled()) +
+                   " (a view must keep one of them)"});
+      return;
     }
+    ref_.rollback(i + 1);
+    verdicts_.resize(i);
+    break;
   }
+  settle();
 }
 
 // --- (5) recovery convergence ------------------------------------------

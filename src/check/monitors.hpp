@@ -4,7 +4,6 @@
 
 #include <cstdint>
 #include <map>
-#include <optional>
 #include <vector>
 
 #include "cert/reference_certifier.hpp"
@@ -101,49 +100,48 @@ class primary_partition_monitor final : public monitor {
 /// (4) 1SR certification oracle: every site's commit/abort decision is
 /// cross-checked against cert::reference_certifier (the paper's merge-scan
 /// procedure). The first site to deliver total-order position n feeds the
-/// oracle; all sites' decisions at n — including recovery replays — must
-/// match the oracle's verdict and transaction identity.
+/// oracle the event's read and write sets; all sites' decisions at n —
+/// including recovery replays — must match the oracle's verdict and
+/// transaction identity. Per position the monitor keeps only the
+/// transaction id, the sites seen deciding it and the verdict.
 ///
 /// Mirrors the agreed-prefix branch rule: positions past an excluding
 /// view's cut decided only by the excluded sites are rolled back when the
-/// view installs (the oracle is rebuilt by replaying the kept prefix, so
-/// the discarded branch's write sets stop polluting its history), and an
-/// excluded site's further decisions past the cut are ignored here.
+/// view installs (the oracle forgets them, evicted write sets restored, so
+/// the discarded branch stops polluting its history), and an excluded
+/// site's further decisions past the cut are ignored here.
 ///
-/// The replay needs each position's snapshot, write set and escalated
-/// (granule) reads, the only reads certification consults: they are kept
-/// in one id arena, not as a copy of the payload.
+/// The prefix every member of the latest primary view has decided is
+/// settled in the oracle: the next view keeps one of those members (the
+/// chain rule monitor 3 checks), so no rollback reaches it, and the
+/// oracle stores only the window before it plus the unsettled tail. A
+/// view that would still roll back into the settled prefix — possible
+/// only once the chain rule is broken — is a violation.
 class cert_oracle_monitor final : public monitor {
  public:
-  explicit cert_oracle_monitor(const cert::cert_config& cfg)
-      : cfg_(cfg), ref_(std::in_place, cfg) {}
+  cert_oracle_monitor(unsigned sites, const cert::cert_config& cfg);
   std::string_view name() const override { return "cert_oracle"; }
   void on_decision(const decision_event& e, sink& s) override;
   void on_view(const view_event& e, sink& s) override;
 
+  /// Write sets the oracle stores (cert::reference_certifier::stored_size).
+  std::size_t oracle_stored_size() const { return ref_.stored_size(); }
+
  private:
-  /// The oracle at one position. ids_[offset, offset + writes) is the
-  /// write set and the next `read_granules` ids the escalated reads.
+  /// The oracle at one position.
   struct verdict {
     std::uint64_t txn_id = 0;
-    std::uint64_t begin_pos = 0;
     std::uint64_t deciders = 0;  // bitmask of sites seen deciding it
-    std::size_t offset = 0;
-    std::uint32_t writes = 0;
-    std::uint32_t read_granules = 0;
     bool commit = false;
   };
 
-  bool is_member(unsigned site) const;
   std::uint64_t member_mask() const;
-  /// Feeds `v`'s transaction to the reference certifier; true to commit.
-  bool certify(const verdict& v);
+  /// Settles the positions every member of the latest view has decided.
+  void settle();
 
-  cert::cert_config cfg_;
-  std::optional<cert::reference_certifier> ref_;
+  cert::reference_certifier ref_;
   std::vector<verdict> verdicts_;  // verdicts_[n - 1] = oracle at position n
-  std::vector<db::item_id> ids_;   // every verdict's ids, in position order
-  std::vector<db::item_id> reads_scratch_, writes_scratch_;
+  std::uint64_t all_sites_;        // the initial view's member mask
   std::vector<node_id> members_;   // latest primary view (empty: all sites)
   std::uint32_t top_id_ = 1;
   std::uint64_t cut_ = 0;  // delivered count at that view's cut

@@ -18,8 +18,9 @@ struct class_stats {
   std::uint64_t aborted_lock = 0;
   std::uint64_t aborted_preempt = 0;
   std::uint64_t aborted_cert = 0;
-  util::sample_set latency_ms;         // all responses
-  util::sample_set commit_latency_ms;  // committed only
+  // Each response latency is stored once, by outcome.
+  util::sample_set commit_latency_ms;
+  util::sample_set abort_latency_ms;
 
   std::uint64_t aborted() const {
     return aborted_lock + aborted_preempt + aborted_cert;
@@ -29,6 +30,15 @@ struct class_stats {
     return total() == 0 ? 0.0
                         : 100.0 * static_cast<double>(aborted()) /
                               static_cast<double>(total());
+  }
+  /// Sum of all response latencies, in milliseconds.
+  double latency_sum_ms() const {
+    return commit_latency_ms.sum() + abort_latency_ms.sum();
+  }
+  /// Mean latency over all responses, in milliseconds.
+  double mean_latency_ms() const {
+    return total() == 0 ? 0.0
+                        : latency_sum_ms() / static_cast<double>(total());
   }
 };
 
@@ -44,16 +54,16 @@ class txn_stats {
               sim_time submitted, sim_time finished) {
     class_stats& s = per_class_.at(cls);
     const double ms = to_millis(finished - submitted);
-    s.latency_ms.add(ms);
     switch (outcome) {
       case db::txn_outcome::committed:
         ++s.committed;
         s.commit_latency_ms.add(ms);
-        break;
+        return;
       case db::txn_outcome::aborted_lock: ++s.aborted_lock; break;
       case db::txn_outcome::aborted_preempt: ++s.aborted_preempt; break;
       case db::txn_outcome::aborted_cert: ++s.aborted_cert; break;
     }
+    s.abort_latency_ms.add(ms);
   }
 
   const class_stats& of(db::txn_class cls) const {
@@ -80,20 +90,19 @@ class txn_stats {
 
   /// Mean latency over all responses, in milliseconds (Fig 5b).
   double mean_latency_ms() const {
+    const std::uint64_t n = total_responses();
+    if (n == 0) return 0.0;
     double sum = 0;
-    std::uint64_t n = 0;
-    for (const auto& s : per_class_) {
-      sum += s.latency_ms.mean() * static_cast<double>(s.latency_ms.size());
-      n += s.latency_ms.size();
-    }
-    return n == 0 ? 0.0 : sum / static_cast<double>(n);
+    for (const auto& s : per_class_) sum += s.latency_sum_ms();
+    return sum / static_cast<double>(n);
   }
 
   /// Pooled latency samples of all classes (for ECDFs, Fig 7a).
   util::sample_set pooled_latency_ms() const {
     util::sample_set out;
     for (const auto& s : per_class_) {
-      for (double v : s.latency_ms.sorted()) out.add(v);
+      for (double v : s.commit_latency_ms.sorted()) out.add(v);
+      for (double v : s.abort_latency_ms.sorted()) out.add(v);
     }
     return out;
   }

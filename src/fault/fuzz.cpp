@@ -7,6 +7,7 @@
 
 #include "core/experiment.hpp"
 #include "fault/fault_types.hpp"
+#include "util/check.hpp"
 #include "util/rng.hpp"
 #include "workload/kv.hpp"
 
@@ -269,8 +270,17 @@ run_result run_spec(const scenario_spec& spec, const config& cfg) {
     ec.replica_cfg.read.path = read::mode::fast;
   }
 
-  const core::experiment_result res = core::run_experiment(ec);
   run_result out;
+  core::experiment_result res;
+  try {
+    res = core::run_experiment(ec);
+  } catch (const invariant_violation& e) {
+    // An internal invariant failed mid-run: a failing run like any other,
+    // so shrink() and replay files work on it.
+    out.ok = false;
+    out.detail = e.what();
+    return out;
+  }
   out.committed = res.stats.total_committed();
   out.responses = res.responses;
   out.violations = res.checks.violations.size();

@@ -114,8 +114,10 @@ struct config {
   unsigned shrink_budget = 96;
 };
 
-/// One fuzz case outcome. `ok` is the conjunction of the online monitors
-/// and the off-line §5.3 check; `detail` carries the first violation.
+/// One fuzz case outcome. `ok` is the conjunction of the online monitors,
+/// the off-line §5.3 check and the run's internal invariants; `detail`
+/// carries the first violation, or the failed invariant (whose run has
+/// no counts).
 struct run_result {
   bool ok = true;
   std::string detail;

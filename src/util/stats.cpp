@@ -52,10 +52,13 @@ void sample_set::add(double x) {
   sorted_ = samples_.size() <= 1;
 }
 
+double sample_set::sum() const {
+  return std::accumulate(samples_.begin(), samples_.end(), 0.0);
+}
+
 double sample_set::mean() const {
   if (samples_.empty()) return 0.0;
-  return std::accumulate(samples_.begin(), samples_.end(), 0.0) /
-         static_cast<double>(samples_.size());
+  return sum() / static_cast<double>(samples_.size());
 }
 
 const std::vector<double>& sample_set::sorted() const {

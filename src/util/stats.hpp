@@ -39,6 +39,7 @@ class sample_set {
   void reserve(std::size_t n) { samples_.reserve(n); }
   std::size_t size() const { return samples_.size(); }
   bool empty() const { return samples_.empty(); }
+  double sum() const;
   double mean() const;
   double min() const;
   double max() const;

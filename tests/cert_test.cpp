@@ -304,6 +304,109 @@ TEST(reference_certifier, seeded_stream_output_is_pinned) {
   EXPECT_EQ(cost_sum, 108518840);
 }
 
+// rollback(p) against a fresh certifier fed only the kept prefix. Random
+// streams run through windows of 4-16, so commits evict; each is settled
+// at random points and rolled back to random positions past the settled
+// prefix, often further back than the window. After each rollback the
+// counters and the live window must be the fresh certifier's, and on a
+// random continuation both must decide alike at the same modeled cost.
+TEST(reference_certifier, rollback_matches_a_certifier_fed_the_kept_prefix) {
+  struct txn {
+    bool read_only = false;
+    std::uint64_t begin = 0;
+    std::vector<item_id> rs, ws;
+  };
+  util::rng g(21);
+  const auto uniform = [&g](std::uint64_t lo, std::uint64_t hi) {
+    return static_cast<std::uint64_t>(g.uniform_int(
+        static_cast<std::int64_t>(lo), static_cast<std::int64_t>(hi)));
+  };
+  const auto random_txn = [&](std::uint64_t position) {
+    txn t;
+    t.read_only = g.bernoulli(0.1);
+    const std::uint64_t lag = uniform(0, 24);
+    t.begin = position > lag ? position - lag : 0;
+    for (std::uint64_t k = uniform(0, 3); k > 0; --k)
+      t.rs.push_back(g.bernoulli(0.3) ? gran(uniform(0, 15))
+                                      : tup(uniform(0, 200)));
+    for (std::uint64_t k = uniform(1, 3); k > 0; --k) {
+      const std::uint64_t row = uniform(0, 60);
+      t.ws.push_back(tup(row));
+      t.ws.push_back(gran(row % 16));
+    }
+    normalize(t.rs);
+    normalize(t.ws);
+    return t;
+  };
+  const auto feed = [](reference_certifier& c, const txn& t) {
+    return t.read_only ? c.certify_read_only(t.begin, t.rs)
+                       : c.certify_update(t.begin, t.rs, t.ws);
+  };
+  std::uint64_t restored = 0;  // rollbacks that brought evicted sets back
+  for (int stream = 0; stream < 60; ++stream) {
+    cert_config cfg;
+    cfg.history_window = uniform(4, 16);
+    reference_certifier c(cfg);
+    c.settle(0);
+    std::vector<txn> kept;  // the updates c has certified, by position
+    for (int round = 0; round < 6; ++round) {
+      for (std::uint64_t i = uniform(0, 80); i > 0; --i) {
+        const txn t = random_txn(c.position());
+        feed(c, t);
+        if (!t.read_only) kept.push_back(t);
+        if (g.bernoulli(0.05)) c.settle(uniform(c.settled(), c.position()));
+      }
+      const std::uint64_t oldest = c.oldest_retained();
+      const std::uint64_t p = uniform(c.settled() + 1, c.position() + 1);
+      c.rollback(p);
+      kept.resize(p - 1);
+      reference_certifier fresh(cfg);
+      for (const txn& t : kept) feed(fresh, t);
+      ASSERT_EQ(c.position(), fresh.position());
+      ASSERT_EQ(c.oldest_retained(), fresh.oldest_retained());
+      ASSERT_EQ(c.commits(), fresh.commits());
+      ASSERT_EQ(c.aborts(), fresh.aborts());
+      ASSERT_EQ(c.history_size(), fresh.history_size());
+      if (c.oldest_retained() < oldest) ++restored;
+      for (int i = 0; i < 30; ++i) {
+        const txn t = random_txn(c.position());
+        ASSERT_EQ(feed(c, t), feed(fresh, t))
+            << "stream " << stream << " round " << round << " txn " << i;
+        ASSERT_EQ(c.last_cost(), fresh.last_cost());
+        if (!t.read_only) kept.push_back(t);
+      }
+    }
+  }
+  EXPECT_GT(restored, 60u);
+}
+
+TEST(reference_certifier, rollback_refuses_what_it_cannot_restore) {
+  cert_config cfg;
+  cfg.history_window = 4;
+  // Never settled, the certifier compacts whenever the evicted prefix is
+  // as long as the rest: after 38 commits it stores positions 33-38.
+  reference_certifier never_settled(cfg);
+  for (std::uint64_t i = 0; i < 38; ++i)
+    ASSERT_TRUE(never_settled.certify_update(i, {}, {tup(i)}));
+  ASSERT_EQ(never_settled.stored_size(), 6u);
+  // A rollback to 2 would need the write sets compaction freed ...
+  EXPECT_THROW(never_settled.rollback(2), invariant_violation);
+  // ... one to 38 needs only the window before it and the entry before
+  // that, positions 33-37.
+  never_settled.rollback(38);
+  EXPECT_EQ(never_settled.position(), 37u);
+  EXPECT_EQ(never_settled.oldest_retained(), 34u);
+  EXPECT_EQ(never_settled.history_size(), 4u);
+
+  reference_certifier settled(cfg);
+  settled.settle(0);
+  ASSERT_TRUE(settled.certify_update(0, {}, {tup(1)}));
+  settled.settle(1);
+  EXPECT_THROW(settled.rollback(1), invariant_violation);  // settled
+  EXPECT_THROW(settled.rollback(3), invariant_violation);  // the future
+  EXPECT_THROW(settled.settle(2), invariant_violation);
+}
+
 // ---------- codec ----------
 
 TEST(txn_codec, round_trip) {
@@ -337,6 +440,73 @@ TEST(txn_codec, oversized_set_count_is_rejected_before_allocation) {
   for (int i = 0; i < 4; ++i) b[22 + i] = 0xff;
   EXPECT_THROW(decode_txn(std::make_shared<const util::bytes>(b)),
                invariant_violation);
+}
+
+// Random payloads (tuples, granules, value padding) survive encode ->
+// decode -> encode byte for byte. Each encoding is then mutated — every
+// byte flipped, every truncation, 1-8 appended bytes, each set count set
+// to all ones — and each mutant either decodes to a payload whose
+// encoding is the mutant with its value padding zeroed, or throws
+// invariant_violation. Any other exception (std::bad_alloc,
+// std::length_error) fails the test.
+TEST(txn_codec, every_mutant_decodes_exactly_or_throws) {
+  util::rng g(22);
+  const auto exact_or_rejected = [](util::bytes b) {
+    try {
+      const txn_payload p = decode_txn(std::make_shared<const util::bytes>(b));
+      std::fill(b.end() - p.update_bytes, b.end(), std::uint8_t{0});
+      EXPECT_EQ(*encode_txn(p), b);
+    } catch (const invariant_violation&) {
+    }
+  };
+  const auto random_set = [&g] {
+    std::vector<item_id> set;
+    for (std::int64_t k = g.uniform_int(0, 5); k > 0; --k) {
+      const auto w = static_cast<std::uint32_t>(g.uniform_int(0, 9));
+      set.push_back(g.bernoulli(0.3)
+                        ? make_granule(3, w, 2)
+                        : make_item(3, w, 2,
+                                    static_cast<std::uint32_t>(
+                                        g.uniform_int(0, 99999))));
+    }
+    normalize(set);
+    return set;
+  };
+  for (int rep = 0; rep < 40; ++rep) {
+    txn_payload p;
+    p.id = g.next_u64();
+    p.cls = static_cast<db::txn_class>(g.uniform_int(0, 4));
+    p.origin = static_cast<node_id>(g.uniform_int(0, 4));
+    p.begin_pos = g.next_u64();
+    p.read_set = random_set();
+    p.write_set = random_set();
+    p.update_bytes = static_cast<std::uint32_t>(g.uniform_int(0, 48));
+    p.disk_sectors = static_cast<std::uint16_t>(g.uniform_int(0, 8));
+    const util::shared_bytes raw = encode_txn(p);
+    const util::bytes& b = *raw;
+    ASSERT_EQ(*encode_txn(decode_txn(raw)), b);
+    for (std::size_t i = 0; i < b.size(); ++i) {
+      util::bytes m = b;
+      m[i] ^= static_cast<std::uint8_t>(g.uniform_int(1, 255));
+      exact_or_rejected(m);
+    }
+    for (std::size_t len = 0; len < b.size(); ++len)
+      exact_or_rejected(util::bytes(b.begin(), b.begin() + len));
+    util::bytes longer = b;
+    for (int extra = 1; extra <= 8; ++extra) {
+      longer.push_back(static_cast<std::uint8_t>(g.next_u64()));
+      exact_or_rejected(longer);
+    }
+    // The read-set count follows id (8), class (2), origin (4) and the
+    // snapshot position (8); the write-set count follows the read set.
+    for (const std::size_t at : {std::size_t{22}, 26 + 8 * p.read_set.size()}) {
+      util::bytes m = b;
+      std::fill(m.begin() + static_cast<std::ptrdiff_t>(at),
+                m.begin() + static_cast<std::ptrdiff_t>(at + 4),
+                std::uint8_t{0xff});
+      exact_or_rejected(m);
+    }
+  }
 }
 
 TEST(txn_codec, payload_size_includes_value_padding) {

@@ -1,14 +1,19 @@
 // Unit tests for the online invariant monitors (check/monitors.hpp): the
 // checker is fed a synthetic event stream directly, so each invariant's
 // accept/reject boundary is pinned down without running a simulation.
+// One sweep runs the fault catalog at a window every scenario overflows,
+// so the certification oracle settles and compacts under real timelines.
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "catalog_run.hpp"
 #include "check/check.hpp"
 #include "check/monitors.hpp"
+#include "workload/kv.hpp"
 
 namespace dbsm::check {
 namespace {
@@ -195,7 +200,7 @@ TEST(primary_partition, exclusion_fence_fires_only_after_discovery) {
 
 TEST(cert_oracle, flags_a_decision_the_reference_rejects) {
   checker c(no_halt());
-  c.add(std::make_unique<cert_oracle_monitor>(cert::cert_config{}));
+  c.add(std::make_unique<cert_oracle_monitor>(3, cert::cert_config{}));
   const auto w1 = make_txn(1, /*begin_pos=*/0, {}, {10});
   c.decision(commit_at(0, 1, w1, 1));
   c.decision(commit_at(1, 1, w1, 1));  // a second site agreeing is fine
@@ -212,7 +217,7 @@ TEST(cert_oracle, flags_a_decision_the_reference_rejects) {
 
 TEST(cert_oracle, flags_diverging_transaction_identity) {
   checker c(no_halt());
-  c.add(std::make_unique<cert_oracle_monitor>(cert::cert_config{}));
+  c.add(std::make_unique<cert_oracle_monitor>(3, cert::cert_config{}));
   const auto a = make_txn(1), b = make_txn(9);
   c.decision(commit_at(0, 1, a, 1));
   c.decision(commit_at(1, 1, b, 1));  // position 1 must hold txn 1 everywhere
@@ -223,7 +228,7 @@ TEST(cert_oracle, flags_diverging_transaction_identity) {
 
 TEST(cert_oracle, orphan_rollback_rebuilds_the_oracle) {
   checker c(no_halt());
-  c.add(std::make_unique<cert_oracle_monitor>(cert::cert_config{}));
+  c.add(std::make_unique<cert_oracle_monitor>(3, cert::cert_config{}));
   // Site 0's orphan branch commits a write of item 10 at position 1.
   const auto orphan = make_txn(11, 0, {}, {10});
   c.decision(commit_at(0, 1, orphan, 1));
@@ -236,6 +241,114 @@ TEST(cert_oracle, orphan_rollback_rebuilds_the_oracle) {
   const auto fresh = make_txn(22, 0, {}, {10});
   c.decision(commit_at(1, 1, fresh, 1, 0, /*commit=*/true));
   EXPECT_TRUE(c.ok()) << c.get_report().summary();
+}
+
+TEST(cert_oracle, orphan_rollback_restores_the_write_sets_it_evicted) {
+  cert::cert_config cfg;
+  cfg.history_window = 2;
+  checker c(no_halt());
+  c.add(std::make_unique<cert_oracle_monitor>(3, cfg));
+  // Every site commits writes of items 10 and 20 at positions 1 and 2.
+  const auto w1 = make_txn(1, 0, {}, {10}), w2 = make_txn(2, 1, {}, {20});
+  for (unsigned site = 0; site < 3; ++site) {
+    c.decision(commit_at(site, 1, w1, 1));
+    c.decision(commit_at(site, 2, w2, 2));
+  }
+  // Site 0's orphan branch commits positions 3 and 4, which push both out
+  // of the oracle's two-commit window.
+  const auto o3 = make_txn(3, 2, {}, {30}), o4 = make_txn(4, 3, {}, {40});
+  c.decision(commit_at(0, 3, o3, 3));
+  c.decision(commit_at(0, 4, o4, 4));
+  // Survivors install view 2 at cut 2: positions 3 and 4 roll back and
+  // positions 1 and 2 are the window again.
+  c.view_installed(install(1, 2, {1, 2}, 2));
+  // Snapshot 1 is inside the window again, so a write of a fresh item
+  // commits (with the window left at positions 3-4 it would abort as
+  // predating the window) ...
+  const auto s3 = make_txn(33, 1, {}, {50});
+  c.decision(commit_at(1, 3, s3, 3, 0, /*commit=*/true));
+  // ... a write of item 20 conflicts with position 2's write ...
+  const auto s4 = make_txn(44, 1, {}, {20});
+  c.decision(commit_at(1, 4, s4, 3, 0, /*commit=*/false));
+  // ... and position 3's commit evicted position 1, so snapshot 0
+  // predates the window.
+  const auto s5 = make_txn(55, 0, {}, {60});
+  c.decision(commit_at(1, 5, s5, 3, 0, /*commit=*/false));
+  EXPECT_TRUE(c.ok()) << c.get_report().summary();
+}
+
+TEST(cert_oracle, rollback_into_the_settled_prefix_is_a_violation) {
+  checker c(no_halt());
+  c.add(std::make_unique<cert_oracle_monitor>(3, cert::cert_config{}));
+  const auto a = make_txn(1), b = make_txn(2, 1);
+  for (unsigned site = 0; site < 3; ++site)
+    c.decision(commit_at(site, 1, a, 1));
+  // View 2 excludes site 2; both members decide position 2, settling it.
+  c.view_installed(install(0, 2, {0, 1}, 1));
+  c.decision(commit_at(0, 2, b, 2));
+  c.decision(commit_at(1, 2, b, 2));
+  EXPECT_TRUE(c.ok());
+  // A view keeping no member of view 2 (the chain rule broken) would roll
+  // position 2 back: a violation, raised instead of a crash.
+  c.view_installed(install(2, 3, {2}, 1));
+  ASSERT_EQ(c.get_report().violations.size(), 1u);
+  const violation& v = c.get_report().violations[0];
+  EXPECT_EQ(v.invariant, "cert_oracle");
+  EXPECT_NE(v.evidence.find("view 3"), std::string::npos) << v.evidence;
+  EXPECT_NE(v.evidence.find("position 2"), std::string::npos) << v.evidence;
+}
+
+TEST(cert_oracle, stored_write_sets_stay_within_the_window) {
+  // Fed 20 windows of commits. When every site decides each position
+  // before the next one arrives, at most one position is unsettled. The
+  // oracle keeps the window and the entry before it in front of that
+  // position (window + 2 write sets in all) and compacts once the
+  // erasable prefix is as long as the rest: at most 2 × (window + 2).
+  // With site 2 silent nothing settles and every write set stays.
+  constexpr std::size_t window = 8;
+  constexpr std::uint64_t positions = 20 * window;
+  cert::cert_config cfg;
+  cfg.history_window = window;
+  for (const unsigned deciding : {3u, 2u}) {
+    checker c(no_halt());
+    auto owned = std::make_unique<cert_oracle_monitor>(3, cfg);
+    const cert_oracle_monitor& m = *owned;
+    c.add(std::move(owned));
+    std::size_t peak = 0;
+    for (std::uint64_t n = 1; n <= positions; ++n) {
+      const auto t = make_txn(n, n - 1, {}, {2 * n});
+      for (unsigned site = 0; site < deciding; ++site)
+        c.decision(commit_at(site, n, t, n));
+      peak = std::max(peak, m.oracle_stored_size());
+    }
+    EXPECT_TRUE(c.ok()) << c.get_report().summary();
+    if (deciding == 3) {
+      EXPECT_LE(peak, 2 * (window + 2));
+    } else {
+      EXPECT_EQ(peak, positions);
+    }
+  }
+}
+
+TEST(cert_oracle, fault_catalog_is_clean_at_an_evicting_window) {
+  // A YCSB-A base, as in ordering_test: on the TPC-C default,
+  // batch_boundary_crash trips an open agreed_prefix bug at any window
+  // (ROADMAP item 4).
+  core::experiment_config base;
+  base.clients = 45;
+  base.seed = 7;
+  base.replica_cfg.cert.history_window = 64;
+  kv::kv_config k;
+  k.keys = 20000;
+  k.preset = kv::mix::ycsb_a;
+  k.zipf_theta = 0.5;
+  k.think_time = util::exponential_dist(0.5);
+  base.workload = kv::factory(k);
+  test::for_each_catalog_run(base, [](const auto& e, const auto& r) {
+    EXPECT_TRUE(r.checks.ok) << e.name << ": " << r.checks.summary();
+    EXPECT_TRUE(r.safety.ok) << e.name << ": " << r.safety.detail;
+    EXPECT_GT(r.stats.total_committed(), 64u) << e.name;
+  });
 }
 
 // ---------- (5) recovery convergence ----------

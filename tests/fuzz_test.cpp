@@ -96,6 +96,35 @@ TEST(fuzz_run, batching_rerun_is_deterministic) {
   EXPECT_TRUE(a.ok) << a.detail;
 }
 
+TEST(fuzz_run, orphan_rollback_seeds_pass) {
+  // The generated timelines, at the defaults, that roll the certification
+  // oracle back at a view install (an orphan branch past the view's cut).
+  const config cfg;
+  for (const std::uint64_t seed : {19u, 91u, 115u, 159u}) {
+    const run_result r = run_spec(generate(seed, cfg), cfg);
+    EXPECT_TRUE(r.ok) << "seed " << seed << ": " << r.detail;
+  }
+}
+
+TEST(fuzz_run, invariant_failure_is_a_failing_run) {
+  // Seed 34 trips an internal invariant mid-run: a recovery restores a
+  // certifier that is not fresh (an open protocol bug; once it is fixed
+  // this needs another seed that trips one). run_spec reports it as a
+  // failing run naming the invariant, so shrink() can work on it,
+  // instead of letting the exception escape.
+  config cfg;
+  cfg.shrink_budget = 4;
+  const scenario_spec spec = generate(34, cfg);
+  const run_result r = run_spec(spec, cfg);
+  ASSERT_FALSE(r.ok);
+  EXPECT_NE(r.detail.find("invariant failed: position_ == 0"),
+            std::string::npos)
+      << r.detail;
+  const scenario_spec shrunk = shrink(spec, cfg);
+  EXPECT_TRUE(is_shrink_of(shrunk, spec));
+  EXPECT_FALSE(run_spec(shrunk, cfg).ok);
+}
+
 TEST(fuzz_serialize, text_round_trip_is_exact) {
   const config cfg;
   for (std::uint64_t seed = 1; seed <= 10; ++seed) {
