@@ -188,6 +188,49 @@ void BM_lock_table_cycle(benchmark::State& state) {
 }
 BENCHMARK(BM_lock_table_cycle);
 
+// Many live transactions on a Zipf hot set. Each iteration starts one
+// transaction on 4 items (one in ten certified: it preempts uncertified
+// holders) and ends the one started `live` iterations before: a holder
+// commits (aborting its uncertified waiters) or, one in four, aborts
+// (handing its locks on); a waiter withdraws.
+void BM_lock_table_contended(benchmark::State& state) {
+  const auto live = static_cast<std::size_t>(state.range(0));
+  const kv::zipf_sampler zipf(4096, 0.99);
+  util::rng g(5);
+  db::lock_table lt;
+  std::vector<std::uint64_t> ring(live, 0);
+  std::vector<db::item_id> items;
+  std::int64_t granted = 0, lost = 0, preempted = 0;
+  const auto on_grant = [&granted] { ++granted; };
+  const auto on_abort = [&lost, &preempted](db::lock_abort_cause c) {
+    ++(c == db::lock_abort_cause::preempted ? preempted : lost);
+  };
+  std::uint64_t id = 0;
+  for (auto _ : state) {
+    std::uint64_t& slot = ring[id % live];
+    if (lt.holds(slot)) {
+      if (g.bernoulli(0.25)) {
+        lt.release_abort(slot);
+      } else {
+        lt.release_commit(slot);
+      }
+    } else if (lt.waiting(slot)) {
+      lt.release_abort(slot);
+    }
+    items.clear();
+    for (int k = 0; k < 4; ++k) items.push_back(zipf.sample(g) << 1);
+    cert::normalize(items);
+    slot = ++id;
+    lt.acquire(slot, items, g.bernoulli(0.1), on_grant, on_abort);
+  }
+  const auto n = static_cast<double>(id);
+  state.counters["granted_pct"] = 100.0 * static_cast<double>(granted) / n;
+  state.counters["lost_pct"] = 100.0 * static_cast<double>(lost) / n;
+  state.counters["preempted_pct"] = 100.0 * static_cast<double>(preempted) / n;
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_lock_table_contended)->Arg(16)->Arg(64);
+
 void BM_lan_multicast(benchmark::State& state) {
   sim::simulator s;
   net::lan lan(s, net::lan_config{}, util::rng(4));

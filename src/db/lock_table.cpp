@@ -7,216 +7,302 @@
 
 namespace dbsm::db {
 
+std::uint32_t lock_table::rec_of(std::uint64_t txn) const {
+  const txn_slot* s = txns_.find(txn);
+  return s == nullptr ? none : s->rec;
+}
+
+void lock_table::free_rec(std::uint32_t r) {
+  txn_rec& rec = recs_[r];
+  rec.items.clear();
+  rec.granted = nullptr;
+  rec.aborted = nullptr;
+  free_recs_.push_back(r);
+}
+
 bool lock_table::all_free(std::span<const item_id> items) const {
-  for (item_id it : items)
-    if (holders_.count(it)) return false;
+  for (item_id it : items) {
+    const item_slot* s = items_.find(it);
+    if (s != nullptr && s->holder != none) return false;
+  }
   return true;
 }
 
-void lock_table::grant(std::uint64_t txn, txn_rec& rec) {
-  DBSM_CHECK(!rec.holding);
-  for (item_id it : rec.items) {
-    auto [pos, inserted] = holders_.emplace(it, txn);
-    DBSM_CHECK_MSG(inserted, "item already held while granting");
-    (void)pos;
+void lock_table::enqueue(item_id item, std::uint32_t r) {
+  // The queue the item takes if it has none yet: the last one freed, or
+  // a new one.
+  const std::uint32_t spare = free_queues_.empty()
+                                  ? static_cast<std::uint32_t>(queues_.size())
+                                  : free_queues_.back();
+  item_slot* s = items_.try_insert({item, none, spare}).first;
+  if (s->queue == none) s->queue = spare;
+  const std::uint32_t q = s->queue;
+  if (q == spare) {
+    if (free_queues_.empty()) {
+      queues_.emplace_back();
+    } else {
+      free_queues_.pop_back();
+    }
   }
-  rec.holding = true;
-  if (rec.granted) rec.granted();
+  queues_[q].push_back(r);
 }
 
-void lock_table::remove_waiter_entries(std::uint64_t txn,
-                                       const txn_rec& rec) {
-  for (item_id it : rec.items) {
-    auto wit = waiters_.find(it);
-    if (wit == waiters_.end()) continue;
-    auto& vec = wit->second;
-    vec.erase(std::remove(vec.begin(), vec.end(), txn), vec.end());
-    if (vec.empty()) waiters_.erase(wit);
+void lock_table::leave_queues(std::uint32_t r) {
+  for (item_id it : recs_[r].items) {
+    item_slot* s = items_.find(it);
+    DBSM_CHECK(s != nullptr && s->queue != none);
+    std::vector<std::uint32_t>& q = queues_[s->queue];
+    q.erase(std::remove(q.begin(), q.end(), r), q.end());
+    if (!q.empty()) continue;
+    free_queues_.push_back(s->queue);
+    if (s->holder == none) {
+      items_.erase(s);
+    } else {
+      s->queue = none;
+    }
   }
+}
+
+bool lock_table::drop_holds(std::uint32_t r) {
+  bool waited_on = false;
+  for (item_id it : recs_[r].items) {
+    item_slot* s = items_.find(it);
+    DBSM_CHECK(s != nullptr && s->holder == r);
+    if (s->queue == none) {
+      items_.erase(s);
+    } else {
+      s->holder = none;
+      waited_on = true;
+    }
+  }
+  held_ -= recs_[r].items.size();
+  return waited_on;
+}
+
+void lock_table::grant(std::uint32_t r) {
+  txn_rec& rec = recs_[r];
+  DBSM_CHECK(!rec.holding);
+  for (item_id it : rec.items) {
+    auto [s, fresh] = items_.try_insert({it, r, none});
+    if (fresh) continue;
+    DBSM_CHECK_MSG(s->holder == none, "item already held while granting");
+    s->holder = r;
+  }
+  held_ += rec.items.size();
+  rec.holding = true;
+  const granted_fn granted = std::move(rec.granted);
+  if (granted) granted();
 }
 
 void lock_table::abort_txn(std::uint64_t txn, lock_abort_cause cause) {
-  auto it = txns_.find(txn);
-  DBSM_CHECK(it != txns_.end());
-  txn_rec rec = std::move(it->second);
-  txns_.erase(it);
-  if (rec.holding) {
-    for (item_id item : rec.items) {
-      DBSM_CHECK(holders_.at(item) == txn);
-      holders_.erase(item);
-    }
+  const txn_slot* s = txns_.find(txn);
+  DBSM_CHECK(s != nullptr);
+  const std::uint32_t r = s->rec;
+  txns_.erase(s);
+  const bool holding = recs_[r].holding;
+  if (holding) {
+    drop_holds(r);
   } else {
-    remove_waiter_entries(txn, rec);
+    leave_queues(r);
   }
-  if (rec.aborted) rec.aborted(cause);
+  const aborted_fn aborted = std::move(recs_[r].aborted);
+  if (aborted) aborted(cause);
   // A preempted holder's other locks may now unblock waiters.
-  if (rec.holding) wake_waiters(rec.items);
+  if (holding) wake_waiters(r);
+  free_rec(r);
+}
+
+void lock_table::note_pending(std::size_t base, const txn_rec& rec) {
+  for (std::size_t k = base; k < pending_.size(); ++k)
+    if (pending_[k].txn == rec.txn) return;
+  pending_.push_back({rec.txn, rec.arrival, rec.certified});
+}
+
+void lock_table::abort_pending(std::size_t base, lock_abort_cause cause) {
+  // By index: calls re-entered from the callbacks push above `end`.
+  for (std::size_t k = base, end = pending_.size(); k < end; ++k) {
+    const std::uint64_t txn = pending_[k].txn;
+    if (rec_of(txn) != none) abort_txn(txn, cause);
+  }
+  pending_.resize(base);
 }
 
 void lock_table::acquire(std::uint64_t txn, std::span<const item_id> items,
                          bool certified, granted_fn granted,
                          aborted_fn aborted) {
-  DBSM_CHECK_MSG(!txns_.count(txn), "txn " << txn << " already in lock table");
-  txn_rec rec;
+  const std::uint32_t r = free_recs_.empty()
+                              ? static_cast<std::uint32_t>(recs_.size())
+                              : free_recs_.back();
+  DBSM_CHECK_MSG(txns_.try_insert({txn, r}).second,
+                 "txn " << txn << " already in lock table");
+  if (free_recs_.empty()) {
+    recs_.emplace_back();
+  } else {
+    free_recs_.pop_back();
+  }
+  txn_rec& rec = recs_[r];
+  rec.txn = txn;
+  rec.arrival = next_arrival_++;
   rec.items.assign(items.begin(), items.end());
   rec.certified = certified;
-  rec.arrival = next_arrival_++;
+  rec.holding = false;
   rec.granted = std::move(granted);
   rec.aborted = std::move(aborted);
-
-  auto [pos, inserted] = txns_.emplace(txn, std::move(rec));
-  DBSM_CHECK(inserted);
-  if (all_free(items)) {
+  if (all_free(rec.items)) {
     // Nothing to preempt and nobody to hand a lock off: grant at once.
-    grant(txn, pos->second);
+    grant(r);
     return;
   }
   // Register as a waiter first so that lock hand-offs triggered below (by
   // preemption) consider this transaction — certified requests must win
   // over older uncertified waiters.
-  for (item_id it : pos->second.items) waiters_[it].push_back(txn);
+  for (item_id it : rec.items) enqueue(it, r);
 
   if (certified) {
     // Preempt local uncertified holders right away (§3.1): they would
     // abort at certification anyway.
-    std::vector<std::uint64_t> victims;
-    for (item_id it : pos->second.items) {
-      auto hit = holders_.find(it);
-      if (hit == holders_.end()) continue;
-      const std::uint64_t holder = hit->second;
-      if (!txns_.at(holder).certified &&
-          std::find(victims.begin(), victims.end(), holder) == victims.end())
-        victims.push_back(holder);
+    const std::size_t base = pending_.size();
+    for (item_id it : rec.items) {
+      const item_slot* s = items_.find(it);
+      if (s != nullptr && s->holder != none && !recs_[s->holder].certified)
+        note_pending(base, recs_[s->holder]);
     }
-    for (std::uint64_t v : victims) abort_txn(v, lock_abort_cause::preempted);
+    abort_pending(base, lock_abort_cause::preempted);
   }
 
-  // abort_txn's hand-off may already have granted us.
-  auto it = txns_.find(txn);
-  if (it == txns_.end() || it->second.holding) return;
-  if (all_free(it->second.items)) {
-    remove_waiter_entries(txn, it->second);
-    grant(txn, it->second);
-  }
+  // The preemptions' hand-offs may already have granted us.
+  const std::uint32_t now = rec_of(txn);
+  if (now == none || recs_[now].holding || !all_free(recs_[now].items))
+    return;
+  leave_queues(now);
+  grant(now);
 }
 
 void lock_table::mark_certified(std::uint64_t txn) {
-  auto it = txns_.find(txn);
-  DBSM_CHECK(it != txns_.end());
-  it->second.certified = true;
+  const std::uint32_t r = rec_of(txn);
+  DBSM_CHECK(r != none);
+  recs_[r].certified = true;
 }
 
-void lock_table::wake_waiters(const std::vector<item_id>& items) {
+void lock_table::wake_waiters(std::uint32_t released) {
   // Collect candidate waiters in global arrival order and retry their
   // atomic acquisition. Granting one may block later candidates.
-  std::vector<std::uint64_t> candidates;
-  for (item_id it : items) {
-    auto wit = waiters_.find(it);
-    if (wit == waiters_.end()) continue;
-    for (std::uint64_t w : wit->second)
-      if (std::find(candidates.begin(), candidates.end(), w) ==
-          candidates.end())
-        candidates.push_back(w);
+  const std::size_t base = pending_.size();
+  for (item_id it : recs_[released].items) {
+    const item_slot* s = items_.find(it);
+    if (s == nullptr || s->queue == none) continue;
+    for (std::uint32_t w : queues_[s->queue]) note_pending(base, recs_[w]);
   }
   // Certified transactions must make progress ahead of local waiters;
   // within a class, first-come-first-served.
-  std::sort(candidates.begin(), candidates.end(),
-            [this](std::uint64_t a, std::uint64_t b) {
-              const txn_rec& ra = txns_.at(a);
-              const txn_rec& rb = txns_.at(b);
-              if (ra.certified != rb.certified) return ra.certified;
-              return ra.arrival < rb.arrival;
+  std::sort(pending_.begin() + static_cast<std::ptrdiff_t>(base),
+            pending_.end(), [](const pending& a, const pending& b) {
+              if (a.certified != b.certified) return a.certified;
+              return a.arrival < b.arrival;
             });
-  for (std::uint64_t cand : candidates) {
-    auto it = txns_.find(cand);
-    if (it == txns_.end() || it->second.holding) continue;
-    if (all_free(it->second.items)) {
-      remove_waiter_entries(cand, it->second);
-      grant(cand, it->second);
-    }
+  for (std::size_t k = base, end = pending_.size(); k < end; ++k) {
+    const std::uint32_t r = rec_of(pending_[k].txn);
+    if (r == none || recs_[r].holding || !all_free(recs_[r].items)) continue;
+    leave_queues(r);
+    grant(r);
   }
+  pending_.resize(base);
 }
 
 void lock_table::release_commit(std::uint64_t txn) {
-  auto it = txns_.find(txn);
-  DBSM_CHECK_MSG(it != txns_.end() && it->second.holding,
+  const txn_slot* s = txns_.find(txn);
+  DBSM_CHECK_MSG(s != nullptr && recs_[s->rec].holding,
                  "release_commit of non-holder " << txn);
-  txn_rec rec = std::move(it->second);
-  txns_.erase(it);
-  for (item_id item : rec.items) {
-    DBSM_CHECK(holders_.at(item) == txn);
-    holders_.erase(item);
+  const std::uint32_t r = s->rec;
+  txns_.erase(s);
+  if (!drop_holds(r)) {
+    // Nobody waits: nothing to abort or hand off.
+    free_rec(r);
+    return;
   }
   // First-committer-wins: waiters on the released locks have write-write
   // conflicts with the committed values and abort — unless certified,
   // in which case they must commit and simply retry acquisition.
-  std::vector<std::uint64_t> to_abort;
-  for (item_id item : rec.items) {
-    auto wit = waiters_.find(item);
-    if (wit == waiters_.end()) continue;
-    for (std::uint64_t w : wit->second) {
-      if (!txns_.at(w).certified &&
-          std::find(to_abort.begin(), to_abort.end(), w) == to_abort.end())
-        to_abort.push_back(w);
-    }
+  const std::size_t base = pending_.size();
+  for (item_id it : recs_[r].items) {
+    const item_slot* is = items_.find(it);
+    if (is == nullptr || is->queue == none) continue;
+    for (std::uint32_t w : queues_[is->queue])
+      if (!recs_[w].certified) note_pending(base, recs_[w]);
   }
-  for (std::uint64_t w : to_abort)
-    abort_txn(w, lock_abort_cause::holder_committed);
-  wake_waiters(rec.items);
+  abort_pending(base, lock_abort_cause::holder_committed);
+  wake_waiters(r);
+  free_rec(r);
 }
 
 void lock_table::release_abort(std::uint64_t txn) {
-  auto it = txns_.find(txn);
-  DBSM_CHECK_MSG(it != txns_.end(), "release_abort of unknown txn " << txn);
-  txn_rec rec = std::move(it->second);
-  txns_.erase(it);
-  if (rec.holding) {
-    for (item_id item : rec.items) {
-      DBSM_CHECK(holders_.at(item) == txn);
-      holders_.erase(item);
-    }
-    wake_waiters(rec.items);
+  const txn_slot* s = txns_.find(txn);
+  DBSM_CHECK_MSG(s != nullptr, "release_abort of unknown txn " << txn);
+  const std::uint32_t r = s->rec;
+  txns_.erase(s);
+  if (recs_[r].holding) {
+    if (drop_holds(r)) wake_waiters(r);
   } else {
-    remove_waiter_entries(txn, rec);
+    leave_queues(r);
   }
+  free_rec(r);
 }
 
 bool lock_table::holds(std::uint64_t txn) const {
-  auto it = txns_.find(txn);
-  return it != txns_.end() && it->second.holding;
+  const std::uint32_t r = rec_of(txn);
+  return r != none && recs_[r].holding;
 }
 
 bool lock_table::waiting(std::uint64_t txn) const {
-  auto it = txns_.find(txn);
-  return it != txns_.end() && !it->second.holding;
+  const std::uint32_t r = rec_of(txn);
+  return r != none && !recs_[r].holding;
 }
 
 void lock_table::check_invariants() const {
-  for (const auto& [item, holder] : holders_) {
-    auto it = txns_.find(holder);
-    DBSM_CHECK_MSG(it != txns_.end(), "holder of " << item << " unknown");
-    DBSM_CHECK(it->second.holding);
-    DBSM_CHECK(std::find(it->second.items.begin(), it->second.items.end(),
-                         item) != it->second.items.end());
-  }
-  for (const auto& [item, queue] : waiters_) {
-    DBSM_CHECK(!queue.empty());
-    for (std::uint64_t w : queue) {
-      auto it = txns_.find(w);
-      DBSM_CHECK_MSG(it != txns_.end(), "waiter on " << item << " unknown");
-      DBSM_CHECK(!it->second.holding);
+  std::size_t held = 0, queues = 0;
+  items_.for_each([&](const item_slot& s) {
+    if (s.holder != none) {
+      ++held;
+      const txn_rec& h = recs_.at(s.holder);
+      DBSM_CHECK_MSG(rec_of(h.txn) == s.holder,
+                     "holder of " << s.item << " unknown");
+      DBSM_CHECK(h.holding);
+      DBSM_CHECK(std::find(h.items.begin(), h.items.end(), s.item) !=
+                 h.items.end());
     }
-  }
-  for (const auto& [id, rec] : txns_) {
-    if (rec.holding) {
-      for (item_id item : rec.items) DBSM_CHECK(holders_.at(item) == id);
-    } else {
-      for (item_id item : rec.items) {
-        const auto& queue = waiters_.at(item);
-        DBSM_CHECK(std::find(queue.begin(), queue.end(), id) != queue.end());
+    if (s.queue != none) {
+      ++queues;
+      const std::vector<std::uint32_t>& q = queues_.at(s.queue);
+      DBSM_CHECK(!q.empty());
+      for (std::uint32_t w : q) {
+        DBSM_CHECK_MSG(rec_of(recs_.at(w).txn) == w,
+                       "waiter on " << s.item << " unknown");
+        DBSM_CHECK(!recs_[w].holding);
       }
     }
-  }
+  });
+  DBSM_CHECK(held == held_);
+  DBSM_CHECK(queues + free_queues_.size() == queues_.size());
+  std::size_t live = 0;
+  txns_.for_each([&](const txn_slot& t) {
+    ++live;
+    const txn_rec& rec = recs_.at(t.rec);
+    DBSM_CHECK(rec.txn == t.txn);
+    for (item_id item : rec.items) {
+      const item_slot* s = items_.find(item);
+      DBSM_CHECK(s != nullptr);
+      if (rec.holding) {
+        DBSM_CHECK(s->holder == t.rec);
+      } else {
+        DBSM_CHECK(s->queue != none);
+        const std::vector<std::uint32_t>& q = queues_[s->queue];
+        DBSM_CHECK(std::find(q.begin(), q.end(), t.rec) != q.end());
+      }
+    }
+  });
+  // Inside a callback, the records of the transactions it concerns are
+  // neither live nor free yet.
+  DBSM_CHECK(live + free_recs_.size() <= recs_.size());
 }
 
 }  // namespace dbsm::db

@@ -6,6 +6,13 @@
 
 namespace dbsm::place {
 
+granule_store::granule_state& granule_store::state_of(db::item_id g) {
+  const auto [s, fresh] =
+      dir_.try_insert({g, static_cast<std::uint32_t>(states_.size())});
+  if (fresh) states_.emplace_back();
+  return states_[s->state];
+}
+
 void granule_store::apply(const std::vector<db::item_id>& write_set,
                           std::uint32_t update_bytes) {
   // Split the write set: tuples carry data, granule markers only locate
@@ -29,7 +36,7 @@ void granule_store::apply(const std::vector<db::item_id>& write_set,
       g = db::granule_of(it);
       owned = placement_.stores(self_, g);
       any_stored = any_stored || owned;
-      st = &dir_[g];
+      st = &state_of(g);
       if (std::find(touched_scratch_.begin(), touched_scratch_.end(), g) ==
           touched_scratch_.end()) {
         touched_scratch_.push_back(g);
@@ -53,18 +60,22 @@ void granule_store::apply(const std::vector<db::item_id>& write_set,
 
 void granule_store::snapshot_for(util::buffer_writer& w,
                                  unsigned for_site) const {
-  std::uint32_t count = 0;
+  std::vector<dir_slot> slice;
   std::uint64_t data = 0;
-  for (const auto& [g, st] : dir_) {
-    if (!placement_.stores(for_site, g)) continue;
-    ++count;
-    data += st.data_bytes;
-  }
-  w.put_u32(count);
+  dir_.for_each([&](const dir_slot& s) {
+    if (!placement_.stores(for_site, s.granule)) return;
+    slice.push_back(s);
+    data += states_[s.state].data_bytes;
+  });
+  std::sort(slice.begin(), slice.end(),
+            [](const dir_slot& a, const dir_slot& b) {
+              return a.granule < b.granule;
+            });
+  w.put_u32(static_cast<std::uint32_t>(slice.size()));
   std::vector<db::item_id> sorted;
-  for (const auto& [g, st] : dir_) {
-    if (!placement_.stores(for_site, g)) continue;
-    w.put_u64(g);
+  for (const dir_slot& s : slice) {
+    const granule_state& st = states_[s.state];
+    w.put_u64(s.granule);
     w.put_u64(st.updates);
     w.put_u64(st.data_bytes);
     w.put_u32(static_cast<std::uint32_t>(st.tuples.size()));
@@ -100,7 +111,7 @@ void granule_store::restore(util::buffer_reader& r) {
       DBSM_CHECK_MSG(!db::is_granule(id), "granule id in a tuple list: " << id);
       st.tuples.insert_or_assign(id);
     }
-    dir_[g] = std::move(st);
+    state_of(g) = std::move(st);
   }
   r.skip(static_cast<std::size_t>(data));
   recount();
@@ -110,12 +121,12 @@ void granule_store::recount() {
   durable_bytes_ = 0;
   durable_tuples_ = 0;
   owned_granules_ = 0;
-  for (const auto& [g, st] : dir_) {
-    if (!placement_.stores(self_, g)) continue;
+  dir_.for_each([&](const dir_slot& s) {
+    if (!placement_.stores(self_, s.granule)) return;
     ++owned_granules_;
-    durable_bytes_ += st.data_bytes;
-    durable_tuples_ += st.tuples.size();
-  }
+    durable_bytes_ += states_[s.state].data_bytes;
+    durable_tuples_ += states_[s.state].tuples.size();
+  });
 }
 
 }  // namespace dbsm::place

@@ -19,18 +19,21 @@
 // randomness, so runs with any placement remain bit-identical in
 // simulated behavior to runs without the store.
 //
+// The directory is a flat table from granule id to an index into a vector
+// of granule states, each holding its tuples in a flat set; neither keeps
+// an order, so snapshot_for sorts the granule ids and each granule's
+// tuple ids before it writes them.
+//
 // snapshot_for(site) serializes the directory slice a joining `site`
-// replicates (each granule's tuples in ascending id order), followed by
-// padding bytes equal to the slice's modeled data size — the same
-// convention the txn codec uses for written values
-// ("padding of the same total size", §3.3) — so recovery join_chunk
-// counts genuinely track the placement-filtered database size instead of
-// the full one.
+// replicates (granules and each granule's tuples in ascending id order),
+// followed by padding bytes equal to the slice's modeled data size — the
+// same convention the txn codec uses for written values ("padding of the
+// same total size", §3.3) — so recovery join_chunk counts genuinely track
+// the placement-filtered database size instead of the full one.
 #ifndef DBSM_PLACE_GRANULE_STORE_HPP
 #define DBSM_PLACE_GRANULE_STORE_HPP
 
 #include <cstdint>
-#include <map>
 #include <vector>
 
 #include "db/item.hpp"
@@ -91,11 +94,26 @@ class granule_store {
     tuple_set tuples;              // distinct written tuples (unordered)
   };
 
+  /// Granule id -> index of its state in states_.
+  struct dir_slot {
+    db::item_id granule;
+    std::uint32_t state;
+  };
+  struct dir_policy {
+    static constexpr std::uint32_t none = ~std::uint32_t{0};
+    static std::uint64_t key(const dir_slot& s) { return s.granule; }
+    static bool empty(const dir_slot& s) { return s.state == none; }
+    static dir_slot empty_slot() { return {0, none}; }
+  };
+
+  /// The state of granule `g`, added empty if the directory lacks it.
+  granule_state& state_of(db::item_id g);
   void recount();
 
   placement placement_;
   unsigned self_ = 0;
-  std::map<db::item_id, granule_state> dir_;  // granule id -> state
+  util::open_table<dir_slot, dir_policy> dir_;
+  std::vector<granule_state> states_;  // in order of first write
   std::uint64_t durable_bytes_ = 0;
   std::uint64_t durable_tuples_ = 0;
   std::uint64_t owned_granules_ = 0;

@@ -1,12 +1,17 @@
 // Flat open-addressing hash table keyed by 64-bit integers.
 //
 // The one implementation behind the per-write tables of the hot path:
-// cert::last_writer_index (item id -> last writer position) and the tuple
-// set of each place::granule_store granule. Slots live in one
+// cert::last_writer_index (item id -> last writer position), the
+// place::granule_store directory and its per-granule tuple sets, and the
+// db::lock_table's item and transaction tables. Slots live in one
 // power-of-two array kept at most 3/4 full. Lookup probes linearly from
-// the key's home slot (Fibonacci hashing) to the first empty slot. Entries
-// leave only in bulk: erase_if compacts the array in one pass, moving each
-// survivor back toward its home (no tombstones, so probes never lengthen).
+// the key's home slot (Fibonacci hashing) to the first empty slot. There
+// are no tombstones, so churn never lengthens probes: erase shifts the
+// rest of the probe run back into the hole, and erase_if compacts the
+// whole array in one pass, moving each survivor back toward its home.
+//
+// Inserting or erasing moves slots, so a slot pointer is good only until
+// the table's next insert or erase.
 //
 // `Policy` describes a slot; the user gives up one slot value to mark
 // "empty" (a key sentinel, or a payload value that never occurs):
@@ -41,33 +46,55 @@ class open_table {
  public:
   std::size_t size() const { return size_; }
 
-  /// The slot holding `key`, or nullptr.
+  /// The slot holding `key`, or nullptr. The caller may change the
+  /// slot's payload, but not its key, and must erase it rather than
+  /// make it empty.
   const Slot* find(std::uint64_t key) const {
     if (size_ == 0) return nullptr;
-    for (std::size_t i = open_table_home(key, bits_);; i = next(i)) {
-      const Slot& s = slots_[i];
-      if (Policy::empty(s)) return nullptr;
-      if (Policy::key(s) == key) return &s;
-    }
+    const Slot& s = slots_[probe(key)];
+    return Policy::empty(s) ? nullptr : &s;
+  }
+  Slot* find(std::uint64_t key) {
+    return const_cast<Slot*>(std::as_const(*this).find(key));
+  }
+
+  /// Stores `slot` unless its key is present. Returns the slot holding the
+  /// key and whether it was new.
+  std::pair<Slot*, bool> try_insert(const Slot& slot) {
+    if ((size_ + 1) * 4 > slots_.size() * 3) grow();
+    Slot& s = slots_[probe(Policy::key(slot))];
+    if (!Policy::empty(s)) return {&s, false};
+    s = slot;
+    ++size_;
+    return {&s, true};
   }
 
   /// Stores `slot`, replacing the slot with the same key if there is one.
   /// Returns true when the key was new.
   bool insert_or_assign(const Slot& slot) {
-    if ((size_ + 1) * 4 > slots_.size() * 3) grow();
-    const std::uint64_t key = Policy::key(slot);
-    for (std::size_t i = open_table_home(key, bits_);; i = next(i)) {
-      Slot& s = slots_[i];
-      if (Policy::empty(s)) {
-        s = slot;
-        ++size_;
-        return true;
-      }
-      if (Policy::key(s) == key) {
-        s = slot;
-        return false;
+    auto [s, fresh] = try_insert(slot);
+    if (!fresh) *s = slot;
+    return fresh;
+  }
+
+  /// Removes the slot `at`, which find() or try_insert() returned since
+  /// the last insert or erase.
+  void erase(const Slot* at) {
+    std::size_t hole = static_cast<std::size_t>(at - slots_.data());
+    // Backward shift: walk the run after the hole and pull back every
+    // slot whose home lies at or before the hole (cyclically), so no
+    // probe from any home crosses an empty slot before reaching its key.
+    for (std::size_t j = next(hole);; j = next(j)) {
+      Slot& s = slots_[j];
+      if (Policy::empty(s)) break;
+      const std::size_t k = open_table_home(Policy::key(s), bits_);
+      if (((j - k) & mask()) >= ((j - hole) & mask())) {
+        slots_[hole] = s;
+        hole = j;
       }
     }
+    slots_[hole] = Policy::empty_slot();
+    --size_;
   }
 
   /// Removes every slot `dead(slot)` selects, in one pass over the array
@@ -111,6 +138,14 @@ class open_table {
 
   std::size_t mask() const { return slots_.size() - 1; }
   std::size_t next(std::size_t i) const { return (i + 1) & mask(); }
+
+  /// The slot holding `key`, or the empty slot that ends its probe run.
+  std::size_t probe(std::uint64_t key) const {
+    std::size_t i = open_table_home(key, bits_);
+    while (!Policy::empty(slots_[i]) && Policy::key(slots_[i]) != key)
+      i = next(i);
+    return i;
+  }
 
   void grow() {
     std::vector<Slot> old = std::move(slots_);

@@ -2,12 +2,33 @@
 // lock policy (§3.1), and the transaction execution paths.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdlib>
+#include <new>
 #include <vector>
 
 #include "db/lock_table.hpp"
 #include "db/server.hpp"
 #include "db/storage.hpp"
 #include "sim/simulator.hpp"
+
+// A counting replacement of the global operator new (the array and
+// nothrow forms forward to it), for the lock table's allocation guard.
+namespace {
+std::uint64_t allocations = 0;
+}  // namespace
+
+// GCC cannot tell that these deletes only ever see this new's pointers.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+void* operator new(std::size_t n) {
+  ++allocations;
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+#pragma GCC diagnostic pop
 
 namespace dbsm::db {
 namespace {
@@ -224,6 +245,54 @@ TEST(lock_table, wait_queue_fifo_among_uncertified) {
   lt.release_abort(1);
   EXPECT_TRUE(b.granted);
   EXPECT_FALSE(c.granted);
+  lt.check_invariants();
+}
+
+// Once the table has seen its peak load, acquiring, waiting, handing a
+// lock off and releasing reuse the slots and vectors they left behind.
+TEST(lock_table, steady_state_cycles_allocate_nothing) {
+  lock_table lt;
+  std::vector<item_id> a(8), b(8);
+  int granted = 0, aborted = 0;
+  const auto on_grant = [&granted] { ++granted; };
+  const auto on_abort = [&aborted](lock_abort_cause) { ++aborted; };
+  std::uint64_t id = 1;
+  // Uncontended: eight fresh items per transaction, granted at once.
+  const auto uncontended = [&] {
+    for (std::size_t k = 0; k < a.size(); ++k)
+      a[k] = static_cast<item_id>((id * a.size() + k) % 4096) << 1;
+    lt.acquire(id, a, false, on_grant, on_abort);
+    lt.release_commit(id++);
+  };
+  // Contended: a holder, a waiter that inherits on the holder's abort,
+  // and a second waiter that loses to the heir's commit.
+  const auto contended = [&] {
+    for (std::size_t k = 0; k < a.size(); ++k) {
+      a[k] = static_cast<item_id>((id * a.size() + k) % 4096) << 1;
+      b[k] = a[k] + 8192;
+    }
+    b[0] = a[0];
+    const std::uint64_t holder = id++, heir = id++, loser = id++;
+    lt.acquire(holder, a, false, on_grant, on_abort);
+    lt.acquire(heir, a, false, on_grant, on_abort);
+    lt.acquire(loser, b, false, on_grant, on_abort);
+    lt.release_abort(holder);
+    lt.release_commit(heir);
+  };
+  for (int i = 0; i < 1000; ++i) uncontended();
+  for (int i = 0; i < 1000; ++i) contended();
+
+  const std::uint64_t before = allocations;
+  for (int i = 0; i < 10000; ++i) uncontended();
+  const std::uint64_t after_uncontended = allocations;
+  for (int i = 0; i < 10000; ++i) contended();
+  const std::uint64_t after_contended = allocations;
+
+  EXPECT_EQ(after_uncontended - before, 0u);
+  EXPECT_EQ(after_contended - after_uncontended, 0u);
+  EXPECT_EQ(granted, 11000 + 2 * 11000);
+  EXPECT_EQ(aborted, 11000);
+  EXPECT_EQ(lt.held_items(), 0u);
   lt.check_invariants();
 }
 

@@ -1,13 +1,17 @@
-// Unit tests for util: rng, distributions, stats, buffers, tables, flags.
+// Unit tests for util: rng, distributions, stats, buffers, tables, flags,
+// and the flat open-addressing table.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
+#include <unordered_map>
+#include <vector>
 
 #include "util/byte_buffer.hpp"
 #include "util/check.hpp"
 #include "util/distributions.hpp"
 #include "util/flags.hpp"
+#include "util/open_table.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
@@ -274,6 +278,107 @@ TEST(check, macros_throw_with_context) {
   } catch (const invariant_violation& e) {
     EXPECT_NE(std::string(e.what()).find("needle 7"), std::string::npos);
   }
+}
+
+// ---------- open_table ----------
+
+struct kv {
+  std::uint64_t key;
+  std::uint64_t value;  // 0 marks an empty slot
+};
+struct kv_policy {
+  static std::uint64_t key(const kv& s) { return s.key; }
+  static bool empty(const kv& s) { return s.value == 0; }
+  static kv empty_slot() { return {0, 0}; }
+};
+using kv_table = open_table<kv, kv_policy>;
+
+/// `count` random keys whose home slot is `top` in a table of 2^`bits`
+/// slots. A key's home at fewer bits is a prefix of its home at more, so
+/// these keys share a home at every smaller size too, and keep colliding
+/// while the table grows.
+std::vector<std::uint64_t> colliding_keys(std::uint64_t top, unsigned bits,
+                                          std::size_t count, rng& g) {
+  std::vector<std::uint64_t> out;
+  while (out.size() < count) {
+    const std::uint64_t key = g.next_u64();
+    if (open_table_home(key, bits) == top) out.push_back(key);
+  }
+  return out;
+}
+
+TEST(open_table, erase_matches_a_hash_map_across_the_wrap_around) {
+  // Clusters on the highest home slot (their runs wrap around to slot 0)
+  // and on the two lowest, plus scattered keys. Phases alternate growth
+  // and shrinkage, so single-key erases shift runs back across the
+  // wrap-around at every capacity the table grows through, interleaved
+  // with bulk erase_if compactions.
+  constexpr unsigned bits = 12;
+  rng g(1818);
+  std::vector<std::uint64_t> keys =
+      colliding_keys((1u << bits) - 1, bits, 120, g);
+  for (const std::uint64_t top : {0u, 1u}) {
+    const std::vector<std::uint64_t> more = colliding_keys(top, bits, 60, g);
+    keys.insert(keys.end(), more.begin(), more.end());
+  }
+  for (int i = 0; i < 2000; ++i) keys.push_back(g.next_u64());
+
+  kv_table t;
+  std::unordered_map<std::uint64_t, std::uint64_t> model;
+  std::size_t erased = 0, compactions = 0;
+  const auto verify = [&](int step) {
+    for (const auto& [key, value] : model) {
+      const kv* s = t.find(key);
+      ASSERT_NE(s, nullptr) << "step " << step << " lost key " << key;
+      ASSERT_EQ(s->value, value) << "step " << step;
+    }
+    std::size_t visited = 0, wrong = 0;
+    t.for_each([&](const kv& s) {
+      ++visited;
+      const auto it = model.find(s.key);
+      if (it == model.end() || it->second != s.value) ++wrong;
+    });
+    ASSERT_EQ(visited, model.size()) << "step " << step;
+    ASSERT_EQ(wrong, 0u) << "step " << step;
+  };
+  for (int step = 0; step < 80000; ++step) {
+    const std::uint64_t key = keys[static_cast<std::size_t>(
+        g.uniform_int(0, static_cast<std::int64_t>(keys.size()) - 1))];
+    const bool growing = (step / 4000) % 2 == 0;
+    const double x = g.uniform();
+    const std::uint64_t value = g.next_u64() | 1;
+    if (x < (growing ? 0.55 : 0.2)) {
+      ASSERT_EQ(t.insert_or_assign({key, value}), model.count(key) == 0);
+      model[key] = value;
+    } else if (x < (growing ? 0.7 : 0.3)) {
+      const auto [s, fresh] = t.try_insert({key, value});
+      ASSERT_EQ(fresh, model.count(key) == 0) << "step " << step;
+      if (fresh) model[key] = value;
+      ASSERT_EQ(s->value, model[key]) << "step " << step;
+    } else if (x < 0.995) {
+      kv* s = t.find(key);
+      ASSERT_EQ(s != nullptr, model.count(key) == 1) << "step " << step;
+      if (s == nullptr) continue;
+      ASSERT_EQ(s->value, model[key]) << "step " << step;
+      t.erase(s);
+      model.erase(key);
+      ++erased;
+    } else {
+      // Drop up to a quarter of the entries in one compaction.
+      const std::uint64_t cut = g.next_u64() / 4;
+      t.erase_if([cut](const kv& s) { return s.value < cut; });
+      std::erase_if(model, [cut](const auto& e) { return e.second < cut; });
+      ++compactions;
+    }
+    ASSERT_EQ(t.size(), model.size()) << "step " << step;
+    if (step % 500 == 0) {
+      verify(step);
+      if (HasFatalFailure()) return;
+    }
+  }
+  verify(80000);
+  EXPECT_GT(erased, 10000u);
+  EXPECT_GT(compactions, 100u);
 }
 
 }  // namespace
