@@ -215,23 +215,21 @@ void lock_table::release_commit(std::uint64_t txn) {
                  "release_commit of non-holder " << txn);
   const std::uint32_t r = s->rec;
   txns_.erase(s);
-  if (!drop_holds(r)) {
-    // Nobody waits: nothing to abort or hand off.
-    free_rec(r);
-    return;
+  if (drop_holds(r)) {
+    // First-committer-wins: waiters on the released locks have
+    // write-write conflicts with the committed values and abort — unless
+    // certified, in which case they must commit and simply retry
+    // acquisition.
+    const std::size_t base = pending_.size();
+    for (item_id it : recs_[r].items) {
+      const item_slot* is = items_.find(it);
+      if (is == nullptr || is->queue == none) continue;
+      for (std::uint32_t w : queues_[is->queue])
+        if (!recs_[w].certified) note_pending(base, recs_[w]);
+    }
+    abort_pending(base, lock_abort_cause::holder_committed);
+    wake_waiters(r);
   }
-  // First-committer-wins: waiters on the released locks have write-write
-  // conflicts with the committed values and abort — unless certified,
-  // in which case they must commit and simply retry acquisition.
-  const std::size_t base = pending_.size();
-  for (item_id it : recs_[r].items) {
-    const item_slot* is = items_.find(it);
-    if (is == nullptr || is->queue == none) continue;
-    for (std::uint32_t w : queues_[is->queue])
-      if (!recs_[w].certified) note_pending(base, recs_[w]);
-  }
-  abort_pending(base, lock_abort_cause::holder_committed);
-  wake_waiters(r);
   free_rec(r);
 }
 
