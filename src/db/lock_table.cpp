@@ -107,7 +107,8 @@ void lock_table::abort_txn(std::uint64_t txn, lock_abort_cause cause) {
   }
   const aborted_fn aborted = std::move(recs_[r].aborted);
   if (aborted) aborted(cause);
-  // A preempted holder's other locks may now unblock waiters.
+  // A preempted holder's other locks may now unblock waiters, including
+  // ones the callback queued on them.
   if (holding) wake_waiters(r);
   free_rec(r);
 }
