@@ -4,9 +4,10 @@
 //
 //   $ ./regression_suite          # exit code 0 = all gates passed
 //
-// Each scenario asserts reliability gates (safety, liveness, bounded
-// aborts) and performance gates (throughput and latency envelopes around
-// the calibrated baselines). Run it after changing any protocol component.
+// Each scenario asserts reliability gates (the online invariant monitors,
+// the off-line safety check, liveness, bounded aborts) and performance
+// gates (throughput and latency envelopes around the calibrated
+// baselines). Run it after changing any protocol component.
 #include <cstdio>
 
 #include "core/experiment.hpp"
@@ -61,8 +62,8 @@ int main() {
   }
 
   util::text_table t;
-  t.header({"Scenario", "tpm", "latency(ms)", "abort(%)", "safety",
-            "verdict"});
+  t.header({"Scenario", "tpm", "latency(ms)", "abort(%)", "monitors",
+            "safety", "verdict"});
   bool all_ok = true;
   for (const gate& g : gates) {
     std::fprintf(stderr, "[regression] %s ...\n", g.name);
@@ -70,12 +71,16 @@ int main() {
     const bool perf_ok = r.tpm() >= g.min_tpm &&
                          r.stats.mean_latency_ms() <= g.max_mean_latency_ms &&
                          r.stats.abort_rate_pct() <= g.max_abort_pct;
-    const bool ok = perf_ok && r.safety.ok;
+    const bool ok = perf_ok && r.checks.ok && r.safety.ok;
     all_ok = all_ok && ok;
     t.row({g.name, util::fmt(r.tpm(), 0),
            util::fmt(r.stats.mean_latency_ms(), 1),
            util::fmt(r.stats.abort_rate_pct(), 2),
-           r.safety.ok ? "ok" : "VIOLATED", ok ? "PASS" : "FAIL"});
+           r.checks.ok ? "ok" : "VIOLATED", r.safety.ok ? "ok" : "VIOLATED",
+           ok ? "PASS" : "FAIL"});
+    if (!r.checks.ok)
+      std::fprintf(stderr, "[regression] %s: %s\n", g.name,
+                   r.checks.summary().c_str());
   }
   std::printf("%s", t.to_string().c_str());
   std::printf("\nregression suite: %s\n", all_ok ? "PASS" : "FAIL");

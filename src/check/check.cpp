@@ -25,7 +25,9 @@ std::unique_ptr<checker> checker::standard(config cfg, unsigned sites,
                                            const cert::cert_config& cert_cfg,
                                            const place::placement& placement) {
   auto c = std::make_unique<checker>(cfg);
-  c->add(std::make_unique<agreed_prefix_monitor>());
+  auto order = std::make_unique<agreed_prefix_monitor>();
+  const agreed_prefix_monitor& agreed = *order;
+  c->add(std::move(order));
   c->add(std::make_unique<view_synchrony_monitor>(sites));
   c->add(std::make_unique<primary_partition_monitor>(sites));
   c->add(std::make_unique<cert_oracle_monitor>(sites, cert_cfg));
@@ -37,9 +39,10 @@ std::unique_ptr<checker> checker::standard(config cfg, unsigned sites,
     c->add(std::make_unique<placement_monitor>(placement));
   }
   // The read-snapshot monitor is always registered: it sees zero read
-  // events unless the fast read path is configured, and its decision/view
-  // bookkeeping is silent.
-  c->add(std::make_unique<read_snapshot_monitor>());
+  // events unless the fast read path is configured. It reads the agreed
+  // order of monitor 1, registered first, so at every event it validates
+  // against an order that has already taken that event in.
+  c->add(std::make_unique<read_snapshot_monitor>(agreed));
   return c;
 }
 

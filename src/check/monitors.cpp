@@ -410,39 +410,32 @@ void placement_monitor::on_run_end(sim_time, sink&) {
 
 // --- (7) read-snapshot 1SR ----------------------------------------------
 
-void read_snapshot_monitor::on_decision(const decision_event& e, sink&) {
-  // Maintain a private copy of the agreed order with the agreed-prefix
-  // monitor's branch rules, silently: raising on malformed commit streams
-  // is that monitor's job; this one only needs the reference order to
-  // validate read claims against.
-  if (!e.commit) return;
-  log_len_[e.site] = e.log_len;
-  const std::uint64_t idx = e.log_len - 1;
-  if (!member_of(members_, e.site) && idx >= commit_cut_) return;
-  if (idx < agreed_.size()) {
-    if (agreed_[idx].txn_id == e.txn->id)
-      agreed_[idx].committers |= site_bit(e.site);
-    return;
-  }
-  if (idx > agreed_.size()) return;
-  agreed_.push_back(entry{e.txn->id, site_bit(e.site)});
-}
-
 std::string read_snapshot_monitor::check_claim(const claim& c) const {
   if (c.log_len == 0) return "";
-  if (c.log_len > agreed_.size()) {
+  const auto& agreed = order_.agreed();
+  if (c.log_len > agreed.size()) {
     return "fast read served a committed prefix of length " +
            std::to_string(c.log_len) +
            " that is not (or no longer) part of the agreed order (length " +
-           std::to_string(agreed_.size()) + ")";
+           std::to_string(agreed.size()) + ")";
   }
-  if (agreed_[c.log_len - 1].txn_id != c.last_commit_id) {
+  if (agreed[c.log_len - 1].txn_id != c.last_commit_id) {
     return "fast read served a prefix ending in txn " +
            std::to_string(c.last_commit_id) + " but the agreed order has " +
-           std::to_string(agreed_[c.log_len - 1].txn_id) + " at position " +
+           std::to_string(agreed[c.log_len - 1].txn_id) + " at position " +
            std::to_string(c.log_len - 1);
   }
   return "";
+}
+
+void read_snapshot_monitor::revalidate(sink& s) const {
+  for (const auto& [site, c] : claims_) {
+    const std::string err = check_claim(c);
+    if (!err.empty()) {
+      s.raise({std::string(name()), site, c.at, err});
+      return;
+    }
+  }
 }
 
 void read_snapshot_monitor::on_read(const read_event& e, sink& s) {
@@ -470,36 +463,12 @@ void read_snapshot_monitor::on_read(const read_event& e, sink& s) {
 void read_snapshot_monitor::on_view(const view_event& e, sink& s) {
   if (e.v.id <= top_id_) return;
   top_id_ = e.v.id;
-  members_ = e.v.members;
-  const auto lit = log_len_.find(e.site);
-  commit_cut_ = lit != log_len_.end() ? lit->second : 0;
-  const std::uint64_t mask = mask_of(members_);
-  for (std::size_t i = commit_cut_; i < agreed_.size(); ++i) {
-    if ((agreed_[i].committers & mask) == 0) {
-      agreed_.resize(i);
-      break;
-    }
-  }
-  // Retroactive validation: every outstanding claim must have survived
-  // the rollback — a fast read served off a now-discarded branch is a
-  // 1SR violation even though it looked consistent when served.
-  for (const auto& [site, c] : claims_) {
-    const std::string err = check_claim(c);
-    if (!err.empty()) {
-      s.raise({std::string(name()), site, c.at, err});
-      return;
-    }
-  }
+  // Retroactive validation against the order monitor 1 just rolled back:
+  // a fast read served off a now-discarded branch is a 1SR violation even
+  // though it looked consistent when served.
+  revalidate(s);
 }
 
-void read_snapshot_monitor::on_run_end(sim_time, sink& s) {
-  for (const auto& [site, c] : claims_) {
-    const std::string err = check_claim(c);
-    if (!err.empty()) {
-      s.raise({std::string(name()), site, c.at, err});
-      return;
-    }
-  }
-}
+void read_snapshot_monitor::on_run_end(sim_time, sink& s) { revalidate(s); }
 
 }  // namespace dbsm::check

@@ -29,18 +29,23 @@ namespace dbsm::check {
 /// transfer, which replaces the orphan branch and is checked here.
 class agreed_prefix_monitor final : public monitor {
  public:
+  struct entry {
+    std::uint64_t txn_id = 0;
+    std::uint64_t committers = 0;  // bitmask of sites that committed it
+  };
+
   std::string_view name() const override { return "agreed_prefix"; }
   void on_decision(const decision_event& e, sink& s) override;
   void on_view(const view_event& e, sink& s) override;
   void on_log_reset(const log_reset_event& e, sink& s) override;
 
+  /// The agreed order: agreed()[i] is the transaction at commit-log
+  /// position i. Monitors registered after this one read it.
+  const std::vector<entry>& agreed() const { return agreed_; }
+
  private:
   bool is_member(unsigned site) const;
   std::uint64_t member_mask() const;
-  struct entry {
-    std::uint64_t txn_id = 0;
-    std::uint64_t committers = 0;  // bitmask of sites that committed it
-  };
   std::vector<entry> agreed_;    // agreed_[i] = txn at commit-log pos i
   std::vector<node_id> members_; // latest primary view (empty: all sites)
   std::uint32_t top_id_ = 1;     // highest view id installed anywhere
@@ -200,27 +205,24 @@ class placement_monitor final : public monitor {
 
 /// (7) Read-snapshot 1SR (local read fast path): every fast-path read's
 /// claimed snapshot — (commit-log length, last committed txn id) — must be
-/// a prefix of the reference agreed order, both at the instant of the read
-/// and retroactively: the monitor keeps its own copy of the agreed order
-/// (same branch/rollback rules as the agreed-prefix monitor, silently),
-/// and re-validates each site's strongest outstanding claim at every later
-/// view install and at run end, so a read served off an orphan branch that
-/// is only rolled back later is still caught. Claimed prefixes must also
-/// be monotone per site (a site may never serve an older snapshot than one
-/// it already served — reads would travel back in time).
+/// a prefix of the agreed order of `order` (monitor 1, registered before
+/// this one so it has seen each event first), both at the instant of the
+/// read and retroactively: each site's strongest outstanding claim is
+/// re-validated at every later view install (after monitor 1 rolled back
+/// an orphan branch) and at run end, so a read served off an orphan branch
+/// that is only rolled back later is still caught. Claimed prefixes must
+/// also be monotone per site (a site may never serve an older snapshot
+/// than one it already served — reads would travel back in time).
 class read_snapshot_monitor final : public monitor {
  public:
+  explicit read_snapshot_monitor(const agreed_prefix_monitor& order)
+      : order_(order) {}
   std::string_view name() const override { return "read_snapshot"; }
-  void on_decision(const decision_event& e, sink& s) override;
   void on_view(const view_event& e, sink& s) override;
   void on_read(const read_event& e, sink& s) override;
   void on_run_end(sim_time now, sink& s) override;
 
  private:
-  struct entry {
-    std::uint64_t txn_id = 0;
-    std::uint64_t committers = 0;
-  };
   struct claim {
     std::uint64_t log_len = 0;
     std::uint64_t last_commit_id = 0;
@@ -228,12 +230,11 @@ class read_snapshot_monitor final : public monitor {
   };
   /// Claim vs the agreed order; empty string when consistent.
   std::string check_claim(const claim& c) const;
+  /// Re-validates every outstanding claim; raises the first failure.
+  void revalidate(sink& s) const;
 
-  std::vector<entry> agreed_;
-  std::vector<node_id> members_;  // latest primary view (empty: all sites)
-  std::uint32_t top_id_ = 1;
-  std::uint64_t commit_cut_ = 0;
-  std::map<unsigned, std::uint64_t> log_len_;  // site -> last log length
+  const agreed_prefix_monitor& order_;
+  std::uint32_t top_id_ = 1;  // highest view id installed anywhere
   /// Per site, the strongest (longest-prefix) claim since the last
   /// revalidation — monotonicity makes it subsume the weaker ones.
   std::map<unsigned, claim> claims_;

@@ -46,7 +46,6 @@ cluster::cluster(config cfg) : cfg_(std::move(cfg)) {
     env_cfg.self = i;
     env_cfg.peers = members;
     env_cfg.costs = cfg_.costs;
-    env_cfg.measured_scale = cfg_.measured_scale;
     env_cfg.measure_real_time = cfg_.measure_real_time;
     envs_.push_back(std::make_unique<csrt::sim_env>(
         sim_, *cpus_.back(), *transports_.back(), env_cfg,
@@ -80,7 +79,7 @@ void cluster::build_site_stack(unsigned i, bool joining,
 
   groups_[i] = std::make_unique<gcs::group>(*envs_[i], cfg_.gcs);
   replicas_[i] = std::make_unique<replica>(
-      sim_, *cpus_[i], *envs_[i], *groups_[i], cfg_.replica_cfg,
+      sim_, *cpus_[i], *envs_[i], *groups_[i], obs_, cfg_.replica_cfg,
       site_rng.fork("replica"), first_local_txn);
 
   if (cfg_.gcs.enable_recovery) {
@@ -93,7 +92,7 @@ void cluster::build_site_stack(unsigned i, bool joining,
          }});
     groups_[i]->set_joined_handler([this, i](const gcs::view&) {
       status_[i] = site_status::rejoined;
-      notify(i, obs_.on_rejoined, replicas_[i]->commit_log().size());
+      notify(*envs_[i], obs_.on_rejoined, replicas_[i]->commit_log().size());
       if (on_rejoined_[i]) on_rejoined_[i](i);
     });
   }
@@ -108,61 +107,22 @@ void cluster::build_site_stack(unsigned i, bool joining,
       status_[i] = site_status::excluded;
     }
     replicas_[i]->revoke_lease(read::revoke_reason::exclusion);
-    notify(i, obs_.on_excluded);
+    notify(*envs_[i], obs_.on_excluded);
   });
   // Lease protocol wiring (no-ops unless the fast read path is on): a
   // local suspicion suspends the site's lease until connectivity is
-  // proven again; every view install re-grants it.
+  // proven again; every view install re-grants it (the agreed cut is
+  // uniform by flush consensus).
   groups_[i]->set_suspicion_handler([this, i](node_id) {
     replicas_[i]->revoke_lease(read::revoke_reason::suspicion);
   });
-  wire_observer(i);
+  groups_[i]->set_view_handler([this, i](const gcs::view& v) {
+    replicas_[i]->grant_lease(v.id);
+    notify(*envs_[i], obs_.on_view, v, groups_[i]->delivered_count());
+  });
   if (joining) {
     replicas_[i]->start();
     groups_[i]->start_joining();
-  }
-}
-
-void cluster::set_observer(observer obs) {
-  obs_ = std::move(obs);
-  for (unsigned i = 0; i < cfg_.sites; ++i) wire_observer(i);
-}
-
-void cluster::wire_observer(unsigned i) {
-  if (obs_.on_decision) {
-    replicas_[i]->set_decision_observer(
-        [this, i](const cert::txn_payload& txn, std::uint64_t seq,
-                  bool commit, std::uint64_t len) {
-          notify(i, obs_.on_decision, txn, seq, commit, len);
-        });
-  }
-  if (obs_.on_apply) {
-    replicas_[i]->set_apply_observer(
-        [this, i](const cert::txn_payload& txn, std::uint64_t seq,
-                  const std::vector<db::item_id>& slice,
-                  std::uint64_t durable_bytes) {
-          notify(i, obs_.on_apply, txn, seq, slice, durable_bytes);
-        });
-  }
-  if (obs_.on_log_reset) {
-    replicas_[i]->set_log_reset_observer(
-        [this, i](const std::vector<std::uint64_t>& log) {
-          notify(i, obs_.on_log_reset, log);
-        });
-  }
-  // Always wired: every view install re-grants the site's read lease
-  // (the agreed cut is uniform by flush consensus). The observer hook
-  // rides along when set.
-  groups_[i]->set_view_handler([this, i](const gcs::view& v) {
-    replicas_[i]->grant_lease(v.id);
-    notify(i, obs_.on_view, v, groups_[i]->delivered_count());
-  });
-  if (obs_.on_read) {
-    replicas_[i]->set_read_observer(
-        [this, i](bool fast, std::uint64_t epoch, std::uint64_t log_len,
-                  std::uint64_t last_commit_id) {
-          notify(i, obs_.on_read, fast, epoch, log_len, last_commit_id);
-        });
   }
 }
 
@@ -191,7 +151,7 @@ void cluster::recover_site(unsigned i,
   const std::uint64_t epoch = ++recover_epoch_[i];
   status_[i] = site_status::recovering;
   on_rejoined_[i] = std::move(on_rejoined);
-  notify(i, obs_.on_recovery_start);
+  notify(*envs_[i], obs_.on_recovery_start);
   DBSM_LOG(info, "core.cluster", "site " << i << " begins recovery");
 
   // Phase 1 — quiesce: detach the datagram handler, kill every armed

@@ -33,7 +33,6 @@ class cluster {
     /// Measure real protocol execution with the thread CPU clock instead
     /// of the deterministic cost model (§2.3).
     bool measure_real_time = false;
-    double measured_scale = 1.0;
     std::uint64_t seed = 42;
   };
 
@@ -87,64 +86,22 @@ class cluster {
 
   std::vector<unsigned> operational_sites() const;
 
-  /// Observation seam for the check layer: passive callbacks fired
-  /// synchronously from inside the protocol jobs, with the site's
-  /// profiling clock stopped (measured mode never charges them). The
-  /// cluster rewires every callback into a site's stack when recovery
-  /// rebuilds it, so observers outlive replica/group incarnations.
-  /// Callbacks must not schedule simulator work or mutate the observed
-  /// objects.
-  struct observer {
-    /// Certification decision applied at `site` (see
-    /// replica::set_decision_observer).
-    std::function<void(unsigned site, const cert::txn_payload& txn,
-                       std::uint64_t global_seq, bool commit,
-                       std::uint64_t log_len)>
-        on_decision;
-    /// View installed at `site`; `delivered` is the site's delivery count
-    /// at the instant of the install (the view-synchrony cut).
-    std::function<void(unsigned site, const gcs::view& v,
-                       std::uint64_t delivered)>
-        on_view;
-    /// `site` discovered that a view install excluded it (delivery halts
-    /// there until it rejoins through recovery).
-    std::function<void(unsigned site)> on_excluded;
-    /// Committed update folded into `site`'s store: the write-set slice
-    /// the site makes durable under its placement (see
-    /// replica::set_apply_observer). Fires right after on_decision for
-    /// every commit, at every site.
-    std::function<void(unsigned site, const cert::txn_payload& txn,
-                       std::uint64_t global_seq,
-                       const std::vector<db::item_id>& durable_slice,
-                       std::uint64_t durable_bytes)>
-        on_apply;
-    /// Recovery state transfer replaced `site`'s commit log.
-    std::function<void(unsigned site, const std::vector<std::uint64_t>& log)>
-        on_log_reset;
-    std::function<void(unsigned site)> on_recovery_start;
-    /// `site` is live again in the merged view with `log_len` committed.
-    std::function<void(unsigned site, std::uint64_t log_len)> on_rejoined;
-    /// Read-only transaction terminated on the read path at `site` (see
-    /// replica::set_read_observer): fast == true claims the snapshot
-    /// (epoch, log_len, last_commit_id) the read was served at.
-    std::function<void(unsigned site, bool fast, std::uint64_t epoch,
-                       std::uint64_t log_len, std::uint64_t last_commit_id)>
-        on_read;
-  };
-  void set_observer(observer obs);
+  /// Observation seam for the check layer (core::observer): replicas
+  /// call it directly and the cluster calls it for views, exclusions and
+  /// recovery, all with the site's profiling clock stopped. It lives in
+  /// the cluster, so it outlives every replica and group incarnation.
+  using observer = core::observer;
+  void set_observer(observer obs) { obs_ = std::move(obs); }
 
  private:
   void build_site_stack(unsigned i, bool joining,
                         std::uint64_t first_local_txn, unsigned restart_no);
-  void wire_observer(unsigned i);
-  /// Calls observer `hook` for site `i` off the site's profiling clock.
-  template <class Hook, class... Args>
-  void notify(unsigned i, const Hook& hook, const Args&... args) {
-    if (hook) envs_[i]->off_clock([&] { hook(i, args...); });
-  }
   void finish_recover(unsigned i, std::uint64_t epoch);
 
   config cfg_;
+  /// Declared before replicas_: every replica incarnation holds a
+  /// reference to it.
+  observer obs_;
   sim::simulator sim_;
   std::unique_ptr<net::medium> net_;
   std::vector<std::unique_ptr<csrt::cpu_pool>> cpus_;
@@ -158,7 +115,6 @@ class cluster {
   std::vector<std::uint64_t> recover_epoch_;
   std::vector<unsigned> restarts_;
   std::vector<std::function<void(unsigned)>> on_rejoined_;
-  observer obs_;
 };
 
 }  // namespace dbsm::core

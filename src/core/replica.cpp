@@ -23,12 +23,27 @@ std::uint64_t txn_counter(std::uint64_t id) {
 /// before more certifications queue behind it — deterministic
 /// back-pressure, never dropped or reordered work.
 constexpr std::size_t pipeline_depth = 512;
+
+/// Modeled CPU of marshaling/unmarshaling termination messages.
+constexpr sim_duration codec_cost_fixed = microseconds(15);
+constexpr double codec_cost_per_byte_ns = 2.0;
+
+/// Per-byte share of codec_cost (delivery charges the fixed share once
+/// per run).
+sim_duration codec_cost_bytes(std::size_t bytes) {
+  return static_cast<sim_duration>(codec_cost_per_byte_ns *
+                                   static_cast<double>(bytes));
+}
+
+sim_duration codec_cost(std::size_t bytes) {
+  return codec_cost_fixed + codec_cost_bytes(bytes);
+}
 }  // namespace
 
 replica::replica(sim::simulator& sim, csrt::cpu_pool& cpu,
-                 csrt::sim_env& env, gcs::group& group, config cfg,
-                 util::rng gen, std::uint64_t first_local_txn)
-    : sim_(sim), cpu_(cpu), env_(env), group_(group), cfg_(cfg),
+                 csrt::sim_env& env, gcs::group& group, const observer& obs,
+                 config cfg, util::rng gen, std::uint64_t first_local_txn)
+    : sim_(sim), cpu_(cpu), env_(env), group_(group), obs_(obs), cfg_(cfg),
       server_(sim, cpu, cfg.server, gen.fork("server")),
       cert_(cfg.cert), rng_(gen.fork("replica")),
       next_local_txn_(first_local_txn), incarnation_floor_(first_local_txn),
@@ -71,7 +86,7 @@ void replica::install_snapshot(util::shared_bytes blob) {
   // rebase at epoch 0 so any watermark resolves to at least this state.
   snapshots_.reset({0, cert_.position(), commit_log_.size(),
                     commit_log_.empty() ? 0 : commit_log_.back()});
-  if (on_log_reset_) on_log_reset_(commit_log_);
+  notify(env_, obs_.on_log_reset, commit_log_);
 }
 
 void replica::grant_lease(std::uint32_t view_id) {
@@ -105,15 +120,6 @@ void replica::start() {
   group_.set_deliver([this](std::vector<gcs::delivery>&& run) {
     on_deliver_batch(std::move(run));
   });
-}
-
-sim_duration replica::codec_cost(std::size_t bytes) const {
-  return cfg_.codec_cost_fixed + codec_cost_bytes(bytes);
-}
-
-sim_duration replica::codec_cost_bytes(std::size_t bytes) const {
-  return static_cast<sim_duration>(cfg_.codec_cost_per_byte_ns *
-                                   static_cast<double>(bytes));
 }
 
 void replica::submit(db::txn_request req,
@@ -150,7 +156,7 @@ void replica::on_executed(const db::txn_request& req) {
       // their latency unaffected): certify against the local last-writer
       // index — O(|read_set|) probes, charged via last_cost().
       env_.post([this, id, begin_pos, read_set = req.read_set] {
-        env_.charge(cfg_.codec_cost_fixed);
+        env_.charge(codec_cost_fixed);
         const bool ok = cert_.certify_read_only(begin_pos, read_set);
         env_.charge(cert_.last_cost());
         env_.call_out([this, id, ok] {
@@ -172,12 +178,12 @@ void replica::on_executed(const db::txn_request& req) {
       // view. No certification, no broadcast; the read is serializable at
       // that snapshot point (1SR requires consistency, not freshness).
       env_.post([this, id] {
-        env_.charge(cfg_.read.fast_read_cost);
+        env_.charge(read::fast_read_cost);
         const read::snapshot snap =
             snapshots_.at(group_.uniform_delivered());
         ++fast_path_reads_;
-        if (on_read_)
-          on_read_(true, snap.epoch, snap.log_len, snap.last_commit_id);
+        notify(env_, obs_.on_read, true, snap.epoch, snap.log_len,
+               snap.last_commit_id);
         env_.call_out([this, id] {
           if (!server_.active(id)) return;
           server_.finish_commit(id);
@@ -191,9 +197,8 @@ void replica::on_executed(const db::txn_request& req) {
     // delivery point on the origin (all other sites skip it entirely).
     if (cfg_.read.path == read::mode::fast) {
       ++fallback_reads_;
-      if (on_read_) on_read_(false, 0, 0, 0);
+      notify(env_, obs_.on_read, false, 0, 0, 0);
     }
-    it->second.in_termination = true;
     const cert::txn_payload ro_payload = cert::make_payload(req, begin_pos);
     env_.post([this, id, payload = std::move(ro_payload)] {
       util::shared_bytes wire = cert::encode_txn(payload);
@@ -208,7 +213,6 @@ void replica::on_executed(const db::txn_request& req) {
 
   // Update transaction: marshal the execution outcome and atomically
   // multicast it to all replicas (distributed termination, §3.3).
-  it->second.in_termination = true;
   const cert::txn_payload payload = cert::make_payload(req, begin_pos);
   env_.post([this, id, payload = std::move(payload)] {
     util::shared_bytes wire = cert::encode_txn(payload);
@@ -339,7 +343,7 @@ void replica::on_deliver_batch(std::vector<gcs::delivery>&& run) {
   // is amortized over the run: the fixed unmarshal cost once per run, and
   // every update certification after the first pays
   // cert_config::cost_batch_fixed instead of cost_fixed.
-  env_.charge(cfg_.codec_cost_fixed);
+  env_.charge(codec_cost_fixed);
   ++delivery_runs_;
   run_payloads_ += run.size();
   bool first_cert = true;
@@ -373,7 +377,7 @@ void replica::on_deliver_batch(std::vector<gcs::delivery>&& run) {
     env_.charge(cert_.last_cost());
     const std::uint64_t pos = cert_.position();
     if (commit) commit_log_.push_back(txn.id);
-    if (on_decision_) on_decision_(txn, pos, commit, commit_log_.size());
+    notify(env_, obs_.on_decision, txn, pos, commit, commit_log_.size());
     // Version the committed prefix for the fast read path: the snapshot at
     // this delivery's global sequence (pure bookkeeping, gated so the other
     // modes carry no memory cost).
@@ -389,9 +393,10 @@ void replica::on_deliver_batch(std::vector<gcs::delivery>&& run) {
       interested_payload_bytes_ += d.payload->size();
     if (commit) {
       store_.apply(txn.write_set, txn.update_bytes);
-      if (on_apply_) {
+      if (obs_.on_apply) {
         cfg_.placement.slice(txn.write_set, env_.self(), slice_scratch_);
-        on_apply_(txn, pos, slice_scratch_, store_.durable_bytes());
+        notify(env_, obs_.on_apply, txn, pos, slice_scratch_,
+               store_.durable_bytes());
       }
     }
     // Bounded hand-off: a full queue drains synchronously first

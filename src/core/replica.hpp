@@ -16,8 +16,10 @@
 #ifndef DBSM_CORE_REPLICA_HPP
 #define DBSM_CORE_REPLICA_HPP
 
+#include <functional>
 #include <unordered_map>
 #include <utility>
+#include <vector>
 
 #include "cert/sharded_certifier.hpp"
 #include "cert/txn_codec.hpp"
@@ -33,14 +35,67 @@
 
 namespace dbsm::core {
 
+/// Observation seam for the check layer: passive callbacks fired
+/// synchronously from inside the protocol jobs, each with the observed
+/// site's id. The cluster owns the one instance; every replica
+/// incarnation calls it directly, and the cluster calls it for the events
+/// it sees itself (views, exclusion, recovery), both through notify().
+/// Callbacks must not schedule simulator work or mutate the observed
+/// objects.
+struct observer {
+  /// Certification decision applied at `site`, inside the delivery job
+  /// right after the commit log took it: the update-order position, the
+  /// verdict and the commit-log length after the decision.
+  std::function<void(unsigned site, const cert::txn_payload& txn,
+                     std::uint64_t global_seq, bool commit,
+                     std::uint64_t log_len)>
+      on_decision;
+  /// View installed at `site`; `delivered` is the site's delivery count
+  /// at the instant of the install (the view-synchrony cut).
+  std::function<void(unsigned site, const gcs::view& v,
+                     std::uint64_t delivered)>
+      on_view;
+  /// `site` discovered that a view install excluded it (delivery halts
+  /// there until it rejoins through recovery).
+  std::function<void(unsigned site)> on_excluded;
+  /// Committed update folded into `site`'s store, right after on_decision
+  /// for every commit: the write-set slice the site makes durable under
+  /// its placement and its cumulative durable bytes. The
+  /// placement-consistency monitor pairs each commit decision with
+  /// exactly this event.
+  std::function<void(unsigned site, const cert::txn_payload& txn,
+                     std::uint64_t global_seq,
+                     const std::vector<db::item_id>& durable_slice,
+                     std::uint64_t durable_bytes)>
+      on_apply;
+  /// Recovery state transfer replaced `site`'s commit log.
+  std::function<void(unsigned site, const std::vector<std::uint64_t>& log)>
+      on_log_reset;
+  std::function<void(unsigned site)> on_recovery_start;
+  /// `site` is live again in the merged view with `log_len` committed.
+  std::function<void(unsigned site, std::uint64_t log_len)> on_rejoined;
+  /// Read-only transaction terminated on the read path (read::mode::fast)
+  /// at `site`: fast == true for a lease-guarded local snapshot read,
+  /// claiming the snapshot (agreed epoch, committed log length, last
+  /// committed txn id) it was served at — the read_snapshot monitor
+  /// cross-checks this claim against the agreed order.
+  std::function<void(unsigned site, bool fast, std::uint64_t epoch,
+                     std::uint64_t log_len, std::uint64_t last_commit_id)>
+      on_read;
+};
+
+/// Calls observer `hook`, when set, for `env`'s site with the site's
+/// profiling clock stopped (measured mode never charges an observer).
+template <class Hook, class... Args>
+void notify(csrt::sim_env& env, const Hook& hook, const Args&... args) {
+  if (hook) env.off_clock([&] { hook(env.self(), args...); });
+}
+
 class replica {
  public:
   struct config {
     db::server_config server;
     cert::cert_config cert;
-    /// Modeled CPU of marshaling/unmarshaling termination messages.
-    sim_duration codec_cost_fixed = microseconds(15);
-    double codec_cost_per_byte_ns = 2.0;
 
     /// Partial replication (§6 / [24], the paper's proposed mitigation of
     /// the read-one/write-all disk ceiling): each granule lives at an
@@ -61,11 +116,12 @@ class replica {
     read::read_config read;
   };
 
-  /// `first_local_txn` seeds the local transaction counter: a replica
-  /// rebuilt after a crash continues its predecessor's id space, so
-  /// pre-crash transactions still in flight can never alias new ones.
+  /// `obs` must outlive the replica (the cluster owns it). `first_local_txn`
+  /// seeds the local transaction counter: a replica rebuilt after a crash
+  /// continues its predecessor's id space, so pre-crash transactions still
+  /// in flight can never alias new ones.
   replica(sim::simulator& sim, csrt::cpu_pool& cpu, csrt::sim_env& env,
-          gcs::group& group, config cfg, util::rng gen,
+          gcs::group& group, const observer& obs, config cfg, util::rng gen,
           std::uint64_t first_local_txn = 0);
 
   replica(const replica&) = delete;
@@ -116,47 +172,6 @@ class replica {
   /// Certification latency at the origin site: multicast → decision
   /// applied (Fig 7b).
   const util::sample_set& cert_latency_ms() const { return cert_latency_; }
-
-  /// Observation seam for the check layer: fired synchronously inside the
-  /// delivery job after each certification decision is applied to the
-  /// commit log, with (payload, update-order position, verdict, commit-log
-  /// length). Observers must be passive — no simulator work, no mutation.
-  using decision_observer =
-      std::function<void(const cert::txn_payload&, std::uint64_t global_seq,
-                         bool commit, std::uint64_t log_len)>;
-  void set_decision_observer(decision_observer fn) {
-    on_decision_ = std::move(fn);
-  }
-
-  /// Fired when install_snapshot replaces the commit log wholesale
-  /// (recovery state transfer), with the transferred log.
-  using log_reset_observer =
-      std::function<void(const std::vector<std::uint64_t>&)>;
-  void set_log_reset_observer(log_reset_observer fn) {
-    on_log_reset_ = std::move(fn);
-  }
-
-  /// Fired synchronously inside the delivery job, right after the decision
-  /// observer, for every COMMITTED update: (payload, update-order
-  /// position, the write-set slice this site makes durable under its
-  /// placement, cumulative durable bytes). The placement-consistency
-  /// monitor pairs each commit decision with exactly this event. Observers
-  /// must be passive.
-  using apply_observer = std::function<void(
-      const cert::txn_payload&, std::uint64_t global_seq,
-      const std::vector<db::item_id>& durable_slice,
-      std::uint64_t durable_bytes)>;
-  void set_apply_observer(apply_observer fn) { on_apply_ = std::move(fn); }
-
-  /// Fired for every read-only transaction terminated on the read path
-  /// (read::mode::fast): fast == true for lease-guarded local snapshot
-  /// reads, with the snapshot's (agreed epoch, committed log length, last
-  /// committed txn id) — the read_snapshot monitor cross-checks this claim
-  /// against the reference committed prefix. Observers must be passive.
-  using read_observer = std::function<void(
-      bool fast, std::uint64_t epoch, std::uint64_t log_len,
-      std::uint64_t last_commit_id)>;
-  void set_read_observer(read_observer fn) { on_read_ = std::move(fn); }
 
   /// Lease protocol entry points (wired by the cluster): a grant at every
   /// view install (and at cluster start), revocations on suspicion and
@@ -213,10 +228,6 @@ class replica {
   /// Completion of a certified read-only broadcast at its origin.
   void finish_certified_read(std::uint64_t id, bool ok);
   void drain_installs();
-  sim_duration codec_cost(std::size_t bytes) const;
-  /// Per-byte share of codec_cost (delivery charges the fixed share once
-  /// per run).
-  sim_duration codec_cost_bytes(std::size_t bytes) const;
   /// Lease check for a fast read, with the lazy suspension re-arm: a
   /// suspicion-suspended lease recovers once the uniform watermark has
   /// advanced past its value at suspension time (a completed stability
@@ -234,13 +245,13 @@ class replica {
   struct pending_txn {
     std::uint64_t begin_pos = 0;
     sim_time multicast_at = 0;
-    bool in_termination = false;
   };
 
   sim::simulator& sim_;
   csrt::cpu_pool& cpu_;
   csrt::sim_env& env_;
   gcs::group& group_;
+  const observer& obs_;
   config cfg_;
   db::server server_;
   cert::sharded_certifier cert_;
@@ -254,10 +265,6 @@ class replica {
   std::unordered_map<std::uint64_t, pending_txn> pending_;
   std::vector<std::uint64_t> commit_log_;
   util::sample_set cert_latency_;
-  decision_observer on_decision_;
-  log_reset_observer on_log_reset_;
-  apply_observer on_apply_;
-  read_observer on_read_;
   read::lease lease_;
   read::snapshot_manager snapshots_;
   std::uint64_t suspend_watermark_ = 0;

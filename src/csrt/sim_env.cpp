@@ -6,16 +6,14 @@ namespace dbsm::csrt {
 
 sim_env::sim_env(sim::simulator& sim, cpu_pool& cpu, transport& net,
                  config cfg, util::rng rng)
-    : sim_(sim), cpu_(cpu), net_(net), cfg_(std::move(cfg)), rng_(rng) {
-  DBSM_CHECK(cfg_.measured_scale > 0.0);
-}
+    : sim_(sim), cpu_(cpu), net_(net), cfg_(std::move(cfg)), rng_(rng) {}
 
 sim_time sim_env::effective_now() {
   if (!in_job_) return sim_.now();
   sim_duration measured = 0;
   if (cfg_.measure_real_time) {
-    measured = static_cast<sim_duration>(static_cast<double>(
-        profiler_.elapsed()) * cfg_.measured_scale * charge_scale_);
+    measured = static_cast<sim_duration>(
+        static_cast<double>(profiler_.elapsed()) * charge_scale_);
   }
   return job_start_ + job_elapsed_ + measured;
 }
@@ -34,8 +32,8 @@ void sim_env::post_job(sim_duration pre_charge, std::function<void()> fn) {
     if (cfg_.measure_real_time) profiler_.start();
     fn();
     if (cfg_.measure_real_time) {
-      job_elapsed_ += static_cast<sim_duration>(static_cast<double>(
-          profiler_.stop()) * cfg_.measured_scale * charge_scale_);
+      job_elapsed_ += static_cast<sim_duration>(
+          static_cast<double>(profiler_.stop()) * charge_scale_);
     }
     in_job_ = false;
     return job_elapsed_;

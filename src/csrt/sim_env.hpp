@@ -39,11 +39,9 @@ class sim_env final : public env {
     node_id self = 0;
     std::vector<node_id> peers;    // transport-level peer set, incl. self
     net_cost_model costs;
-    /// Scale factor applied to *measured* durations: host-ns × scale →
-    /// simulated-ns (models a CPU `1/scale` times the host's speed).
-    double measured_scale = 1.0;
-    /// If true, time real code with the thread CPU clock; if false, rely
-    /// purely on charge() costs (deterministic).
+    /// If true, time real code with the thread CPU clock (one host ns is
+    /// one simulated ns); if false, rely purely on charge() costs
+    /// (deterministic).
     bool measure_real_time = false;
   };
 

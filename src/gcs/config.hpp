@@ -49,10 +49,6 @@ struct group_config {
   /// anyway (the latency bound of batching).
   sim_duration batch_delay = microseconds(500);
 
-  /// Deterministic CPU cost charged per handled datagram when real
-  /// measurement is off (base protocol processing).
-  sim_duration handler_cpu_cost = microseconds(3);
-
   // --- membership recovery (rejoin with state transfer; gcs/recovery.hpp) ---
   /// Master switch. Off (the default), no join protocol exists: no extra
   /// wire bytes, timers, or state — runs are bit-identical to the

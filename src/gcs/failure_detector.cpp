@@ -3,11 +3,8 @@
 namespace dbsm::gcs {
 
 failure_detector::failure_detector(std::vector<node_id> members, node_id self,
-                                   sim_duration timeout, sim_time now,
-                                   sim_duration heartbeat_period,
-                                   unsigned suspect_misses)
-    : self_(self), timeout_(timeout), heartbeat_period_(heartbeat_period),
-      suspect_misses_(suspect_misses) {
+                                   sim_duration timeout, sim_time now)
+    : self_(self), timeout_(timeout) {
   reset(std::move(members), now);
 }
 
@@ -26,7 +23,7 @@ void failure_detector::heard_from(node_id n, sim_time now) {
 void failure_detector::tick(sim_time now) {
   for (auto& [n, st] : members_) {
     if (n == self_) continue;
-    if (now - st.last_heard > heartbeat_period_) {
+    if (now - st.last_heard > heartbeat_period) {
       ++st.misses;
     } else {
       st.misses = 0;
@@ -39,18 +36,10 @@ std::vector<node_id> failure_detector::suspects(sim_time now) const {
   for (const auto& [n, st] : members_) {
     if (n == self_) continue;
     if (now - st.last_heard <= timeout_) continue;
-    if (suspect_misses_ != 0 && st.misses < suspect_misses_) continue;
+    if (st.misses < suspect_misses) continue;
     out.push_back(n);
   }
   return out;
-}
-
-bool failure_detector::is_suspect(node_id n, sim_time now) const {
-  if (n == self_) return false;
-  auto it = members_.find(n);
-  if (it == members_.end()) return false;
-  if (now - it->second.last_heard <= timeout_) return false;
-  return suspect_misses_ == 0 || it->second.misses >= suspect_misses_;
 }
 
 unsigned failure_detector::misses(node_id n) const {

@@ -10,14 +10,9 @@ namespace dbsm::gcs {
 
 namespace {
 
-// Heartbeats also clock failure detection.
-constexpr sim_duration heartbeat_period = milliseconds(20);
-// Miss-count hysteresis: a member is only suspected after this many
-// consecutive heartbeat intervals with no traffic from it — a single late
-// arrival (one delayed datagram past suspect_timeout) is not enough. It
-// adds no latency over the plain timeout: any silence longer than
-// suspect_timeout spans well over 3 heartbeat ticks.
-constexpr unsigned suspect_misses = 3;
+// Deterministic CPU cost charged per handled datagram when real
+// measurement is off (base protocol processing).
+constexpr sim_duration handler_cpu_cost = microseconds(3);
 
 }  // namespace
 
@@ -33,8 +28,7 @@ group::group(csrt::env& env, group_config cfg)
   initial.members = cfg_.members;
 
   fd_ = std::make_unique<failure_detector>(
-      cfg_.members, env_.self(), cfg_.suspect_timeout, env_.now(),
-      heartbeat_period, suspect_misses);
+      cfg_.members, env_.self(), cfg_.suspect_timeout, env_.now());
 
   membership::hooks h;
   h.stop_sends = [this] { rmcast_->stop_sending(); };
@@ -262,7 +256,7 @@ void group::on_app_msg(node_id sender, std::uint64_t app_seq,
 void group::dispatch(node_id from, util::shared_bytes raw) {
   (void)from;
   if (stopped_) return;
-  env_.charge(cfg_.handler_cpu_cost);
+  env_.charge(handler_cpu_cost);
   // Decode first and handle after: a datagram that does not decode is
   // dropped and counted, while an invariant failure inside a handler still
   // stops the run.
@@ -400,7 +394,8 @@ void group::heartbeat_tick() {
     membership_->suspect(s);
     if (suspicion_cb_) suspicion_cb_(s);
   }
-  hb_timer_ = env_.set_timer(heartbeat_period, [this] { heartbeat_tick(); });
+  hb_timer_ = env_.set_timer(failure_detector::heartbeat_period,
+                             [this] { heartbeat_tick(); });
 }
 
 void group::send_ctl(node_id to, util::shared_bytes raw) {

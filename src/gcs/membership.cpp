@@ -63,6 +63,10 @@ void membership::admit(node_id joiner) {
 void membership::force_view(const view& v) {
   DBSM_CHECK(!v.members.empty());
   DBSM_CHECK(std::is_sorted(v.members.begin(), v.members.end()));
+  adopt(v);
+}
+
+void membership::adopt(const view& v) {
   current_ = v;
   excluded_ = false;
   changing_ = false;
@@ -285,21 +289,7 @@ void membership::finish_install(const view_install_msg& m) {
   DBSM_LOG(info, "gcs.membership",
            "node " << env_.self() << " installs view " << v.id);
 
-  current_ = v;
-  excluded_ = false;
-  changing_ = false;
-  member_flush_done_ = false;
-  pending_view_ = v.id;
-  suspected_.clear();
-  join_candidates_.clear();
-  states_.clear();
-  flush_oks_.clear();
-  cut_sent_ = false;
-  ++view_changes_;
-  if (retry_timer_ != 0) {
-    env_.cancel_timer(retry_timer_);
-    retry_timer_ = 0;
-  }
+  adopt(v);
   hooks_.install(v, old_members, m.cut);
 }
 

@@ -127,6 +127,10 @@ class membership {
   void arm_retry();
   void retry_fire();
   void finish_install(const view_install_msg& m);
+  /// Makes `v` the current view and ends any change in progress: clears
+  /// the exclusion, suspicions, joiners and flush state, counts the view
+  /// change and disarms the retry timer.
+  void adopt(const view& v);
 
   csrt::env& env_;
   const group_config& cfg_;

@@ -44,10 +44,11 @@ const char* mode_name(mode m);
 
 struct read_config {
   mode path = mode::off;
-  /// Modeled CPU cost of a fast-path snapshot read (version lookup on
-  /// the local committed prefix — no certification, no broadcast).
-  sim_duration fast_read_cost = microseconds(5);
 };
+
+/// Modeled CPU cost of a fast-path snapshot read (version lookup on the
+/// local committed prefix — no certification, no broadcast).
+constexpr sim_duration fast_read_cost = microseconds(5);
 
 enum class revoke_reason : std::uint8_t {
   view_change = 0,

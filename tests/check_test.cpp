@@ -387,6 +387,122 @@ TEST(recovery_convergence, run_end_spares_recoveries_inside_the_deadline) {
   EXPECT_TRUE(c.ok());
 }
 
+// ---------- (7) read-snapshot 1SR ----------
+
+/// Monitor 1 and the read-snapshot monitor reading its agreed order,
+/// registered in the standard suite's order.
+void add_read_snapshot(checker& c) {
+  auto order = std::make_unique<agreed_prefix_monitor>();
+  const agreed_prefix_monitor& agreed = *order;
+  c.add(std::move(order));
+  c.add(std::make_unique<read_snapshot_monitor>(agreed));
+}
+
+read_event fast_read(unsigned site, std::uint64_t log_len,
+                     std::uint64_t last_commit_id, sim_time at = 0) {
+  return read_event{site, true, 1, log_len, last_commit_id, at};
+}
+
+TEST(read_snapshot, claim_past_the_agreed_order_is_flagged) {
+  checker c(no_halt());
+  add_read_snapshot(c);
+  const auto a = make_txn(1);
+  c.decision(commit_at(0, 1, a, 1));
+  c.read(fast_read(0, 1, 1));
+  EXPECT_TRUE(c.ok()) << c.get_report().summary();
+  // A two-commit prefix nobody committed.
+  c.read(fast_read(1, 2, 9));
+  ASSERT_EQ(c.get_report().violations.size(), 1u);
+  EXPECT_EQ(c.get_report().violations[0].invariant, "read_snapshot");
+  EXPECT_NE(c.get_report().violations[0].evidence.find(
+                "not (or no longer) part of the agreed order (length 1)"),
+            std::string::npos);
+  // The right length, the wrong last transaction.
+  c.read(fast_read(2, 1, 7));
+  ASSERT_EQ(c.get_report().violations.size(), 2u);
+  EXPECT_NE(c.get_report().violations[1].evidence.find("ending in txn 7"),
+            std::string::npos);
+  EXPECT_EQ(c.get_report().reads_checked, 3u);
+}
+
+TEST(read_snapshot, orphan_branch_claim_flagged_at_the_rolling_back_install) {
+  // The standard suite: its registration order is what lets the
+  // revalidation see monitor 1's rollback at the same install.
+  auto c = checker::standard(no_halt(), 3, cert::cert_config{});
+  const auto orphan = make_txn(11);
+  // Site 0 — a partitioned-off sequencer — self-delivers its own txn and
+  // serves a fast read of that one-commit prefix. Nothing contradicts it
+  // yet.
+  c->decision(commit_at(0, 1, orphan, 1));
+  c->read(fast_read(0, 1, 11, seconds(1)));
+  EXPECT_TRUE(c->ok()) << c->get_report().summary();
+  // The survivors install view 2 at cut 0: the orphan branch is rolled
+  // back, and the claim with it.
+  c->view_installed(install(1, 2, {1, 2}, 0, seconds(2)));
+  ASSERT_FALSE(c->ok());
+  const violation& v = c->get_report().violations[0];
+  EXPECT_EQ(v.invariant, "read_snapshot");
+  EXPECT_EQ(v.site, 0u);
+  EXPECT_EQ(v.at, seconds(1));  // blamed on the read, not the install
+  EXPECT_EQ(c->get_report().violations.size(), 1u);
+}
+
+TEST(read_snapshot, a_site_may_not_serve_a_shorter_snapshot) {
+  checker c(no_halt());
+  add_read_snapshot(c);
+  const auto a = make_txn(1), b = make_txn(2);
+  c.decision(commit_at(0, 1, a, 1));
+  c.decision(commit_at(0, 2, b, 2));
+  c.read(fast_read(0, 2, 2));
+  // Monotonicity is per site: another site may still serve the shorter
+  // prefix.
+  c.read(fast_read(1, 1, 1));
+  EXPECT_TRUE(c.ok()) << c.get_report().summary();
+  c.read(fast_read(0, 1, 1));
+  ASSERT_FALSE(c.ok());
+  EXPECT_NE(c.get_report().violations[0].evidence.find("back in time"),
+            std::string::npos);
+  EXPECT_EQ(c.get_report().violations[0].site, 0u);
+}
+
+TEST(read_snapshot, fallback_reads_claim_nothing) {
+  checker c(no_halt());
+  add_read_snapshot(c);
+  const auto a = make_txn(1);
+  c.decision(commit_at(0, 1, a, 1));
+  c.read(fast_read(0, 1, 1));
+  // A fallback certifies through the total order: its fields are not a
+  // snapshot claim, even when they would fail one, and it does not count
+  // against the site's monotonicity.
+  c.read(read_event{0, false, 0, 0, 0, 0});
+  c.read(read_event{0, false, 0, 5, 99, 0});
+  c.view_installed(install(0, 2, {0, 1, 2}, 1));
+  c.run_end(seconds(1));
+  EXPECT_TRUE(c.ok()) << c.get_report().summary();
+  EXPECT_EQ(c.get_report().reads_checked, 3u);
+}
+
+TEST(read_snapshot, rollback_starts_at_the_transferred_log_end) {
+  checker c(no_halt());
+  add_read_snapshot(c);
+  const auto a = make_txn(1), b = make_txn(2);
+  // All three sites commit position 1; site 0 alone commits position 2
+  // and serves a fast read of that two-commit prefix.
+  for (unsigned site = 0; site < 3; ++site)
+    c.decision(commit_at(site, 1, a, 1));
+  c.decision(commit_at(0, 2, b, 2));
+  c.read(fast_read(0, 2, 2));
+  // Site 1's log is replaced by a transferred log holding both commits,
+  // and site 1 is the first to install view {1, 2}. Its commit-log cut is
+  // the transferred log's end, so position 2 is not rolled back and the
+  // claim stands.
+  const std::vector<std::uint64_t> transferred{1, 2};
+  c.log_reset({1, &transferred, 0});
+  c.view_installed(install(1, 2, {1, 2}, 2));
+  c.run_end(seconds(1));
+  EXPECT_TRUE(c.ok()) << c.get_report().summary();
+}
+
 // ---------- the checker itself ----------
 
 TEST(checker_core, halt_hook_fires_once_and_summary_reports_first) {

@@ -2,6 +2,7 @@
 // stability gossip rounds, flow control, failure detection.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <concepts>
 #include <typeinfo>
 #include <utility>
@@ -312,46 +313,58 @@ TEST(flow_control, buffer_quota_slot_accounting) {
 
 // ---------- failure detector ----------
 
+/// Ticks `fd` at the heartbeat cadence at every multiple of the period in
+/// [from, to].
+void tick_through(failure_detector& fd, sim_time from, sim_time to) {
+  for (sim_time t = from; t <= to; t += failure_detector::heartbeat_period)
+    fd.tick(t);
+}
+
 TEST(failure_detector, suspects_after_timeout) {
   failure_detector fd({0, 1, 2}, 0, milliseconds(100), 0);
-  EXPECT_TRUE(fd.suspects(milliseconds(50)).empty());
+  // Four missed ticks, but the silence is still within the timeout.
+  tick_through(fd, milliseconds(20), milliseconds(80));
+  EXPECT_TRUE(fd.suspects(milliseconds(80)).empty());
   fd.heard_from(1, milliseconds(80));
+  tick_through(fd, milliseconds(100), milliseconds(140));
   const auto sus = fd.suspects(milliseconds(150));
   ASSERT_EQ(sus.size(), 1u);
   EXPECT_EQ(sus[0], 2u);
-  EXPECT_FALSE(fd.is_suspect(1, milliseconds(150)));
-  EXPECT_TRUE(fd.is_suspect(2, milliseconds(150)));
-  // Never suspects self.
-  EXPECT_FALSE(fd.is_suspect(0, seconds(10)));
+  // Never suspects self, however long the run.
+  tick_through(fd, milliseconds(160), seconds(10));
+  const auto all = fd.suspects(seconds(10));
+  EXPECT_EQ(all.size(), 2u);
+  EXPECT_EQ(std::count(all.begin(), all.end(), node_id{0}), 0);
 }
 
 TEST(failure_detector, reset_reseeds) {
   failure_detector fd({0, 1}, 0, milliseconds(100), 0);
-  EXPECT_TRUE(fd.is_suspect(1, milliseconds(200)));
+  tick_through(fd, milliseconds(20), milliseconds(200));
+  EXPECT_EQ(fd.suspects(milliseconds(200)).size(), 1u);
   fd.reset({0, 1}, milliseconds(200));
-  EXPECT_FALSE(fd.is_suspect(1, milliseconds(250)));
+  EXPECT_EQ(fd.misses(1), 0u);
+  tick_through(fd, milliseconds(220), milliseconds(280));
+  EXPECT_TRUE(fd.suspects(milliseconds(280)).empty());
 }
 
 TEST(failure_detector, hysteresis_needs_consecutive_misses) {
   // 20 ms heartbeat, suspect after 3 consecutive missed intervals.
-  failure_detector fd({0, 1}, 0, milliseconds(100), 0, milliseconds(20), 3);
+  failure_detector fd({0, 1}, 0, milliseconds(100), 0);
   // Past the timeout but with no scored misses: not yet a suspect.
-  EXPECT_FALSE(fd.is_suspect(1, milliseconds(150)));
+  EXPECT_TRUE(fd.suspects(milliseconds(150)).empty());
   fd.tick(milliseconds(150));
   fd.tick(milliseconds(170));
   EXPECT_EQ(fd.misses(1), 2u);
-  EXPECT_FALSE(fd.is_suspect(1, milliseconds(170)));
   EXPECT_TRUE(fd.suspects(milliseconds(170)).empty());
   fd.tick(milliseconds(190));
   EXPECT_EQ(fd.misses(1), 3u);
-  EXPECT_TRUE(fd.is_suspect(1, milliseconds(190)));
   const auto sus = fd.suspects(milliseconds(190));
   ASSERT_EQ(sus.size(), 1u);
   EXPECT_EQ(sus[0], 1u);
 }
 
 TEST(failure_detector, hysteresis_single_late_arrival_forgiven) {
-  failure_detector fd({0, 1}, 0, milliseconds(100), 0, milliseconds(20), 3);
+  failure_detector fd({0, 1}, 0, milliseconds(100), 0);
   fd.tick(milliseconds(150));
   fd.tick(milliseconds(170));
   // One datagram — even a badly delayed one — clears the streak.
@@ -360,13 +373,13 @@ TEST(failure_detector, hysteresis_single_late_arrival_forgiven) {
   fd.tick(milliseconds(300));
   fd.tick(milliseconds(320));
   // Silent past the timeout again, but only 2 misses since the arrival.
-  EXPECT_FALSE(fd.is_suspect(1, milliseconds(320)));
+  EXPECT_TRUE(fd.suspects(milliseconds(320)).empty());
   fd.tick(milliseconds(340));
-  EXPECT_TRUE(fd.is_suspect(1, milliseconds(340)));
+  EXPECT_EQ(fd.suspects(milliseconds(340)).size(), 1u);
 }
 
 TEST(failure_detector, hysteresis_tick_within_period_clears) {
-  failure_detector fd({0, 1}, 0, milliseconds(100), 0, milliseconds(20), 3);
+  failure_detector fd({0, 1}, 0, milliseconds(100), 0);
   fd.tick(milliseconds(150));
   EXPECT_EQ(fd.misses(1), 1u);
   fd.heard_from(1, milliseconds(160));
@@ -376,13 +389,6 @@ TEST(failure_detector, hysteresis_tick_within_period_clears) {
   // Self never accumulates misses.
   fd.tick(milliseconds(400));
   EXPECT_EQ(fd.misses(0), 0u);
-}
-
-TEST(failure_detector, hysteresis_disabled_is_timeout_only) {
-  // suspect_misses = 0 restores the plain timeout detector: no ticks ever
-  // run, yet silence past the timeout is enough.
-  failure_detector fd({0, 1}, 0, milliseconds(100), 0, milliseconds(20), 0);
-  EXPECT_TRUE(fd.is_suspect(1, milliseconds(150)));
 }
 
 }  // namespace
