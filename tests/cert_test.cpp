@@ -262,46 +262,82 @@ TEST(reference_certifier, cost_model_scales_with_window) {
 }
 
 TEST(reference_certifier, seeded_stream_output_is_pinned) {
-  // One seeded stream through a 64-entry window: evictions, 364 snapshots
-  // that predate the window (conservative aborts), escalated granule reads
-  // (in 2190 read sets), point reads and read-only certifications. The
-  // five figures come from the deque-of-vectors history this oracle kept
-  // before its flat layout, and any layout must reproduce them.
-  cert_config cfg;
-  cfg.history_window = 64;
-  reference_certifier c(cfg);
-  util::rng g(2005);
-  sim_duration cost_sum = 0;
-  for (int i = 0; i < 5000; ++i) {
-    const auto lag = static_cast<std::uint64_t>(g.uniform_int(0, 120));
-    const std::uint64_t begin = c.position() > lag ? c.position() - lag : 0;
-    std::vector<item_id> rs, ws;
-    for (std::int64_t k = g.uniform_int(0, 6); k > 0; --k) {
-      if (g.bernoulli(0.2)) {
-        rs.push_back(gran(static_cast<std::uint64_t>(g.uniform_int(0, 40))));
-      } else {
-        rs.push_back(tup(static_cast<std::uint64_t>(g.uniform_int(0, 3000))));
+  // Seeded streams through a 64-entry window, each with its five figures
+  // pinned: evictions, snapshots that predate the window (conservative
+  // aborts), escalated granule reads, point reads and a read-only
+  // certification every seventh call. Any implementation of the scan
+  // must reproduce them.
+  //   * sparse: 1-4 written tuples from 3,001 rows, 364 pre-window
+  //     snapshots, granule reads in 2190 read sets. Its figures come from
+  //     the deque-of-vectors history this oracle kept before its flat
+  //     layout.
+  //   * dense: 16-64 written tuples from 200,001 rows, each with its
+  //     granule marker, granule reads from 8,192 granules in most read
+  //     sets and 420 pre-window snapshots. A scan meets ~1,700 stored ids
+  //     per call and nearly all are in none of the transaction's sets;
+  //     455 calls conflict on a granule read only, 315 on a written tuple
+  //     only.
+  struct shape {
+    const char* name;
+    std::uint64_t seed;
+    int calls;
+    std::int64_t max_lag;
+    std::int64_t max_reads;
+    double granule_read_p;
+    std::int64_t read_granules;  // granule reads from [0, read_granules]
+    std::int64_t min_writes, max_writes;
+    std::int64_t rows;       // tuples (read and written) from [0, rows]
+    std::uint64_t granules;  // row r falls into granule r % granules
+    std::uint64_t commits, aborts, history, oldest;
+    sim_duration cost_sum;
+  };
+  const shape shapes[] = {
+      {"sparse", 2005, 5000, 120, 6, 0.2, 40, 1, 4, 3000, 41,  //
+       2498, 1788, 64, 4172, 108518840},
+      {"dense", 2025, 3000, 140, 8, 0.5, 8191, 16, 64, 200000, 8192,  //
+       1403, 1169, 64, 2454, 717302280},
+  };
+  for (const shape& s : shapes) {
+    SCOPED_TRACE(s.name);
+    cert_config cfg;
+    cfg.history_window = 64;
+    reference_certifier c(cfg);
+    util::rng g(s.seed);
+    sim_duration cost_sum = 0;
+    for (int i = 0; i < s.calls; ++i) {
+      const auto lag = static_cast<std::uint64_t>(g.uniform_int(0, s.max_lag));
+      const std::uint64_t begin = c.position() > lag ? c.position() - lag : 0;
+      std::vector<item_id> rs, ws;
+      for (std::int64_t k = g.uniform_int(0, s.max_reads); k > 0; --k) {
+        if (g.bernoulli(s.granule_read_p)) {
+          rs.push_back(gran(
+              static_cast<std::uint64_t>(g.uniform_int(0, s.read_granules))));
+        } else {
+          rs.push_back(
+              tup(static_cast<std::uint64_t>(g.uniform_int(0, s.rows))));
+        }
       }
+      for (std::int64_t k = g.uniform_int(s.min_writes, s.max_writes); k > 0;
+           --k) {
+        const auto row = static_cast<std::uint64_t>(g.uniform_int(0, s.rows));
+        ws.push_back(tup(row));
+        ws.push_back(gran(row % s.granules));  // the tuple's granule
+      }
+      normalize(rs);
+      normalize(ws);
+      if (i % 7 == 6) {
+        c.certify_read_only(begin, rs);
+      } else {
+        c.certify_update(begin, rs, ws);
+      }
+      cost_sum += c.last_cost();
     }
-    for (std::int64_t k = g.uniform_int(1, 4); k > 0; --k) {
-      const auto row = static_cast<std::uint64_t>(g.uniform_int(0, 3000));
-      ws.push_back(tup(row));
-      ws.push_back(gran(row % 41));  // the granule the tuple falls into
-    }
-    normalize(rs);
-    normalize(ws);
-    if (i % 7 == 6) {
-      c.certify_read_only(begin, rs);
-    } else {
-      c.certify_update(begin, rs, ws);
-    }
-    cost_sum += c.last_cost();
+    EXPECT_EQ(c.commits(), s.commits);
+    EXPECT_EQ(c.aborts(), s.aborts);
+    EXPECT_EQ(c.history_size(), s.history);
+    EXPECT_EQ(c.oldest_retained(), s.oldest);
+    EXPECT_EQ(cost_sum, s.cost_sum);
   }
-  EXPECT_EQ(c.commits(), 2498u);
-  EXPECT_EQ(c.aborts(), 1788u);
-  EXPECT_EQ(c.history_size(), 64u);
-  EXPECT_EQ(c.oldest_retained(), 4172u);
-  EXPECT_EQ(cost_sum, 108518840);
 }
 
 // rollback(p) against a fresh certifier fed only the kept prefix. Random
