@@ -122,6 +122,41 @@ BENCHMARK(BM_certify_scan)
     ->Arg(50000)
     ->Unit(benchmark::kMicrosecond);
 
+// The reference scan in the regime the online oracle meets on the
+// ycsb_a_protocol workload, where BM_certify_scan's disjoint ascending
+// ids are a merge's best case: 9-tuple write sets drawn at run time from
+// 20,000 keys, so stored and written ids interleave, behind snapshots 130
+// positions back in a full 50,000 window: ~90 concurrent write sets per
+// scan. About three in ten certifications abort (commit_pct), each at
+// its first conflicting write set.
+void BM_certify_scan_random(benchmark::State& state) {
+  cert::cert_config cfg;
+  cfg.history_window = 50000;
+  cert::reference_certifier c(cfg);
+  util::rng g(1);
+  std::vector<db::item_id> ws;
+  const auto draw = [&] {
+    ws.clear();
+    for (int k = 0; k < 9; ++k)
+      ws.push_back(static_cast<db::item_id>(g.uniform_int(0, 19999)) << 1);
+    cert::normalize(ws);
+  };
+  while (c.history_size() < cfg.history_window) {
+    draw();
+    c.certify_update(c.position(), {}, ws);
+  }
+  const std::uint64_t prefilled = c.commits();
+  for (auto _ : state) {
+    draw();
+    benchmark::DoNotOptimize(c.certify_update(c.position() - 130, {}, ws));
+  }
+  state.SetItemsProcessed(state.iterations());
+  state.counters["commit_pct"] =
+      100.0 * static_cast<double>(c.commits() - prefilled) /
+      static_cast<double>(state.iterations());
+}
+BENCHMARK(BM_certify_scan_random)->Unit(benchmark::kMicrosecond);
+
 void BM_txn_codec_round_trip(benchmark::State& state) {
   cert::txn_payload p;
   p.id = 42;

@@ -1,35 +1,26 @@
 #include "cert/reference_certifier.hpp"
 
 #include <algorithm>
-#include <span>
 
 #include "util/check.hpp"
+#include "util/open_table.hpp"
 
 namespace dbsm::cert {
 
-namespace {
+reference_certifier::reference_certifier(cert_config cfg) : cfg_(cfg) {
+  DBSM_CHECK(cfg_.history_window > 0);
+}
 
-/// True if two ascending id runs share an element (one merge traversal).
-bool shares_id(std::span<const db::item_id> a,
-               std::span<const db::item_id> b) {
-  auto ia = a.begin();
-  auto ib = b.begin();
-  while (ia != a.end() && ib != b.end()) {
-    if (*ia < *ib) {
-      ++ia;
-    } else if (*ib < *ia) {
-      ++ib;
-    } else {
+bool reference_certifier::probe(std::span<const db::item_id> stored,
+                                std::span<const db::item_id> query) const {
+  for (db::item_id id : stored) {
+    const std::size_t h = util::open_table_home(id, filter_log2);
+    if ((filter_[h / 64] >> (h % 64) & 1) != 0 &&
+        std::binary_search(query.begin(), query.end(), id)) {
       return true;
     }
   }
   return false;
-}
-
-}  // namespace
-
-reference_certifier::reference_certifier(cert_config cfg) : cfg_(cfg) {
-  DBSM_CHECK(cfg_.history_window > 0);
 }
 
 bool reference_certifier::conflicts(std::uint64_t begin_pos,
@@ -60,11 +51,24 @@ bool reference_certifier::conflicts(std::uint64_t begin_pos,
     }
   }
 
+  // One filter serves both runs: a stored tuple that hits a read granule's
+  // bit, or a granule that hits a tuple's, fails its confirm. The scan
+  // clears the bits it set, so each call starts from an empty filter; a
+  // bit left set could only cost a confirm, never change a decision.
+  const std::vector<db::item_id>* const query[] = {&read_granules,
+                                                   &write_tuples};
+  for (const auto* run : query) {
+    for (db::item_id id : *run) {
+      const std::size_t h = util::open_table_home(id, filter_log2);
+      filter_[h / 64] |= std::uint64_t{1} << (h % 64);
+    }
+  }
+  bool found = false;
   // The first committed entry after the snapshot. It is live: the rule
   // above leaves every evicted entry at or before the snapshot.
   for (auto e = history_.begin() +
                 static_cast<std::ptrdiff_t>(first_after(begin_pos));
-       e != history_.end(); ++e) {
+       !found && e != history_.end(); ++e) {
     const std::span<const db::item_id> tuples(ids_.data() + e->begin,
                                               e->tuples);
     const std::span<const db::item_id> granules(tuples.data() + e->tuples,
@@ -74,15 +78,20 @@ bool reference_certifier::conflicts(std::uint64_t begin_pos,
     if (!read_granules.empty()) {
       cost += cfg_.cost_per_element *
               static_cast<sim_duration>(size + read_granules.size());
-      if (shares_id(granules, read_granules)) return true;
+      found = probe(granules, read_granules);
     }
-    if (write_set != nullptr) {
+    if (!found && write_set != nullptr) {
       cost += cfg_.cost_per_element *
               static_cast<sim_duration>(size + write_set->size());
-      if (shares_id(tuples, write_tuples)) return true;
+      found = probe(tuples, write_tuples);
     }
   }
-  return false;
+  for (const auto* run : query) {
+    for (db::item_id id : *run) {
+      filter_[util::open_table_home(id, filter_log2) / 64] = 0;
+    }
+  }
+  return found;
 }
 
 std::size_t reference_certifier::first_after(std::uint64_t p) const {

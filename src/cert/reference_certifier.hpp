@@ -1,19 +1,26 @@
-// Reference merge-scan certifier (§3.3) — the original O(window × |sets|)
+// Reference scan certifier (§3.3) — the original O(window × |sets|)
 // implementation, retained verbatim in behavior as the oracle for
 // differential testing of the indexed certifier
 // (cert/sharded_certifier.hpp).
 //
 // At each delivery it walks every retained committed write set newer than
-// the transaction's snapshot and runs a merge traversal per set:
+// the transaction's snapshot and probes each stored id of the set against
+// the transaction's own ids:
 //   * write-write at tuple granularity (first-committer-wins);
 //   * escalated granule reads against any committed write advertising the
 //     granule (point reads are snapshot-served and never conflict).
 // A retained write set keeps its tuples and its granules apart, so each
-// traversal walks only the ids that can match.
+// probe walks only the ids that can match. The probe is a filtered one:
+// before the walk, each written tuple and escalated read sets one bit of
+// a fixed-size bitset, and only a stored id whose bit is set is looked up
+// by binary search in the transaction's sorted run. The bitset lives only
+// for the call; no per-id state survives it, so the oracle stays
+// independent of the indexed certifier's last-writer table.
 // Its decisions define the protocol; the indexed certifier must match them
 // bit for bit (tests/cert_index_test.cpp). Its modeled cost keeps the
-// historical scan cost model — cost grows with the concurrent window — so
-// the two certifiers' real and modeled costs can be compared directly.
+// historical scan cost model — cost grows with the concurrent window and
+// each concurrent set is charged as a merge over both whole sets — so the
+// two certifiers' real and modeled costs can be compared directly.
 //
 // It is also the online 1SR oracle (check::cert_oracle_monitor), which
 // undoes orphan branches with rollback() and marks with settle() the
@@ -21,8 +28,10 @@
 #ifndef DBSM_CERT_REFERENCE_CERTIFIER_HPP
 #define DBSM_CERT_REFERENCE_CERTIFIER_HPP
 
+#include <array>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "cert/cert_config.hpp"
@@ -87,6 +96,9 @@ class reference_certifier {
                  const std::vector<db::item_id>& read_set,
                  const std::vector<db::item_id>* write_set,
                  sim_duration& cost) const;
+  /// True if a stored id is in `query` (ascending, its ids in the filter).
+  bool probe(std::span<const db::item_id> stored,
+             std::span<const db::item_id> query) const;
   /// Index of the first stored entry at a position > p.
   std::size_t first_after(std::uint64_t p) const;
   /// Drops the oldest retained write set; once the erasable prefix is as
@@ -108,6 +120,11 @@ class reference_certifier {
   /// reused across calls so the hot path does not heap-allocate.
   mutable std::vector<db::item_id> read_granules_scratch_;
   mutable std::vector<db::item_id> write_tuples_scratch_;
+  /// Per-call query filter: bit util::open_table_home(id, filter_log2) of
+  /// each id in the two scratch runs, set for one scan and cleared after.
+  static constexpr unsigned filter_log2 = 12;  // 4,096 bits, 512 B
+  mutable std::array<std::uint64_t, (std::size_t{1} << filter_log2) / 64>
+      filter_{};
   std::uint64_t commits_ = 0;
   std::uint64_t aborts_ = 0;
 };

@@ -33,8 +33,8 @@ std::unique_ptr<checker> checker::standard(config cfg, unsigned sites,
   c->add(std::make_unique<cert_oracle_monitor>(sites, cert_cfg));
   c->add(std::make_unique<recovery_convergence_monitor>(cfg));
   // Only partial placements add the placement-consistency monitor: full
-  // runs keep the historical five-monitor set (and synthetic event-stream
-  // tests that never emit apply events stay valid).
+  // runs leave it out (and synthetic event-stream tests that never emit
+  // apply events stay valid).
   if (!placement.is_full()) {
     c->add(std::make_unique<placement_monitor>(placement));
   }

@@ -12,7 +12,8 @@
 // In measured mode (§2.3) the cluster calls them with the site's profiling
 // clock stopped, so their own thread CPU is never charged either.
 //
-// The standard suite (check::standard_checker) implements:
+// The standard suite (check::checker::standard) registers seven monitors,
+// in this order; all but placement are always added:
 //   agreed_prefix       — every site's commit log is a prefix of the global
 //                         agreed order, checked at each install;
 //   view_synchrony      — all sites installing view v agree on its
@@ -20,12 +21,18 @@
 //   primary_partition   — views chain through majorities and no site
 //                         commits after learning a view excluded it;
 //   cert_oracle (1SR)   — every certification decision cross-checked
-//                         against the reference merge-scan certifier,
-//                         rolled back with orphan branches and settled
-//                         where every member decided (bounded memory);
+//                         against the reference scan certifier, rolled
+//                         back with orphan branches and settled where
+//                         every member decided (bounded memory);
 //   recovery_convergence— a rejoined site carries the donor's exact state
 //                         within a bounded lag, and started recoveries
-//                         finish within a deadline.
+//                         finish within a deadline;
+//   placement           — added only under a partial placement: every
+//                         committed update is durable at exactly its
+//                         replica set;
+//   read_snapshot       — added last: every fast-path read claim is
+//                         validated against agreed_prefix's order, which
+//                         has taken each event in before it runs.
 // Concrete monitors live in check/monitors.hpp.
 #ifndef DBSM_CHECK_CHECK_HPP
 #define DBSM_CHECK_CHECK_HPP
@@ -202,8 +209,8 @@ class checker final : public sink {
   /// the initial view it settles what all `sites` decided). When
   /// `placement` is partial, the suite additionally includes the
   /// placement-consistency monitor ("every committed update is durable at
-  /// exactly its replica set"); a full placement keeps the historical
-  /// five-monitor set, so default runs observe the identical event flow.
+  /// exactly its replica set"); a full placement leaves it out, so default
+  /// runs observe the identical event flow.
   static std::unique_ptr<checker> standard(
       config cfg, unsigned sites, const cert::cert_config& cert_cfg,
       const place::placement& placement = place::placement());

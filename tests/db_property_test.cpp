@@ -71,11 +71,15 @@ TEST_P(lock_table_random, invariants_hold_under_random_schedules) {
     // Model checks:
     for (auto& [id, p] : txns) {
       // A certified transaction is never aborted by the lock table.
-      if (p.certified) EXPECT_FALSE(p.aborted) << "txn " << id;
+      if (p.certified) {
+        EXPECT_FALSE(p.aborted) << "txn " << id;
+      }
       // granted and aborted are mutually exclusive terminal states here
       // (holders can still be preempted, which flips granted->aborted,
       // but then the table must no longer know them).
-      if (p.aborted) EXPECT_FALSE(lt.holds(id));
+      if (p.aborted) {
+        EXPECT_FALSE(lt.holds(id));
+      }
     }
     // No item has two holders (check_invariants covers structure; this
     // asserts the external view).
