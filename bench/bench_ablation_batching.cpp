@@ -52,7 +52,7 @@ struct point_result {
 };
 
 /// Component-level divergence probe: one randomized update/read-only
-/// stream through the merge-scan oracle and a sharded instance charged with
+/// stream through the scan oracle and a sharded instance charged with
 /// the batched amortization pattern (first certification of each
 /// simulated batch pays cost_fixed, the rest cost_batch_fixed). Any
 /// decision or counter mismatch is exactly the divergence the batched

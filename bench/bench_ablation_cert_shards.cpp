@@ -14,7 +14,7 @@
 //   $ ./bench_ablation_cert_shards [--iters N] [--window N]
 //                                  [--csv out.csv] [--json out.json]
 //   $ ./bench_ablation_cert_shards --smoke   # CI: exercises the parallel
-//     path and differentially re-checks it against the merge-scan
+//     path and differentially re-checks it against the scan oracle
 //     cert::reference_certifier, exiting non-zero on any decision
 //     divergence.
 //

@@ -1,7 +1,7 @@
 // Tunables of the certification layer (§3.3): the history window, the
 // modeled CPU costs the simulator charges, and the sharding of the
 // last-writer index. Shared by cert::sharded_certifier (the replicas'
-// certifier) and cert::reference_certifier (the merge-scan oracle).
+// certifier) and cert::reference_certifier (the scan oracle).
 #ifndef DBSM_CERT_CERT_CONFIG_HPP
 #define DBSM_CERT_CERT_CONFIG_HPP
 

@@ -103,7 +103,7 @@ class primary_partition_monitor final : public monitor {
 };
 
 /// (4) 1SR certification oracle: every site's commit/abort decision is
-/// cross-checked against cert::reference_certifier (the paper's merge-scan
+/// cross-checked against cert::reference_certifier (the paper's scan
 /// procedure). The first site to deliver total-order position n feeds the
 /// oracle the event's read and write sets; all sites' decisions at n —
 /// including recovery replays — must match the oracle's verdict and

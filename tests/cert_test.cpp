@@ -274,9 +274,10 @@ TEST(reference_certifier, seeded_stream_output_is_pinned) {
   //   * dense: 16-64 written tuples from 200,001 rows, each with its
   //     granule marker, granule reads from 8,192 granules in most read
   //     sets and 420 pre-window snapshots. A scan meets ~1,700 stored ids
-  //     per call and nearly all are in none of the transaction's sets;
-  //     455 calls conflict on a granule read only, 315 on a written tuple
-  //     only.
+  //     per call and nearly all are in none of the transaction's sets, so
+  //     nearly every hit in the scan's query filter is false and its
+  //     confirm must refuse it; 455 calls conflict on a granule read only,
+  //     315 on a written tuple only.
   struct shape {
     const char* name;
     std::uint64_t seed;
