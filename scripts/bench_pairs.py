@@ -20,7 +20,9 @@ tied, judged by the metric's `better`. Result lines may key a metric as
 run's result line, one JSON object per line.
 
 The exit code is 1 when any run exits non-zero, prints no result line, is
-not `correct` or has `failed` > 0; 2 on a usage error; else 0.
+not `correct`, has `failed` > 0 or reports none of the end-to-end metrics
+(a `--trace 1` run without `--smoke` reports only per-layer ones); 2 on a
+usage error; else 0.
 """
 import argparse
 import json
@@ -90,8 +92,6 @@ def main():
     ap.add_argument("--seeds", required=True,
                     help="seeds, as ranges and lists: 901-905,911")
     ap.add_argument("--out", help="append every result line here (JSONL)")
-    ap.add_argument("--benchmark", default=os.path.join(ROOT, "BENCHMARK.json"),
-                    help="the file naming the end-to-end metrics")
     argv = sys.argv[1:]
     extra = []
     if "--" in argv:
@@ -102,7 +102,7 @@ def main():
         seeds = parse_seeds(args.seeds)
     except ValueError as e:
         ap.error("--seeds: %s" % e)
-    with open(args.benchmark) as f:
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
         metrics = json.load(f)["end_to_end"]
 
     sides = {"parent": args.parent, "change": args.change}
@@ -128,6 +128,10 @@ def main():
                     "no result line" if result is None else
                     "correct %s, failed %s" % (result.get("correct"),
                                                result.get("failed"))))
+            elif not any(values_by_workload(result, args.workload, m["name"])
+                         for m in metrics):
+                bad.append("%s seed %d: no end-to-end metric; --trace 1 "
+                           "reports per-layer metrics only" % (side, seed))
             pair[side] = result or {}
         print("pair %d/%d seed %d done, %s first" % (
             i + 1, len(seeds), seed, order[0]), file=sys.stderr)

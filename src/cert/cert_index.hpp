@@ -3,8 +3,8 @@
 //
 // Maps every identifier appearing in a committed write set to the delivery
 // position of its most recent committed writer. Identifiers keep the exact
-// equality semantics of the merge-scan certifier. Tuple ids and granule ids
-// share one flat table: they differ in bit 0, so they never collide, and
+// equality semantics of the reference scan certifier. Tuple ids and granule
+// ids share one flat table: they differ in bit 0, so they never collide, and
 //   * a point write probes its tuple id (write-write, first-committer-
 //     wins — granule markers never equal tuple ids);
 //   * an escalated granule read probes its granule id, which catches

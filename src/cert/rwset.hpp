@@ -1,9 +1,11 @@
 // Read/write-set utilities for the certification prototype (§3.3).
 //
-// Sets are sorted vectors of 64-bit tuple identifiers; keeping them ordered
-// means every certification check is a single merge traversal. Sets may
-// contain granule ids (escalated scans / the granules written tuples fall
-// into) — see db/item.hpp for the escalation semantics.
+// Sets are sorted vectors of 64-bit tuple identifiers, put in order by
+// normalize(). The reference scan certifier relies on that order to confirm
+// a filter hit by binary search, and the helpers below to test two sets in
+// one merge pass. Sets may contain granule ids (escalated scans / the
+// granules written tuples fall into) — see db/item.hpp for the escalation
+// semantics.
 #ifndef DBSM_CERT_RWSET_HPP
 #define DBSM_CERT_RWSET_HPP
 

@@ -16,9 +16,9 @@
 // Tuple-level reads still travel in the marshaled read set (message sizes
 // match the prototype, §3.3); they are simply never a conflict source.
 //
-// Instead of the historical merge scan over up to `history_window`
-// retained write sets (kept as cert/reference_certifier, the differential
-// oracle), certification probes an inverted last-writer index
+// Instead of the historical scan over up to `history_window` retained
+// write sets (kept as cert/reference_certifier, the differential oracle),
+// certification probes an inverted last-writer index
 // (cert/cert_index.hpp): an element conflicts iff its last committed
 // writer position exceeds the snapshot. One certification is
 // O(|read_set| + |write_set|) hash probes regardless of the window.
