@@ -22,10 +22,6 @@ void declare_common_flags(util::flag_set& flags) {
   flags.declare("seed", "42", "experiment seed");
   flags.declare("quick", "false", "reduced sweep for smoke runs");
   flags.declare("csv", "", "optional CSV output path");
-  flags.declare("cert-shards", "1",
-                "hash partitions of the certification index");
-  flags.declare("certify-threads", "1",
-                "certification fork width (modeled + real; 1 = inline)");
 }
 
 void apply_common_flags(const util::flag_set& flags,
@@ -35,13 +31,6 @@ void apply_common_flags(const util::flag_set& flags,
   if (flags.get_bool("quick") && !flags.is_set("txns")) {
     cfg.target_responses = 1500;
   }
-  // Sharded certification: decisions are invariant, but the modeled
-  // certification CPU follows the fork-join critical path, so figure
-  // benches can model a multi-threaded delivery path (defaults 1/1 keep
-  // every historical figure bit-identical).
-  cfg.replica_cfg.cert.shards = flags.get_u64("cert-shards");
-  cfg.replica_cfg.cert.certify_threads =
-      static_cast<unsigned>(flags.get_u64("certify-threads"));
 }
 
 const std::vector<system_config>& fig5_systems() {

@@ -30,23 +30,10 @@ struct cert_config {
   /// Fixed modeled CPU cost per certification.
   sim_duration cost_fixed = microseconds(10);
   /// Hash partitions of the last-writer index (tuple and granule spaces
-  /// both). Decisions are shard-count-invariant; 1 keeps a single index.
+  /// both), certified one after another on the calling thread.
+  /// Decisions and modeled costs are shard-count-invariant; 1 keeps a
+  /// single index.
   std::size_t shards = 1;
-  /// Fork width of the per-delivery fork-join (the delivery thread
-  /// participates, so 1 runs inline and creates no threads). Meaningful
-  /// only when shards > 1.
-  unsigned certify_threads = 1;
-  /// Modeled fork/join overhead charged once per certification when the
-  /// sharded certifier actually forks (certify_threads > 1 on more than
-  /// one shard) — the fixed price of the parallel term. The per-element
-  /// term then follows the critical path: the fork worker whose shard
-  /// range holds the most probed elements. Calibrated against the
-  /// persistent-pool fork/join price bench_ablation_cert_shards measures
-  /// at probe-light set sizes (2.1-3.6 us across the shard sweep; see
-  /// bench/BENCH_cert_shards.json); tests/cert_shard_test.cpp pins the
-  /// modeled-vs-real ratio. Never charged at the defaults (1 thread), so
-  /// every historical figure and anchor is unaffected.
-  sim_duration cost_fork_join = nanoseconds(2500);
   /// Fixed modeled cost of a certification *amortized over a delivery
   /// run*: the first certification of a run pays the full cost_fixed
   /// (cache-cold entry into the cert path), the rest pay only this.

@@ -10,16 +10,9 @@ namespace dbsm::cert {
 sharded_certifier::sharded_certifier(cert_config cfg) : cfg_(cfg) {
   DBSM_CHECK(cfg_.history_window > 0);
   DBSM_CHECK(cfg_.shards > 0);
-  DBSM_CHECK(cfg_.certify_threads > 0);
   shards_.resize(cfg_.shards);
-  workers_ = static_cast<unsigned>(std::min<std::size_t>(
-      cfg_.certify_threads, shards_.size()));
-  if (workers_ > 1)
-    pool_ = std::make_unique<util::thread_pool>(workers_);
   read_slices_.resize(shards_.size());
   write_slices_.resize(shards_.size());
-  shard_elems_.resize(shards_.size());
-  verdicts_.resize(shards_.size());
 }
 
 std::size_t sharded_certifier::shard_of(db::item_id id) const {
@@ -48,29 +41,20 @@ void sharded_certifier::partition(
   for (const db::item_id id : set) slices[shard_of(id)].push_back(id);
 }
 
-bool sharded_certifier::merge_verdicts() const {
-  for (std::size_t s = 0; s < shards_.size(); ++s)
-    if (verdicts_[s] != 0) return true;
-  return false;
-}
-
-sim_duration sharded_certifier::modeled_cost(bool amortized_fixed) const {
-  // Critical path of the fork-join: the chunk of shards whose slices hold
-  // the most elements. One worker degenerates to the set-linear model
-  // (total element count, no fork term).
-  std::size_t worst = 0;
-  for (unsigned c = 0; c < workers_; ++c) {
-    std::size_t elems = 0;
-    const std::size_t end = chunk_begin(c + 1);
-    for (std::size_t s = chunk_begin(c); s < end; ++s)
-      elems += shard_elems_[s];
-    worst = std::max(worst, elems);
+bool sharded_certifier::conflicts(
+    std::uint64_t begin_pos, const std::vector<db::item_id>& read_set,
+    const std::vector<db::item_id>* write_set) const {
+  partition(read_set, read_slices_);
+  if (write_set != nullptr) partition(*write_set, write_slices_);
+  for (std::size_t s = 0; s < shards_.size(); ++s) {
+    const std::vector<db::item_id>* ws =
+        write_set == nullptr ? nullptr
+                             : &slice_of(*write_set, s, write_slices_);
+    if (shards_[s].conflicts(begin_pos, slice_of(read_set, s, read_slices_),
+                             ws))
+      return true;
   }
-  sim_duration cost =
-      (amortized_fixed ? cfg_.cost_batch_fixed : cfg_.cost_fixed) +
-      cfg_.cost_per_element * static_cast<sim_duration>(worst);
-  if (workers_ > 1) cost += cfg_.cost_fork_join;
-  return cost;
+  return false;
 }
 
 bool sharded_certifier::certify_update(
@@ -80,48 +64,25 @@ bool sharded_certifier::certify_update(
                  "snapshot " << begin_pos << " is in the future of "
                              << position_);
   ++position_;
+  last_cost_ = (amortized_fixed ? cfg_.cost_batch_fixed : cfg_.cost_fixed) +
+               cfg_.cost_per_element *
+                   static_cast<sim_duration>(read_set.size() +
+                                             write_set.size());
   // The conservative pre-window rule is global (positions only) and must
   // precede every probe. A snapshot older than the retained window aborts
   // by a rule deterministic across replicas, and the rule also makes
   // stale (not yet purged) index entries harmless: any surviving snapshot
   // satisfies begin_pos >= oldest_retained_ - 1 >= the stale entry's
   // position.
-  const bool pre_window = begin_pos + 1 < oldest_retained_;
-  // Zero-set short-circuit: with nothing to probe or install, no shard can
-  // produce a verdict and the decision is the pre-window rule alone — so
-  // skip the fork-join (and its modeled fork cost) entirely.
-  if (read_set.empty() && write_set.empty()) {
-    last_cost_ = amortized_fixed ? cfg_.cost_batch_fixed : cfg_.cost_fixed;
-    if (pre_window) {
-      ++aborts_;
-      return false;
-    }
-    retain_commit();
-    return true;
-  }
-  partition(read_set, read_slices_);
-  partition(write_set, write_slices_);
-  fork_join([&](std::size_t s) {
-    const auto& rs = slice_of(read_set, s, read_slices_);
-    const auto& ws = slice_of(write_set, s, write_slices_);
-    shard_elems_[s] = rs.size() + ws.size();
-    verdicts_[s] =
-        (!pre_window && shards_[s].conflicts(begin_pos, rs, &ws)) ? 1 : 0;
-  });
-  const bool conflict = pre_window || merge_verdicts();
-  last_cost_ = modeled_cost(amortized_fixed);
-  if (conflict) {
+  if (begin_pos + 1 < oldest_retained_ ||
+      conflicts(begin_pos, read_set, &write_set)) {
     ++aborts_;
     return false;
   }
-  fork_join([&](std::size_t s) {
+  for (std::size_t s = 0; s < shards_.size(); ++s)
     shards_[s].note_commit(slice_of(write_set, s, write_slices_), position_);
-  });
-  retain_commit();
-  return true;
-}
-
-void sharded_certifier::retain_commit() {
+  // Retain the position, evicting the oldest past history_window, and
+  // purge once per window of commits (see Eviction in the header).
   ++commits_;
   window_.push_back(position_);
   if (window_.size() > cfg_.history_window) {
@@ -132,27 +93,16 @@ void sharded_certifier::retain_commit() {
       commits_ % cfg_.history_window == 0) {
     for (last_writer_index& s : shards_) s.purge_before(oldest_retained_);
   }
+  return true;
 }
 
 bool sharded_certifier::certify_read_only(
     std::uint64_t begin_pos, const std::vector<db::item_id>& read_set) const {
-  // Zero-set short-circuit (see certify_update): an empty read set can
-  // only fail the global pre-window rule, so no shard is consulted.
-  if (read_set.empty()) {
-    last_cost_ = cfg_.cost_fixed;
-    return !(begin_pos + 1 < oldest_retained_);
-  }
-  bool conflict = begin_pos + 1 < oldest_retained_;
-  partition(read_set, read_slices_);
-  fork_join([&](std::size_t s) {
-    const auto& rs = slice_of(read_set, s, read_slices_);
-    shard_elems_[s] = rs.size();
-    verdicts_[s] =
-        (!conflict && shards_[s].conflicts(begin_pos, rs, nullptr)) ? 1 : 0;
-  });
-  conflict = conflict || merge_verdicts();
-  last_cost_ = modeled_cost(/*amortized_fixed=*/false);
-  return !conflict;
+  last_cost_ = cfg_.cost_fixed +
+               cfg_.cost_per_element *
+                   static_cast<sim_duration>(read_set.size());
+  return !(begin_pos + 1 < oldest_retained_ ||
+           conflicts(begin_pos, read_set, nullptr));
 }
 
 std::size_t sharded_certifier::index_size() const {

@@ -1,5 +1,4 @@
-// Deterministic certification (§1, §3.3), indexed, sharded and optionally
-// parallel.
+// Deterministic certification (§1, §3.3), indexed and hash-sharded.
 //
 // Fed by the total order, every replica runs the same procedure over the
 // same sequence and reaches the same commit/abort decisions — the property
@@ -44,32 +43,24 @@
 // write set's ids per commit would.
 //
 // The index partitions cleanly by item id: every probe and install
-// touches exactly one id, so hash-splitting the tuple and granule spaces
-// across N last_writer_index shards makes one delivery's certification a
-// fork-join — each fork worker probes/installs a contiguous shard range,
-// writes its verdict into its own slot, and the verdicts are merged in
-// shard order. Decisions (and therefore abort attribution downstream) are
-// identical at every (shards, certify_threads) combination, because
-//   * the conservative pre-window rule depends only on global delivery
-//     positions and is applied before any shard is consulted;
-//   * a conflict is the OR of per-shard verdicts over disjoint id sets —
-//     commutative, and merged in a fixed order anyway;
-//   * installs touch disjoint shards, so the parallel pass reaches the
-//     same index contents as a serial one.
-// The differential suites (tests/cert_index_test.cpp,
-// tests/cert_shard_test.cpp) check this decision-for-decision against
-// cert::reference_certifier at every grid point.
+// touches exactly one id, so the tuple and granule spaces are hash-split
+// across cert_config::shards last_writer_index shards, and one
+// certification is a serial loop over the shards on the calling thread:
+// probe each shard's slices of the sets, stopping at the first conflict,
+// then install each shard's write slice. Decisions and index contents are
+// identical at every shard count and under any shard map, because the
+// pre-window rule depends only on global positions and is applied before
+// any shard is consulted, a conflict is the OR of per-shard verdicts over
+// disjoint id sets, and installs touch disjoint shards. At one shard
+// (the default) the sets are never copied or partitioned. The
+// differential suites (tests/cert_index_test.cpp,
+// tests/cert_shard_test.cpp) check this decision for decision against
+// cert::reference_certifier.
 //
-// With the default cert_config (shards = 1, certify_threads = 1) no pool
-// is created and sets are never copied or partitioned.
-//
-// Modeled cost: certification CPU is charged along the fork-join critical
-// path — cost_fixed, plus cost_per_element times the element count of the
-// worker with the most probes, plus cost_fork_join once per certification
-// when the fork is real (more than one worker). At one worker this is the
-// set-linear model — deterministic and window-independent, like the real
-// work — so figure benches can model multi-threaded delivery by just
-// setting cert_config::{shards, certify_threads}.
+// Modeled cost: cost_fixed (cost_batch_fixed when amortized) plus
+// cost_per_element × (|read_set| + |write_set|) — deterministic and
+// window-independent like the real work, and the same at every shard
+// count.
 //
 // Snapshot format (recovery state transfer), all fields u64
 // little-endian, in order: position, oldest_retained, commits, aborts; the
@@ -90,14 +81,12 @@
 
 #include <cstdint>
 #include <deque>
-#include <memory>
 #include <vector>
 
 #include "cert/cert_config.hpp"
 #include "cert/cert_index.hpp"
 #include "cert/rwset.hpp"
 #include "util/byte_buffer.hpp"
-#include "util/thread_pool.hpp"
 #include "util/types.hpp"
 
 namespace dbsm::cert {
@@ -141,17 +130,7 @@ class sharded_certifier {
   void snapshot(util::buffer_writer& w) const;
   void restore(util::buffer_reader& r);
 
-  std::size_t shards() const { return shards_.size(); }
-  /// Real fork width: min(certify_threads, shards), at least 1.
-  unsigned workers() const { return workers_; }
-
  private:
-  /// First shard of fork chunk `c` when the shard range is split evenly
-  /// across `workers_` chunks (chunk c covers [begin(c), begin(c+1))).
-  std::size_t chunk_begin(unsigned c) const {
-    return static_cast<std::size_t>(c) * shards_.size() / workers_;
-  }
-
   /// Deterministic id -> shard map (splitmix-style mixing; never
   /// std::hash, whose layout may differ between standard libraries).
   std::size_t shard_of(db::item_id id) const;
@@ -168,40 +147,15 @@ class sharded_certifier {
     return shards_.size() == 1 ? full : slices[s];
   }
 
-  /// Runs `per_shard` for every shard across the fork chunks. Inline when
-  /// the fork width is 1 — a template so the default path never builds a
-  /// std::function (no heap allocation per delivery); the type-erased
-  /// wrapper exists only at the pool boundary of a real fork.
-  template <typename Fn>
-  void fork_join(const Fn& per_shard) const {
-    if (workers_ <= 1 || pool_ == nullptr) {
-      for (std::size_t s = 0; s < shards_.size(); ++s) per_shard(s);
-      return;
-    }
-    pool_->run(workers_, [&](unsigned c) {
-      const std::size_t end = chunk_begin(c + 1);
-      for (std::size_t s = chunk_begin(c); s < end; ++s) per_shard(s);
-    });
-  }
-
-  /// OR of the per-shard verdict slots, merged in shard order.
-  bool merge_verdicts() const;
-
-  /// Modeled cost of the last certification from the per-shard element
-  /// counts in shard_elems_ (fork-join critical path; see header).
-  /// `amortized_fixed` substitutes cost_batch_fixed for cost_fixed.
-  sim_duration modeled_cost(bool amortized_fixed) const;
-
-  /// Commit bookkeeping of the current position: counts it, retains it in
-  /// the window (evicting the oldest past history_window) and runs the
-  /// purge when its commit count is due.
-  void retain_commit();
+  /// Partitions the sets and probes shard by shard, stopping at the first
+  /// conflict. `write_set` is null on the read-only path; otherwise its
+  /// slices stay in write_slices_ for the install.
+  bool conflicts(std::uint64_t begin_pos,
+                 const std::vector<db::item_id>& read_set,
+                 const std::vector<db::item_id>* write_set) const;
 
   cert_config cfg_;
   std::vector<last_writer_index> shards_;
-  unsigned workers_ = 1;
-  /// Null unless the fork is real (certify_threads > 1 and shards > 1).
-  std::unique_ptr<util::thread_pool> pool_;
 
   std::deque<std::uint64_t> window_;  // retained commit positions, ascending
   std::uint64_t position_ = 0;
@@ -214,8 +168,6 @@ class sharded_certifier {
   // steady state. Mutable: the read-only path is logically const.
   mutable std::vector<std::vector<db::item_id>> read_slices_;
   mutable std::vector<std::vector<db::item_id>> write_slices_;
-  mutable std::vector<std::size_t> shard_elems_;
-  mutable std::vector<std::uint8_t> verdicts_;
 };
 
 }  // namespace dbsm::cert

@@ -40,11 +40,7 @@ struct experiment_config {
   /// when `workload` is set.
   tpcc::workload_profile profile = tpcc::workload_profile::pentium3_1ghz();
 
-  /// Per-replica engine + certification tuning. Certification sharding
-  /// (replica_cfg.cert.{shards, certify_threads}) is decision-invariant
-  /// at any setting — it changes the modeled (and real) certification
-  /// cost only; the figure benches expose the knobs as
-  /// --cert-shards / --certify-threads.
+  /// Per-replica engine + certification tuning.
   replica::config replica_cfg;
   gcs::group_config gcs;
   csrt::net_cost_model costs;

@@ -336,13 +336,12 @@ void replica::drain_installs() {
 void replica::on_deliver_batch(std::vector<gcs::delivery>&& run) {
   if (halted_ || run.empty()) return;
   // Stage 1 — runs as real code in the delivery job: unmarshal and
-  // certify the whole run back-to-back against the sharded last-writer
-  // index (O(|read_set| + |write_set|) probes per payload, forked across
-  // shards when configured; decisions identical to the reference scan
-  // certifier at every replica, shard count and run boundary). The charged
-  // CPU is amortized over the run: the fixed unmarshal cost once per run, and
-  // every update certification after the first pays
-  // cert_config::cost_batch_fixed instead of cost_fixed.
+  // certify the whole run back-to-back against the last-writer index
+  // (O(|read_set| + |write_set|) probes per payload; decisions identical
+  // to the reference scan certifier at every replica, shard count and run
+  // boundary). The charged CPU is amortized over the run: the fixed
+  // unmarshal cost once per run, and every update certification after the
+  // first pays cert_config::cost_batch_fixed instead of cost_fixed.
   env_.charge(codec_cost_fixed);
   ++delivery_runs_;
   run_payloads_ += run.size();

@@ -7,12 +7,9 @@
 // release, reply) or abort. Remote path: certified transactions apply
 // with preemption. Read-only transactions certify locally, without
 // multicast, so their latency is unaffected by replication (§5.1).
-// Certification runs on the sharded last-writer index (cert/), so the
+// Certification runs on the last-writer index (cert/), so the
 // per-delivery work is O(|read_set| + |write_set|) regardless of the
-// retained history window, and with cert_config::{shards,
-// certify_threads} > 1 the probes fork across a persistent worker pool
-// (decisions stay bit-identical at any shard/thread count; the default
-// 1/1 runs inline).
+// retained history window.
 #ifndef DBSM_CORE_REPLICA_HPP
 #define DBSM_CORE_REPLICA_HPP
 

@@ -1,4 +1,4 @@
-// Local read-only fast path: epoch leases (ROADMAP item 3, design after
+// Local read-only fast path: epoch leases (ROADMAP *Read path*; design after
 // *Invalidation-Based Protocols for Replicated Datastores*).
 //
 // A lease is a per-site permission to serve read-only transactions from

@@ -3,8 +3,8 @@
 // hand-off queue, and the differential batching-equivalence suite — the
 // run/amortized certification path must produce byte-identical decisions
 // and committed sequences to the one-at-a-time cert::reference_certifier
-// oracle at every batch_max × shards × certify_threads grid point, on
-// randomized, TPC-C-shaped, and KV streams. The default path is held to
+// oracle at every batch_max × shards grid point, on randomized,
+// TPC-C-shaped, and KV streams. The default path is held to
 // the seed-7 anchors; every batch size is held to the invariant monitors,
 // the §5.3 safety check, and same-config rerun determinism, across the
 // whole fault catalog (the batch-boundary crash scenario included).
@@ -156,9 +156,9 @@ TEST(commit_pipeline, probes_track_enqueued_drained_high_water) {
 // through the commit_pipeline a stage behind. Neither may move a decision
 // or a committed id. This harness feeds one recorded request stream
 // through (a) the one-at-a-time cert::reference_certifier oracle and (b)
-// the run pipeline at a (batch_max, shards, threads) grid point, and
-// asserts the decision sequence, the stage-1 commit log, and the stage-2
-// install sequence are byte-identical.
+// the run pipeline at a (batch_max, shards) grid point, and asserts the
+// decision sequence, the stage-1 commit log, and the stage-2 install
+// sequence are byte-identical.
 
 struct request {
   std::uint64_t id = 0;
@@ -171,16 +171,14 @@ struct request {
 struct batch_grid_point {
   std::size_t batch_max;
   std::size_t shards;
-  unsigned threads;
 };
 
 const std::vector<batch_grid_point>& batch_grid() {
-  // batch_max {1, 4, 32, 256} x shards {1, 8} x threads {1, 4}.
+  // batch_max {1, 4, 32, 256} x shards {1, 8}.
   static const std::vector<batch_grid_point> g = [] {
     std::vector<batch_grid_point> v;
     for (const std::size_t b : {1, 4, 32, 256})
-      for (const std::size_t s : {1, 8})
-        for (const unsigned t : {1u, 4u}) v.push_back({b, s, t});
+      for (const std::size_t s : {1, 8}) v.push_back({b, s});
     return v;
   }();
   return g;
@@ -192,8 +190,8 @@ struct path_trace {
   std::vector<std::uint64_t> installed;   // ids drained from the pipeline
 };
 
-/// The oracle: the merge-scan certifier, one payload at a time, installs
-/// inline.
+/// The oracle: the reference scan certifier, one payload at a time,
+/// installs inline.
 path_trace run_serial(const std::vector<request>& stream,
                       const cert::cert_config& cfg) {
   cert::reference_certifier oracle(cfg);
@@ -221,7 +219,6 @@ path_trace run_batched(const std::vector<request>& stream,
                        cert::cert_config cfg, const batch_grid_point& p,
                        std::size_t pipeline_capacity) {
   cfg.shards = p.shards;
-  cfg.certify_threads = p.threads;
   cert::sharded_certifier sharded(cfg);
   core::commit_pipeline pipe(pipeline_capacity);
   path_trace t;
@@ -267,13 +264,13 @@ void expect_equivalent(const std::vector<request>& stream,
       const path_trace batched = run_batched(stream, cfg, p, cap);
       ASSERT_EQ(batched.decisions, serial.decisions)
           << what << ": batch " << p.batch_max << " shards " << p.shards
-          << " threads " << p.threads << " cap " << cap;
+          << " cap " << cap;
       ASSERT_EQ(batched.commit_log, serial.commit_log)
           << what << ": batch " << p.batch_max << " shards " << p.shards
-          << " threads " << p.threads << " cap " << cap;
+          << " cap " << cap;
       ASSERT_EQ(batched.installed, serial.installed)
           << what << ": batch " << p.batch_max << " shards " << p.shards
-          << " threads " << p.threads << " cap " << cap;
+          << " cap " << cap;
     }
   }
   EXPECT_FALSE(serial.commit_log.empty()) << what;

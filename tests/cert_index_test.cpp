@@ -1,5 +1,5 @@
 // Differential testing of the indexed certifier against the reference
-// merge-scan certifier: both must reach the same commit/abort decision for
+// scan certifier: both must reach the same commit/abort decision for
 // every transaction of every randomized workload — including granule
 // escalation, history-window expiry (conservative aborts), and the
 // read-only path. The off-line safety checker and cross-replica

@@ -333,7 +333,7 @@ TEST(cert_oracle, stored_write_sets_stay_within_the_window) {
 TEST(cert_oracle, fault_catalog_is_clean_at_an_evicting_window) {
   // A YCSB-A base, as in ordering_test: on the TPC-C default,
   // batch_boundary_crash trips an open agreed_prefix bug at any window
-  // (ROADMAP item 4).
+  // (ROADMAP item 1).
   core::experiment_config base;
   base.clients = 45;
   base.seed = 7;

@@ -304,7 +304,7 @@ TEST(storage_property, partial_cache_scales_read_cost) {
 TEST(certifier_property, replicas_agree_for_any_seed) {
   for (std::uint64_t seed : {7u, 21u, 404u}) {
     util::rng g(seed);
-    // Two replicas plus the merge-scan oracle.
+    // Two replicas plus the reference scan certifier as the oracle.
     cert::sharded_certifier a, b;
     cert::reference_certifier c;
     for (int i = 0; i < 3000; ++i) {

@@ -311,7 +311,6 @@ TEST(recovery, sharded_snapshot_is_shard_count_agnostic) {
   cert::cert_config donor_cfg;
   donor_cfg.history_window = 64;  // exercise eviction and purges
   donor_cfg.shards = 4;
-  donor_cfg.certify_threads = 2;
   cert::sharded_certifier donor(donor_cfg);
   util::rng gen(432);
 
@@ -336,7 +335,6 @@ TEST(recovery, sharded_snapshot_is_shard_count_agnostic) {
   // bytes.
   cert::cert_config joiner_cfg = donor_cfg;
   joiner_cfg.shards = 2;
-  joiner_cfg.certify_threads = 1;
   cert::sharded_certifier joiner(joiner_cfg);
   {
     util::buffer_reader r(blob);
@@ -346,7 +344,6 @@ TEST(recovery, sharded_snapshot_is_shard_count_agnostic) {
       [&] {
         cert::cert_config c = donor_cfg;
         c.shards = 1;
-        c.certify_threads = 1;
         return c;
       }());
   {
