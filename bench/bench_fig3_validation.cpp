@@ -17,7 +17,6 @@
 #include "common.hpp"
 #include "csrt/sim_env.hpp"
 #include "net/lan.hpp"
-#include "net/udp_transport.hpp"
 
 using namespace dbsm;
 
@@ -28,27 +27,18 @@ struct rig {
   net::lan lan{sim, net::lan_config{}, util::rng(3)};
   csrt::cpu_pool cpu0{sim, 1};
   csrt::cpu_pool cpu1{sim, 1};
-  std::unique_ptr<net::udp_transport> t0;
-  std::unique_ptr<net::udp_transport> t1;
   std::unique_ptr<csrt::sim_env> env0_ptr;
   std::unique_ptr<csrt::sim_env> env1_ptr;
   csrt::sim_env& env0;
   csrt::sim_env& env1;
 
   rig()
-      : t0((lan.add_host(), lan.add_host(),
-            std::make_unique<net::udp_transport>(lan, 0))),
-        t1(std::make_unique<net::udp_transport>(lan, 1)),
-        env0_ptr(std::make_unique<csrt::sim_env>(sim, cpu0, *t0,
-                                                 make_cfg(0),
-                                                 util::rng(10))),
-        env1_ptr(std::make_unique<csrt::sim_env>(sim, cpu1, *t1,
-                                                 make_cfg(1),
+      : env0_ptr((lan.add_host(), lan.add_host(),
+                  std::make_unique<csrt::sim_env>(sim, cpu0, lan, make_cfg(0),
+                                                  util::rng(10)))),
+        env1_ptr(std::make_unique<csrt::sim_env>(sim, cpu1, lan, make_cfg(1),
                                                  util::rng(11))),
-        env0(*env0_ptr), env1(*env1_ptr) {
-    t0->attach(env0);
-    t1->attach(env1);
-  }
+        env0(*env0_ptr), env1(*env1_ptr) {}
 
   static csrt::sim_env::config make_cfg(node_id self) {
     csrt::sim_env::config cfg;
@@ -124,9 +114,9 @@ double ref_write_mbps(const csrt::net_cost_model& c, std::size_t size) {
 
 double ref_recv_mbps(const net::lan_config& l,
                      const csrt::net_cost_model& c, std::size_t size) {
-  const std::size_t per_frame = l.mtu - l.ip_udp_header;
+  const std::size_t per_frame = l.mtu - net::ip_udp_header;
   const std::size_t frames = (size + per_frame - 1) / per_frame;
-  const std::size_t wire = size + frames * (l.ip_udp_header +
+  const std::size_t wire = size + frames * (net::ip_udp_header +
                                             l.frame_overhead);
   const double wire_mbps =
       static_cast<double>(size) / wire * l.bandwidth_bps / 1e6;
@@ -135,9 +125,9 @@ double ref_recv_mbps(const net::lan_config& l,
 
 double ref_rtt_us(const net::lan_config& l, const csrt::net_cost_model& c,
                   std::size_t size) {
-  const std::size_t per_frame = l.mtu - l.ip_udp_header;
+  const std::size_t per_frame = l.mtu - net::ip_udp_header;
   const std::size_t frames = (size + per_frame - 1) / per_frame;
-  const std::size_t wire = size + frames * (l.ip_udp_header +
+  const std::size_t wire = size + frames * (net::ip_udp_header +
                                             l.frame_overhead);
   const double ser_us = wire * 8.0 / l.bandwidth_bps * 1e6;
   const double one_way = static_cast<double>(c.send_cost(size)) / 1e3 +

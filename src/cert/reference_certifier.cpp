@@ -27,7 +27,7 @@ bool reference_certifier::conflicts(std::uint64_t begin_pos,
                                     const std::vector<db::item_id>& read_set,
                                     const std::vector<db::item_id>* write_set,
                                     sim_duration& cost) const {
-  cost = cfg_.cost_fixed;
+  cost = cost_fixed;
   if (begin_pos + 1 < oldest_retained_) {
     // Snapshot older than the retained history: conservative abort, by a
     // rule deterministic across replicas (depends only on positions).
@@ -41,8 +41,7 @@ bool reference_certifier::conflicts(std::uint64_t begin_pos,
   for (db::item_id it : read_set) {
     if (db::is_granule(it)) read_granules.push_back(it);
   }
-  cost += cfg_.cost_per_element *
-          static_cast<sim_duration>(read_set.size());
+  cost += cost_per_element * static_cast<sim_duration>(read_set.size());
   std::vector<db::item_id>& write_tuples = write_tuples_scratch_;
   write_tuples.clear();
   if (write_set != nullptr) {
@@ -76,12 +75,12 @@ bool reference_certifier::conflicts(std::uint64_t begin_pos,
     // The modeled cost charges a merge over both whole sets.
     const std::size_t size = tuples.size() + granules.size();
     if (!read_granules.empty()) {
-      cost += cfg_.cost_per_element *
+      cost += cost_per_element *
               static_cast<sim_duration>(size + read_granules.size());
       found = probe(granules, read_granules);
     }
     if (!found && write_set != nullptr) {
-      cost += cfg_.cost_per_element *
+      cost += cost_per_element *
               static_cast<sim_duration>(size + write_set->size());
       found = probe(tuples, write_tuples);
     }

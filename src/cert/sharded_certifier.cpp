@@ -64,10 +64,9 @@ bool sharded_certifier::certify_update(
                  "snapshot " << begin_pos << " is in the future of "
                              << position_);
   ++position_;
-  last_cost_ = (amortized_fixed ? cfg_.cost_batch_fixed : cfg_.cost_fixed) +
-               cfg_.cost_per_element *
-                   static_cast<sim_duration>(read_set.size() +
-                                             write_set.size());
+  last_cost_ = (amortized_fixed ? cost_batch_fixed : cost_fixed) +
+               cost_per_element * static_cast<sim_duration>(
+                                      read_set.size() + write_set.size());
   // The conservative pre-window rule is global (positions only) and must
   // precede every probe. A snapshot older than the retained window aborts
   // by a rule deterministic across replicas, and the rule also makes
@@ -98,9 +97,8 @@ bool sharded_certifier::certify_update(
 
 bool sharded_certifier::certify_read_only(
     std::uint64_t begin_pos, const std::vector<db::item_id>& read_set) const {
-  last_cost_ = cfg_.cost_fixed +
-               cfg_.cost_per_element *
-                   static_cast<sim_duration>(read_set.size());
+  last_cost_ = cost_fixed +
+               cost_per_element * static_cast<sim_duration>(read_set.size());
   return !(begin_pos + 1 < oldest_retained_ ||
            conflicts(begin_pos, read_set, nullptr));
 }

@@ -99,7 +99,7 @@ class sharded_certifier {
   /// Returns true to commit (its position then enters the retained window
   /// and its write set the per-shard last-writer indexes).
   /// `amortized_fixed` switches the modeled fixed term to
-  /// cert_config::cost_batch_fixed — set by the batched delivery path for
+  /// cert::cost_batch_fixed — set by the batched delivery path for
   /// every certification after a batch's first. It changes charged CPU
   /// only, never the decision.
   bool certify_update(std::uint64_t begin_pos,

@@ -40,7 +40,6 @@ cluster::cluster(config cfg) : cfg_(std::move(cfg)) {
     util::rng site_rng = root.fork("site" + std::to_string(i));
     cpus_.push_back(
         std::make_unique<csrt::cpu_pool>(sim_, cfg_.cpus_per_site));
-    transports_.push_back(std::make_unique<net::udp_transport>(*net_, i));
 
     csrt::sim_env::config env_cfg;
     env_cfg.self = i;
@@ -48,9 +47,7 @@ cluster::cluster(config cfg) : cfg_(std::move(cfg)) {
     env_cfg.costs = cfg_.costs;
     env_cfg.measure_real_time = cfg_.measure_real_time;
     envs_.push_back(std::make_unique<csrt::sim_env>(
-        sim_, *cpus_.back(), *transports_.back(), env_cfg,
-        site_rng.fork("env")));
-    transports_.back()->attach(*envs_.back());
+        sim_, *cpus_.back(), *net_, env_cfg, site_rng.fork("env")));
 
     build_site_stack(i, /*joining=*/false, /*first_local_txn=*/0,
                      /*restart_no=*/0);

@@ -12,7 +12,6 @@
 #include "csrt/sim_env.hpp"
 #include "gcs/group.hpp"
 #include "net/lan.hpp"
-#include "net/udp_transport.hpp"
 #include "net/wan.hpp"
 #include "sim/simulator.hpp"
 
@@ -105,7 +104,6 @@ class cluster {
   sim::simulator sim_;
   std::unique_ptr<net::medium> net_;
   std::vector<std::unique_ptr<csrt::cpu_pool>> cpus_;
-  std::vector<std::unique_ptr<net::udp_transport>> transports_;
   std::vector<std::unique_ptr<csrt::sim_env>> envs_;
   std::vector<std::unique_ptr<gcs::group>> groups_;
   std::vector<std::unique_ptr<replica>> replicas_;

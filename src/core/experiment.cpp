@@ -26,19 +26,6 @@ experiment_result run_experiment(const experiment_config& cfg) {
   ccfg.replica_cfg = cfg.replica_cfg;
   ccfg.replica_cfg.placement =
       place::placement::make(cfg.placement, total_sites);
-  // Placement-aligned certification sharding: when the data placement is
-  // partial and certification is sharded, derive the shard of every id
-  // from its granule's primary replica, so index partitions are congruent
-  // with the storage partitioning. Decision-invariant (the map only
-  // re-partitions the index); an explicitly configured map wins.
-  if (!ccfg.replica_cfg.placement.is_full() &&
-      ccfg.replica_cfg.cert.shards > 1 && !ccfg.replica_cfg.cert.shard_map) {
-    const place::placement resolved = ccfg.replica_cfg.placement;
-    ccfg.replica_cfg.cert.shard_map = [resolved](db::item_id id,
-                                                 std::size_t shards) {
-      return static_cast<std::size_t>(resolved.primary(id)) % shards;
-    };
-  }
   ccfg.gcs = cfg.gcs;
   ccfg.gcs.enable_recovery = ccfg.gcs.enable_recovery || cfg.enable_recovery;
   ccfg.costs = cfg.costs;

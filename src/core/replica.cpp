@@ -250,7 +250,6 @@ void replica::finish_certified_read(std::uint64_t id, bool ok) {
 void replica::install_decision(const cert::txn_payload& txn, bool commit) {
   if (halted_) return;
   {
-    const std::size_t sector = cfg_.server.storage.sector_bytes;
     // Transactions of a previous incarnation of this site (issued before a
     // crash/restart, delivered or replayed after) have no pending entry to
     // finish: they apply like remote work below.
@@ -269,8 +268,7 @@ void replica::install_decision(const cert::txn_payload& txn, bool commit) {
           db::txn_request probe;
           probe.write_set = txn.write_set;
           probe.disk_sectors = txn.disk_sectors;
-          const std::size_t full_bytes =
-              db::server::disk_write_bytes(probe, sector);
+          const std::size_t full_bytes = db::server::disk_write_bytes(probe);
           const std::size_t bytes =
               total != 0 ? full_bytes * owned / total : full_bytes;
           applied_update_bytes_ += bytes;
@@ -316,7 +314,7 @@ void replica::install_decision(const cert::txn_payload& txn, bool commit) {
                              total
                        : txn.disk_sectors);
       }
-      applied_update_bytes_ += db::server::disk_write_bytes(req, sector);
+      applied_update_bytes_ += db::server::disk_write_bytes(req);
       server_.apply_remote(req, {});
     }
   }
@@ -341,7 +339,7 @@ void replica::on_deliver_batch(std::vector<gcs::delivery>&& run) {
   // to the reference scan certifier at every replica, shard count and run
   // boundary). The charged CPU is amortized over the run: the fixed
   // unmarshal cost once per run, and every update certification after the
-  // first pays cert_config::cost_batch_fixed instead of cost_fixed.
+  // first pays cert::cost_batch_fixed instead of cost_fixed.
   env_.charge(codec_cost_fixed);
   ++delivery_runs_;
   run_payloads_ += run.size();

@@ -89,13 +89,13 @@ void native_env::send_to_port(std::uint16_t port, const util::bytes& payload) {
 
 void native_env::send(node_id to, util::shared_bytes msg) {
   DBSM_CHECK(msg != nullptr);
-  DBSM_CHECK(msg->size() <= cfg_.max_datagram);
+  DBSM_CHECK(msg->size() <= max_datagram_bytes);
   send_to_port(static_cast<std::uint16_t>(cfg_.base_port + to), *msg);
 }
 
 void native_env::multicast(util::shared_bytes msg) {
   DBSM_CHECK(msg != nullptr);
-  DBSM_CHECK(msg->size() <= cfg_.max_datagram);
+  DBSM_CHECK(msg->size() <= max_datagram_bytes);
   // Self-delivery is the protocol layer's responsibility (matching the
   // simulated LAN's IP-multicast semantics, which exclude the sender).
   for (node_id peer : cfg_.peers) {

@@ -28,8 +28,10 @@ class native_env final : public env {
     node_id self = 0;
     std::vector<node_id> peers;   // includes self
     std::uint16_t base_port = 28500;
-    std::size_t max_datagram = 1400;
   };
+
+  /// Largest datagram sent over the sockets (one Ethernet frame's worth).
+  static constexpr std::size_t max_datagram_bytes = 1400;
 
   native_env(config cfg, util::rng rng);
   ~native_env() override;
@@ -49,7 +51,7 @@ class native_env final : public env {
   void set_handler(msg_handler h) override;
   void post(std::function<void()> fn) override;  // thread-safe
   util::rng& random() override { return rng_; }
-  std::size_t max_datagram() const override { return cfg_.max_datagram; }
+  std::size_t max_datagram() const override { return max_datagram_bytes; }
 
   // --- loop control ---
 

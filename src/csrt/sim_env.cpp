@@ -4,9 +4,13 @@
 
 namespace dbsm::csrt {
 
-sim_env::sim_env(sim::simulator& sim, cpu_pool& cpu, transport& net,
+sim_env::sim_env(sim::simulator& sim, cpu_pool& cpu, net::medium& net,
                  config cfg, util::rng rng)
-    : sim_(sim), cpu_(cpu), net_(net), cfg_(std::move(cfg)), rng_(rng) {}
+    : sim_(sim), cpu_(cpu), net_(net), cfg_(std::move(cfg)), rng_(rng) {
+  net_.set_receiver(cfg_.self, [this](node_id from, util::shared_bytes msg) {
+    deliver_datagram(from, std::move(msg));
+  });
+}
 
 sim_time sim_env::effective_now() {
   if (!in_job_) return sim_.now();
@@ -99,7 +103,7 @@ void sim_env::send(node_id to, util::shared_bytes msg) {
                  "datagram too large: " << msg->size());
   job_elapsed_ += cfg_.costs.send_cost(msg->size());
   const sim_time when = job_start_ + job_elapsed_;
-  sim_.schedule_at(when, [this, to, msg] { net_.send(to, msg); });
+  sim_.schedule_at(when, [this, to, msg] { net_.send(cfg_.self, to, msg); });
 }
 
 void sim_env::multicast(util::shared_bytes msg) {
@@ -108,11 +112,11 @@ void sim_env::multicast(util::shared_bytes msg) {
   DBSM_CHECK_MSG(in_job_, "multicast() outside a real-code job");
   DBSM_CHECK_MSG(msg->size() <= max_datagram(),
                  "datagram too large: " << msg->size());
-  const unsigned fanout = net_.multicast_fanout();
+  const unsigned fanout = net_.multicast_fanout(cfg_.self);
   job_elapsed_ += cfg_.costs.send_cost(msg->size()) *
                   static_cast<sim_duration>(fanout);
   const sim_time when = job_start_ + job_elapsed_;
-  sim_.schedule_at(when, [this, msg] { net_.multicast(msg); });
+  sim_.schedule_at(when, [this, msg] { net_.multicast(cfg_.self, msg); });
 }
 
 void sim_env::charge(sim_duration cost) {

@@ -16,28 +16,16 @@
 #include "csrt/cpu.hpp"
 #include "csrt/env.hpp"
 #include "csrt/profiler.hpp"
+#include "net/medium.hpp"
 #include "sim/simulator.hpp"
 
 namespace dbsm::csrt {
-
-/// Transport used by sim_env to inject datagrams into the simulated
-/// network; implemented by the net module (udp adapter).
-class transport {
- public:
-  virtual ~transport() = default;
-  virtual void send(node_id to, util::shared_bytes payload) = 0;
-  virtual void multicast(util::shared_bytes payload) = 0;
-  /// Number of distinct NIC transmissions one multicast costs the sender
-  /// (1 with IP multicast, |group|-1 with unicast fan-out).
-  virtual unsigned multicast_fanout() const = 0;
-  virtual std::size_t max_datagram() const = 0;
-};
 
 class sim_env final : public env {
  public:
   struct config {
     node_id self = 0;
-    std::vector<node_id> peers;    // transport-level peer set, incl. self
+    std::vector<node_id> peers;    // network-level peer set, incl. self
     net_cost_model costs;
     /// If true, time real code with the thread CPU clock (one host ns is
     /// one simulated ns); if false, rely purely on charge() costs
@@ -45,8 +33,14 @@ class sim_env final : public env {
     bool measure_real_time = false;
   };
 
-  sim_env(sim::simulator& sim, cpu_pool& cpu, transport& net, config cfg,
+  /// Registers this env as the receiver of host `cfg.self` of `net` and
+  /// sends from that host.
+  sim_env(sim::simulator& sim, cpu_pool& cpu, net::medium& net, config cfg,
           util::rng rng);
+
+  /// The medium holds `this` as the host's receiver.
+  sim_env(const sim_env&) = delete;
+  sim_env& operator=(const sim_env&) = delete;
 
   // --- env interface ---
   node_id self() const override { return cfg_.self; }
@@ -60,12 +54,14 @@ class sim_env final : public env {
   void set_handler(msg_handler h) override;
   void post(std::function<void()> fn) override;
   util::rng& random() override { return rng_; }
-  std::size_t max_datagram() const override { return net_.max_datagram(); }
+  std::size_t max_datagram() const override {
+    return net::max_datagram_payload;
+  }
 
   // --- simulation-side interface ---
 
-  /// Called by the network adapter when a datagram arrives at this node;
-  /// enqueues a real-code job that charges the receive cost and runs the
+  /// Called by the medium when a datagram arrives at this node; enqueues
+  /// a real-code job that charges the receive cost and runs the
   /// registered handler.
   void deliver_datagram(node_id from, util::shared_bytes payload);
 
@@ -128,7 +124,7 @@ class sim_env final : public env {
 
   sim::simulator& sim_;
   cpu_pool& cpu_;
-  transport& net_;
+  net::medium& net_;
   config cfg_;
   util::rng rng_;
   msg_handler handler_;

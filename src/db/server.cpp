@@ -11,16 +11,15 @@ server::server(sim::simulator& sim, csrt::cpu_pool& cpu, server_config cfg,
     : sim_(sim), cpu_(cpu), cfg_(cfg),
       storage_(sim, cfg.storage, gen.fork("storage")) {}
 
-std::size_t server::disk_write_bytes(const txn_request& req,
-                                     std::size_t sector) {
+std::size_t server::disk_write_bytes(const txn_request& req) {
   // The workload computes sector counts (packing sequential inserts);
   // fall back to one single-sector request per written tuple (§3.1:
   // "each request manipulates a single storage sector").
-  if (req.disk_sectors != 0) return req.disk_sectors * sector;
+  if (req.disk_sectors != 0) return req.disk_sectors * sector_bytes;
   std::size_t tuples = 0;
   for (item_id it : req.write_set)
     if (!is_granule(it)) ++tuples;
-  return tuples * sector;
+  return tuples * sector_bytes;
 }
 
 void server::submit(txn_request req, executed_fn executed, done_fn done) {
@@ -131,8 +130,7 @@ void server::finish_commit(std::uint64_t id, std::function<void()> applied) {
     if (applied) applied();
     return;
   }
-  finish_commit_bytes(id, disk_write_bytes(txn.req, cfg_.storage.sector_bytes),
-                      std::move(applied));
+  finish_commit_bytes(id, disk_write_bytes(txn.req), std::move(applied));
 }
 
 void server::finish_commit_bytes(std::uint64_t id, std::size_t disk_bytes,
@@ -171,7 +169,7 @@ void server::finish_abort(std::uint64_t id) {
 void server::apply_remote(const txn_request& req,
                           std::function<void()> applied) {
   const std::uint64_t id = req.id;
-  const std::size_t bytes = disk_write_bytes(req, cfg_.storage.sector_bytes);
+  const std::size_t bytes = disk_write_bytes(req);
   req.lock_items_into(lock_scratch_);
   const auto& items = lock_scratch_;
 

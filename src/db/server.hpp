@@ -84,8 +84,7 @@ class server {
   /// Bytes the commit writes to disk (one sector-aligned write per tuple,
   /// unless the workload packed an explicit sector count). Exposed so the
   /// replication layer can account and pro-rate partial-placement writes.
-  static std::size_t disk_write_bytes(const txn_request& req,
-                                      std::size_t sector);
+  static std::size_t disk_write_bytes(const txn_request& req);
 
  private:
   enum class stage : std::uint8_t {

@@ -11,14 +11,12 @@ storage::storage(sim::simulator& sim, storage_config cfg, util::rng gen)
       busy_(static_cast<double>(cfg.max_concurrent)) {
   DBSM_CHECK(cfg_.max_concurrent > 0);
   DBSM_CHECK(cfg_.request_latency > 0);
-  DBSM_CHECK(cfg_.sector_bytes > 0);
   DBSM_CHECK(cfg_.cache_hit_ratio >= 0.0 && cfg_.cache_hit_ratio <= 1.0);
 }
 
 unsigned storage::sectors_for(std::size_t bytes) const {
   if (bytes == 0) return 1;
-  return static_cast<unsigned>((bytes + cfg_.sector_bytes - 1) /
-                               cfg_.sector_bytes);
+  return static_cast<unsigned>((bytes + sector_bytes - 1) / sector_bytes);
 }
 
 void storage::read(std::size_t bytes, std::function<void()> done) {

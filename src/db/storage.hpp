@@ -22,10 +22,12 @@
 
 namespace dbsm::db {
 
+/// Bytes one storage request manipulates.
+inline constexpr std::size_t sector_bytes = 4096;
+
 struct storage_config {
   sim_duration request_latency = from_micros(1727);
   unsigned max_concurrent = 4;
-  std::size_t sector_bytes = 4096;
   double cache_hit_ratio = 1.0;  // §4.1: observed > 98%, configured 100%
 
   /// Effective write bandwidth implied by the parameters, bytes/second.

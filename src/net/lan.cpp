@@ -1,5 +1,6 @@
 #include "net/lan.hpp"
 
+#include <algorithm>
 #include <utility>
 
 #include "util/check.hpp"
@@ -7,179 +8,59 @@
 namespace dbsm::net {
 
 lan::lan(sim::simulator& sim, lan_config cfg, util::rng gen)
-    : sim_(sim), cfg_(cfg), rng_(gen) {
-  DBSM_CHECK(cfg_.bandwidth_bps > 0);
-  DBSM_CHECK(cfg_.mtu > cfg_.ip_udp_header);
+    : medium(sim, cfg.bandwidth_bps, gen), cfg_(cfg) {
+  DBSM_CHECK(cfg_.mtu > ip_udp_header);
 }
 
 node_id lan::add_host() {
-  hosts_.emplace_back();
-  return static_cast<node_id>(hosts_.size() - 1);
-}
-
-void lan::set_receiver(node_id node, receiver_fn fn) {
-  hosts_.at(node).receiver = std::move(fn);
-}
-
-void lan::set_rx_loss(node_id node, std::shared_ptr<loss_model> model) {
-  hosts_.at(node).rx_loss = std::move(model);
-}
-
-void lan::isolate(node_id node) { hosts_.at(node).isolated = true; }
-
-void lan::restore(node_id node) { hosts_.at(node).isolated = false; }
-
-void lan::set_link_cut(node_id a, node_id b, bool cut) {
-  DBSM_CHECK(a < hosts_.size() && b < hosts_.size());
-  link_faults_.set_cut(a, b, cut);
-}
-
-void lan::set_link_cut_oneway(node_id from, node_id to, bool cut) {
-  DBSM_CHECK(from < hosts_.size() && to < hosts_.size());
-  link_faults_.set_cut_oneway(from, to, cut);
-}
-
-void lan::set_link_extra_delay(node_id a, node_id b, sim_duration extra) {
-  DBSM_CHECK(a < hosts_.size() && b < hosts_.size());
-  DBSM_CHECK(extra >= 0);
-  link_faults_.set_extra_delay(a, b, extra);
-}
-
-void lan::set_link_extra_delay_oneway(node_id from, node_id to,
-                                      sim_duration extra) {
-  DBSM_CHECK(from < hosts_.size() && to < hosts_.size());
-  DBSM_CHECK(extra >= 0);
-  link_faults_.set_extra_delay_oneway(from, to, extra);
-}
-
-void lan::set_tracer(trace_fn fn) { tracer_ = std::move(fn); }
-
-std::uint64_t lan::wire_bytes_sent(node_id node) const {
-  return hosts_.at(node).wire_bytes;
-}
-
-std::uint64_t lan::total_wire_bytes() const {
-  std::uint64_t total = 0;
-  for (const host& h : hosts_) total += h.wire_bytes;
-  return total;
-}
-
-std::uint64_t lan::overflow_drops(node_id node) const {
-  return hosts_.at(node).overflow;
-}
-
-std::uint64_t lan::injected_losses(node_id node) const {
-  return hosts_.at(node).injected_lost;
-}
-
-std::uint64_t lan::link_cut_drops(node_id node) const {
-  return hosts_.at(node).cut_dropped;
-}
-
-std::size_t lan::frame_count(std::size_t payload) const {
-  const std::size_t per_frame = cfg_.mtu - cfg_.ip_udp_header;
-  return payload == 0 ? 1 : (payload + per_frame - 1) / per_frame;
+  rx_free_at_.push_back(0);
+  return medium::add_host();
 }
 
 std::size_t lan::wire_size(std::size_t payload) const {
-  const std::size_t frames = frame_count(payload);
-  return payload + frames * (cfg_.ip_udp_header + cfg_.frame_overhead);
+  const std::size_t per_frame = cfg_.mtu - ip_udp_header;
+  const std::size_t frames =
+      payload == 0 ? 1 : (payload + per_frame - 1) / per_frame;
+  return payload + frames * (ip_udp_header + cfg_.frame_overhead);
 }
 
-sim_duration lan::serialization_time(std::size_t wire_bytes) const {
-  return static_cast<sim_duration>(static_cast<double>(wire_bytes) * 8.0 /
-                                   cfg_.bandwidth_bps * 1e9);
-}
-
-sim_time lan::transmit(host& sender, node_id from,
-                       std::size_t payload_bytes) {
-  if (sender.tx_queued_bytes + payload_bytes > cfg_.tx_buffer_bytes) {
-    ++sender.overflow;
-    if (tracer_) tracer_('o', from, from, payload_bytes, sim_.now());
-    return time_never;
-  }
-  const std::size_t wire = wire_size(payload_bytes);
-  const sim_time start = std::max(sim_.now(), sender.tx_free_at);
-  const sim_time tx_end = start + serialization_time(wire);
-  sender.tx_free_at = tx_end;
-  sender.wire_bytes += wire;
-  sender.tx_queued_bytes += payload_bytes;
-  sim_.schedule_at(tx_end, [this, from, payload_bytes] {
-    host& h = hosts_.at(from);
-    DBSM_CHECK(h.tx_queued_bytes >= payload_bytes);
-    h.tx_queued_bytes -= payload_bytes;
-  });
-  return tx_end + cfg_.switch_latency;
-}
-
-void lan::deliver(node_id from, node_id to, util::shared_bytes payload,
-                  sim_time at_switch) {
-  host& dest = hosts_.at(to);
-  if (dest.isolated) return;
+void lan::downlink(node_id from, node_id to, util::shared_bytes payload,
+                   sim_time at_switch) {
+  if (isolated(to)) return;
   // Degraded-path extra delay (fault injection) is propagation time, not
-  // port occupancy: it must be added after the receive-port reservation.
+  // port occupancy: deliver() adds it after the receive-port reservation.
   // Folding it into `at_switch` would book the port `extra` in the future
   // and head-of-line-block every other sender's frames to this host
   // behind one slow link.
-  sim_duration extra = 0;
-  if (!link_faults_.empty()) extra = link_faults_.extra_delay(from, to);
-  const std::size_t wire = wire_size(payload->size());
-  const sim_time start = std::max(at_switch, dest.rx_free_at);
-  const sim_time rx_end = start + serialization_time(wire);
-  dest.rx_free_at = rx_end;
-  sim_.schedule_at(rx_end + extra, [this, from, to, payload] {
-    host& h = hosts_.at(to);
-    if (h.isolated) return;
-    if (link_faults_.cut(from, to)) {
-      ++h.cut_dropped;
-      if (tracer_) tracer_('l', from, to, payload->size(), sim_.now());
-      return;
-    }
-    if (h.rx_loss && h.rx_loss->drop(rng_)) {
-      ++h.injected_lost;
-      if (tracer_) tracer_('l', from, to, payload->size(), sim_.now());
-      return;
-    }
-    if (tracer_) tracer_('d', from, to, payload->size(), sim_.now());
-    if (h.receiver) h.receiver(from, payload);
-  });
+  sim_time& rx_free_at = rx_free_at_.at(to);
+  const sim_time start = std::max(at_switch, rx_free_at);
+  rx_free_at = start + serialization_time(wire_size(payload->size()));
+  deliver(from, to, std::move(payload), rx_free_at);
 }
 
 void lan::send(node_id from, node_id to, util::shared_bytes payload) {
-  DBSM_CHECK(payload != nullptr);
-  DBSM_CHECK_MSG(payload->size() <= cfg_.max_datagram_payload,
-                 "datagram too large: " << payload->size());
-  host& sender = hosts_.at(from);
-  if (sender.isolated) return;
-  if (tracer_) tracer_('s', from, to, payload->size(), sim_.now());
-  const sim_time at_switch = transmit(sender, from, payload->size());
-  if (at_switch == time_never) return;  // egress overflow
+  if (!may_send(from, payload)) return;
+  trace('s', from, to, payload->size());
+  const sim_time tx_end =
+      transmit(from, payload->size(), wire_size(payload->size()));
+  if (tx_end == time_never) return;  // egress overflow
   if (to == from) {
-    // Loopback delivery: skips the wire (kernel short-circuit).
-    sim_.schedule_at(sim_.now(), [this, from, payload] {
-      host& h = hosts_.at(from);
-      if (h.receiver) h.receiver(from, payload);
-    });
+    loopback(from, std::move(payload));
     return;
   }
-  deliver(from, to, payload, at_switch);
+  downlink(from, to, std::move(payload), tx_end + cfg_.switch_latency);
 }
 
 void lan::multicast(node_id from, util::shared_bytes payload) {
-  DBSM_CHECK(payload != nullptr);
-  DBSM_CHECK_MSG(payload->size() <= cfg_.max_datagram_payload,
-                 "datagram too large: " << payload->size());
-  host& sender = hosts_.at(from);
-  if (sender.isolated) return;
-  if (tracer_)
-    tracer_('s', from, static_cast<node_id>(hosts_.size()), payload->size(),
-            sim_.now());
+  if (!may_send(from, payload)) return;
+  trace('s', from, static_cast<node_id>(host_count()), payload->size());
   // One uplink transmission; the switch replicates to every other port.
-  const sim_time at_switch = transmit(sender, from, payload->size());
-  if (at_switch == time_never) return;
-  for (node_id to = 0; to < hosts_.size(); ++to) {
+  const sim_time tx_end =
+      transmit(from, payload->size(), wire_size(payload->size()));
+  if (tx_end == time_never) return;
+  for (node_id to = 0; to < host_count(); ++to) {
     if (to == from) continue;
-    deliver(from, to, payload, at_switch);
+    downlink(from, to, payload, tx_end + cfg_.switch_latency);
   }
 }
 

@@ -5,8 +5,7 @@
 //     which did not enforce the MTU for UDP — the divergence the paper's
 //     Fig 3 works around by restricting packet sizes);
 //   * frames serialize sequentially on the sender's uplink at the link
-//     bandwidth, bounded by a finite egress buffer (overflow drops, which
-//     is what a flooding UDP sender observes);
+//     bandwidth, bounded by the medium's egress buffer;
 //   * each frame crosses the switch after `switch_latency`, then serializes
 //     on the destination's downlink (its own copy for each multicast
 //     destination — receive goodput is therefore wire-capped, Fig 3b);
@@ -23,12 +22,9 @@
 #ifndef DBSM_NET_LAN_HPP
 #define DBSM_NET_LAN_HPP
 
-#include <memory>
 #include <vector>
 
 #include "net/medium.hpp"
-#include "sim/simulator.hpp"
-#include "util/rng.hpp"
 
 namespace dbsm::net {
 
@@ -36,10 +32,7 @@ struct lan_config {
   double bandwidth_bps = 100e6;                 // Fast Ethernet
   sim_duration switch_latency = microseconds(30);
   std::size_t mtu = 1500;                       // IP packet size limit
-  std::size_t ip_udp_header = 28;               // IP (20) + UDP (8)
   std::size_t frame_overhead = 38;              // Eth hdr+FCS+preamble+IFG
-  std::size_t tx_buffer_bytes = 256 * 1024;     // egress (socket+driver)
-  std::size_t max_datagram_payload = 62 * 1024; // UDP payload limit
 };
 
 class lan final : public medium {
@@ -47,65 +40,20 @@ class lan final : public medium {
   lan(sim::simulator& sim, lan_config cfg, util::rng gen);
 
   node_id add_host() override;
-  void set_receiver(node_id node, receiver_fn fn) override;
   void send(node_id from, node_id to, util::shared_bytes payload) override;
   void multicast(node_id from, util::shared_bytes payload) override;
   unsigned multicast_fanout(node_id) const override { return 1; }  // IP mcast
-  std::size_t max_datagram() const override {
-    return cfg_.max_datagram_payload;
-  }
-  void set_rx_loss(node_id node, std::shared_ptr<loss_model> model) override;
-  void isolate(node_id node) override;
-  void restore(node_id node) override;
-  void set_link_cut(node_id a, node_id b, bool cut) override;
-  void set_link_cut_oneway(node_id from, node_id to, bool cut) override;
-  void set_link_extra_delay(node_id a, node_id b, sim_duration extra) override;
-  void set_link_extra_delay_oneway(node_id from, node_id to,
-                                   sim_duration extra) override;
-  std::uint64_t wire_bytes_sent(node_id node) const override;
-  std::uint64_t total_wire_bytes() const override;
-  void set_tracer(trace_fn fn) override;
-
-  /// Datagrams dropped at the sender because the egress buffer was full.
-  std::uint64_t overflow_drops(node_id node) const;
-  /// Datagrams discarded by the injected loss model at this receiver.
-  std::uint64_t injected_losses(node_id node) const;
-  /// Datagrams discarded at this receiver because their link was cut.
-  std::uint64_t link_cut_drops(node_id node) const;
 
  private:
-  struct host {
-    receiver_fn receiver;
-    std::shared_ptr<loss_model> rx_loss;
-    bool isolated = false;
-    sim_time tx_free_at = 0;
-    sim_time rx_free_at = 0;
-    std::size_t tx_queued_bytes = 0;
-    std::uint64_t wire_bytes = 0;
-    std::uint64_t overflow = 0;
-    std::uint64_t injected_lost = 0;
-    std::uint64_t cut_dropped = 0;
-  };
-
   /// Wire bytes of a datagram of `payload` bytes, all frames included.
   std::size_t wire_size(std::size_t payload) const;
-  std::size_t frame_count(std::size_t payload) const;
-  sim_duration serialization_time(std::size_t wire_bytes) const;
-
-  /// Serializes on the sender uplink; returns the time the last frame
-  /// clears the switch, or time_never if the egress buffer overflowed.
-  sim_time transmit(host& sender, node_id from, std::size_t payload_bytes);
 
   /// Reserves downlink capacity and schedules delivery at `to`.
-  void deliver(node_id from, node_id to, util::shared_bytes payload,
-               sim_time at_switch);
+  void downlink(node_id from, node_id to, util::shared_bytes payload,
+                sim_time at_switch);
 
-  sim::simulator& sim_;
   lan_config cfg_;
-  util::rng rng_;
-  std::vector<host> hosts_;
-  link_fault_map link_faults_;
-  trace_fn tracer_;
+  std::vector<sim_time> rx_free_at_;  // per host downlink
 };
 
 }  // namespace dbsm::net

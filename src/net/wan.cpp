@@ -1,152 +1,53 @@
 #include "net/wan.hpp"
 
-#include <algorithm>
 #include <utility>
-
-#include "util/check.hpp"
 
 namespace dbsm::net {
 
 wan::wan(sim::simulator& sim, wan_config cfg, util::rng gen)
-    : sim_(sim), cfg_(cfg), rng_(gen) {
-  DBSM_CHECK(cfg_.access_bandwidth_bps > 0);
-}
+    : medium(sim, cfg.access_bandwidth_bps, gen), cfg_(cfg) {}
 
 node_id wan::add_host() {
-  hosts_.emplace_back();
+  const node_id id = medium::add_host();
   for (auto& row : latency_) row.push_back(cfg_.default_latency);
-  latency_.emplace_back(hosts_.size(), cfg_.default_latency);
-  return static_cast<node_id>(hosts_.size() - 1);
+  latency_.emplace_back(host_count(), cfg_.default_latency);
+  return id;
 }
-
-void wan::set_receiver(node_id node, receiver_fn fn) {
-  hosts_.at(node).receiver = std::move(fn);
-}
-
-void wan::set_rx_loss(node_id node, std::shared_ptr<loss_model> model) {
-  hosts_.at(node).rx_loss = std::move(model);
-}
-
-void wan::isolate(node_id node) { hosts_.at(node).isolated = true; }
-
-void wan::restore(node_id node) { hosts_.at(node).isolated = false; }
-
-void wan::set_link_cut(node_id a, node_id b, bool cut) {
-  DBSM_CHECK(a < hosts_.size() && b < hosts_.size());
-  link_faults_.set_cut(a, b, cut);
-}
-
-void wan::set_link_cut_oneway(node_id from, node_id to, bool cut) {
-  DBSM_CHECK(from < hosts_.size() && to < hosts_.size());
-  link_faults_.set_cut_oneway(from, to, cut);
-}
-
-void wan::set_link_extra_delay(node_id a, node_id b, sim_duration extra) {
-  DBSM_CHECK(a < hosts_.size() && b < hosts_.size());
-  DBSM_CHECK(extra >= 0);
-  link_faults_.set_extra_delay(a, b, extra);
-}
-
-void wan::set_link_extra_delay_oneway(node_id from, node_id to,
-                                      sim_duration extra) {
-  DBSM_CHECK(from < hosts_.size() && to < hosts_.size());
-  DBSM_CHECK(extra >= 0);
-  link_faults_.set_extra_delay_oneway(from, to, extra);
-}
-
-void wan::set_tracer(trace_fn fn) { tracer_ = std::move(fn); }
 
 void wan::set_latency(node_id a, node_id b, sim_duration one_way) {
   latency_.at(a).at(b) = one_way;
   latency_.at(b).at(a) = one_way;
 }
 
-sim_duration wan::latency(node_id a, node_id b) const {
-  return latency_.at(a).at(b);
-}
-
-std::uint64_t wan::wire_bytes_sent(node_id node) const {
-  return hosts_.at(node).wire_bytes;
-}
-
-std::uint64_t wan::total_wire_bytes() const {
-  std::uint64_t total = 0;
-  for (const host& h : hosts_) total += h.wire_bytes;
-  return total;
-}
-
 unsigned wan::multicast_fanout(node_id) const {
-  return hosts_.size() <= 1 ? 1
-                            : static_cast<unsigned>(hosts_.size() - 1);
-}
-
-std::size_t wan::wire_size(std::size_t payload) const {
-  return payload + cfg_.ip_udp_header + cfg_.link_overhead;
+  return host_count() <= 1 ? 1 : static_cast<unsigned>(host_count() - 1);
 }
 
 void wan::transmit_one(node_id from, node_id to,
                        util::shared_bytes payload) {
-  host& sender = hosts_.at(from);
-  if (sender.tx_queued_bytes + payload->size() > cfg_.tx_buffer_bytes) {
-    if (tracer_) tracer_('o', from, to, payload->size(), sim_.now());
-    return;
-  }
-  const std::size_t wire = wire_size(payload->size());
-  const sim_duration ser = static_cast<sim_duration>(
-      static_cast<double>(wire) * 8.0 / cfg_.access_bandwidth_bps * 1e9);
-  const sim_time start = std::max(sim_.now(), sender.tx_free_at);
-  const sim_time tx_end = start + ser;
-  sender.tx_free_at = tx_end;
-  sender.wire_bytes += wire;
-  sender.tx_queued_bytes += payload->size();
-  const std::size_t sz = payload->size();
-  sim_.schedule_at(tx_end, [this, from, sz] {
-    host& h = hosts_.at(from);
-    DBSM_CHECK(h.tx_queued_bytes >= sz);
-    h.tx_queued_bytes -= sz;
-  });
-  sim_time arrive = tx_end + latency(from, to);
-  if (!link_faults_.empty()) arrive += link_faults_.extra_delay(from, to);
-  sim_.schedule_at(arrive, [this, from, to, payload] {
-    host& h = hosts_.at(to);
-    if (h.isolated) return;
-    if (link_faults_.cut(from, to)) {
-      if (tracer_) tracer_('l', from, to, payload->size(), sim_.now());
-      return;
-    }
-    if (h.rx_loss && h.rx_loss->drop(rng_)) {
-      if (tracer_) tracer_('l', from, to, payload->size(), sim_.now());
-      return;
-    }
-    if (tracer_) tracer_('d', from, to, payload->size(), sim_.now());
-    if (h.receiver) h.receiver(from, payload);
-  });
+  const std::size_t bytes = payload->size();
+  const sim_time tx_end =
+      transmit(from, bytes, bytes + ip_udp_header + cfg_.link_overhead);
+  if (tx_end == time_never) return;  // egress overflow
+  deliver(from, to, std::move(payload), tx_end + latency_.at(from).at(to));
 }
 
 void wan::send(node_id from, node_id to, util::shared_bytes payload) {
-  DBSM_CHECK(payload != nullptr);
-  DBSM_CHECK(payload->size() <= cfg_.max_datagram_payload);
-  host& sender = hosts_.at(from);
-  if (sender.isolated) return;
-  if (tracer_) tracer_('s', from, to, payload->size(), sim_.now());
+  if (!may_send(from, payload)) return;
+  trace('s', from, to, payload->size());
   if (to == from) {
-    sim_.schedule_at(sim_.now(), [this, from, payload] {
-      host& h = hosts_.at(from);
-      if (h.receiver) h.receiver(from, payload);
-    });
+    loopback(from, std::move(payload));
     return;
   }
-  transmit_one(from, to, payload);
+  transmit_one(from, to, std::move(payload));
 }
 
 void wan::multicast(node_id from, util::shared_bytes payload) {
-  DBSM_CHECK(payload != nullptr);
-  host& sender = hosts_.at(from);
-  if (sender.isolated) return;
+  if (!may_send(from, payload)) return;
   // No IP multicast across the wide area: unicast fan-out (§3.4).
-  for (node_id to = 0; to < hosts_.size(); ++to) {
+  for (node_id to = 0; to < host_count(); ++to) {
     if (to == from) continue;
-    if (tracer_) tracer_('s', from, to, payload->size(), sim_.now());
+    trace('s', from, to, payload->size());
     transmit_one(from, to, payload);
   }
 }

@@ -5,22 +5,16 @@
 #ifndef DBSM_NET_WAN_HPP
 #define DBSM_NET_WAN_HPP
 
-#include <memory>
 #include <vector>
 
 #include "net/medium.hpp"
-#include "sim/simulator.hpp"
-#include "util/rng.hpp"
 
 namespace dbsm::net {
 
 struct wan_config {
   double access_bandwidth_bps = 10e6;           // per-host access link
   sim_duration default_latency = milliseconds(20);
-  std::size_t ip_udp_header = 28;
   std::size_t link_overhead = 12;               // PPP/SONET-ish framing
-  std::size_t tx_buffer_bytes = 256 * 1024;
-  std::size_t max_datagram_payload = 62 * 1024;
 };
 
 class wan final : public medium {
@@ -28,49 +22,20 @@ class wan final : public medium {
   wan(sim::simulator& sim, wan_config cfg, util::rng gen);
 
   node_id add_host() override;
-  void set_receiver(node_id node, receiver_fn fn) override;
   void send(node_id from, node_id to, util::shared_bytes payload) override;
   void multicast(node_id from, util::shared_bytes payload) override;
   unsigned multicast_fanout(node_id from) const override;
-  std::size_t max_datagram() const override {
-    return cfg_.max_datagram_payload;
-  }
-  void set_rx_loss(node_id node, std::shared_ptr<loss_model> model) override;
-  void isolate(node_id node) override;
-  void restore(node_id node) override;
-  void set_link_cut(node_id a, node_id b, bool cut) override;
-  void set_link_cut_oneway(node_id from, node_id to, bool cut) override;
-  void set_link_extra_delay(node_id a, node_id b, sim_duration extra) override;
-  void set_link_extra_delay_oneway(node_id from, node_id to,
-                                   sim_duration extra) override;
-  std::uint64_t wire_bytes_sent(node_id node) const override;
-  std::uint64_t total_wire_bytes() const override;
-  void set_tracer(trace_fn fn) override;
 
   /// Overrides the one-way latency between a pair (both directions).
   void set_latency(node_id a, node_id b, sim_duration one_way);
 
  private:
-  struct host {
-    receiver_fn receiver;
-    std::shared_ptr<loss_model> rx_loss;
-    bool isolated = false;
-    sim_time tx_free_at = 0;
-    std::size_t tx_queued_bytes = 0;
-    std::uint64_t wire_bytes = 0;
-  };
-
-  sim_duration latency(node_id a, node_id b) const;
-  std::size_t wire_size(std::size_t payload) const;
+  /// Serializes one copy on the access link; it arrives one path latency
+  /// after its last bit leaves.
   void transmit_one(node_id from, node_id to, util::shared_bytes payload);
 
-  sim::simulator& sim_;
   wan_config cfg_;
-  util::rng rng_;
-  std::vector<host> hosts_;
   std::vector<std::vector<sim_duration>> latency_;  // symmetric matrix
-  link_fault_map link_faults_;
-  trace_fn tracer_;
 };
 
 }  // namespace dbsm::net

@@ -392,7 +392,7 @@ TEST(batching_differential, amortization_changes_cost_never_decisions) {
   EXPECT_EQ(a.certify_update(0, {}, ws, /*amortized_fixed=*/false),
             b.certify_update(0, {}, ws, /*amortized_fixed=*/true));
   EXPECT_EQ(a.last_cost() - b.last_cost(),
-            cfg.cost_fixed - cfg.cost_batch_fixed);
+            cert::cost_fixed - cert::cost_batch_fixed);
   EXPECT_EQ(a.position(), b.position());
   EXPECT_EQ(a.commits(), b.commits());
 }

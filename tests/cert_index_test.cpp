@@ -199,7 +199,7 @@ void run_differential(std::uint64_t seed, int steps, std::uint64_t id_space,
       const bool a = indexed.certify_read_only(begin, rs);
       const bool b = reference.certify_read_only(begin, rs);
       ASSERT_EQ(a, b) << "read-only seed " << seed << " step " << i;
-      EXPECT_EQ(indexed.last_cost() >= cfg.cost_fixed, true);
+      EXPECT_EQ(indexed.last_cost() >= cost_fixed, true);
       continue;
     }
 

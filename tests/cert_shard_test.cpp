@@ -257,8 +257,7 @@ TEST(cert_shard_differential, modeled_cost_is_set_linear_at_every_shard_count) {
   for (std::uint64_t i = 0; i < 512; ++i) ws.push_back(tup(i * 7 + 1));
   normalize(ws);
   const sim_duration set_linear =
-      cfg.cost_fixed +
-      cfg.cost_per_element * static_cast<sim_duration>(ws.size());
+      cost_fixed + cost_per_element * static_cast<sim_duration>(ws.size());
   for (const std::size_t shards : grid()) {
     sharded_certifier c(with_shards(cfg, shards));
     c.certify_update(0, {}, ws);
@@ -292,13 +291,13 @@ TEST(cert_shard_zero_sets, empty_sets_keep_decisions_and_state) {
         // Empty read set on the read-only path.
         ASSERT_EQ(sharded.certify_read_only(begin, {}),
                   oracle.certify_read_only(begin, {}));
-        ASSERT_EQ(sharded.last_cost(), cfg.cost_fixed);
+        ASSERT_EQ(sharded.last_cost(), cost_fixed);
       } else if (shape == 1) {
         // Both sets empty on the update path: consumes a position, can
         // only abort on the pre-window rule.
         ASSERT_EQ(sharded.certify_update(begin, {}, {}),
                   oracle.certify_update(begin, {}, {}));
-        ASSERT_EQ(sharded.last_cost(), cfg.cost_fixed);
+        ASSERT_EQ(sharded.last_cost(), cost_fixed);
         single.certify_update(begin, {}, {});
       } else {
         std::vector<item_id> rs, ws;

@@ -247,8 +247,8 @@ TEST(certifier, cost_model_is_window_independent_and_set_linear) {
   const auto two_elems = d.last_cost();
   d.certify_update(0, {tup(3), tup(4)}, {tup(5), tup(6)});
   const auto four_elems = d.last_cost();
-  EXPECT_EQ(four_elems - two_elems, 2 * cfg.cost_per_element);
-  EXPECT_EQ(two_elems, cfg.cost_fixed + 2 * cfg.cost_per_element);
+  EXPECT_EQ(four_elems - two_elems, 2 * cost_per_element);
+  EXPECT_EQ(two_elems, cost_fixed + 2 * cost_per_element);
 }
 
 TEST(certifier, modeled_cost_tracks_real_cost_order) {

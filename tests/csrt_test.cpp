@@ -134,22 +134,25 @@ TEST(profiler, measures_thread_cpu_and_pauses) {
 
 // --- sim_env bridge ---
 
-class fake_transport : public transport {
+/// Logs every datagram the env hands to the medium (four hosts).
+class fake_medium : public net::medium {
  public:
   struct sent_msg {
     node_id to;  // invalid_node for multicast
     std::size_t bytes;
     sim_time at;
   };
-  explicit fake_transport(sim::simulator& s) : sim_(s) {}
-  void send(node_id to, util::shared_bytes payload) override {
+  explicit fake_medium(sim::simulator& s)
+      : medium(s, 100e6, util::rng(0)), sim_(s) {
+    for (int i = 0; i < 4; ++i) add_host();
+  }
+  void send(node_id, node_id to, util::shared_bytes payload) override {
     log.push_back({to, payload->size(), sim_.now()});
   }
-  void multicast(util::shared_bytes payload) override {
+  void multicast(node_id, util::shared_bytes payload) override {
     log.push_back({invalid_node, payload->size(), sim_.now()});
   }
-  unsigned multicast_fanout() const override { return 1; }
-  std::size_t max_datagram() const override { return 60000; }
+  unsigned multicast_fanout(node_id) const override { return 1; }
   std::vector<sent_msg> log;
 
  private:
@@ -159,7 +162,7 @@ class fake_transport : public transport {
 struct env_fixture {
   sim::simulator s;
   cpu_pool cpu{s, 1};
-  fake_transport net{s};
+  fake_medium net{s};
   sim_env env;
 
   explicit env_fixture(net_cost_model costs = {}) : env(make(costs)) {}
@@ -274,17 +277,17 @@ TEST(sim_env, timer_cancel) {
 }
 
 TEST(sim_env, multicast_fanout_multiplies_cost) {
-  class wan_transport final : public fake_transport {
+  class fanout_medium final : public fake_medium {
    public:
-    using fake_transport::fake_transport;
-    unsigned multicast_fanout() const override { return 3; }
+    using fake_medium::fake_medium;
+    unsigned multicast_fanout(node_id) const override { return 3; }
   };
   net_cost_model costs;
   costs.send_fixed = 100;
   costs.send_per_byte_ns = 0;
   sim::simulator s;
   cpu_pool cpu(s, 1);
-  wan_transport net(s);
+  fanout_medium net(s);
   sim_env::config cfg;
   cfg.self = 0;
   cfg.peers = {0, 1, 2, 3};

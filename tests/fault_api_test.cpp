@@ -28,12 +28,14 @@ util::shared_bytes payload_of(std::size_t n) {
   return w.take();
 }
 
-class null_transport final : public csrt::transport {
+/// A medium that swallows every datagram: the envs under test only arm
+/// timers.
+class null_medium final : public net::medium {
  public:
-  void send(node_id, util::shared_bytes) override {}
-  void multicast(util::shared_bytes) override {}
-  unsigned multicast_fanout() const override { return 1; }
-  std::size_t max_datagram() const override { return 1400; }
+  explicit null_medium(sim::simulator& s) : medium(s, 100e6, util::rng(0)) {}
+  void send(node_id, node_id, util::shared_bytes) override {}
+  void multicast(node_id, util::shared_bytes) override {}
+  unsigned multicast_fanout(node_id) const override { return 1; }
 };
 
 /// N per-site env bridges over one simulator (and optionally a LAN whose
@@ -41,7 +43,7 @@ class null_transport final : public csrt::transport {
 /// cluster's injection points.
 struct site_rig {
   sim::simulator s;
-  null_transport null_net;
+  null_medium null_net{s};
   std::unique_ptr<net::lan> lan;
   std::vector<std::unique_ptr<csrt::cpu_pool>> cpus;
   std::vector<std::unique_ptr<csrt::sim_env>> envs;
@@ -61,7 +63,7 @@ struct site_rig {
       }
       cpus.push_back(std::make_unique<csrt::cpu_pool>(s, 1));
       csrt::sim_env::config cfg;
-      cfg.self = i;
+      cfg.self = null_net.add_host();
       envs.push_back(std::make_unique<csrt::sim_env>(
           s, *cpus.back(), null_net, cfg, util::rng(i + 1)));
     }

@@ -11,7 +11,6 @@
 #include "gcs/group.hpp"
 #include "net/lan.hpp"
 #include "net/loss_model.hpp"
-#include "net/udp_transport.hpp"
 #include "sim/simulator.hpp"
 
 namespace dbsm::gcs {
@@ -27,7 +26,6 @@ struct group_harness {
   sim::simulator s;
   std::unique_ptr<net::lan> lan;
   std::vector<std::unique_ptr<csrt::cpu_pool>> cpus;
-  std::vector<std::unique_ptr<net::udp_transport>> transports;
   std::vector<std::unique_ptr<csrt::sim_env>> envs;
   std::vector<std::unique_ptr<group>> groups;
   std::vector<std::vector<received>> delivered;
@@ -42,14 +40,11 @@ struct group_harness {
     views.resize(n);
     for (unsigned i = 0; i < n; ++i) {
       cpus.push_back(std::make_unique<csrt::cpu_pool>(s, 1));
-      transports.push_back(std::make_unique<net::udp_transport>(*lan, i));
       csrt::sim_env::config ecfg;
       ecfg.self = i;
       ecfg.peers = members;
       envs.push_back(std::make_unique<csrt::sim_env>(
-          s, *cpus.back(), *transports.back(), ecfg,
-          util::rng(100 + i)));
-      transports.back()->attach(*envs.back());
+          s, *cpus.back(), *lan, ecfg, util::rng(100 + i)));
       groups.push_back(std::make_unique<group>(*envs.back(), cfg));
       groups.back()->set_deliver([this, i](std::vector<delivery>&& run) {
         for (const delivery& d : run)

@@ -1,8 +1,11 @@
 // Tests of the network model: LAN timing (serialization, MTU framing,
-// receive-side capacity), multicast replication, loss models, crash
-// isolation, WAN latency.
+// receive-side capacity), multicast replication, loss models, WAN latency,
+// and the medium's fault paths (cuts, extra delay, isolation, receiver
+// loss, egress overflow) run over both the LAN and the WAN.
 #include <gtest/gtest.h>
 
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "net/lan.hpp"
@@ -21,13 +24,12 @@ util::shared_bytes payload_of(std::size_t n) {
 
 struct lan_fixture {
   sim::simulator s;
-  lan_config cfg;
   std::unique_ptr<lan> net;
   std::vector<std::vector<std::pair<node_id, std::size_t>>> received;
   std::vector<std::vector<sim_time>> arrival_times;
 
-  explicit lan_fixture(unsigned hosts, lan_config c = {}) : cfg(c) {
-    net = std::make_unique<lan>(s, cfg, util::rng(1));
+  explicit lan_fixture(unsigned hosts) {
+    net = std::make_unique<lan>(s, lan_config{}, util::rng(1));
     received.resize(hosts);
     arrival_times.resize(hosts);
     for (unsigned i = 0; i < hosts; ++i) {
@@ -92,13 +94,12 @@ TEST(lan, receiver_serialization_caps_goodput) {
 }
 
 TEST(lan, egress_buffer_overflow_drops) {
-  lan_config cfg;
-  cfg.tx_buffer_bytes = 10 * 1024;
-  lan_fixture f(2, cfg);
-  for (int i = 0; i < 100; ++i) f.net->send(0, 1, payload_of(1024));
+  // 300 KiB handed to the 256 KiB egress buffer at one instant.
+  lan_fixture f(2);
+  for (int i = 0; i < 300; ++i) f.net->send(0, 1, payload_of(1024));
   f.s.run();
   EXPECT_GT(f.net->overflow_drops(0), 0u);
-  EXPECT_LT(f.received[1].size(), 100u);
+  EXPECT_LT(f.received[1].size(), 300u);
   EXPECT_GT(f.received[1].size(), 5u);
 }
 
@@ -199,6 +200,153 @@ TEST(wan, latency_and_fanout) {
   ASSERT_EQ(at[2].size(), 1u);
   EXPECT_NEAR(to_millis(at[1][0]), 25.0, 1.0);
   EXPECT_NEAR(to_millis(at[2][0]), 80.0, 1.0);
+}
+
+// --- the medium's fault paths, on both media ---
+
+template <class Medium>
+class medium_faults : public ::testing::Test {
+ protected:
+  using config = std::conditional_t<std::is_same_v<Medium, lan>, lan_config,
+                                    wan_config>;
+  struct arrival {
+    node_id from;
+    sim_time at;
+  };
+
+  medium_faults() {
+    for (node_id i = 0; i < 3; ++i) {
+      EXPECT_EQ(net.add_host(), i);
+      net.set_receiver(i, [this, i](node_id from, util::shared_bytes) {
+        arrivals[i].push_back({from, s.now()});
+      });
+    }
+  }
+
+  /// Delivers one datagram over the idle network; returns its transit
+  /// time (-1 if it never arrived).
+  sim_duration transit(node_id from, node_id to) {
+    const sim_time sent = s.now();
+    const std::size_t before = arrivals[to].size();
+    net.send(from, to, payload_of(200));
+    s.run();
+    if (arrivals[to].size() != before + 1) return -1;
+    return arrivals[to].back().at - sent;
+  }
+
+  sim::simulator s;
+  Medium net{s, config{}, util::rng(1)};
+  std::vector<arrival> arrivals[3];
+};
+
+using media = ::testing::Types<lan, wan>;
+TYPED_TEST_SUITE(medium_faults, media);
+
+TYPED_TEST(medium_faults, symmetric_cut_drops_in_flight_datagrams) {
+  auto& f = *this;
+  f.net.send(0, 1, payload_of(200));
+  f.net.send(1, 0, payload_of(200));
+  // Both datagrams are on the wire when the link goes down.
+  f.s.schedule_at(1, [&f] { f.net.set_link_cut(0, 1, true); });
+  f.s.run();
+  EXPECT_TRUE(f.arrivals[0].empty());
+  EXPECT_TRUE(f.arrivals[1].empty());
+  EXPECT_EQ(f.net.link_cut_drops(0), 1u);
+  EXPECT_EQ(f.net.link_cut_drops(1), 1u);
+  EXPECT_GT(f.transit(2, 1), 0);  // other links keep flowing
+  f.net.set_link_cut(0, 1, false);
+  EXPECT_GT(f.transit(0, 1), 0);
+  EXPECT_GT(f.transit(1, 0), 0);
+  EXPECT_EQ(f.net.link_cut_drops(0) + f.net.link_cut_drops(1), 2u);
+}
+
+TYPED_TEST(medium_faults, oneway_cut_drops_only_its_direction) {
+  auto& f = *this;
+  f.net.send(0, 1, payload_of(200));
+  f.net.send(1, 0, payload_of(200));
+  f.s.schedule_at(1, [&f] { f.net.set_link_cut_oneway(0, 1, true); });
+  f.s.run();
+  EXPECT_TRUE(f.arrivals[1].empty());
+  ASSERT_EQ(f.arrivals[0].size(), 1u);
+  EXPECT_EQ(f.arrivals[0][0].from, 1u);
+  EXPECT_EQ(f.net.link_cut_drops(1), 1u);
+  EXPECT_EQ(f.net.link_cut_drops(0), 0u);
+}
+
+TYPED_TEST(medium_faults, extra_delay_moves_arrival_by_exactly_the_delay) {
+  auto& f = *this;
+  const sim_duration forward = f.transit(0, 1);
+  const sim_duration back = f.transit(1, 0);
+  ASSERT_GT(forward, 0);
+  ASSERT_GT(back, 0);
+  const sim_duration extra = milliseconds(7);
+  f.net.set_link_extra_delay(0, 1, extra);
+  EXPECT_EQ(f.transit(0, 1), forward + extra);
+  EXPECT_EQ(f.transit(1, 0), back + extra);
+  f.net.set_link_extra_delay(0, 1, 0);
+  f.net.set_link_extra_delay_oneway(1, 0, extra);
+  EXPECT_EQ(f.transit(0, 1), forward);
+  EXPECT_EQ(f.transit(1, 0), back + extra);
+  EXPECT_EQ(f.transit(2, 0), f.transit(2, 1));  // other links untouched
+}
+
+TYPED_TEST(medium_faults, isolate_and_restore) {
+  auto& f = *this;
+  f.net.send(0, 1, payload_of(200));
+  f.s.schedule_at(1, [&f] { f.net.isolate(1); });  // dies in flight
+  f.s.run();
+  f.net.send(0, 1, payload_of(200));
+  f.net.send(1, 0, payload_of(200));
+  f.net.multicast(2, payload_of(200));
+  f.s.run();
+  EXPECT_TRUE(f.arrivals[1].empty());
+  ASSERT_EQ(f.arrivals[0].size(), 1u);  // only host 2's multicast
+  EXPECT_EQ(f.arrivals[0][0].from, 2u);
+  EXPECT_EQ(f.net.wire_bytes_sent(1), 0u);  // nothing out
+  f.net.restore(1);
+  EXPECT_GT(f.transit(0, 1), 0);
+  EXPECT_GT(f.transit(1, 0), 0);
+  EXPECT_EQ(f.arrivals[1].size(), 1u);  // dropped datagrams stay dropped
+}
+
+TYPED_TEST(medium_faults, receiver_loss_counts_injected_losses) {
+  auto& f = *this;
+  f.net.set_rx_loss(1, random_loss(1.0));
+  for (int i = 0; i < 10; ++i) f.net.send(0, 1, payload_of(200));
+  f.net.multicast(2, payload_of(200));
+  f.s.run();
+  EXPECT_TRUE(f.arrivals[1].empty());
+  EXPECT_EQ(f.net.injected_losses(1), 11u);
+  EXPECT_EQ(f.arrivals[0].size(), 1u);  // other receivers unaffected
+  // A cut link discards a datagram before the loss model sees it.
+  f.net.set_link_cut_oneway(0, 1, true);
+  EXPECT_EQ(f.transit(0, 1), -1);
+  EXPECT_EQ(f.net.link_cut_drops(1), 1u);
+  EXPECT_EQ(f.net.injected_losses(1), 11u);
+  f.net.set_link_cut_oneway(0, 1, false);
+  f.net.set_rx_loss(1, nullptr);
+  EXPECT_GT(f.transit(0, 1), 0);
+  EXPECT_EQ(f.net.injected_losses(1), 11u);
+}
+
+TYPED_TEST(medium_faults, egress_overflow_is_counted_and_traced_at_the_sender) {
+  auto& f = *this;
+  std::vector<std::pair<node_id, node_id>> overflows;
+  f.net.set_tracer(
+      [&](char kind, node_id from, node_id to, std::size_t, sim_time) {
+        if (kind == 'o') overflows.emplace_back(from, to);
+      });
+  // 300 KiB handed over at one instant: the egress buffer takes 256 KiB.
+  for (int i = 0; i < 300; ++i) f.net.send(0, 1, payload_of(1024));
+  f.s.run();
+  EXPECT_EQ(f.arrivals[1].size(), tx_buffer_bytes / 1024);
+  EXPECT_EQ(f.net.overflow_drops(0), 300 - tx_buffer_bytes / 1024);
+  ASSERT_EQ(overflows.size(), f.net.overflow_drops(0));
+  for (const auto& [from, to] : overflows) {
+    EXPECT_EQ(from, 0u);
+    EXPECT_EQ(to, 0u);
+  }
+  EXPECT_GT(f.transit(0, 1), 0);  // the buffer drained
 }
 
 }  // namespace

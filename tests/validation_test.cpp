@@ -6,7 +6,6 @@
 #include "core/experiment.hpp"
 #include "csrt/sim_env.hpp"
 #include "net/lan.hpp"
-#include "net/udp_transport.hpp"
 
 namespace dbsm {
 namespace {
@@ -16,26 +15,20 @@ struct pair_rig {
   net::lan lan{sim, net::lan_config{}, util::rng(3)};
   csrt::cpu_pool cpu0{sim, 1};
   csrt::cpu_pool cpu1{sim, 1};
-  std::unique_ptr<net::udp_transport> t0;
-  std::unique_ptr<net::udp_transport> t1;
   std::unique_ptr<csrt::sim_env> env0;
   std::unique_ptr<csrt::sim_env> env1;
 
   pair_rig() {
     lan.add_host();
     lan.add_host();
-    t0 = std::make_unique<net::udp_transport>(lan, 0);
-    t1 = std::make_unique<net::udp_transport>(lan, 1);
     csrt::sim_env::config c0, c1;
     c0.self = 0;
     c1.self = 1;
     c0.peers = c1.peers = {0, 1};
-    env0 = std::make_unique<csrt::sim_env>(sim, cpu0, *t0, c0,
+    env0 = std::make_unique<csrt::sim_env>(sim, cpu0, lan, c0,
                                            util::rng(10));
-    env1 = std::make_unique<csrt::sim_env>(sim, cpu1, *t1, c1,
+    env1 = std::make_unique<csrt::sim_env>(sim, cpu1, lan, c1,
                                            util::rng(11));
-    t0->attach(*env0);
-    t1->attach(*env1);
   }
 };
 
