@@ -47,7 +47,8 @@ int main(int argc, char** argv) {
     groups.push_back(std::make_unique<gcs::group>(*envs[i], gcfg));
     groups[i]->set_deliver([&, i](std::vector<gcs::delivery>&& run) {
       for (const gcs::delivery& d : run) {
-        delivered[i].emplace_back(d.payload->begin(), d.payload->end());
+        const util::bytes text = d.payload->written_out();
+        delivered[i].emplace_back(text.begin(), text.end());
         if (i == 0) {
           std::printf("[node 0] delivery #%llu: %s\n",
                       static_cast<unsigned long long>(d.global_seq),
@@ -73,7 +74,8 @@ int main(int argc, char** argv) {
       const std::string text =
           "node" + std::to_string(i) + "-msg" + std::to_string(k);
       auto payload =
-          std::make_shared<util::bytes>(text.begin(), text.end());
+          std::make_shared<const util::byte_buffer>(
+              util::bytes(text.begin(), text.end()));
       groups[i]->submit(payload);
     }
   }

@@ -24,7 +24,8 @@ std::size_t encoded_size(const txn_payload& p) {
 }
 
 util::shared_bytes encode_txn(const txn_payload& p) {
-  util::buffer_writer w(encoded_size(p));
+  // The padding stays a count: only the ids and sets are stored.
+  util::buffer_writer w(encoded_size(p) - p.update_bytes);
   w.put_u64(p.id);
   w.put_u16(p.cls);
   w.put_u32(p.origin);

@@ -5,7 +5,8 @@
 //
 // Written values are represented by padding of the same total size, so
 // message sizes match what a real system would multicast — the padding is
-// what the network and CPU cost models see.
+// what the network and CPU cost models see. The buffer keeps it as a count
+// of zeros (util::byte_buffer), so memory holds only the ids and sets.
 #ifndef DBSM_CERT_TXN_CODEC_HPP
 #define DBSM_CERT_TXN_CODEC_HPP
 

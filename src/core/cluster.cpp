@@ -167,8 +167,7 @@ void cluster::recover_site(unsigned i,
 
 void cluster::finish_recover(unsigned i, std::uint64_t epoch) {
   if (recover_epoch_[i] != epoch) return;  // crashed again meanwhile
-  if (!cpus_[i]->idle() ||
-      replicas_[i]->server().disk().queue_length() != 0) {
+  if (!cpus_[i]->idle() || !replicas_[i]->server().disk().idle()) {
     sim_.schedule_after(kRecoverRecheck,
                         [this, i, epoch] { finish_recover(i, epoch); });
     return;

@@ -90,7 +90,8 @@ void native_env::send_to_port(std::uint16_t port, const util::bytes& payload) {
 void native_env::send(node_id to, util::shared_bytes msg) {
   DBSM_CHECK(msg != nullptr);
   DBSM_CHECK(msg->size() <= max_datagram_bytes);
-  send_to_port(static_cast<std::uint16_t>(cfg_.base_port + to), *msg);
+  send_to_port(static_cast<std::uint16_t>(cfg_.base_port + to),
+               msg->written_out());
 }
 
 void native_env::multicast(util::shared_bytes msg) {
@@ -98,9 +99,10 @@ void native_env::multicast(util::shared_bytes msg) {
   DBSM_CHECK(msg->size() <= max_datagram_bytes);
   // Self-delivery is the protocol layer's responsibility (matching the
   // simulated LAN's IP-multicast semantics, which exclude the sender).
+  const util::bytes wire = msg->written_out();
   for (node_id peer : cfg_.peers) {
     if (peer == cfg_.self) continue;
-    send_to_port(static_cast<std::uint16_t>(cfg_.base_port + peer), *msg);
+    send_to_port(static_cast<std::uint16_t>(cfg_.base_port + peer), wire);
   }
 }
 
@@ -189,8 +191,8 @@ void native_env::run() {
         const int port = ntohs(from.sin_port);
         const int node = port - static_cast<int>(cfg_.base_port);
         if (node >= 0) {
-          auto payload = std::make_shared<const util::bytes>(
-              buf.begin(), buf.begin() + n);
+          auto payload = std::make_shared<const util::byte_buffer>(
+              util::bytes(buf.begin(), buf.begin() + n));
           handler_(static_cast<node_id>(node), payload);
         }
       }

@@ -57,7 +57,9 @@ class storage {
 
   std::uint64_t sectors_read() const { return sectors_read_; }
   std::uint64_t sectors_written() const { return sectors_written_; }
-  std::size_t queue_length() const { return queue_.size(); }
+  /// Nothing queued and nothing in service: no completion event is
+  /// pending that points into this object.
+  bool idle() const { return queue_.empty() && active_ == 0; }
 
   const storage_config& config() const { return cfg_; }
 

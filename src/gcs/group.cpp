@@ -95,8 +95,7 @@ void group::build_stack(const view& v, std::uint64_t delivered) {
     // Strip the kind byte; hand the user payloads up (and, when donating a
     // state transfer, forward them to the rejoining site).
     for (delivery& d : run) {
-      d.payload = std::make_shared<util::bytes>(d.payload->begin() + 1,
-                                                d.payload->end());
+      d.payload = unwrap(d.payload);
       if (recovery_)
         recovery_->on_local_deliver(d.sender, d.global_seq, d.payload);
     }
@@ -177,10 +176,16 @@ void group::wire_recovery() {
 
 util::shared_bytes group::wrap(std::uint8_t kind,
                                const util::shared_bytes& payload) {
-  util::buffer_writer w(1 + payload->size());
+  util::buffer_writer w(1 + payload->stored().size());
   w.put_u8(kind);
-  w.put_bytes(payload->data(), payload->size());
+  w.put_buffer(*payload);
   return w.take();
+}
+
+util::shared_bytes group::unwrap(const util::shared_bytes& wrapped) {
+  util::buffer_reader r(wrapped);
+  r.skip(1);  // the kind byte
+  return r.get_buffer(r.remaining());
 }
 
 void group::start() {
@@ -235,18 +240,14 @@ void group::broadcast(util::shared_bytes payload) {
 
 void group::on_app_msg(node_id sender, std::uint64_t app_seq,
                        util::shared_bytes payload, std::uint64_t last_dgram) {
-  DBSM_CHECK(!payload->empty());
-  const std::uint8_t kind = (*payload)[0];
+  const std::uint8_t kind = util::buffer_reader(payload).get_u8();
   switch (kind) {
     case kind_user:
       order_->on_user_msg(sender, app_seq, std::move(payload), last_dgram);
       break;
-    case kind_assignment_batch: {
-      auto body = std::make_shared<util::bytes>(payload->begin() + 1,
-                                                payload->end());
-      order_->on_assignment_batch(body);
+    case kind_assignment_batch:
+      order_->on_assignment_batch(unwrap(payload));
       break;
-    }
     default:
       DBSM_CHECK_MSG(false, "unknown app message kind "
                                 << static_cast<int>(kind));
@@ -484,7 +485,8 @@ void group::rebuild_for_merge(const view& v, std::uint64_t delivered,
   // messages — assignment batches of the dead epoch would poison the
   // fresh sequencer state.
   for (auto& payload : resend) {
-    if (!payload->empty() && (*payload)[0] == kind_user)
+    if (!payload->empty() &&
+        util::buffer_reader(payload).get_u8() == kind_user)
       rmcast_->broadcast(std::move(payload));
   }
 }

@@ -144,6 +144,8 @@ class group {
   void wire_recovery();
   static util::shared_bytes wrap(std::uint8_t kind,
                                  const util::shared_bytes& payload);
+  /// The body of a wrapped message, without its kind byte.
+  static util::shared_bytes unwrap(const util::shared_bytes& wrapped);
 
   /// One gossip-period sample: how far total order had delivered when the
   /// local contiguously-received prefixes stood at `prefixes`. Once the

@@ -87,8 +87,9 @@ void recovery::send_chunk(std::uint32_t idx) {
   m.snap_pos = donor_->snap_pos;
   m.chunk_idx = idx;
   m.chunk_cnt = donor_->chunks;
-  m.payload = std::make_shared<const util::bytes>(donor_->blob->begin() + lo,
-                                                  donor_->blob->begin() + hi);
+  util::buffer_reader r(donor_->blob);
+  r.skip(lo);
+  m.payload = r.get_buffer(hi - lo);
   chunk_bytes_sent_ += m.payload->size();
   hooks_.send(donor_->joiner, encode(m));
 }
@@ -326,12 +327,7 @@ void recovery::on_chunk(const join_chunk_msg& m) {
   hooks_.send(donor_id_, encode(ack));
 
   if (chunks_have_ == chunks_.size()) {
-    auto blob = std::make_shared<util::bytes>();
-    std::size_t total = 0;
-    for (const auto& c : chunks_) total += c->size();
-    blob->reserve(total);
-    for (const auto& c : chunks_) blob->insert(blob->end(), c->begin(),
-                                               c->end());
+    util::shared_bytes blob = util::concat(chunks_);
     chunks_.clear();
     chunks_have_ = 0;
     hooks_.install_snapshot(std::move(blob));

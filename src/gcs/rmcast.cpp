@@ -24,9 +24,9 @@ std::size_t fragment_count(std::size_t bytes) {
   return bytes == 0 ? 1 : (bytes + max_fragment - 1) / max_fragment;
 }
 
-/// Bytes in fragment `idx` of application message `app`.
-std::size_t fragment_size(const util::bytes& app, std::size_t idx) {
-  return std::min(max_fragment, app.size() - idx * max_fragment);
+/// Bytes in fragment `idx` of an application message of `bytes` bytes.
+std::size_t fragment_size(std::size_t bytes, std::size_t idx) {
+  return std::min(max_fragment, bytes - idx * max_fragment);
 }
 
 }  // namespace
@@ -96,9 +96,9 @@ util::shared_bytes reliable_mcast::encode_entry(std::uint64_t seq,
   if (m.frag_cnt == 1) {
     m.payload = e.app;  // the whole message: no fragment copy
   } else {
-    const auto lo = e.app->begin() + e.frag_idx * max_fragment;
-    m.payload = std::make_shared<const util::bytes>(
-        lo, lo + fragment_size(*e.app, e.frag_idx));
+    util::buffer_reader r(e.app);
+    r.skip(e.frag_idx * max_fragment);
+    m.payload = r.get_buffer(fragment_size(e.app->size(), e.frag_idx));
   }
   return encode(m);
 }
@@ -137,7 +137,7 @@ void reliable_mcast::pump_tx() {
       continue;
     }
     const std::size_t bytes =
-        data_msg_size(fragment_size(*e->app, e->frag_idx));
+        data_msg_size(fragment_size(e->app->size(), e->frag_idx));
     if (!quota_.fits(bytes)) {
       // Window flow control: the share of the group buffer is exhausted;
       // block until stability detection garbage-collects (§5.3).
@@ -252,12 +252,7 @@ void reliable_mcast::deliver_fragment(node_id sender, sender_state& st,
   }
   st.partial.push_back(m.payload);
   if (st.partial.size() == m.frag_cnt) {
-    std::size_t total = 0;
-    for (const auto& p : st.partial) total += p->size();
-    auto whole = std::make_shared<util::bytes>();
-    whole->reserve(total);
-    for (const auto& p : st.partial)
-      whole->insert(whole->end(), p->begin(), p->end());
+    util::shared_bytes whole = util::concat(st.partial);
     st.partial.clear();
     ++stats_.app_msgs_delivered;
     if (app_handler_) app_handler_(sender, m.app_seq, whole, m.dgram_seq);

@@ -37,15 +37,16 @@ void check_rules(const view_cut_msg& m) {
 }
 void check_rules(const auto&) {}
 
-/// Counts what a buffer_writer would append: the sizing pass of encode,
-/// so a datagram costs one exact allocation.
+/// Counts the bytes a buffer_writer would store: the sizing pass of
+/// encode, so a datagram costs one exact allocation. A blob is the last
+/// field of every format that has one, so its zeros stay a count.
 struct byte_counter {
   std::size_t n = 0;
   void put_u8(std::uint8_t) { n += 1; }
   void put_u16(std::uint16_t) { n += 2; }
   void put_u32(std::uint32_t) { n += 4; }
   void put_u64(std::uint64_t) { n += 8; }
-  void put_bytes(const std::uint8_t*, std::size_t len) { n += len; }
+  void put_buffer(const util::byte_buffer& b) { n += b.stored().size(); }
 };
 
 template <class W, class T> void put(W& w, const T& v) {
@@ -64,7 +65,7 @@ template <class W, class T> void put(W& w, const T& v) {
   } else if constexpr (std::is_same_v<T, util::shared_bytes>) {
     DBSM_CHECK(v != nullptr);
     w.put_u32(static_cast<std::uint32_t>(v->size()));
-    w.put_bytes(v->data(), v->size());
+    w.put_buffer(*v);
   } else if constexpr (is_optional<T>) {
     if (v) put(w, *v);
   } else if constexpr (std::is_same_v<T, std::uint8_t>) {
@@ -99,9 +100,7 @@ template <class T> void get(util::buffer_reader& r, T& v) {
     const std::uint32_t len = r.get_u32();
     DBSM_CHECK_MSG(len <= r.remaining(),
                    "blob of " << len << " bytes overruns the datagram");
-    auto blob = std::make_shared<util::bytes>(len);
-    r.get_bytes(blob->data(), len);
-    v = std::move(blob);
+    v = r.get_buffer(len);
   } else if constexpr (is_optional<T>) {
     if (!r.done()) get(r, v.emplace());
   } else if constexpr (std::is_same_v<T, std::uint8_t>) {
@@ -167,7 +166,7 @@ util::shared_bytes encode(const message& m) {
 std::size_t data_msg_size(std::size_t fragment_bytes) {
   static const std::size_t fixed = [] {
     data_msg m;
-    m.payload = std::make_shared<const util::bytes>();
+    m.payload = std::make_shared<const util::byte_buffer>();
     byte_counter n;
     put(n, m);
     return n.n;

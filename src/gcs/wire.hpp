@@ -14,7 +14,10 @@
 // then its bytes, a nested format (the header) is its own fields, and an
 // optional travels only when set and only as the last field. The reader
 // checks every count and length against the bytes left before it
-// allocates, and rejects bytes left over after the last field.
+// allocates, and rejects bytes left over after the last field. A blob is
+// the last field of every format that has one, so its padding
+// (util::byte_buffer) stays a count of zeros in the datagram that carries
+// it, and the blob decoded from that datagram keeps it as one.
 #ifndef DBSM_GCS_WIRE_HPP
 #define DBSM_GCS_WIRE_HPP
 

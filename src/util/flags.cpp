@@ -32,31 +32,24 @@ bool flag_set::parse(int argc, char** argv) {
       return false;
     }
     arg = arg.substr(2);
-    std::string name, value;
     const auto eq = arg.find('=');
-    if (eq != std::string::npos) {
-      name = arg.substr(0, eq);
-      value = arg.substr(eq + 1);
-    } else {
-      name = arg;
-      auto it = entries_.find(name);
-      const bool looks_bool =
-          it != entries_.end() &&
-          (it->second.default_value == "true" ||
-           it->second.default_value == "false");
-      if (looks_bool) {
-        value = "true";
-      } else if (i + 1 < argc) {
-        value = argv[++i];
-      } else {
-        std::fprintf(stderr, "flag --%s needs a value\n", name.c_str());
-        return false;
-      }
-    }
+    const std::string name = arg.substr(0, eq);
     auto it = entries_.find(name);
     if (it == entries_.end()) {
       std::fprintf(stderr, "unknown flag: --%s\n", name.c_str());
       std::fputs(usage(argv[0]).c_str(), stderr);
+      return false;
+    }
+    std::string value;
+    if (eq != std::string::npos) {
+      value = arg.substr(eq + 1);
+    } else if (it->second.default_value == "true" ||
+               it->second.default_value == "false") {
+      value = "true";
+    } else if (i + 1 < argc) {
+      value = argv[++i];
+    } else {
+      std::fprintf(stderr, "flag --%s needs a value\n", name.c_str());
       return false;
     }
     it->second.value = value;

@@ -4,7 +4,9 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdlib>
 #include <deque>
+#include <new>
 #include <vector>
 
 #include "cert/reference_certifier.hpp"
@@ -14,6 +16,24 @@
 #include "db/item.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
+
+// A byte-counting replacement of the global operator new (the array and
+// nothrow forms forward to it), for the codec's allocation bound.
+namespace {
+std::size_t allocated_bytes = 0;
+}  // namespace
+
+// GCC cannot tell that these deletes only ever see this new's pointers.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+void* operator new(std::size_t n) {
+  allocated_bytes += n;
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+#pragma GCC diagnostic pop
 
 namespace dbsm::cert {
 namespace {
@@ -540,11 +560,11 @@ TEST(txn_codec, round_trip) {
 TEST(txn_codec, oversized_set_count_is_rejected_before_allocation) {
   txn_payload p;
   p.read_set = {make_item(1, 2, 3, 4)};
-  util::bytes b = *encode_txn(p);
+  util::bytes b = encode_txn(p)->written_out();
   // The read-set count follows id (8), class (2), origin (4) and the
   // snapshot position (8).
   for (int i = 0; i < 4; ++i) b[22 + i] = 0xff;
-  EXPECT_THROW(decode_txn(std::make_shared<const util::bytes>(b)),
+  EXPECT_THROW(decode_txn(std::make_shared<const util::byte_buffer>(b)),
                invariant_violation);
 }
 
@@ -559,9 +579,10 @@ TEST(txn_codec, every_mutant_decodes_exactly_or_throws) {
   util::rng g(22);
   const auto exact_or_rejected = [](util::bytes b) {
     try {
-      const txn_payload p = decode_txn(std::make_shared<const util::bytes>(b));
+      const txn_payload p =
+          decode_txn(std::make_shared<const util::byte_buffer>(b));
       std::fill(b.end() - p.update_bytes, b.end(), std::uint8_t{0});
-      EXPECT_EQ(*encode_txn(p), b);
+      EXPECT_EQ(encode_txn(p)->written_out(), b);
     } catch (const invariant_violation&) {
     }
   };
@@ -589,8 +610,8 @@ TEST(txn_codec, every_mutant_decodes_exactly_or_throws) {
     p.update_bytes = static_cast<std::uint32_t>(g.uniform_int(0, 48));
     p.disk_sectors = static_cast<std::uint16_t>(g.uniform_int(0, 8));
     const util::shared_bytes raw = encode_txn(p);
-    const util::bytes& b = *raw;
-    ASSERT_EQ(*encode_txn(decode_txn(raw)), b);
+    const util::bytes b = raw->written_out();
+    ASSERT_EQ(encode_txn(decode_txn(raw))->written_out(), b);
     for (std::size_t i = 0; i < b.size(); ++i) {
       util::bytes m = b;
       m[i] ^= static_cast<std::uint8_t>(g.uniform_int(1, 255));
@@ -613,6 +634,20 @@ TEST(txn_codec, every_mutant_decodes_exactly_or_throws) {
       exact_or_rejected(m);
     }
   }
+}
+
+TEST(txn_codec, value_padding_is_not_allocated) {
+  // The written values are a count of zeros: a payload carrying 1 MiB of
+  // them allocates its ids and sets, not the MiB.
+  txn_payload p;
+  p.read_set = {make_item(1, 2, 3, 4), make_granule(2, 7, 0)};
+  p.write_set = {make_item(4, 5, 6, 7)};
+  p.update_bytes = 1u << 20;
+  const std::size_t before = allocated_bytes;
+  const util::shared_bytes raw = encode_txn(p);
+  EXPECT_LT(allocated_bytes - before, 4096u);
+  EXPECT_EQ(raw->size(), encoded_size(p));
+  EXPECT_EQ(decode_txn(raw).update_bytes, p.update_bytes);
 }
 
 TEST(txn_codec, payload_size_includes_value_padding) {

@@ -51,6 +51,23 @@ TEST(storage, write_throughput_matches_config) {
   EXPECT_EQ(disk.sectors_written(), 100u);
 }
 
+TEST(storage, idle_only_once_no_sector_is_in_service) {
+  // A sector in service is no longer queued, but its completion event
+  // still points into the disk: only idle() says the disk may go away.
+  sim::simulator s;
+  storage disk(s, storage_config{}, util::rng(1));
+  EXPECT_TRUE(disk.idle());
+  bool done = false;
+  disk.write(4096, [&] { done = true; });
+  EXPECT_FALSE(disk.idle());
+  s.run_until(from_micros(1000));
+  EXPECT_FALSE(done);
+  EXPECT_FALSE(disk.idle());
+  s.run();
+  EXPECT_TRUE(done);
+  EXPECT_TRUE(disk.idle());
+}
+
 TEST(storage, full_cache_makes_reads_free) {
   sim::simulator s;
   storage_config cfg;

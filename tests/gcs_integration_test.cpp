@@ -47,10 +47,11 @@ struct group_harness {
           s, *cpus.back(), *lan, ecfg, util::rng(100 + i)));
       groups.push_back(std::make_unique<group>(*envs.back(), cfg));
       groups.back()->set_deliver([this, i](std::vector<delivery>&& run) {
-        for (const delivery& d : run)
+        for (const delivery& d : run) {
+          const util::bytes text = d.payload->written_out();
           delivered[i].push_back(
-              {d.sender, d.global_seq,
-               std::string(d.payload->begin(), d.payload->end())});
+              {d.sender, d.global_seq, std::string(text.begin(), text.end())});
+        }
       });
       groups.back()->set_view_handler(
           [this, i](const view& v) { views[i].push_back(v.id); });
@@ -62,7 +63,8 @@ struct group_harness {
   }
 
   void send(unsigned from, const std::string& text) {
-    auto data = std::make_shared<util::bytes>(text.begin(), text.end());
+    auto data = std::make_shared<const util::byte_buffer>(
+        util::bytes(text.begin(), text.end()));
     groups[from]->submit(data);
   }
 

@@ -16,7 +16,13 @@ namespace {
 using test::fake_env;
 
 util::shared_bytes text_payload(const std::string& s) {
-  return std::make_shared<util::bytes>(s.begin(), s.end());
+  return std::make_shared<const util::byte_buffer>(
+      util::bytes(s.begin(), s.end()));
+}
+
+std::string text_of(const util::shared_bytes& payload) {
+  const util::bytes b = payload->written_out();
+  return std::string(b.begin(), b.end());
 }
 
 struct rmcast_fixture {
@@ -37,9 +43,7 @@ struct rmcast_fixture {
     rm->set_app_handler([this](node_id sender, std::uint64_t app_seq,
                                util::shared_bytes payload,
                                std::uint64_t last_dgram) {
-      delivered.push_back({sender, app_seq,
-                           std::string(payload->begin(), payload->end()),
-                           last_dgram});
+      delivered.push_back({sender, app_seq, text_of(payload), last_dgram});
     });
   }
 
@@ -274,7 +278,7 @@ TEST(rmcast_protocol, flush_nak_forces_out_a_queued_datagram) {
   const auto out = blocked.env.take_outbox();
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].to, 2u);
-  EXPECT_EQ(*out[0].payload, *normal[2].payload);
+  EXPECT_EQ(out[0].payload->written_out(), normal[2].payload->written_out());
   EXPECT_EQ(blocked.rm->quota_used(),
             sent_bytes + normal[2].payload->size());
 
@@ -350,8 +354,7 @@ struct order_fixture {
   order_fixture() {
     to.set_deliver([this](std::vector<delivery>&& run) {
       for (const delivery& d : run)
-        delivered.emplace_back(
-            d.global_seq, std::string(d.payload->begin(), d.payload->end()));
+        delivered.emplace_back(d.global_seq, text_of(d.payload));
     });
     to.set_send_batch([this](util::shared_bytes batch) {
       sent_batches.push_back(std::move(batch));
@@ -433,7 +436,7 @@ TEST(total_order, takeover_rescan_survives_records_self_delivering) {
   std::vector<std::string> delivered;
   to.set_deliver([&](std::vector<delivery>&& run) {
     for (const delivery& d : run)
-      delivered.emplace_back(d.payload->begin(), d.payload->end());
+      delivered.push_back(text_of(d.payload));
   });
   to.set_send_batch([&](util::shared_bytes b) { to.on_assignment_batch(b); });
   to.set_sequencer(1);
@@ -538,8 +541,7 @@ TEST(total_order, view_change_rolls_back_the_open_batch) {
   f.to.set_deliver([&](std::vector<delivery>&& run) {
     ++runs;
     for (const delivery& d : run)
-      f.delivered.emplace_back(
-          d.global_seq, std::string(d.payload->begin(), d.payload->end()));
+      f.delivered.emplace_back(d.global_seq, text_of(d.payload));
   });
   f.to.set_sequencer(0);
   f.to.on_user_msg(1, 1, text_payload("a"), 1);
@@ -674,7 +676,7 @@ TEST(group_dispatch, malformed_datagrams_are_dropped_and_counted) {
   std::vector<std::string> delivered;
   g.set_deliver([&](std::vector<delivery>&& run) {
     for (const delivery& d : run)
-      delivered.emplace_back(d.payload->begin(), d.payload->end());
+      delivered.push_back(text_of(d.payload));
   });
   g.start();
 
@@ -687,9 +689,10 @@ TEST(group_dispatch, malformed_datagrams_are_dropped_and_counted) {
   for (const util::shared_bytes& raw : all) {
     EXPECT_EQ(decode_header(raw).view_id, 1u);
     for (std::size_t len = 0; len < raw->size(); ++len) {
-      auto cut = std::make_shared<util::bytes>(raw->begin(),
-                                               raw->begin() + len);
-      EXPECT_NO_THROW(env.deliver(2, cut)) << "type " << int((*raw)[0])
+      const util::bytes b = raw->written_out();
+      auto cut = std::make_shared<const util::byte_buffer>(
+          util::bytes(b.begin(), b.begin() + len));
+      EXPECT_NO_THROW(env.deliver(2, cut)) << "type " << int(b[0])
                                            << " at " << len << " bytes";
       ++expected;
     }
@@ -730,7 +733,8 @@ TEST(group_dispatch, malformed_datagrams_are_dropped_and_counted) {
   m.hdr = {msg_type::data, 1, 2};
   m.dgram_seq = 1;
   m.app_seq = 1;
-  m.payload = std::make_shared<util::bytes>(util::bytes{0, 'o', 'k'});
+  m.payload =
+      std::make_shared<const util::byte_buffer>(util::bytes{0, 'o', 'k'});
   env.deliver(2, encode(m));
   env.advance(cfg.batch_delay + 1);
   EXPECT_EQ(delivered, (std::vector<std::string>{"ok"}));
@@ -740,7 +744,7 @@ TEST(group_dispatch, malformed_datagrams_are_dropped_and_counted) {
   // (an application message of unknown kind) still stops the run.
   m.dgram_seq = 2;
   m.app_seq = 2;
-  m.payload = std::make_shared<util::bytes>(util::bytes{7, 'x'});
+  m.payload = std::make_shared<const util::byte_buffer>(util::bytes{7, 'x'});
   EXPECT_THROW(env.deliver(2, encode(m)), invariant_violation);
 }
 

@@ -86,10 +86,14 @@ template <std::integral T> void fill(util::rng& g, T& v) {
   v = static_cast<T>(g.next_u64());
 }
 void fill(util::rng&, msg_type&) {}
+// A blob stores up to 40 random bytes and, half the time, keeps up to 40
+// zeros after them as a count (the codec's value padding).
 void fill(util::rng& g, util::shared_bytes& v) {
-  auto blob = std::make_shared<util::bytes>(g.uniform_int(0, 40));
-  for (std::uint8_t& b : *blob) b = static_cast<std::uint8_t>(g.next_u64());
-  v = std::move(blob);
+  util::bytes stored(static_cast<std::size_t>(g.uniform_int(0, 40)));
+  for (std::uint8_t& b : stored) b = static_cast<std::uint8_t>(g.next_u64());
+  const auto padding =
+      static_cast<std::size_t>(g.bernoulli(0.5) ? g.uniform_int(0, 40) : 0);
+  v = std::make_shared<const util::byte_buffer>(std::move(stored), padding);
 }
 template <class A, class B> void fill(util::rng& g, std::pair<A, B>& v) {
   fill(g, v.first);
@@ -129,8 +133,7 @@ template <class T> util::shared_bytes encode_format(const T& m) {
     return encode(m);
 }
 
-template <class T> util::shared_bytes reencode(const util::bytes& b) {
-  const auto raw = std::make_shared<const util::bytes>(b);
+template <class T> util::shared_bytes reencode(const util::shared_bytes& raw) {
   if constexpr (std::is_same_v<T, assignment_batch>)
     return encode_assignment_batch(decode_assignment_batch(raw));
   else
@@ -155,38 +158,52 @@ TEST(wire, type_mismatch_throws) {
     using T = decltype(proto);
     if constexpr (!std::is_same_v<T, assignment_batch>) {
       const util::shared_bytes raw = encode(random_format<T>(g));
-      EXPECT_EQ(decode(raw).index() + 1, (*raw)[0]);
+      EXPECT_EQ(decode(raw).index() + 1, raw->written_out()[0]);
       EXPECT_EQ(decode_header(raw).type, T::wire_type);
     }
   });
   heartbeat_msg hb;
   hb.hdr = {msg_type::heartbeat, 1, 0};
-  auto relabeled = std::make_shared<util::bytes>(*encode(hb));
-  (*relabeled)[0] = static_cast<std::uint8_t>(msg_type::data);
-  EXPECT_THROW(decode(relabeled), invariant_violation);
+  util::bytes relabeled = encode(hb)->written_out();
+  relabeled[0] = static_cast<std::uint8_t>(msg_type::data);
+  EXPECT_THROW(
+      decode(std::make_shared<const util::byte_buffer>(std::move(relabeled))),
+      invariant_violation);
 }
 
 // Random valid messages of every format survive encode -> decode ->
-// encode byte for byte. Each encoding is then mutated — every byte
-// flipped, every truncation, 1-8 appended bytes, every u16 window (so
-// every count field) set to 0xFFFF — and each mutant either decodes to a
-// message that re-encodes to exactly its bytes or throws
-// invariant_violation. Any other exception fails the test.
+// encode byte for byte, and a blob's zeros stay a count through both.
+// Each encoding is then mutated — every byte flipped, every truncation,
+// 1-8 appended bytes, every u16 window (so every count field) set to
+// 0xFFFF — and each mutant either decodes to a message that re-encodes
+// to exactly its bytes or throws invariant_violation. Any other
+// exception fails the test.
 TEST(wire, every_format_round_trips_and_rejects_mutations) {
   util::rng g(16);
   for_each_format([&g](auto proto) {
     using T = decltype(proto);
     const auto exact_or_rejected = [](const util::bytes& b) {
       try {
-        EXPECT_EQ(*reencode<T>(b), b) << typeid(T).name();
+        EXPECT_EQ(
+            reencode<T>(std::make_shared<const util::byte_buffer>(b))
+                ->written_out(),
+            b)
+            << typeid(T).name();
       } catch (const invariant_violation&) {
       }
     };
     for (int rep = 0; rep < 40; ++rep) {
-      const util::shared_bytes raw = encode_format(random_format<T>(g));
-      EXPECT_EQ(raw->capacity(), raw->size());  // one exact allocation
-      const util::bytes& b = *raw;
-      ASSERT_EQ(*reencode<T>(b), b) << typeid(T).name();
+      const T msg = random_format<T>(g);
+      const util::shared_bytes raw = encode_format(msg);
+      // One exact allocation, of the stored bytes only.
+      EXPECT_EQ(raw->stored().capacity(), raw->stored().size());
+      const util::bytes b = raw->written_out();
+      const util::shared_bytes again = reencode<T>(raw);
+      ASSERT_EQ(again->written_out(), b) << typeid(T).name();
+      EXPECT_EQ(again->padding(), raw->padding()) << typeid(T).name();
+      if constexpr (requires { msg.payload; }) {  // the last field
+        EXPECT_EQ(raw->padding(), msg.payload->padding());
+      }
       for (std::size_t i = 0; i < b.size(); ++i) {
         util::bytes m = b;
         m[i] ^= static_cast<std::uint8_t>(g.uniform_int(1, 255));

@@ -115,7 +115,8 @@ TEST(native_env, group_total_order_over_real_sockets) {
     groups.push_back(std::make_unique<gcs::group>(*envs[i], gcfg));
     groups[i]->set_deliver([&, i](std::vector<gcs::delivery>&& run) {
       for (const gcs::delivery& d : run) {
-        delivered[i].emplace_back(d.payload->begin(), d.payload->end());
+        const util::bytes text = d.payload->written_out();
+        delivered[i].emplace_back(text.begin(), text.end());
         total_delivered.fetch_add(1);
       }
     });
@@ -134,7 +135,8 @@ TEST(native_env, group_total_order_over_real_sockets) {
     for (unsigned k = 0; k < msgs_per_node; ++k) {
       const std::string text =
           "n" + std::to_string(i) + "m" + std::to_string(k);
-      auto payload = std::make_shared<util::bytes>(text.begin(), text.end());
+      auto payload = std::make_shared<const util::byte_buffer>(
+          util::bytes(text.begin(), text.end()));
       groups[i]->submit(payload);
     }
   }

@@ -27,7 +27,8 @@ namespace {
 using test::fake_env;
 
 util::shared_bytes text_payload(const std::string& s) {
-  return std::make_shared<util::bytes>(s.begin(), s.end());
+  return std::make_shared<const util::byte_buffer>(
+      util::bytes(s.begin(), s.end()));
 }
 
 // ---------- the seed-7 campaign anchor pin ----------
@@ -147,7 +148,7 @@ TEST(ordering_view_change, new_lead_mints_past_the_cut_after_the_view_handler) {
   m.hdr = {gcs::msg_type::data, 1, 2};
   m.dgram_seq = 1;
   m.app_seq = 1;
-  m.payload = std::make_shared<util::bytes>(util::bytes{0, 'x'});
+  m.payload = std::make_shared<const util::byte_buffer>(util::bytes{0, 'x'});
   env.deliver(2, gcs::encode(m));
 
   // Site 2 proposes {1, 2}; site 1 reports its flush state (prefixes

@@ -262,11 +262,12 @@ TEST(replica, corrupt_snapshot_is_rejected_before_allocation) {
   donor.sim().run_until(seconds(3));
   const std::size_t log_len = donor.site(0).commit_log().size();
   ASSERT_EQ(log_len, 3u);
-  const util::bytes blob = *donor.site(0).snapshot(1);
+  const util::bytes blob = donor.site(0).snapshot(1)->written_out();
 
   const auto install = [](const util::bytes& b) {
     cluster joiner(small_cluster(3));
-    joiner.site(1).install_snapshot(std::make_shared<util::bytes>(b));
+    joiner.site(1).install_snapshot(
+        std::make_shared<const util::byte_buffer>(b));
   };
   install(blob);  // the intact blob installs
   // Truncated: inside the certification state, at the commit-log count,

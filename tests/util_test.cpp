@@ -234,6 +234,119 @@ TEST(byte_buffer, oversized_skip_throws_instead_of_wrapping) {
   EXPECT_TRUE(r.done());
 }
 
+// A payload that keeps its zeros as a count reads, slices, appends and
+// concatenates exactly like the std::vector that spells them out: random
+// stored prefixes and counts, random calls on both, equal results.
+TEST(byte_buffer, zero_count_matches_the_written_out_bytes) {
+  rng g(29);
+  const auto random_buffer = [&g] {
+    bytes stored(static_cast<std::size_t>(g.uniform_int(0, 20)));
+    for (std::uint8_t& b : stored) b = static_cast<std::uint8_t>(g.next_u64());
+    return std::make_shared<const byte_buffer>(
+        std::move(stored), static_cast<std::size_t>(g.uniform_int(0, 20)));
+  };
+  for (int rep = 0; rep < 400; ++rep) {
+    const shared_bytes buf = random_buffer();
+    const bytes flat = buf->written_out();
+    ASSERT_EQ(flat.size(), buf->size());
+    buffer_reader r(buf);
+    buffer_reader f(flat.data(), flat.size());
+    while (!f.done()) {
+      const auto n = static_cast<std::size_t>(g.uniform_int(0, 10));
+      if (n > f.remaining()) {
+        EXPECT_THROW(r.skip(n), invariant_violation);
+        EXPECT_THROW(f.skip(n), invariant_violation);
+        continue;
+      }
+      switch (g.uniform_int(0, 3)) {
+        case 0:  // the widest integer that fits in n bytes
+          if (n >= 8) {
+            EXPECT_EQ(r.get_u64(), f.get_u64());
+          } else if (n >= 4) {
+            EXPECT_EQ(r.get_u32(), f.get_u32());
+          } else if (n >= 2) {
+            EXPECT_EQ(r.get_u16(), f.get_u16());
+          } else if (n == 1) {
+            EXPECT_EQ(r.get_u8(), f.get_u8());
+          }
+          break;
+        case 1: {
+          bytes a(n, 0xa5), b(n, 0xa5);  // every byte must be written
+          r.get_bytes(a.data(), n);
+          f.get_bytes(b.data(), n);
+          EXPECT_EQ(a, b);
+          break;
+        }
+        case 2:
+          r.skip(n);
+          f.skip(n);
+          break;
+        default: {
+          const std::size_t pos = r.position();
+          const std::size_t have = buf->stored().size();
+          const shared_bytes a = r.get_buffer(n);
+          EXPECT_EQ(a->written_out(), f.get_buffer(n)->written_out());
+          // Only the stored part of the range is copied.
+          EXPECT_EQ(a->stored().size(), pos < have ? std::min(n, have - pos)
+                                                   : std::size_t{0});
+          break;
+        }
+      }
+      ASSERT_EQ(r.position(), f.position());
+    }
+    EXPECT_TRUE(r.done());
+
+    // The same puts on a writer that keeps zeros as a count and on one
+    // that spells every byte out.
+    buffer_writer w, v;
+    w.put_buffer(*buf);
+    v.put_bytes(flat.data(), flat.size());
+    for (int op = 0; op < 6; ++op) {
+      const std::uint64_t x = g.next_u64();
+      const shared_bytes part = random_buffer();
+      const bytes part_flat = part->written_out();
+      const bytes zeros(x % 16);
+      switch (g.uniform_int(0, 5)) {
+        case 0:
+          w.put_u8(static_cast<std::uint8_t>(x));
+          v.put_u8(static_cast<std::uint8_t>(x));
+          break;
+        case 1:
+          w.put_u32(static_cast<std::uint32_t>(x));
+          v.put_u32(static_cast<std::uint32_t>(x));
+          break;
+        case 2:
+          w.put_u64(x);
+          v.put_u64(x);
+          break;
+        case 3:
+          w.put_padding(zeros.size());
+          v.put_bytes(zeros.data(), zeros.size());
+          break;
+        default:
+          w.put_buffer(*part);
+          v.put_bytes(part_flat.data(), part_flat.size());
+          break;
+      }
+      ASSERT_EQ(w.size(), v.size());
+    }
+    EXPECT_EQ(w.take()->written_out(), v.take()->written_out());
+
+    std::vector<shared_bytes> parts;
+    bytes joined;
+    for (std::int64_t k = g.uniform_int(0, 4); k > 0; --k) {
+      parts.push_back(random_buffer());
+      const bytes p = parts.back()->written_out();
+      joined.insert(joined.end(), p.begin(), p.end());
+    }
+    const shared_bytes whole = concat(parts);
+    EXPECT_EQ(whole->written_out(), joined);
+    if (!parts.empty()) {
+      EXPECT_GE(whole->padding(), parts.back()->padding());
+    }
+  }
+}
+
 TEST(table, renders_aligned) {
   text_table t;
   t.header({"name", "value"});
@@ -267,6 +380,12 @@ TEST(flags, unknown_flag_rejected) {
   f.declare("x", "1", "");
   const char* argv[] = {"prog", "--nope=3"};
   EXPECT_FALSE(f.parse(2, const_cast<char**>(argv)));
+  // Last and without a value, an unknown flag is still named as unknown.
+  const char* trailing[] = {"prog", "--smoke"};
+  testing::internal::CaptureStderr();
+  EXPECT_FALSE(f.parse(2, const_cast<char**>(trailing)));
+  const std::string err = testing::internal::GetCapturedStderr();
+  EXPECT_NE(err.find("unknown flag: --smoke"), std::string::npos) << err;
 }
 
 TEST(check, macros_throw_with_context) {
