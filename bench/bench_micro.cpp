@@ -1,6 +1,6 @@
 // Microbenchmarks of the core primitives (google-benchmark): event queue,
-// certification, marshaling, stability gossip merging, lock table, and
-// the simulated LAN — the hot paths of every experiment.
+// certification, marshaling, stability gossip merging, lock table, the
+// simulated LAN and the granule store — the hot paths of every experiment.
 #include <benchmark/benchmark.h>
 
 #include "cert/reference_certifier.hpp"
@@ -9,6 +9,7 @@
 #include "db/lock_table.hpp"
 #include "gcs/stability.hpp"
 #include "net/lan.hpp"
+#include "place/granule_store.hpp"
 #include "sim/simulator.hpp"
 #include "tpcc/workload.hpp"
 #include "workload/kv.hpp"
@@ -293,6 +294,32 @@ void BM_tpcc_generate(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_tpcc_generate);
+
+// The granule store's apply on the Arg's TPC-C update write sets, drawn
+// as BM_tpcc_generate draws them (the workload normalizes them, as they
+// reach delivery). Each iteration applies them all to an empty store, so
+// first writes of tuples, most of what a tpcc_paper site stores, grow
+// its tables as they do in a run.
+void BM_granule_store_apply(benchmark::State& state) {
+  tpcc::workload load(tpcc::workload_profile::pentium3_1ghz(), 50,
+                      util::rng(5));
+  const auto n = static_cast<std::size_t>(state.range(0));
+  std::vector<std::pair<std::vector<db::item_id>, std::uint32_t>> updates;
+  for (std::uint32_t i = 0; updates.size() < n; ++i) {
+    auto req = load.next(i % 50, i % 10);
+    if (!req.write_set.empty())
+      updates.emplace_back(std::move(req.write_set), req.update_bytes);
+  }
+  for (auto _ : state) {
+    place::granule_store store;
+    for (const auto& [write_set, bytes] : updates)
+      store.apply(write_set, bytes);
+    benchmark::DoNotOptimize(store.durable_tuples());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(n));
+}
+BENCHMARK(BM_granule_store_apply)->Arg(20000)->Unit(benchmark::kMillisecond);
 
 // ---- KV workload: request generation and the Zipf sampler ----
 

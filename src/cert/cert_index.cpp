@@ -4,15 +4,24 @@
 
 namespace dbsm::cert {
 
+last_writer_index::writer last_writer_index::slot(db::item_id id,
+                                                  std::uint64_t pos) {
+  return {static_cast<std::uint32_t>(id), static_cast<std::uint32_t>(id >> 32),
+          static_cast<std::uint32_t>(pos)};
+}
+
 void last_writer_index::note_commit(
     const std::vector<db::item_id>& write_set, std::uint64_t pos) {
-  DBSM_CHECK(pos != 0);
-  for (const db::item_id id : write_set) table_.insert_or_assign({id, pos});
+  DBSM_CHECK_MSG(pos != 0 && pos <= max_pos,
+                 "position " << pos << " does not fit an index slot");
+  for (const db::item_id id : write_set)
+    table_.insert_or_assign(slot(id, pos));
 }
 
 void last_writer_index::set_last_writer(db::item_id id, std::uint64_t pos) {
-  DBSM_CHECK(pos != 0);
-  table_.insert_or_assign({id, pos});
+  DBSM_CHECK_MSG(pos != 0 && pos <= max_pos,
+                 "position " << pos << " does not fit an index slot");
+  table_.insert_or_assign(slot(id, pos));
 }
 
 bool last_writer_index::conflicts(

@@ -16,6 +16,12 @@
 // because its position precedes every snapshot that survives the
 // conservative pre-window abort rule, so it can never satisfy
 // `pos > begin_pos`.
+//
+// A slot is 12 bytes: the id as two 32-bit halves and the position in 32
+// bits. The table still keys, hashes and orders by the whole 64-bit id.
+// Positions narrow here only: note_commit() and set_last_writer() throw
+// invariant_violation on a position past max_pos rather than wrap, and
+// the certifier's counters and snapshot stay 64-bit.
 #ifndef DBSM_CERT_CERT_INDEX_HPP
 #define DBSM_CERT_CERT_INDEX_HPP
 
@@ -29,6 +35,9 @@ namespace dbsm::cert {
 
 class last_writer_index {
  public:
+  /// The largest position a slot holds (2^32 - 1).
+  static constexpr std::uint64_t max_pos = ~std::uint32_t{0};
+
   /// Records `pos` as the last committed writer of every id in
   /// `write_set`. Positions are strictly increasing across calls.
   void note_commit(const std::vector<db::item_id>& write_set,
@@ -59,7 +68,8 @@ class last_writer_index {
   /// Calls `fn(id, pos)` for every entry, in unspecified order.
   template <typename Fn>
   void for_each(Fn&& fn) const {
-    table_.for_each([&](const writer& w) { fn(w.id, w.pos); });
+    table_.for_each(
+        [&](const writer& w) { fn(writer_policy::key(w), w.pos); });
   }
 
   /// Index entries, stale ones included (memory probe for tests/bench).
@@ -67,15 +77,23 @@ class last_writer_index {
 
  private:
   /// One table slot; positions start at 1, so pos 0 marks an empty slot.
+  /// The id is split in halves so the slot packs into 12 bytes.
   struct writer {
-    db::item_id id;
-    std::uint64_t pos;
+    std::uint32_t id_lo;
+    std::uint32_t id_hi;
+    std::uint32_t pos;
   };
   struct writer_policy {
-    static std::uint64_t key(const writer& w) { return w.id; }
+    static std::uint64_t key(const writer& w) {
+      return (std::uint64_t{w.id_hi} << 32) | w.id_lo;
+    }
     static bool empty(const writer& w) { return w.pos == 0; }
-    static writer empty_slot() { return {0, 0}; }
+    static writer empty_slot() { return {0, 0, 0}; }
   };
+  static_assert(sizeof(writer) == 12);
+
+  /// The slot recording `pos` as the last writer of `id`.
+  static writer slot(db::item_id id, std::uint64_t pos);
 
   util::open_table<writer, writer_policy> table_;
 };

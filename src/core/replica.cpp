@@ -384,17 +384,20 @@ void replica::on_deliver_batch(std::vector<gcs::delivery>&& run) {
     // Placement bookkeeping (pure — no modeled time, no randomness):
     // account the delivered payload against what a placement-aware
     // multicast would have shipped here, and fold committed writes into
-    // the granule directory.
+    // the granule directory. The store and the observer's slice are not
+    // protocol work, so they run off the profiling clock.
     delivered_payload_bytes_ += d.payload->size();
     if (cfg_.placement.interested(env_.self(), txn.write_set))
       interested_payload_bytes_ += d.payload->size();
     if (commit) {
-      store_.apply(txn.write_set, txn.update_bytes);
-      if (obs_.on_apply) {
-        cfg_.placement.slice(txn.write_set, env_.self(), slice_scratch_);
-        notify(env_, obs_.on_apply, txn, pos, slice_scratch_,
-               store_.durable_bytes());
-      }
+      env_.off_clock([&] {
+        store_.apply(txn.write_set, txn.update_bytes);
+        if (obs_.on_apply) {
+          cfg_.placement.slice(txn.write_set, env_.self(), slice_scratch_);
+          notify(env_, obs_.on_apply, txn, pos, slice_scratch_,
+                 store_.durable_bytes());
+        }
+      });
     }
     // Bounded hand-off: a full queue drains synchronously first
     // (deterministic back-pressure), then the push succeeds.

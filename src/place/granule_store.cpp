@@ -6,6 +6,16 @@
 
 namespace dbsm::place {
 
+namespace {
+
+/// The id of tuple `row` of granule `g`.
+db::item_id tuple_of(db::item_id g, std::uint32_t row) {
+  return db::make_item(db::item_table(g), db::item_warehouse(g),
+                       db::item_district(g), row);
+}
+
+}  // namespace
+
 granule_store::granule_state& granule_store::state_of(db::item_id g) {
   const auto [s, fresh] =
       dir_.try_insert({g, static_cast<std::uint32_t>(states_.size())});
@@ -47,7 +57,7 @@ void granule_store::apply(const std::vector<db::item_id>& write_set,
     if (db::is_granule(it)) continue;
     // First write of a tuple materializes it; later writes overwrite in
     // place and do not grow the modeled database.
-    if (st->tuples.insert_or_assign(it)) {
+    if (st->rows.insert_or_assign(db::item_row(it))) {
       st->data_bytes += share;
       if (owned) {
         durable_bytes_ += share;
@@ -78,9 +88,10 @@ void granule_store::snapshot_for(util::buffer_writer& w,
     w.put_u64(s.granule);
     w.put_u64(st.updates);
     w.put_u64(st.data_bytes);
-    w.put_u32(static_cast<std::uint32_t>(st.tuples.size()));
+    w.put_u32(static_cast<std::uint32_t>(st.rows.size()));
     sorted.clear();
-    st.tuples.for_each([&](db::item_id t) { sorted.push_back(t); });
+    st.rows.for_each(
+        [&](std::uint32_t row) { sorted.push_back(tuple_of(s.granule, row)); });
     std::sort(sorted.begin(), sorted.end());
     for (const db::item_id t : sorted) w.put_u64(t);
   }
@@ -109,7 +120,9 @@ void granule_store::restore(util::buffer_reader& r) {
     for (std::uint32_t t = 0; t < ntuples; ++t) {
       const db::item_id id = r.get_u64();
       DBSM_CHECK_MSG(!db::is_granule(id), "granule id in a tuple list: " << id);
-      st.tuples.insert_or_assign(id);
+      DBSM_CHECK_MSG(db::granule_of(id) == g,
+                     "tuple " << id << " listed under granule " << g);
+      st.rows.insert_or_assign(db::item_row(id));
     }
     state_of(g) = std::move(st);
   }
@@ -125,7 +138,7 @@ void granule_store::recount() {
     if (!placement_.stores(self_, s.granule)) return;
     ++owned_granules_;
     durable_bytes_ += states_[s.state].data_bytes;
-    durable_tuples_ += states_[s.state].tuples.size();
+    durable_tuples_ += states_[s.state].rows.size();
   });
 }
 

@@ -20,9 +20,11 @@
 // simulated behavior to runs without the store.
 //
 // The directory is a flat table from granule id to an index into a vector
-// of granule states, each holding its tuples in a flat set; neither keeps
-// an order, so snapshot_for sorts the granule ids and each granule's
-// tuple ids before it writes them.
+// of granule states, each holding its tuples in a flat set. The tuples of
+// one granule differ only in their 25-bit row (db/item.hpp), so the set
+// keeps 32-bit rows, and the granule id supplies the rest of each tuple
+// id. Neither table keeps an order, so snapshot_for sorts the granule ids
+// and each granule's rebuilt tuple ids before it writes them.
 //
 // snapshot_for(site) serializes the directory slice a joining `site`
 // replicates (granules and each granule's tuples in ascending id order),
@@ -75,23 +77,23 @@ class granule_store {
   /// Installs a transferred slice: entries replace same-granule directory
   /// state wholesale; durable accounting is recomputed. Entries for
   /// granules this site does not replicate are still installed into the
-  /// directory (they refresh the joiner's stale view of them).
+  /// directory (they refresh the joiner's stale view of them). Throws
+  /// invariant_violation on a listed tuple outside its granule.
   void restore(util::buffer_reader& r);
 
  private:
-  /// Tuple ids are even (bit 0 is the granule flag), so the all-ones id
-  /// is free to mark an empty slot.
-  struct tuple_policy {
-    static std::uint64_t key(db::item_id id) { return id; }
-    static bool empty(db::item_id id) { return id == ~0ull; }
-    static db::item_id empty_slot() { return ~0ull; }
+  /// Rows are 25 bits wide, so the all-ones row marks an empty slot.
+  struct row_policy {
+    static std::uint64_t key(std::uint32_t row) { return row; }
+    static bool empty(std::uint32_t row) { return row == ~std::uint32_t{0}; }
+    static std::uint32_t empty_slot() { return ~std::uint32_t{0}; }
   };
-  using tuple_set = util::open_table<db::item_id, tuple_policy>;
+  using row_set = util::open_table<std::uint32_t, row_policy>;
 
   struct granule_state {
     std::uint64_t updates = 0;     // committed updates that touched it
     std::uint64_t data_bytes = 0;  // modeled materialized size
-    tuple_set tuples;              // distinct written tuples (unordered)
+    row_set rows;                  // rows of distinct written tuples
   };
 
   /// Granule id -> index of its state in states_.

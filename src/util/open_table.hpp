@@ -18,6 +18,9 @@
 //   static std::uint64_t key(const Slot&);
 //   static bool empty(const Slot&);
 //   static Slot empty_slot();
+// A slot may be narrower than a 64-bit key: the last-writer index keeps
+// its ids as two 32-bit halves that key() joins again, and a granule's
+// tuple set keys by the 32-bit row alone.
 //
 // Contents, and therefore for_each order, are a pure function of the
 // operation sequence, so runs stay deterministic. The order itself is

@@ -14,8 +14,10 @@
 #include "cert/cert_index.hpp"
 #include "cert/reference_certifier.hpp"
 #include "cert/sharded_certifier.hpp"
+#include "counting_new.hpp"
 #include "db/item.hpp"
 #include "tpcc/workload.hpp"
+#include "util/check.hpp"
 #include "util/open_table.hpp"
 #include "util/rng.hpp"
 
@@ -73,6 +75,18 @@ TEST(last_writer_index, tuple_and_granule_ids_share_one_table) {
   EXPECT_EQ(idx.last_writer(tup(7)), 2u);
   EXPECT_EQ(idx.last_writer(gran(7)), 0u);
   EXPECT_EQ(idx.size(), 2u);
+}
+
+TEST(last_writer_index, positions_past_32_bits_are_rejected) {
+  // A slot keeps a 32-bit position: the largest is stored exactly, and
+  // the next one throws rather than wrap, whichever way it enters.
+  last_writer_index idx;
+  const item_id high = db::make_item(63, 0xffffff, 0xff, 7);
+  idx.note_commit({high}, (1ull << 32) - 1);
+  EXPECT_EQ(idx.last_writer(high), (1ull << 32) - 1);
+  EXPECT_THROW(idx.note_commit({tup(1)}, 1ull << 32), invariant_violation);
+  EXPECT_THROW(idx.set_last_writer(tup(2), 1ull << 32), invariant_violation);
+  EXPECT_EQ(idx.size(), 1u);
 }
 
 /// `count` random ids (tuples and granules mixed) whose home slot is `top`
@@ -320,6 +334,25 @@ TEST(cert_index_memory, index_stays_bounded_by_window) {
   // 100 retained commits × 4 distinct tuples (the last commit purges).
   EXPECT_LE(c.index_size(), 100u * 4u + 16u);
   EXPECT_EQ(c.history_size(), 100u);
+}
+
+TEST(cert_index_memory, slots_take_12_bytes) {
+  // 150,000 distinct ids grow the table to 2^18 slots, the first power of
+  // two they fill at most 3/4. Only that final table stays allocated.
+  std::vector<item_id> ws(100);
+  const std::size_t before = counting_new::live_bytes;
+  last_writer_index idx;
+  for (std::uint64_t pos = 1; pos <= 1500; ++pos) {
+    for (std::size_t k = 0; k < ws.size(); ++k)
+      ws[k] = db::make_item(static_cast<unsigned>(pos % 9),
+                            static_cast<std::uint32_t>(pos), 3,
+                            static_cast<std::uint32_t>(k));
+    idx.note_commit(ws, pos);
+  }
+  const std::size_t live = counting_new::live_bytes - before;
+  EXPECT_EQ(idx.size(), 150000u);
+  EXPECT_GE(live, 12u * 150000u);
+  EXPECT_LE(live, 12u << 18);
 }
 
 }  // namespace

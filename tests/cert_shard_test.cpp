@@ -332,6 +332,36 @@ TEST(cert_shard_zero_sets, empty_sets_keep_decisions_and_state) {
   }
 }
 
+// Index slots keep 32-bit positions while the certifier counts in 64
+// bits: a certifier restored at the last position a slot holds restores
+// exactly, and its next commit throws instead of wrapping.
+TEST(cert_snapshot, restored_at_the_last_32_bit_position_throws_on_commit) {
+  const std::uint64_t last = (1ull << 32) - 1;
+  util::buffer_writer w;
+  w.put_u64(last);      // position
+  w.put_u64(1);         // oldest retained
+  w.put_u64(1);         // commits
+  w.put_u64(last - 1);  // aborts
+  w.put_u64(1);         // retained positions
+  w.put_u64(last);
+  w.put_u64(1);  // index entries
+  w.put_u64(tup(1));
+  w.put_u64(last);
+  const util::bytes b = w.take()->written_out();
+  for (const std::size_t shards : grid()) {
+    sharded_certifier c(with_shards(cert_config{}, shards));
+    util::buffer_reader r(b.data(), b.size());
+    c.restore(r);
+    ASSERT_TRUE(r.done());
+    util::buffer_writer again;
+    c.snapshot(again);
+    EXPECT_EQ(again.take()->written_out(), b);
+    EXPECT_THROW(c.certify_update(c.position(), {}, {tup(2)}),
+                 invariant_violation)
+        << "shards " << shards;
+  }
+}
+
 // The certification snapshot, mutated: every byte flipped, every
 // truncation, and each count field set to all-ones. Each mutant either
 // throws invariant_violation or restores on a fresh certifier and

@@ -4,36 +4,17 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <deque>
-#include <new>
 #include <vector>
 
 #include "cert/reference_certifier.hpp"
 #include "cert/rwset.hpp"
 #include "cert/sharded_certifier.hpp"
 #include "cert/txn_codec.hpp"
+#include "counting_new.hpp"
 #include "db/item.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
-
-// A byte-counting replacement of the global operator new (the array and
-// nothrow forms forward to it), for the codec's allocation bound.
-namespace {
-std::size_t allocated_bytes = 0;
-}  // namespace
-
-// GCC cannot tell that these deletes only ever see this new's pointers.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-void* operator new(std::size_t n) {
-  allocated_bytes += n;
-  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
-  throw std::bad_alloc();
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-#pragma GCC diagnostic pop
 
 namespace dbsm::cert {
 namespace {
@@ -643,9 +624,9 @@ TEST(txn_codec, value_padding_is_not_allocated) {
   p.read_set = {make_item(1, 2, 3, 4), make_granule(2, 7, 0)};
   p.write_set = {make_item(4, 5, 6, 7)};
   p.update_bytes = 1u << 20;
-  const std::size_t before = allocated_bytes;
+  const std::size_t before = counting_new::allocated_bytes;
   const util::shared_bytes raw = encode_txn(p);
-  EXPECT_LT(allocated_bytes - before, 4096u);
+  EXPECT_LT(counting_new::allocated_bytes - before, 4096u);
   EXPECT_EQ(raw->size(), encoded_size(p));
   EXPECT_EQ(decode_txn(raw).update_bytes, p.update_bytes);
 }

@@ -3,32 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdlib>
-#include <new>
 #include <vector>
 
+#include "counting_new.hpp"
 #include "db/lock_table.hpp"
 #include "db/server.hpp"
 #include "db/storage.hpp"
 #include "sim/simulator.hpp"
-
-// A counting replacement of the global operator new (the array and
-// nothrow forms forward to it), for the lock table's allocation guard.
-namespace {
-std::uint64_t allocations = 0;
-}  // namespace
-
-// GCC cannot tell that these deletes only ever see this new's pointers.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-void* operator new(std::size_t n) {
-  ++allocations;
-  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
-  throw std::bad_alloc();
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-#pragma GCC diagnostic pop
 
 namespace dbsm::db {
 namespace {
@@ -299,11 +280,11 @@ TEST(lock_table, steady_state_cycles_allocate_nothing) {
   for (int i = 0; i < 1000; ++i) uncontended();
   for (int i = 0; i < 1000; ++i) contended();
 
-  const std::uint64_t before = allocations;
+  const std::uint64_t before = counting_new::allocations;
   for (int i = 0; i < 10000; ++i) uncontended();
-  const std::uint64_t after_uncontended = allocations;
+  const std::uint64_t after_uncontended = counting_new::allocations;
   for (int i = 0; i < 10000; ++i) contended();
-  const std::uint64_t after_contended = allocations;
+  const std::uint64_t after_contended = counting_new::allocations;
 
   EXPECT_EQ(after_uncontended - before, 0u);
   EXPECT_EQ(after_contended - after_uncontended, 0u);

@@ -12,6 +12,7 @@
 #include "check/check.hpp"
 #include "check/monitors.hpp"
 #include "core/experiment.hpp"
+#include "counting_new.hpp"
 #include "fault/scenarios.hpp"
 #include "place/granule_store.hpp"
 #include "place/placement.hpp"
@@ -248,6 +249,53 @@ TEST(granule_store, data_lengths_past_the_end_are_rejected) {
   util::buffer_reader r(blob({32, 32}));
   joiner.restore(r);
   EXPECT_TRUE(r.done());
+}
+
+// A granule keeps its tuples as rows, so restore rejects a listed tuple
+// of another granule, or a granule id, rather than file it under this
+// granule.
+TEST(granule_store, tuples_outside_their_granule_are_rejected) {
+  const placement p = placement::round_robin(4, 2);
+  const db::item_id g = db::make_granule(1, 0, 0);
+  const auto blob = [g](db::item_id tuple) {
+    util::buffer_writer w;
+    w.put_u32(1);
+    w.put_u64(g);
+    w.put_u64(1);  // updates
+    w.put_u64(0);  // data bytes
+    w.put_u32(1);  // one tuple
+    w.put_u64(tuple);
+    return w.take();
+  };
+  for (const db::item_id stray :
+       {db::make_item(1, 0, 1, 5), db::make_item(2, 0, 0, 5), g}) {
+    place::granule_store joiner(p, 0);
+    util::buffer_reader r(blob(stray));
+    EXPECT_THROW(joiner.restore(r), invariant_violation) << stray;
+  }
+  place::granule_store joiner(p, 0);
+  util::buffer_reader r(blob(db::make_item(1, 0, 0, 5)));
+  joiner.restore(r);
+  EXPECT_TRUE(r.done());
+  EXPECT_EQ(joiner.tracked_granules(), 1u);
+}
+
+TEST(granule_store, rows_take_4_bytes) {
+  // 100,000 rows of one granule grow its tuple set to 2^18 slots, the
+  // first power of two they fill at most 3/4. Besides that table the
+  // store keeps only a one-granule directory.
+  std::vector<db::item_id> ws(2);
+  const std::size_t before = counting_new::live_bytes;
+  place::granule_store store(placement::round_robin(4, 2), 0);
+  for (std::uint32_t row = 0; row < 100000; ++row) {
+    ws[0] = db::make_item(3, 1, 2, row);
+    ws[1] = db::granule_of(ws[0]);
+    store.apply(ws, 100);
+  }
+  const std::size_t live = counting_new::live_bytes - before;
+  EXPECT_EQ(store.tracked_granules(), 1u);
+  EXPECT_GE(live, 4u * 100000u);
+  EXPECT_LE(live, (4u << 18) + 1024u);
 }
 
 // ---------- the placement-consistency monitor ----------
