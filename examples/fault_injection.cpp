@@ -82,7 +82,7 @@ int main(int argc, char** argv) {
     cfg.max_sim_time = seconds(900);
     cfg.seed = flags.get_u64("seed");
     cfg.faults = e->make(prm);
-    cfg.enable_recovery = e->needs_recovery;
+    cfg.enable_recovery = cfg.faults.needs_recovery();
     cfg.replica_cfg.read.path = read_mode;
     if (e->placement_degree > 0)
       cfg.placement = {place::strategy::round_robin, e->placement_degree};
@@ -93,7 +93,7 @@ int main(int argc, char** argv) {
     if (!r.checks.ok)
       std::fprintf(stderr, "[fault_injection] %s: online monitor: %s\n",
                    e->name, r.checks.summary().c_str());
-    if (e->needs_recovery) {
+    if (cfg.enable_recovery) {
       // A rejoin scenario must end with every recovered site back in the
       // view and converged: its log within one in-flight window of the
       // longest (its prefix consistency is the safety check above).

@@ -156,7 +156,6 @@ class replica {
 
   /// Crash: stop interacting (the cluster also isolates the transport).
   void halt() { halted_ = true; }
-  bool halted() const { return halted_; }
 
   db::server& server() { return server_; }
   const db::server& server() const { return server_; }

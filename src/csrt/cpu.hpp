@@ -16,7 +16,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <unordered_set>
 #include <vector>
 
 #include "sim/simulator.hpp"
@@ -52,7 +51,6 @@ class cpu_pool {
   bool cancel_simulated(job_id id);
 
   unsigned size() const { return static_cast<unsigned>(cpus_.size()); }
-  std::size_t queued() const { return real_pending_.size() + sim_pending_.size(); }
 
   /// True when nothing is running or queued — the gate a restarting site
   /// waits on before destroying the objects whose callbacks those jobs
@@ -103,7 +101,6 @@ class cpu_pool {
   std::vector<cpu_state> cpus_;
   std::deque<pending_job> real_pending_;
   std::deque<pending_job> sim_pending_;
-  std::unordered_set<job_id> cancelled_;
   job_id next_job_id_ = 1;
   util::utilization_tracker total_busy_;
   util::utilization_tracker real_busy_;

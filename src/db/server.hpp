@@ -76,8 +76,6 @@ class server {
 
   storage& disk() { return storage_; }
   const storage& disk() const { return storage_; }
-  lock_table& locks() { return locks_; }
-  const lock_table& locks() const { return locks_; }
 
   std::uint64_t remote_applied() const { return remote_applied_; }
 

@@ -2,12 +2,14 @@
 // intercepting calls in and out of the runtime as well as by manipulating
 // model state."
 //
-// A `fault` is an object that arms itself against the system's injection
-// points (the network medium, the per-site env bridges, the cluster crash
-// hook) and — for transient faults — disarms again, restoring nominal
-// behavior. A `scenario` places faults on the simulator timeline: each
-// fault carries a target-site selection and an optional [start, stop)
-// window, so faults can begin mid-run, end, overlap, and compose.
+// A fault is one plain-data `event`: a `kind`, its targets and parameters,
+// and a [start, stop) window. `arm()` applies an event to the system's
+// injection points (the network medium, the per-site env bridges, the
+// cluster crash and recover hooks); `disarm()` ends a transient fault's
+// window and restores nominal behavior. A `scenario` places events on the
+// simulator timeline, so faults can begin mid-run, end, overlap, and
+// compose. The named catalog (scenarios.hpp), the fuzzer, its shrinker and
+// its replay files (fuzz.hpp) all share this one type.
 //
 // Composition rule: faults of *different* kinds overlap freely (they act
 // on distinct injection knobs). Each knob, however, is single-slot — one
@@ -17,14 +19,16 @@
 // knob to nominal. Give same-kind faults disjoint windows or disjoint
 // targets.
 //
-// Concrete fault types live in fault_types.hpp and the named scenario
-// library (the paper's five campaigns included) in scenarios.hpp.
+// Constructors for each kind live in fault_types.hpp and the named
+// scenario library (the paper's five campaigns included) in scenarios.hpp.
 #ifndef DBSM_FAULT_FAULT_HPP
 #define DBSM_FAULT_FAULT_HPP
 
+#include <cstdint>
 #include <functional>
-#include <memory>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "sim/simulator.hpp"
@@ -59,6 +63,10 @@ class site_selector {
 
   /// The concrete site list for a system of `sites` sites.
   site_set resolve(unsigned sites) const;
+  /// The explicit set (empty for all / odd / even).
+  const site_set& sites() const { return sites_; }
+
+  bool operator==(const site_selector&) const = default;
 
  private:
   enum class kind { all, odd, even, explicit_set };
@@ -78,42 +86,70 @@ struct injection_points {
   std::function<void(unsigned site)> crash;
   /// Brings a crashed or partition-excluded site back (restart + state
   /// transfer + view merge). Wired only when the experiment enables
-  /// membership recovery; recover_fault checks.
+  /// membership recovery; arming a recover checks.
   std::function<void(unsigned site)> recover;
 
   unsigned sites() const { return static_cast<unsigned>(envs.size()); }
 };
 
-/// One injectable fault. arm() activates it; disarm() ends a fault window
-/// and restores nominal behavior (one-shot faults like crashes ignore it).
-class fault {
- public:
-  virtual ~fault() = default;
-  virtual std::string name() const = 0;
-  virtual void arm(injection_points& pts) = 0;
-  virtual void disarm(injection_points& pts);
+/// What a fault does, and the event fields it reads. The order fixes each
+/// kind's index and text name (fuzzer replay files name kinds), so new
+/// kinds go last. The link kinds act on every link between side A
+/// (`targets`) and `side_b` (empty = every site not in A).
+enum class kind : std::uint8_t {
+  loss_random,        // param = drop probability at each target receiver
+  loss_bursty,        // param = avg loss rate, param2 = mean burst length
+  clock_drift,        // param = drift rate of each target's clock
+  sched_latency,      // dur = max random delay added to each target timer
+  link_delay,         // dur = extra delay on each A↔B link
+  partition,          // every A↔B link cut, healed at stop
+  partition_oneway,   // only the A→B direction cut
+  crash,              // one-shot at start: crash-stop each target
+  recover,            // one-shot at start: restart + rejoin each target
+  link_delay_oneway,  // dur = extra delay on the A→B direction only
 };
 
-using fault_ptr = std::shared_ptr<fault>;
+const char* kind_name(kind k);
+/// The kind whose kind_name() is `name`, if any.
+std::optional<kind> kind_named(std::string_view name);
 
-/// A fault placed on the scenario timeline: active over [start, stop).
-struct timed_fault {
-  fault_ptr f;
+/// One fault on the timeline. A windowed kind is active over [start,
+/// stop); a one-shot kind (crash, recover) fires at start.
+struct event {
+  kind what = kind::loss_random;
+  site_selector targets;  // side A for the link kinds
+  site_set side_b{};      // empty = "every other site"
   sim_time start = 0;
-  sim_time stop = time_never;
+  sim_time stop = 0;
+  double param = 0;
+  double param2 = 0;
+  sim_duration dur = 0;
+
+  bool one_shot() const {
+    return what == kind::crash || what == kind::recover;
+  }
+  bool operator==(const event&) const = default;
 };
 
-/// A named, composable fault schedule. Faults whose window has already
-/// opened when the scenario is installed are armed immediately; the rest
-/// arm and disarm off the simulator timeline.
+/// Applies `e` to the injection points. A loss window builds a fresh model
+/// per target receiver, so repeated windows (and repeated runs sharing one
+/// scenario) start from identical model state.
+void arm(const event& e, injection_points& pts);
+/// Ends `e`'s window: every knob it set returns to nominal. One-shots have
+/// nothing to undo.
+void disarm(const event& e, injection_points& pts);
+
+/// A named, composable fault schedule.
 class scenario {
  public:
   scenario() = default;
   explicit scenario(std::string name) : name_(std::move(name)) {}
+  /// The events at their own [start, stop) windows.
+  scenario(std::string name, std::vector<event> events);
 
   /// Adds a fault active for the whole run (or from `start` / over
   /// [start, stop)). Returns *this for chaining.
-  scenario& add(fault_ptr f, sim_time start = 0, sim_time stop = time_never);
+  scenario& add(event e, sim_time start = 0, sim_time stop = time_never);
 
   const std::string& name() const { return name_; }
   scenario& set_name(std::string name) {
@@ -121,16 +157,21 @@ class scenario {
     return *this;
   }
   bool empty() const { return events_.empty(); }
-  const std::vector<timed_fault>& events() const { return events_; }
+  const std::vector<event>& events() const { return events_; }
+  /// True when an event recovers a site: the experiment must run with
+  /// membership recovery enabled.
+  bool needs_recovery() const;
 
-  /// Installs every fault against the injection points: arms open windows
-  /// synchronously, schedules future arm/disarm events. The bundle is kept
-  /// alive by the scheduled events.
+  /// Installs every event against the injection points. An event whose
+  /// window has already opened arms at once; the rest arm and disarm off
+  /// the simulator timeline. A windowed event with stop == start covers no
+  /// instant and never arms; a one-shot arms at start and schedules no
+  /// disarm. The scheduled events keep the bundle alive.
   void install(sim::simulator& sim, injection_points pts) const;
 
  private:
   std::string name_;
-  std::vector<timed_fault> events_;
+  std::vector<event> events_;
 };
 
 }  // namespace dbsm::fault

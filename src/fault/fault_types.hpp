@@ -1,171 +1,105 @@
-// The concrete fault library (§5.3 plus the fault families the
-// dependability literature exercises beyond the paper):
+// The fault library (§5.3 plus the fault families the dependability
+// literature exercises beyond the paper): one constructor per fault kind,
+// each returning a plain `event` for scenario::add to place on the
+// timeline.
 //
 //   loss_fault          — per-message drop at reception (random or bursty),
 //                         windowable for transient loss bursts;
 //   clock_drift_fault   — timers postponed, measured durations shrunk;
 //   sched_latency_fault — random delay added to every timer armed;
 //   crash_fault         — crash-stop of the target sites (one-shot);
-//   partition_fault     — symmetric link cut between two host groups,
-//                         healed at window end;
-//   link_delay_fault    — extra one-way delay on every cross-group link
-//                         (slow path / degraded switch).
+//   recover_fault       — restart and rejoin of the target sites (one-shot);
+//   partition_fault     — link cut between two host groups, healed at
+//                         window end;
+//   link_delay_fault    — extra delay on every cross-group link (slow path
+//                         / degraded switch).
 //
 // Every fault takes a target-site selection; network group faults take the
 // two sides explicitly (an empty second side means "everyone else").
 #ifndef DBSM_FAULT_FAULT_TYPES_HPP
 #define DBSM_FAULT_FAULT_TYPES_HPP
 
-#include <memory>
-#include <string>
 #include <utility>
 
 #include "fault/fault.hpp"
-#include "net/loss_model.hpp"
 
 namespace dbsm::fault {
 
-/// Installs a loss model at each target receiver for the fault window.
-/// A fresh model is built per arm so repeated windows (and repeated runs
-/// sharing one scenario object) start from identical model state.
-class loss_fault final : public fault {
- public:
-  using model_factory = std::function<std::shared_ptr<net::loss_model>()>;
-
-  loss_fault(std::string label, site_selector targets, model_factory make)
-      : label_(std::move(label)), targets_(std::move(targets)),
-        make_(std::move(make)) {}
-
-  /// "Random loss: each message is discarded upon reception with the
-  /// specified probability."
-  static fault_ptr random(double probability,
-                          site_selector targets = site_selector::all());
-  /// "Bursty loss: alternate periods in which messages are received or
-  /// discarded."
-  static fault_ptr bursty(double avg_loss_rate, double mean_burst_len,
-                          site_selector targets = site_selector::all());
-
-  std::string name() const override { return label_; }
-  void arm(injection_points& pts) override;
-  void disarm(injection_points& pts) override;
-
- private:
-  std::string label_;
-  site_selector targets_;
-  model_factory make_;
-};
+/// A loss model at each target receiver for the fault window.
+namespace loss_fault {
+/// "Random loss: each message is discarded upon reception with the
+/// specified probability."
+inline event random(double probability,
+                    site_selector targets = site_selector::all()) {
+  return {.what = kind::loss_random, .targets = std::move(targets),
+          .param = probability};
+}
+/// "Bursty loss: alternate periods in which messages are received or
+/// discarded."
+inline event bursty(double avg_loss_rate, double mean_burst_len,
+                    site_selector targets = site_selector::all()) {
+  return {.what = kind::loss_bursty, .targets = std::move(targets),
+          .param = avg_loss_rate, .param2 = mean_burst_len};
+}
+}  // namespace loss_fault
 
 /// Clock drift on the target sites (the paper drifts odd-numbered sites so
 /// clocks drift relative to each other — pass site_selector::odd()).
-class clock_drift_fault final : public fault {
- public:
-  clock_drift_fault(double rate, site_selector targets)
-      : rate_(rate), targets_(std::move(targets)) {}
-
-  std::string name() const override;
-  void arm(injection_points& pts) override;
-  void disarm(injection_points& pts) override;
-
- private:
-  double rate_;
-  site_selector targets_;
-};
+inline event clock_drift_fault(double rate, site_selector targets) {
+  return {.what = kind::clock_drift, .targets = std::move(targets),
+          .param = rate};
+}
 
 /// Scheduling latency: uniform random delay in [0, max] added to every
 /// timer armed by protocol code at the target sites.
-class sched_latency_fault final : public fault {
- public:
-  sched_latency_fault(sim_duration max, site_selector targets)
-      : max_(max), targets_(std::move(targets)) {}
+inline event sched_latency_fault(sim_duration max, site_selector targets) {
+  return {.what = kind::sched_latency, .targets = std::move(targets),
+          .dur = max};
+}
 
-  std::string name() const override;
-  void arm(injection_points& pts) override;
-  void disarm(injection_points& pts) override;
+/// Crash-stop of the target sites at window start. recover_fault brings a
+/// site back.
+inline event crash_fault(site_selector targets) {
+  return {.what = kind::crash, .targets = std::move(targets)};
+}
 
- private:
-  sim_duration max_;
-  site_selector targets_;
-};
-
-/// Crash-stop of the target sites at window start. One-shot: disarm is a
-/// no-op — the complementary recover_fault (requires an experiment with
-/// membership recovery enabled) brings a site back.
-class crash_fault final : public fault {
- public:
-  explicit crash_fault(site_selector targets) : targets_(std::move(targets)) {}
-
-  std::string name() const override;
-  void arm(injection_points& pts) override;
-
- private:
-  site_selector targets_;
-};
-
-/// Recovery of the target sites at window start (one-shot): each site
-/// restarts, obtains a state transfer from the primary partition, and is
-/// merged back into the view. Requires injection_points.recover (i.e. an
-/// experiment with enable_recovery set).
-class recover_fault final : public fault {
- public:
-  explicit recover_fault(site_selector targets)
-      : targets_(std::move(targets)) {}
-
-  std::string name() const override;
-  void arm(injection_points& pts) override;
-
- private:
-  site_selector targets_;
-};
+/// Recovery of the target sites at window start: each site restarts,
+/// obtains a state transfer from the primary partition, and is merged back
+/// into the view. Requires an experiment with enable_recovery set.
+inline event recover_fault(site_selector targets) {
+  return {.what = kind::recover, .targets = std::move(targets)};
+}
 
 /// Network partition: cuts every link between side A and side B for the
 /// fault window, then heals. An empty side B means "every site not in A".
 /// In-flight datagrams crossing a cut link at reception time are dropped.
-/// The one_way variant cuts only the A→B direction (B's traffic still
-/// reaches A), exercising asymmetric failure-detector suspicion.
-class partition_fault final : public fault {
- public:
-  explicit partition_fault(site_set side_a, site_set side_b = {})
-      : side_a_(std::move(side_a)), side_b_(std::move(side_b)) {}
+namespace partition_fault {
+inline event two_way(site_set side_a, site_set side_b = {}) {
+  return {.what = kind::partition, .targets = std::move(side_a),
+          .side_b = std::move(side_b)};
+}
+/// Cuts only the A→B direction (B's traffic still reaches A), exercising
+/// asymmetric failure-detector suspicion.
+inline event one_way(site_set from, site_set to = {}) {
+  return {.what = kind::partition_oneway, .targets = std::move(from),
+          .side_b = std::move(to)};
+}
+}  // namespace partition_fault
 
-  static fault_ptr one_way(site_set from, site_set to = {});
-
-  std::string name() const override;
-  void arm(injection_points& pts) override;
-  void disarm(injection_points& pts) override;
-
- private:
-  void apply(injection_points& pts, bool cut);
-  /// The resolved (A, B) pair for this system size.
-  std::pair<site_set, site_set> sides(unsigned sites) const;
-
-  site_set side_a_;
-  site_set side_b_;
-  bool one_way_ = false;
-};
-
-/// Degraded path: extra one-way delay on every link between side A and
-/// side B (empty side B = everyone else) for the fault window. The
-/// one_way variant delays only datagrams travelling A→B.
-class link_delay_fault final : public fault {
- public:
-  link_delay_fault(sim_duration extra, site_set side_a, site_set side_b = {})
-      : extra_(extra), side_a_(std::move(side_a)), side_b_(std::move(side_b)) {}
-
-  static fault_ptr one_way(sim_duration extra, site_set from,
-                           site_set to = {});
-
-  std::string name() const override;
-  void arm(injection_points& pts) override;
-  void disarm(injection_points& pts) override;
-
- private:
-  void apply(injection_points& pts, sim_duration extra);
-
-  sim_duration extra_;
-  site_set side_a_;
-  site_set side_b_;
-  bool one_way_ = false;
-};
+/// Degraded path: extra delay on every link between side A and side B
+/// (empty side B = everyone else) for the fault window.
+namespace link_delay_fault {
+inline event two_way(sim_duration extra, site_set side_a,
+                     site_set side_b = {}) {
+  return {.what = kind::link_delay, .targets = std::move(side_a),
+          .side_b = std::move(side_b), .dur = extra};
+}
+/// Delays only datagrams travelling A→B.
+inline event one_way(sim_duration extra, site_set from, site_set to = {}) {
+  return {.what = kind::link_delay_oneway, .targets = std::move(from),
+          .side_b = std::move(to), .dur = extra};
+}
+}  // namespace link_delay_fault
 
 }  // namespace dbsm::fault
 

@@ -6,7 +6,6 @@
 #include <sstream>
 
 #include "core/experiment.hpp"
-#include "fault/fault_types.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
 #include "workload/kv.hpp"
@@ -14,12 +13,6 @@
 namespace dbsm::fault::fuzz {
 
 namespace {
-
-constexpr const char* kKindNames[] = {
-    "loss_random",  "loss_bursty", "clock_drift",
-    "sched_latency", "link_delay",  "partition",
-    "partition_oneway", "crash",   "recover",
-};
 
 /// Smallest window the shrinker will keep halving below.
 constexpr sim_duration kMinWindow = milliseconds(500);
@@ -74,58 +67,6 @@ bool is_subset(const site_set& a, const site_set& b) {
 
 }  // namespace
 
-const char* kind_name(event_kind k) {
-  return kKindNames[static_cast<std::size_t>(k)];
-}
-
-scenario scenario_spec::build() const {
-  scenario s("fuzz-" + std::to_string(seed));
-  for (const event_spec& e : events) {
-    fault_ptr f;
-    switch (e.kind) {
-      case event_kind::loss_random:
-        f = loss_fault::random(e.param, site_selector(e.targets));
-        break;
-      case event_kind::loss_bursty:
-        f = loss_fault::bursty(e.param, e.param2, site_selector(e.targets));
-        break;
-      case event_kind::clock_drift:
-        f = std::make_shared<clock_drift_fault>(e.param,
-                                                site_selector(e.targets));
-        break;
-      case event_kind::sched_latency:
-        f = std::make_shared<sched_latency_fault>(e.dur,
-                                                  site_selector(e.targets));
-        break;
-      case event_kind::link_delay:
-        f = std::make_shared<link_delay_fault>(e.dur, e.targets, e.side_b);
-        break;
-      case event_kind::partition:
-        f = std::make_shared<partition_fault>(e.targets, e.side_b);
-        break;
-      case event_kind::partition_oneway:
-        f = partition_fault::one_way(e.targets, e.side_b);
-        break;
-      case event_kind::crash:
-        f = std::make_shared<crash_fault>(site_selector(e.targets));
-        break;
-      case event_kind::recover:
-        f = std::make_shared<recover_fault>(site_selector(e.targets));
-        break;
-    }
-    // One-shots fire at start; a 1 ns window keeps them distinct from the
-    // zero-width (never-arm) no-op.
-    s.add(std::move(f), e.start, e.one_shot() ? e.start + 1 : e.stop);
-  }
-  return s;
-}
-
-bool scenario_spec::needs_recovery() const {
-  return std::any_of(events.begin(), events.end(), [](const event_spec& e) {
-    return e.kind == event_kind::recover;
-  });
-}
-
 scenario_spec generate(std::uint64_t seed, const config& cfg) {
   scenario_spec spec;
   spec.seed = seed;
@@ -144,61 +85,62 @@ scenario_spec generate(std::uint64_t seed, const config& cfg) {
 
   const double horizon_s = to_seconds(cfg.horizon);
   for (unsigned i = 0; i < n; ++i) {
-    std::vector<event_kind> kinds = {
-        event_kind::loss_random,     event_kind::loss_bursty,
-        event_kind::clock_drift,     event_kind::sched_latency,
-        event_kind::link_delay,      event_kind::partition,
-        event_kind::partition_oneway};
-    if (crash_budget > 0) kinds.push_back(event_kind::crash);
+    // link_delay_oneway is never drawn: adding it would change every
+    // seed's timeline.
+    std::vector<kind> kinds = {kind::loss_random,   kind::loss_bursty,
+                               kind::clock_drift,   kind::sched_latency,
+                               kind::link_delay,    kind::partition,
+                               kind::partition_oneway};
+    if (crash_budget > 0) kinds.push_back(kind::crash);
     if (cfg.allow_recovery && !crashed.empty())
-      kinds.push_back(event_kind::recover);
+      kinds.push_back(kind::recover);
 
-    event_spec e;
-    e.kind = kinds[static_cast<std::size_t>(
+    event e;
+    e.what = kinds[static_cast<std::size_t>(
         r.uniform_int(0, static_cast<std::int64_t>(kinds.size()) - 1))];
     e.start = from_seconds(r.uniform() * horizon_s * 0.6);
     e.stop = e.start +
              from_seconds(0.5 + r.uniform() * horizon_s * 0.4);
 
-    switch (e.kind) {
-      case event_kind::loss_random:
+    switch (e.what) {
+      case kind::loss_random:
         e.param = 0.02 + 0.28 * r.uniform();
         e.targets = pick_sites(
             r, cfg.sites,
             static_cast<unsigned>(r.uniform_int(1, cfg.sites)));
         break;
-      case event_kind::loss_bursty:
+      case kind::loss_bursty:
         e.param = 0.02 + 0.18 * r.uniform();
         e.param2 = 2.0 + 6.0 * r.uniform();
         e.targets = pick_sites(
             r, cfg.sites,
             static_cast<unsigned>(r.uniform_int(1, cfg.sites)));
         break;
-      case event_kind::clock_drift:
+      case kind::clock_drift:
         e.param = 0.01 + 0.14 * r.uniform();
         e.targets = pick_sites(
             r, cfg.sites,
             static_cast<unsigned>(r.uniform_int(1, cfg.sites)));
         break;
-      case event_kind::sched_latency:
+      case kind::sched_latency:
         e.dur = from_millis(1.0 + 9.0 * r.uniform());
         e.targets = pick_sites(
             r, cfg.sites,
             static_cast<unsigned>(r.uniform_int(1, cfg.sites)));
         break;
-      case event_kind::link_delay:
+      case kind::link_delay:
         e.dur = from_millis(50.0 + 450.0 * r.uniform());
         e.targets = pick_sites(
             r, cfg.sites,
             static_cast<unsigned>(r.uniform_int(1, minority)));
         break;
-      case event_kind::partition:
-      case event_kind::partition_oneway:
+      case kind::partition:
+      case kind::partition_oneway:
         e.targets = pick_sites(
             r, cfg.sites,
             static_cast<unsigned>(r.uniform_int(1, minority)));
         break;
-      case event_kind::crash: {
+      case kind::crash: {
         site_set alive;
         for (unsigned s = 0; s < cfg.sites; ++s)
           if (std::find(crashed.begin(), crashed.end(), s) == crashed.end())
@@ -206,11 +148,11 @@ scenario_spec generate(std::uint64_t seed, const config& cfg) {
         e.targets = {alive[static_cast<std::size_t>(r.uniform_int(
             0, static_cast<std::int64_t>(alive.size()) - 1))]};
         e.stop = e.start;
-        crashed.push_back(e.targets[0]);
+        crashed.push_back(e.targets.sites()[0]);
         --crash_budget;
         break;
       }
-      case event_kind::recover: {
+      case kind::recover: {
         const auto idx = static_cast<std::size_t>(r.uniform_int(
             0, static_cast<std::int64_t>(crashed.size()) - 1));
         e.targets = {crashed[idx]};
@@ -222,22 +164,24 @@ scenario_spec generate(std::uint64_t seed, const config& cfg) {
         e.stop = e.start;
         break;
       }
+      case kind::link_delay_oneway:  // never drawn
+        break;
     }
     spec.events.push_back(std::move(e));
   }
   std::stable_sort(spec.events.begin(), spec.events.end(),
-                   [](const event_spec& a, const event_spec& b) {
+                   [](const event& a, const event& b) {
                      return a.start < b.start;
                    });
   // Ordering constraint the sort may have broken: a recover must follow
   // its site's crash. Rather than re-time, drop orphaned recovers (the
   // spec stays valid, just one event shorter).
   site_set down;
-  std::vector<event_spec> kept;
-  for (event_spec& e : spec.events) {
-    if (e.kind == event_kind::crash) down.push_back(e.targets[0]);
-    if (e.kind == event_kind::recover) {
-      auto it = std::find(down.begin(), down.end(), e.targets[0]);
+  std::vector<event> kept;
+  for (event& e : spec.events) {
+    if (e.what == kind::crash) down.push_back(e.targets.sites()[0]);
+    if (e.what == kind::recover) {
+      auto it = std::find(down.begin(), down.end(), e.targets.sites()[0]);
       if (it == down.end()) continue;
       down.erase(it);
     }
@@ -259,7 +203,7 @@ run_result run_spec(const scenario_spec& spec, const config& cfg) {
   // Recovery wiring is keyed on the config, not on whether a shrink
   // candidate still contains a recover event, so dropping one changes the
   // timeline only — not the protocol stack under it.
-  ec.enable_recovery = cfg.allow_recovery || spec.needs_recovery();
+  ec.enable_recovery = cfg.allow_recovery || ec.faults.needs_recovery();
   ec.gcs.unsafe_no_primary_partition = cfg.break_primary_partition;
   ec.gcs.batch_max = cfg.batch_max;
   ec.checks = cfg.checks;
@@ -326,7 +270,7 @@ scenario_spec shrink(const scenario_spec& spec, const config& cfg) {
   for (std::size_t i = 0; i < cur.events.size() && budget > 0; ++i) {
     if (cur.events[i].one_shot()) continue;
     while (budget > 0) {
-      const event_spec& e = cur.events[i];
+      const event& e = cur.events[i];
       if (e.stop - e.start <= kMinWindow) break;
       scenario_spec cand = cur;
       cand.events[i].stop = e.start + (e.stop - e.start) / 2;
@@ -334,7 +278,7 @@ scenario_spec shrink(const scenario_spec& spec, const config& cfg) {
       cur = std::move(cand);
     }
     while (budget > 0) {
-      const event_spec& e = cur.events[i];
+      const event& e = cur.events[i];
       if (e.stop - e.start <= kMinWindow) break;
       scenario_spec cand = cur;
       cand.events[i].start = e.start + (e.stop - e.start) / 2;
@@ -344,12 +288,13 @@ scenario_spec shrink(const scenario_spec& spec, const config& cfg) {
   }
   // Pass 3: subset target sites.
   for (std::size_t i = 0; i < cur.events.size() && budget > 0; ++i) {
-    for (std::size_t t = 0;
-         cur.events[i].targets.size() > 1 &&
-         t < cur.events[i].targets.size() && budget > 0;) {
+    for (std::size_t t = 0; cur.events[i].targets.sites().size() > 1 &&
+                            t < cur.events[i].targets.sites().size() &&
+                            budget > 0;) {
+      site_set fewer = cur.events[i].targets.sites();
+      fewer.erase(fewer.begin() + static_cast<std::ptrdiff_t>(t));
       scenario_spec cand = cur;
-      cand.events[i].targets.erase(cand.events[i].targets.begin() +
-                                   static_cast<std::ptrdiff_t>(t));
+      cand.events[i].targets = std::move(fewer);
       if (fails(cand)) {
         cur = std::move(cand);
       } else {
@@ -365,14 +310,15 @@ bool is_shrink_of(const scenario_spec& shrunk,
   if (shrunk.seed != original.seed || shrunk.sites != original.sites)
     return false;
   std::size_t j = 0;
-  for (const event_spec& e : shrunk.events) {
+  for (const event& e : shrunk.events) {
     bool matched = false;
     while (j < original.events.size()) {
-      const event_spec& o = original.events[j];
+      const event& o = original.events[j];
       ++j;
-      if (o.kind == e.kind && o.param == e.param && o.param2 == e.param2 &&
+      if (o.what == e.what && o.param == e.param && o.param2 == e.param2 &&
           o.dur == e.dur && o.side_b == e.side_b && e.start >= o.start &&
-          e.stop <= o.stop && is_subset(e.targets, o.targets)) {
+          e.stop <= o.stop &&
+          is_subset(e.targets.sites(), o.targets.sites())) {
         matched = true;
         break;
       }
@@ -387,9 +333,9 @@ std::string serialize(const scenario_spec& spec) {
   os << "fuzz-scenario v1\n";
   os << "seed " << spec.seed << "\n";
   os << "sites " << spec.sites << "\n";
-  for (const event_spec& e : spec.events) {
-    os << "event " << kind_name(e.kind) << " start=" << e.start
-       << " stop=" << e.stop << " targets=" << sites_str(e.targets)
+  for (const event& e : spec.events) {
+    os << "event " << kind_name(e.what) << " start=" << e.start
+       << " stop=" << e.stop << " targets=" << sites_str(e.targets.sites())
        << " b=" << sites_str(e.side_b) << " p=" << double_str(e.param)
        << " p2=" << double_str(e.param2) << " dur=" << e.dur << "\n";
   }
@@ -411,18 +357,12 @@ std::optional<scenario_spec> parse(const std::string& text) {
     } else if (tag == "sites") {
       ls >> spec.sites;
     } else if (tag == "event") {
-      std::string kind;
-      ls >> kind;
-      event_spec e;
-      bool found = false;
-      for (std::size_t k = 0; k < std::size(kKindNames); ++k) {
-        if (kind == kKindNames[k]) {
-          e.kind = static_cast<event_kind>(k);
-          found = true;
-          break;
-        }
-      }
-      if (!found) return {};
+      std::string name;
+      ls >> name;
+      const std::optional<kind> what = kind_named(name);
+      if (!what) return {};
+      // Targets are an explicit set, empty until a targets= field.
+      event e{.what = *what, .targets = site_set{}};
       std::string field;
       while (ls >> field) {
         const auto eq = field.find('=');
@@ -435,7 +375,9 @@ std::optional<scenario_spec> parse(const std::string& text) {
           } else if (key == "stop") {
             e.stop = std::stoll(val);
           } else if (key == "targets") {
-            if (!parse_sites(val, e.targets)) return {};
+            site_set targets;
+            if (!parse_sites(val, targets)) return {};
+            e.targets = std::move(targets);
           } else if (key == "b") {
             site_set b;
             if (val != "-" && !parse_sites(val, b)) return {};

@@ -1,10 +1,11 @@
 // Deterministic fault-scenario fuzzer with shrinking.
 //
-// generate(seed) composes the fault library (fault_types.hpp) into a
-// random timeline — loss windows, drift, scheduling latency, link delay,
-// partitions (two-way and one-way), crashes, recoveries — as a plain-data
+// generate(seed) draws fault::event values (fault.hpp) into a random
+// timeline — loss windows, drift, scheduling latency, link delay,
+// partitions (two-way and one-way), crashes, recoveries — as a
 // scenario_spec: a pure function of the seed, so the same seed always
-// yields the byte-identical scenario. run_spec() executes a spec under
+// yields the byte-identical scenario. It never draws link_delay_oneway,
+// which replay files may still name. run_spec() executes a spec under
 // the online invariant monitors (check/); when a run fails, shrink()
 // reduces the spec to a minimal timeline that still reproduces the
 // failure, by (1) dropping whole events, (2) narrowing [start, stop)
@@ -28,53 +29,18 @@
 
 namespace dbsm::fault::fuzz {
 
-/// The fault kinds the generator draws from (each maps onto one
-/// fault_types.hpp constructor).
-enum class event_kind : std::uint8_t {
-  loss_random,    // param = drop probability
-  loss_bursty,    // param = avg loss rate, param2 = mean burst length
-  clock_drift,    // param = drift rate
-  sched_latency,  // dur = max added timer delay
-  link_delay,     // dur = extra one-way delay, targets vs side_b
-  partition,      // targets cut from side_b (empty = rest), healed at stop
-  partition_oneway,  // targets→side_b direction only
-  crash,          // one-shot at start
-  recover,        // one-shot at start (needs recovery-enabled run)
-};
-
-const char* kind_name(event_kind k);
-
-/// One timeline entry, plain data so specs serialize and shrink
-/// structurally. Windowed kinds are active over [start, stop); one-shot
-/// kinds (crash, recover) fire at start.
-struct event_spec {
-  event_kind kind = event_kind::loss_random;
-  site_set targets;  // side A for network-pair kinds
-  site_set side_b;   // empty = "every other site"
-  sim_time start = 0;
-  sim_time stop = 0;
-  double param = 0;
-  double param2 = 0;
-  sim_duration dur = 0;
-
-  bool one_shot() const {
-    return kind == event_kind::crash || kind == event_kind::recover;
-  }
-  bool operator==(const event_spec&) const = default;
-};
-
 /// A complete generated scenario: the seed it came from (which also seeds
 /// the experiment it runs under), the system size, and the timeline.
 struct scenario_spec {
   std::uint64_t seed = 0;
   unsigned sites = 3;
-  std::vector<event_spec> events;
+  std::vector<event> events;
 
-  /// Realizes the timeline as an installable fault scenario (note:
-  /// `scenario` names the enclosing namespace's class, not this spec).
-  scenario build() const;
-  /// True when any event needs a recovery-enabled experiment.
-  bool needs_recovery() const;
+  /// The timeline as an installable fault scenario (note: `scenario`
+  /// names the enclosing namespace's class, not this spec).
+  scenario build() const {
+    return scenario("fuzz-" + std::to_string(seed), events);
+  }
 
   bool operator==(const scenario_spec&) const = default;
 };

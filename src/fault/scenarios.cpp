@@ -12,14 +12,13 @@ scenario no_faults(const params&) { return scenario("no_faults"); }
 scenario clock_drift(const params&) {
   // Odd sites only, so clocks drift relative to each other (§5.3).
   scenario s("clock_drift");
-  s.add(std::make_shared<clock_drift_fault>(0.10, site_selector::odd()));
+  s.add(clock_drift_fault(0.10, site_selector::odd()));
   return s;
 }
 
 scenario sched_latency(const params&) {
   scenario s("sched_latency");
-  s.add(std::make_shared<sched_latency_fault>(milliseconds(5),
-                                              site_selector::all()));
+  s.add(sched_latency_fault(milliseconds(5), site_selector::all()));
   return s;
 }
 
@@ -38,15 +37,14 @@ scenario bursty_loss(const params&) {
 scenario crash(const params& p) {
   DBSM_CHECK(p.sites >= 2);
   scenario s("crash");
-  s.add(std::make_shared<crash_fault>(site_selector{site_set{p.sites - 1}}),
-        p.onset);
+  s.add(crash_fault(site_set{p.sites - 1}), p.onset);
   return s;
 }
 
 scenario partition_minority(const params& p) {
   DBSM_CHECK(p.sites >= 3);
   scenario s("partition_minority");
-  s.add(std::make_shared<partition_fault>(site_set{p.sites - 1}), p.onset,
+  s.add(partition_fault::two_way(site_set{p.sites - 1}), p.onset,
         p.onset + 4 * p.exclusion_timeout);
   return s;
 }
@@ -63,8 +61,7 @@ scenario flaky_switch(const params& p) {
 scenario slow_replica(const params& p) {
   DBSM_CHECK(p.sites >= 2);
   scenario s("slow_replica");
-  s.add(std::make_shared<sched_latency_fault>(
-      milliseconds(20), site_selector{site_set{p.sites - 1}}));
+  s.add(sched_latency_fault(milliseconds(20), site_set{p.sites - 1}));
   return s;
 }
 
@@ -73,10 +70,8 @@ scenario cascading_crashes(const params& p) {
                  "cascading_crashes kills two sites; a majority must "
                  "survive both");
   scenario s("cascading_crashes");
-  s.add(std::make_shared<crash_fault>(site_selector{site_set{p.sites - 1}}),
-        p.onset);
-  s.add(std::make_shared<crash_fault>(site_selector{site_set{p.sites - 2}}),
-        p.onset + seconds(15));
+  s.add(crash_fault(site_set{p.sites - 1}), p.onset);
+  s.add(crash_fault(site_set{p.sites - 2}), p.onset + seconds(15));
   return s;
 }
 
@@ -85,10 +80,9 @@ scenario partition_cut_heal_rejoin(const params& p) {
   const unsigned victim = p.sites - 1;
   scenario s("partition_cut_heal_rejoin");
   const sim_time heal = p.onset + 4 * p.exclusion_timeout;
-  s.add(std::make_shared<partition_fault>(site_set{victim}), p.onset, heal);
+  s.add(partition_fault::two_way(site_set{victim}), p.onset, heal);
   // Recover once the heal has settled: restart, state transfer, rejoin.
-  s.add(std::make_shared<recover_fault>(site_selector{site_set{victim}}),
-        heal + seconds(1));
+  s.add(recover_fault(site_set{victim}), heal + seconds(1));
   return s;
 }
 
@@ -96,10 +90,8 @@ scenario crash_restart(const params& p) {
   DBSM_CHECK(p.sites >= 3);
   const unsigned victim = p.sites - 1;
   scenario s("crash_restart");
-  s.add(std::make_shared<crash_fault>(site_selector{site_set{victim}}),
-        p.onset);
-  s.add(std::make_shared<recover_fault>(site_selector{site_set{victim}}),
-        p.onset + seconds(10));
+  s.add(crash_fault(site_set{victim}), p.onset);
+  s.add(recover_fault(site_set{victim}), p.onset + seconds(10));
   return s;
 }
 
@@ -108,9 +100,8 @@ scenario rolling_restarts(const params& p) {
   scenario s("rolling_restarts");
   for (unsigned k = 0; k < p.sites; ++k) {
     const sim_time down = p.onset + k * seconds(20);
-    s.add(std::make_shared<crash_fault>(site_selector{site_set{k}}), down);
-    s.add(std::make_shared<recover_fault>(site_selector{site_set{k}}),
-          down + seconds(8));
+    s.add(crash_fault(site_set{k}), down);
+    s.add(recover_fault(site_set{k}), down + seconds(8));
   }
   return s;
 }
@@ -120,10 +111,8 @@ scenario partial_k2_crash_rejoin(const params& p) {
                                "subset and a surviving majority");
   const unsigned victim = p.sites - 1;
   scenario s("partial_k2_crash_rejoin");
-  s.add(std::make_shared<crash_fault>(site_selector{site_set{victim}}),
-        p.onset);
-  s.add(std::make_shared<recover_fault>(site_selector{site_set{victim}}),
-        p.onset + seconds(10));
+  s.add(crash_fault(site_set{victim}), p.onset);
+  s.add(recover_fault(site_set{victim}), p.onset + seconds(10));
   return s;
 }
 
@@ -142,8 +131,7 @@ scenario batch_boundary_crash(const params& p) {
   const sim_duration window = p.exclusion_timeout / 2;
   s.add(link_delay_fault::one_way(4 * p.exclusion_timeout, site_set{0}),
         p.onset, p.onset + window);
-  s.add(std::make_shared<crash_fault>(site_selector{site_set{0}}),
-        p.onset + window / 2);
+  s.add(crash_fault(site_set{0}), p.onset + window / 2);
   return s;
 }
 
@@ -159,7 +147,7 @@ scenario partition_lease_window(const params& p) {
   // staleness, checked read-by-read by the read_snapshot monitor.
   for (int k = 0; k < 3; ++k) {
     const sim_time start = p.onset + k * (4 * p.exclusion_timeout);
-    s.add(std::make_shared<partition_fault>(site_set{victim}), start,
+    s.add(partition_fault::two_way(site_set{victim}), start,
           start + p.exclusion_timeout / 2);
   }
   return s;
@@ -176,53 +164,50 @@ scenario rejoin_stale_reads(const params& p) {
   // during both windows and never serve the stale pre-rejoin snapshot as
   // current.
   const sim_time heal = p.onset + 4 * p.exclusion_timeout;
-  s.add(std::make_shared<partition_fault>(site_set{victim}), p.onset, heal);
-  s.add(std::make_shared<recover_fault>(site_selector{site_set{victim}}),
-        heal + seconds(1));
+  s.add(partition_fault::two_way(site_set{victim}), p.onset, heal);
+  s.add(recover_fault(site_set{victim}), heal + seconds(1));
   const sim_time blip = heal + seconds(8);
-  s.add(std::make_shared<partition_fault>(site_set{victim}), blip,
+  s.add(partition_fault::two_way(site_set{victim}), blip,
         blip + p.exclusion_timeout / 2);
   return s;
 }
 
 const std::vector<catalog_entry>& catalog() {
   static const std::vector<catalog_entry> entries = {
-      {"no_faults", "fault-free baseline", 1, true, &no_faults, false},
-      {"clock_drift", "10% drift on odd sites", 2, true, &clock_drift,
-       false},
+      {"no_faults", "fault-free baseline", 1, true, &no_faults},
+      {"clock_drift", "10% drift on odd sites", 2, true, &clock_drift},
       {"sched_latency", "<=5ms timer delay, all sites", 1, true,
-       &sched_latency, false},
-      {"random_loss", "5% per-message loss", 2, true, &random_loss, false},
-      {"bursty_loss", "5% loss in bursts (len 5)", 2, true, &bursty_loss,
-       false},
-      {"crash", "last site crashes at onset", 3, true, &crash, false},
+       &sched_latency},
+      {"random_loss", "5% per-message loss", 2, true, &random_loss},
+      {"bursty_loss", "5% loss in bursts (len 5)", 2, true, &bursty_loss},
+      {"crash", "last site crashes at onset", 3, true, &crash},
       {"partition_minority", "cut last site, heal after exclusion", 3, true,
-       &partition_minority, false},
+       &partition_minority},
       {"flaky_switch", "repeating 1s bursts of 25% loss", 2, false,
-       &flaky_switch, false},
+       &flaky_switch},
       {"slow_replica", "sustained 20ms sched latency on one site", 2, true,
-       &slow_replica, false},
+       &slow_replica},
       {"cascading_crashes", "two crashes 15s apart", 5, false,
-       &cascading_crashes, false},
+       &cascading_crashes},
       {"partition_cut_heal_rejoin",
        "cut last site, heal, rejoin via state transfer", 3, false,
-       &partition_cut_heal_rejoin, true},
+       &partition_cut_heal_rejoin},
       {"crash_restart", "crash last site, restart + rejoin 10s later", 3,
-       false, &crash_restart, true},
+       false, &crash_restart},
       {"rolling_restarts", "restart every site in turn (rolling upgrade)",
-       3, false, &rolling_restarts, true},
+       3, false, &rolling_restarts},
       {"partial_k2_crash_rejoin",
        "k=2 placement: crash last site, placement-filtered rejoin", 4,
-       false, &partial_k2_crash_rejoin, true, 2},
+       false, &partial_k2_crash_rejoin, 2},
       {"batch_boundary_crash",
        "delay sequencer egress, crash it mid-batch before stability", 3,
-       false, &batch_boundary_crash, false},
+       false, &batch_boundary_crash},
       {"partition_lease_window",
        "sub-exclusion partition blips during the read-lease window", 3,
-       false, &partition_lease_window, false},
+       false, &partition_lease_window},
       {"rejoin_stale_reads",
        "cut/heal/rejoin, then a blip: stale snapshot must not serve", 3,
-       false, &rejoin_stale_reads, true},
+       false, &rejoin_stale_reads},
   };
   return entries;
 }

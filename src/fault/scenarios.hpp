@@ -100,10 +100,9 @@ struct catalog_entry {
   unsigned min_sites;
   /// True for the scenarios the default fault_injection campaign runs.
   bool in_default_campaign;
+  /// Builds the scenario; its needs_recovery() says whether the
+  /// experiment must enable membership recovery.
   scenario (*make)(const params&);
-  /// True when the scenario injects recover faults: the experiment must
-  /// run with membership recovery enabled.
-  bool needs_recovery = false;
   /// Non-zero when the scenario is defined over a partial placement: the
   /// runner must set experiment_config::placement to a k-of-N strategy of
   /// this degree (0 keeps the default full replication).

@@ -103,8 +103,13 @@ void granule_store::snapshot_for(util::buffer_writer& w,
 void granule_store::restore(util::buffer_reader& r) {
   const std::uint32_t count = r.get_u32();
   std::uint64_t data = 0;
+  db::item_id prev = 0;
   for (std::uint32_t i = 0; i < count; ++i) {
     const db::item_id g = r.get_u64();
+    // snapshot_for writes each granule once, in ascending id order.
+    DBSM_CHECK_MSG(db::is_granule(g) && g > prev,
+                   "granule snapshot: directory id " << g << " after " << prev);
+    prev = g;
     granule_state st;
     st.updates = r.get_u64();
     st.data_bytes = r.get_u64();

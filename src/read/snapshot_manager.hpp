@@ -56,7 +56,6 @@ class snapshot_manager {
   }
 
   std::size_t entries() const { return ring_.size(); }
-  const snapshot& floor() const { return floor_; }
 
  private:
   std::deque<snapshot> ring_;

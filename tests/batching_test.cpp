@@ -434,7 +434,7 @@ TEST(batching_disabled, matches_pre_batching_anchors) {
     fault::scenarios::params prm;
     prm.sites = cfg.sites;
     cfg.faults = e->make(prm);
-    cfg.enable_recovery = e->needs_recovery;
+    cfg.enable_recovery = cfg.faults.needs_recovery();
     const auto r = core::run_experiment(cfg);
     EXPECT_EQ(r.stats.total_committed(), a.committed) << a.scenario;
     EXPECT_EQ(r.responses, a.responses) << a.scenario;

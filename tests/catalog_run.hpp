@@ -29,12 +29,12 @@ void for_each_catalog_run(const core::experiment_config& base, F&& check) {
     prm.sites = cfg.sites;
     prm.onset = seconds(2);
     cfg.faults = e.make(prm);
-    cfg.enable_recovery = e.needs_recovery;
+    cfg.enable_recovery = cfg.faults.needs_recovery();
     if (e.placement_degree != 0)
       cfg.placement = {place::strategy::round_robin, e.placement_degree};
     cfg.target_responses = 0;
     cfg.max_sim_time = std::string(e.name) == "rolling_restarts" ? seconds(55)
-                       : e.needs_recovery                        ? seconds(25)
+                       : cfg.enable_recovery                     ? seconds(25)
                                                                  : seconds(15);
     check(e, core::run_experiment(cfg));
   }

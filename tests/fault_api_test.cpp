@@ -96,8 +96,8 @@ TEST(fault_targeting, drift_hits_exactly_the_target_set) {
   // set drifts exactly those sites, no matter their parity.
   site_rig rig(4);
   auto pts = rig.points();
-  clock_drift_fault drift(0.5, site_selector{site_set{0, 3}});
-  drift.arm(pts);
+  const event drift = clock_drift_fault(0.5, site_selector{site_set{0, 3}});
+  fault::arm(drift, pts);
 
   const auto fires = rig.timer_fires();
   EXPECT_EQ(fires[0], milliseconds(150));  // drifted: postponed by 1.5x
@@ -106,7 +106,7 @@ TEST(fault_targeting, drift_hits_exactly_the_target_set) {
   EXPECT_EQ(fires[3], milliseconds(150));
 
   // Disarm restores nominal timing on the same sites.
-  drift.disarm(pts);
+  fault::disarm(drift, pts);
   const auto after = rig.timer_fires();
   for (sim_time t : after) EXPECT_EQ(t, milliseconds(100));
 }
@@ -170,14 +170,15 @@ TEST(fault_windows, zero_width_window_is_a_no_op) {
 TEST(fault_windows, sched_latency_window_disarms) {
   site_rig rig(2);
   auto pts = rig.points();
-  sched_latency_fault jitter(milliseconds(5), site_selector{site_set{1}});
-  jitter.arm(pts);
+  const event jitter =
+      sched_latency_fault(milliseconds(5), site_selector{site_set{1}});
+  fault::arm(jitter, pts);
   auto fires = rig.timer_fires();
   EXPECT_EQ(fires[0], milliseconds(100));
   EXPECT_GE(fires[1], milliseconds(100));
   EXPECT_LE(fires[1], milliseconds(105));
 
-  jitter.disarm(pts);
+  fault::disarm(jitter, pts);
   fires = rig.timer_fires();
   EXPECT_EQ(fires[1], milliseconds(100));
 }
@@ -187,9 +188,9 @@ TEST(fault_windows, sched_latency_window_disarms) {
 TEST(partition, cut_and_heal) {
   site_rig rig(3, /*with_lan=*/true);
   auto pts = rig.points();
-  partition_fault part(site_set{2});  // {2} vs {0, 1}
+  const event part = partition_fault::two_way(site_set{2});  // {2} vs {0, 1}
 
-  part.arm(pts);
+  fault::arm(part, pts);
   rig.lan->send(0, 2, payload_of(100));  // crosses the cut: dropped
   rig.lan->send(0, 1, payload_of(100));  // same side: delivered
   rig.lan->multicast(2, payload_of(100));  // cut from both 0 and 1
@@ -201,7 +202,7 @@ TEST(partition, cut_and_heal) {
   EXPECT_EQ(rig.lan->link_cut_drops(0), 1u);
   EXPECT_EQ(rig.lan->link_cut_drops(1), 1u);
 
-  part.disarm(pts);
+  fault::disarm(part, pts);
   rig.lan->send(0, 2, payload_of(100));
   rig.s.run();
   EXPECT_EQ(rig.arrivals[2].size(), 1u);
@@ -225,15 +226,15 @@ TEST(link_delay, shifts_arrival_by_the_extra_delay) {
   const sim_duration nominal = rig.arrivals[1][0];
 
   auto pts = rig.points();
-  link_delay_fault slow(milliseconds(5), site_set{0});
-  slow.arm(pts);
+  const event slow = link_delay_fault::two_way(milliseconds(5), site_set{0});
+  fault::arm(slow, pts);
   const sim_time sent_at = rig.s.now();
   rig.lan->send(0, 1, payload_of(100));
   rig.s.run();
   ASSERT_EQ(rig.arrivals[1].size(), 2u);
   EXPECT_EQ(rig.arrivals[1][1] - sent_at, nominal + milliseconds(5));
 
-  slow.disarm(pts);
+  fault::disarm(slow, pts);
   const sim_time sent_again = rig.s.now();
   rig.lan->send(0, 1, payload_of(100));
   rig.s.run();
@@ -248,7 +249,7 @@ TEST(asymmetric_faults, one_way_cut_drops_only_one_direction) {
   auto pts = rig.points();
   auto cut = partition_fault::one_way(site_set{0}, site_set{1});
 
-  cut->arm(pts);
+  fault::arm(cut, pts);
   rig.lan->send(0, 1, payload_of(100));  // 0 -> 1 crosses the cut: dropped
   rig.lan->send(1, 0, payload_of(100));  // 1 -> 0 flows
   rig.s.run();
@@ -258,7 +259,7 @@ TEST(asymmetric_faults, one_way_cut_drops_only_one_direction) {
   EXPECT_EQ(rig.lan->link_cut_drops(0), 0u);
 
   // Heal: symmetric delivery is restored.
-  cut->disarm(pts);
+  fault::disarm(cut, pts);
   rig.lan->send(0, 1, payload_of(100));
   rig.lan->send(1, 0, payload_of(100));
   rig.s.run();
@@ -276,7 +277,7 @@ TEST(asymmetric_faults, one_way_delay_shifts_only_one_direction) {
   auto pts = rig.points();
   auto slow = link_delay_fault::one_way(milliseconds(5), site_set{0},
                                         site_set{1});
-  slow->arm(pts);
+  fault::arm(slow, pts);
   sim_time sent_at = rig.s.now();
   rig.lan->send(0, 1, payload_of(100));  // delayed direction
   rig.s.run();
@@ -347,8 +348,7 @@ TEST(fault_windows, delay_only_scenario_causes_no_suspicion) {
   cfg.max_sim_time = seconds(400);
   cfg.seed = 1717;
   scenario s("delay_only");
-  s.add(std::make_shared<link_delay_fault>(milliseconds(150),
-                                           site_set{0, 1, 2}),
+  s.add(link_delay_fault::two_way(milliseconds(150), site_set{0, 1, 2}),
         seconds(5), seconds(25));
   cfg.faults = s;
 
@@ -363,6 +363,7 @@ TEST(fault_windows, delay_only_scenario_causes_no_suspicion) {
 TEST(scenario_catalog, finds_and_builds_every_entry) {
   scenarios::params prm;
   prm.sites = 5;
+  std::vector<std::string_view> needs_recovery;
   for (const auto& e : scenarios::catalog()) {
     EXPECT_EQ(scenarios::find(e.name), &e);
     const scenario s = e.make(prm);
@@ -370,8 +371,14 @@ TEST(scenario_catalog, finds_and_builds_every_entry) {
     if (std::string_view(e.name) != "no_faults") {
       EXPECT_FALSE(s.empty());
     }
+    if (s.needs_recovery()) needs_recovery.push_back(e.name);
   }
   EXPECT_EQ(scenarios::find("does_not_exist"), nullptr);
+  // Derived from the recover events: exactly the rejoin scenarios.
+  EXPECT_EQ(needs_recovery, (std::vector<std::string_view>{
+                                "partition_cut_heal_rejoin", "crash_restart",
+                                "rolling_restarts", "partial_k2_crash_rejoin",
+                                "rejoin_stale_reads"}));
 }
 
 TEST(scenario_catalog, partition_minority_heals_after_exclusion) {
@@ -396,7 +403,7 @@ TEST(fault_determinism, same_seed_same_scenario_same_committed_sequence) {
   // state between them.
   scenario s("composed");
   s.add(loss_fault::random(0.10), seconds(5), seconds(12));
-  s.add(std::make_shared<partition_fault>(site_set{2}), seconds(20),
+  s.add(partition_fault::two_way(site_set{2}), seconds(20),
         seconds(20) + milliseconds(150));
   cfg.faults = s;
 

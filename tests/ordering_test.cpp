@@ -54,7 +54,7 @@ core::experiment_config campaign_cfg(
   cfg.max_sim_time = seconds(900);
   cfg.seed = 7;
   cfg.faults = e.make(prm);
-  cfg.enable_recovery = e.needs_recovery;
+  cfg.enable_recovery = cfg.faults.needs_recovery();
   if (e.placement_degree > 0)
     cfg.placement = {place::strategy::round_robin, e.placement_degree};
   return cfg;
@@ -117,7 +117,9 @@ TEST(ordering_catalog, full_fault_catalog_passes_at_the_default_batch) {
     EXPECT_TRUE(r.checks.ok) << e.name << ": " << r.checks.summary();
     EXPECT_TRUE(r.safety.ok) << e.name << ": " << r.safety.detail;
     EXPECT_GT(r.stats.total_committed(), 0u) << e.name;
-    if (e.needs_recovery) {
+    fault::scenarios::params prm;
+    prm.sites = 5;
+    if (e.make(prm).needs_recovery()) {
       EXPECT_GE(r.rejoined_sites(), 1u) << e.name;
     }
   });
@@ -200,12 +202,8 @@ TEST(ordering_view_change, crash_sequencer_rejoin_sweep_keeps_view_synchrony) {
     cfg.seed = seed;
     cfg.enable_recovery = true;
     fault::scenario s("crash_sequencer_rejoin");
-    s.add(std::make_shared<fault::crash_fault>(
-              fault::site_selector{fault::site_set{0}}),
-          seconds(20));
-    s.add(std::make_shared<fault::recover_fault>(
-              fault::site_selector{fault::site_set{0}}),
-          seconds(30));
+    s.add(fault::crash_fault(fault::site_set{0}), seconds(20));
+    s.add(fault::recover_fault(fault::site_set{0}), seconds(30));
     cfg.faults = s;
     const auto r = core::run_experiment(cfg);
     EXPECT_TRUE(r.checks.ok) << "seed " << seed << ": " << r.checks.summary();

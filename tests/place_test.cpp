@@ -280,6 +280,38 @@ TEST(granule_store, tuples_outside_their_granule_are_rejected) {
   EXPECT_EQ(joiner.tracked_granules(), 1u);
 }
 
+// The directory lists each granule once, in ascending id order, so
+// restore rejects a tuple id in a granule's place, a granule listed twice
+// and granules out of order.
+TEST(granule_store, malformed_directories_are_rejected) {
+  const placement p = placement::round_robin(4, 2);
+  const auto blob = [](const std::vector<db::item_id>& ids) {
+    util::buffer_writer w;
+    w.put_u32(static_cast<std::uint32_t>(ids.size()));
+    for (const db::item_id id : ids) {
+      w.put_u64(id);
+      w.put_u64(1);  // updates
+      w.put_u64(0);  // data bytes
+      w.put_u32(0);  // no tuples
+    }
+    return w.take();
+  };
+  const db::item_id g1 = db::make_granule(1, 0, 0);
+  const db::item_id g2 = db::make_granule(1, 0, 1);
+  const std::vector<std::vector<db::item_id>> malformed = {
+      {db::make_item(1, 0, 0, 5)}, {g1, g1}, {g2, g1}};
+  for (const auto& ids : malformed) {
+    place::granule_store joiner(p, 0);
+    util::buffer_reader r(blob(ids));
+    EXPECT_THROW(joiner.restore(r), invariant_violation) << ids[0];
+  }
+  place::granule_store joiner(p, 0);
+  util::buffer_reader r(blob({g1, g2}));
+  joiner.restore(r);
+  EXPECT_TRUE(r.done());
+  EXPECT_EQ(joiner.tracked_granules(), 2u);
+}
+
 TEST(granule_store, rows_take_4_bytes) {
   // 100,000 rows of one granule grow its tuple set to 2^18 slots, the
   // first power of two they fill at most 3/4. Besides that table the
@@ -409,7 +441,7 @@ TEST(full_placement_bit_identity, matches_pre_placement_anchors) {
     fault::scenarios::params prm;
     prm.sites = cfg.sites;
     cfg.faults = e->make(prm);
-    cfg.enable_recovery = e->needs_recovery;
+    cfg.enable_recovery = cfg.faults.needs_recovery();
     const auto r = core::run_experiment(cfg);
     EXPECT_EQ(r.stats.total_committed(), a.committed) << a.scenario;
     EXPECT_EQ(r.responses, a.responses) << a.scenario;

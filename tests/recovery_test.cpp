@@ -35,12 +35,8 @@ experiment_config recovery_config(std::uint64_t seed = 1234) {
 fault::scenario crash_then_recover(unsigned victim, sim_time down,
                                    sim_time up) {
   fault::scenario s("crash_then_recover");
-  s.add(std::make_shared<fault::crash_fault>(
-            fault::site_selector{fault::site_set{victim}}),
-        down);
-  s.add(std::make_shared<fault::recover_fault>(
-            fault::site_selector{fault::site_set{victim}}),
-        up);
+  s.add(fault::crash_fault(fault::site_set{victim}), down);
+  s.add(fault::recover_fault(fault::site_set{victim}), up);
   return s;
 }
 
@@ -99,18 +95,11 @@ TEST(recovery, double_failure_joiner_dies_during_recovery) {
   // Crash, start recovering, kill the site again inside the restart
   // window (settle + transfer), then recover once more: both the donor
   // and the joiner must unwind cleanly and the second attempt completes.
-  s.add(std::make_shared<fault::crash_fault>(
-            fault::site_selector{fault::site_set{2}}),
-        seconds(8));
-  s.add(std::make_shared<fault::recover_fault>(
-            fault::site_selector{fault::site_set{2}}),
-        seconds(12));
-  s.add(std::make_shared<fault::crash_fault>(
-            fault::site_selector{fault::site_set{2}}),
+  s.add(fault::crash_fault(fault::site_set{2}), seconds(8));
+  s.add(fault::recover_fault(fault::site_set{2}), seconds(12));
+  s.add(fault::crash_fault(fault::site_set{2}),
         seconds(12) + milliseconds(320));
-  s.add(std::make_shared<fault::recover_fault>(
-            fault::site_selector{fault::site_set{2}}),
-        seconds(18));
+  s.add(fault::recover_fault(fault::site_set{2}), seconds(18));
   cfg.faults = s;
   cfg.target_responses = 400;
 
@@ -129,14 +118,9 @@ TEST(recovery, double_failure_donor_dies_during_recovery) {
   cfg.clients = 40;
   cfg.target_responses = 500;
   fault::scenario s("donor_dies");
-  s.add(std::make_shared<fault::crash_fault>(
-            fault::site_selector{fault::site_set{4}}),
-        seconds(8));
-  s.add(std::make_shared<fault::recover_fault>(
-            fault::site_selector{fault::site_set{4}}),
-        seconds(12));
-  s.add(std::make_shared<fault::crash_fault>(
-            fault::site_selector{fault::site_set{0}}),
+  s.add(fault::crash_fault(fault::site_set{4}), seconds(8));
+  s.add(fault::recover_fault(fault::site_set{4}), seconds(12));
+  s.add(fault::crash_fault(fault::site_set{0}),
         seconds(12) + milliseconds(350));
   cfg.faults = s;
 
@@ -156,12 +140,8 @@ TEST(recovery, rejoin_completes_under_message_loss) {
   cfg.target_responses = 0;
   cfg.max_sim_time = seconds(30);
   fault::scenario s("lossy_rejoin");
-  s.add(std::make_shared<fault::crash_fault>(
-            fault::site_selector{fault::site_set{2}}),
-        seconds(8));
-  s.add(std::make_shared<fault::recover_fault>(
-            fault::site_selector{fault::site_set{2}}),
-        seconds(12));
+  s.add(fault::crash_fault(fault::site_set{2}), seconds(8));
+  s.add(fault::recover_fault(fault::site_set{2}), seconds(12));
   s.add(fault::loss_fault::random(0.10), seconds(11), seconds(16));
   cfg.faults = s;
 
@@ -215,9 +195,7 @@ TEST(recovery, crash_stop_site_report_without_recovery) {
   auto cfg = recovery_config(55);
   cfg.enable_recovery = false;
   fault::scenario s("crash_only");
-  s.add(std::make_shared<fault::crash_fault>(
-            fault::site_selector{fault::site_set{2}}),
-        seconds(8));
+  s.add(fault::crash_fault(fault::site_set{2}), seconds(8));
   cfg.faults = s;
 
   const auto r = run_experiment(cfg);

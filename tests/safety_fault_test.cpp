@@ -59,17 +59,14 @@ std::vector<fault_case> all_cases() {
   {
     fault::scenario s("crash_under_loss");
     s.add(fault::loss_fault::random(0.05));
-    s.add(std::make_shared<fault::crash_fault>(
-              fault::site_selector{fault::site_set{1}}),
-          seconds(20));
+    s.add(fault::crash_fault(fault::site_set{1}), seconds(20));
     cases.push_back(make_case("crash_under_loss", std::move(s), 4, 40));
   }
   {
     fault::scenario s("drift_plus_latency");
-    s.add(std::make_shared<fault::clock_drift_fault>(
-        0.05, fault::site_selector::odd()));
-    s.add(std::make_shared<fault::sched_latency_fault>(
-        milliseconds(2), fault::site_selector::all()));
+    s.add(fault::clock_drift_fault(0.05, fault::site_selector::odd()));
+    s.add(fault::sched_latency_fault(milliseconds(2),
+                                     fault::site_selector::all()));
     cases.push_back(make_case("drift_plus_latency", std::move(s)));
   }
   // --- timed/composed scenarios ---
@@ -78,7 +75,7 @@ std::vector<fault_case> all_cases() {
     // partition heals: the majority excludes it and keeps committing; the
     // minority must stall (primary partition) rather than split-brain.
     fault::scenario s("partition_then_heal");
-    s.add(std::make_shared<fault::partition_fault>(fault::site_set{2}),
+    s.add(fault::partition_fault::two_way(fault::site_set{2}),
           seconds(10), seconds(14));
     cases.push_back(make_case("partition_then_heal", std::move(s)));
   }
@@ -86,7 +83,7 @@ std::vector<fault_case> all_cases() {
     // The cut heals before the suspicion timeout fires: a purely
     // transient partition the reliability layer rides out with NAKs.
     fault::scenario s("partition_blip");
-    s.add(std::make_shared<fault::partition_fault>(fault::site_set{2}),
+    s.add(fault::partition_fault::two_way(fault::site_set{2}),
           seconds(10), seconds(10) + milliseconds(150));
     cases.push_back(make_case("partition_blip", std::move(s)));
   }
@@ -99,8 +96,8 @@ std::vector<fault_case> all_cases() {
   {
     // Overlapping windows: a loss burst over a sustained slow replica.
     fault::scenario s("slow_replica_plus_loss_burst");
-    s.add(std::make_shared<fault::sched_latency_fault>(
-        milliseconds(10), fault::site_selector{fault::site_set{2}}));
+    s.add(fault::sched_latency_fault(milliseconds(10),
+                                     fault::site_selector{fault::site_set{2}}));
     s.add(fault::loss_fault::random(0.20), seconds(8), seconds(12));
     cases.push_back(
         make_case("slow_replica_plus_loss_burst", std::move(s)));
@@ -263,7 +260,7 @@ TEST(safety_fault, excluding_partition_changes_view_and_stays_safe) {
   cfg.max_sim_time = seconds(400);
   cfg.seed = 99;
   fault::scenario s("partition_then_heal");
-  s.add(std::make_shared<fault::partition_fault>(fault::site_set{2}),
+  s.add(fault::partition_fault::two_way(fault::site_set{2}),
         seconds(10), seconds(14));
   cfg.faults = s;
 
