@@ -33,7 +33,8 @@ struct cert_config {
   /// whose snapshot predates the window aborts conservatively (identical
   /// rule — thus identical decisions — at every replica). The sharded
   /// certifier keeps only their positions and the last-writer index,
-  /// which holds the ids of at most 2 × this many commits.
+  /// which holds the ids of at most 2 × this many commits, and far fewer
+  /// once every origin's low water has risen (sharded_certifier.hpp).
   std::size_t history_window = 50000;
   /// Hash partitions of the last-writer index (tuple and granule spaces
   /// both), certified one after another on the calling thread.

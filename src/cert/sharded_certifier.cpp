@@ -7,7 +7,8 @@
 
 namespace dbsm::cert {
 
-sharded_certifier::sharded_certifier(cert_config cfg) : cfg_(cfg) {
+sharded_certifier::sharded_certifier(cert_config cfg, std::size_t origins)
+    : cfg_(cfg), low_water_(origins, 0) {
   DBSM_CHECK(cfg_.history_window > 0);
   DBSM_CHECK(cfg_.shards > 0);
   shards_.resize(cfg_.shards);
@@ -57,12 +58,33 @@ bool sharded_certifier::conflicts(
   return false;
 }
 
+void sharded_certifier::note_low_water(node_id origin,
+                                       std::uint64_t low_water) {
+  DBSM_CHECK_MSG(origin < low_water_.size(),
+                 "origin " << origin << " outside the " << low_water_.size()
+                           << " sites of the low-water table");
+  std::uint64_t& lw = low_water_[origin];
+  DBSM_CHECK_MSG(low_water >= lw, "origin " << origin << "'s low water fell "
+                                            << lw << " -> " << low_water);
+  const bool was_min = lw == bound_;
+  lw = low_water;
+  if (was_min)
+    bound_ = *std::min_element(low_water_.begin(), low_water_.end());
+}
+
+void sharded_certifier::check_snapshot(std::uint64_t begin_pos) const {
+  DBSM_CHECK_MSG(begin_pos >= bound_ || begin_pos + 1 < oldest_retained_,
+                 "snapshot " << begin_pos << " is below the low-water bound "
+                             << bound_);
+}
+
 bool sharded_certifier::certify_update(
     std::uint64_t begin_pos, const std::vector<db::item_id>& read_set,
     const std::vector<db::item_id>& write_set, bool amortized_fixed) {
   DBSM_CHECK_MSG(begin_pos <= position_,
                  "snapshot " << begin_pos << " is in the future of "
                              << position_);
+  check_snapshot(begin_pos);
   ++position_;
   last_cost_ = (amortized_fixed ? cost_batch_fixed : cost_fixed) +
                cost_per_element * static_cast<sim_duration>(
@@ -81,22 +103,29 @@ bool sharded_certifier::certify_update(
   for (std::size_t s = 0; s < shards_.size(); ++s)
     shards_[s].note_commit(slice_of(write_set, s, write_slices_), position_);
   // Retain the position, evicting the oldest past history_window, and
-  // purge once per window of commits (see Eviction in the header).
+  // purge once per window of commits, or when the index has doubled while
+  // the bound reaches past the window (see Eviction in the header).
   ++commits_;
   window_.push_back(position_);
   if (window_.size() > cfg_.history_window) {
     oldest_retained_ = window_.front() + 1;
     window_.pop_front();
   }
-  if (commits_ > cfg_.history_window &&
-      commits_ % cfg_.history_window == 0) {
-    for (last_writer_index& s : shards_) s.purge_before(oldest_retained_);
+  if ((commits_ > cfg_.history_window &&
+       commits_ % cfg_.history_window == 0) ||
+      (bound_ >= oldest_retained_ && index_size() >= purge_at_)) {
+    // An entry at or below the bound is as unreachable as one below the
+    // window.
+    const std::uint64_t oldest = std::max(oldest_retained_, bound_ + 1);
+    for (last_writer_index& s : shards_) s.purge_before(oldest);
+    purge_at_ = std::max<std::uint64_t>(min_purge_at, 2 * index_size());
   }
   return true;
 }
 
 bool sharded_certifier::certify_read_only(
     std::uint64_t begin_pos, const std::vector<db::item_id>& read_set) const {
+  check_snapshot(begin_pos);
   last_cost_ = cost_fixed +
                cost_per_element * static_cast<sim_duration>(read_set.size());
   return !(begin_pos + 1 < oldest_retained_ ||
@@ -128,6 +157,9 @@ void sharded_certifier::snapshot(util::buffer_writer& w) const {
     w.put_u64(id);
     w.put_u64(pos);
   }
+  w.put_u64(low_water_.size());
+  for (const std::uint64_t lw : low_water_) w.put_u64(lw);
+  w.put_u64(purge_at_);
 }
 
 void sharded_certifier::restore(util::buffer_reader& r) {
@@ -170,6 +202,18 @@ void sharded_certifier::restore(util::buffer_reader& r) {
     shards_[shard_of(id)].set_last_writer(id, pos);
     prev_id = id;
   }
+  // Donor and joiner size the table from the same initial view.
+  const std::uint64_t origins = r.get_u64();
+  DBSM_CHECK_MSG(origins == low_water_.size(),
+                 "cert snapshot: " << origins << " low waters for "
+                                   << low_water_.size() << " origins");
+  for (std::uint64_t& lw : low_water_) lw = r.get_u64();
+  bound_ = low_water_.empty()
+               ? 0
+               : *std::min_element(low_water_.begin(), low_water_.end());
+  purge_at_ = r.get_u64();
+  DBSM_CHECK_MSG(purge_at_ >= min_purge_at,
+                 "cert snapshot: purge trigger " << purge_at_);
 }
 
 }  // namespace dbsm::cert

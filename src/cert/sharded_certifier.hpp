@@ -24,23 +24,51 @@
 //
 // State: the counters (position, oldest_retained, commits, aborts), the
 // delivery positions of the retained committed write sets (at most
-// `history_window`; history_size() counts them) and one last-writer index
-// per shard. No write set is copied: once certify_update returns, the
+// `history_window`; history_size() counts them), one last-writer index
+// per shard, one low water per origin and the index size of the next
+// purge. No write set is copied: once certify_update returns, the
 // index entries it installed are all that is left of the transaction.
+//
+// The low-water bound: every payload carries its origin's low water, the
+// smallest begin_pos among that site's pending transactions, itself
+// included (cert/txn_codec.hpp). Local counters are consecutive and a
+// transaction's snapshot is the position at its submit, so transactions
+// pending at the broadcast began at or above it, later ones begin at a
+// position at least as high, and the total order keeps each origin's
+// broadcast order: no later payload of that origin certifies below it.
+// note_low_water() records it per site of the initial view (all 0 at
+// construction), before the payload is certified, at every site and for
+// read-only payloads too, so the table is a function of the delivered
+// order alone. The bound is the minimum over the sites. An index entry at
+// or below the bound can never satisfy `pos > begin_pos` for a live or
+// future snapshot, exactly like an entry below oldest_retained. A
+// certification below the bound that the pre-window rule does not abort
+// throws invariant_violation: the promise was broken. A site that never
+// broadcasts (a dedicated sequencer), or a crashed one, holds the bound
+// at its last low water; the window purge then bounds the index as
+// before. A certifier built without origins keeps the bound at 0.
 //
 // Eviction: when a commit pushes the oldest retained position out of the
 // window, oldest_retained advances and nothing happens per id — an index
 // entry with pos < oldest_retained is decision-safe under the pre-window
 // rule (every snapshot it could affect aborts first). Stale entries are
-// dropped in bulk: whenever commits() > history_window and commits() is a
-// multiple of history_window, every shard serially compacts its table
-// down to its live entries. The purge moment depends on commits() alone,
-// so index contents are identical at every shard count and on donor and
-// joiner after a restore, and the index holds at most the ids of the last
-// 2 × history_window committed write sets. Each purge walks the whole
-// table, so the cadence trades index memory for certification time: once
-// per window, a purge costs less per commit than removing one evicted
-// write set's ids per commit would.
+// dropped in bulk: every shard serially compacts its table down to the
+// entries above both oldest_retained − 1 and the low-water bound. A purge
+// runs after a commit when either
+//   * commits() > history_window and commits() is a multiple of
+//     history_window (the window purge), or
+//   * the bound is at or above oldest_retained, so it and not the window
+//     decides what is stale, and the index holds max(1024, 2 × its size
+//     after the previous purge) entries (the size trigger).
+// Both read only commits(), the positions, the summed index size and the
+// delivered low waters, so index contents are identical at every shard
+// count and on donor and joiner after a restore. The window purge bounds
+// the index to the ids of the last 2 × history_window committed write
+// sets; with every origin broadcasting, the size trigger bounds it to
+// about twice the ids written above the bound. Each purge walks the whole
+// table; the doubling keeps that amortized O(1) per installed id. Without
+// a bound past the window the size trigger never fires, so a certifier
+// without origins purges exactly when the window alone did.
 //
 // The index partitions cleanly by item id: every probe and install
 // touches exactly one id, so the tuple and granule spaces are hash-split
@@ -66,16 +94,18 @@
 // little-endian, in order: position, oldest_retained, commits, aborts; the
 // count of retained positions, then those positions ascending; the count
 // of index entries, then every entry as (id, pos) in ascending id order,
-// stale entries included. The format does not depend on
-// cert_config::shards: restore re-partitions the entries by the local
+// stale entries included; the count of origins, then each origin's low
+// water; the index size that triggers the next purge. The format does not
+// depend on cert_config::shards: restore re-partitions the entries by the local
 // shard count, so donor and joiner may disagree on `shards`. Restore
 // checks every count against the bytes left before it allocates and
 // rejects what snapshot never writes with an invariant_violation:
 // commits + aborts other than position, oldest_retained outside
 // [1, position + 1], a retained count other than min(commits,
 // history_window), retained positions not strictly ascending or outside
-// [oldest_retained, position], ids not strictly ascending, and an entry
-// position outside [1, position].
+// [oldest_retained, position], ids not strictly ascending, an entry
+// position outside [1, position], an origin count other than the
+// joiner's, and a purge trigger below 1024.
 #ifndef DBSM_CERT_SHARDED_CERTIFIER_HPP
 #define DBSM_CERT_SHARDED_CERTIFIER_HPP
 
@@ -93,7 +123,18 @@ namespace dbsm::cert {
 
 class sharded_certifier {
  public:
-  explicit sharded_certifier(cert_config cfg = {});
+  /// The index size of the first purge; later ones run at twice the size
+  /// the previous purge left, but never below this.
+  static constexpr std::uint64_t min_purge_at = 1024;
+
+  /// `origins` sizes the low-water table: one entry per site of the
+  /// initial view, ids 0 .. origins − 1. With none, the bound stays 0.
+  explicit sharded_certifier(cert_config cfg = {}, std::size_t origins = 0);
+
+  /// Raises `origin`'s low water (see the low-water bound above). Throws
+  /// invariant_violation on an origin outside the table or a low water
+  /// below the origin's last one.
+  void note_low_water(node_id origin, std::uint64_t low_water);
 
   /// Certifies an update transaction at the next delivery position.
   /// Returns true to commit (its position then enters the retained window
@@ -114,6 +155,8 @@ class sharded_certifier {
 
   std::uint64_t position() const { return position_; }
   std::uint64_t oldest_retained() const { return oldest_retained_; }
+  /// The minimum of the origins' low waters (0 without origins).
+  std::uint64_t low_water_bound() const { return bound_; }
   sim_duration last_cost() const { return last_cost_; }
   std::uint64_t commits() const { return commits_; }
   std::uint64_t aborts() const { return aborts_; }
@@ -147,6 +190,10 @@ class sharded_certifier {
     return shards_.size() == 1 ? full : slices[s];
   }
 
+  /// Throws unless `begin_pos` is at or above the low-water bound or
+  /// aborts under the pre-window rule.
+  void check_snapshot(std::uint64_t begin_pos) const;
+
   /// Partitions the sets and probes shard by shard, stopping at the first
   /// conflict. `write_set` is null on the read-only path; otherwise its
   /// slices stay in write_slices_ for the install.
@@ -163,6 +210,9 @@ class sharded_certifier {
   mutable sim_duration last_cost_ = 0;
   std::uint64_t commits_ = 0;
   std::uint64_t aborts_ = 0;
+  std::vector<std::uint64_t> low_water_;  // per origin of the initial view
+  std::uint64_t bound_ = 0;               // min of low_water_
+  std::uint64_t purge_at_ = min_purge_at;  // index size of the next purge
 
   // Per-call scratch, reused so the hot path does not heap-allocate at
   // steady state. Mutable: the read-only path is logically const.

@@ -1,16 +1,19 @@
 #include "cert/txn_codec.hpp"
 
+#include <limits>
+
 #include "util/check.hpp"
 
 namespace dbsm::cert {
 
-txn_payload make_payload(const db::txn_request& req,
-                         std::uint64_t begin_pos) {
+txn_payload make_payload(const db::txn_request& req, std::uint64_t begin_pos,
+                         std::uint64_t low_water) {
   txn_payload p;
   p.id = req.id;
   p.cls = req.cls;
   p.origin = req.origin;
   p.begin_pos = begin_pos;
+  p.low_water = low_water;
   p.read_set = req.read_set;
   p.write_set = req.write_set;
   p.update_bytes = req.update_bytes;
@@ -24,11 +27,20 @@ std::size_t encoded_size(const txn_payload& p) {
 }
 
 util::shared_bytes encode_txn(const txn_payload& p) {
+  // The origin is not on the wire: its four bytes carry the low water's
+  // lag behind the snapshot.
+  DBSM_CHECK_MSG(p.origin == db::txn_site(p.id),
+                 "payload " << p.id << " names origin " << p.origin);
+  DBSM_CHECK_MSG(p.low_water <= p.begin_pos &&
+                     p.begin_pos - p.low_water <=
+                         std::numeric_limits<std::uint32_t>::max(),
+                 "low water " << p.low_water << " for snapshot "
+                              << p.begin_pos);
   // The padding stays a count: only the ids and sets are stored.
   util::buffer_writer w(encoded_size(p) - p.update_bytes);
   w.put_u64(p.id);
   w.put_u16(p.cls);
-  w.put_u32(p.origin);
+  w.put_u32(static_cast<std::uint32_t>(p.begin_pos - p.low_water));
   w.put_u64(p.begin_pos);
   w.put_u32(static_cast<std::uint32_t>(p.read_set.size()));
   for (db::item_id it : p.read_set) w.put_u64(it);
@@ -46,8 +58,13 @@ txn_payload decode_txn(const util::shared_bytes& raw) {
   txn_payload p;
   p.id = r.get_u64();
   p.cls = r.get_u16();
-  p.origin = r.get_u32();
+  p.origin = db::txn_site(p.id);
+  const std::uint32_t lag = r.get_u32();
   p.begin_pos = r.get_u64();
+  DBSM_CHECK_MSG(lag <= p.begin_pos,
+                 "low-water lag " << lag << " exceeds snapshot "
+                                  << p.begin_pos);
+  p.low_water = p.begin_pos - lag;
   // Each count is checked against the bytes left before anything is
   // reserved, so a corrupt count cannot request gigabytes.
   const auto get_set = [&r](std::vector<db::item_id>& set) {

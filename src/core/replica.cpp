@@ -8,15 +8,8 @@
 namespace dbsm::core {
 
 namespace {
-/// Local transaction ids carry the origin site in the top bits, so they
-/// are globally unique without coordination.
-std::uint64_t make_txn_id(node_id site, std::uint64_t counter) {
-  return (static_cast<std::uint64_t>(site) << 40) | counter;
-}
-
-std::uint64_t txn_counter(std::uint64_t id) {
-  return id & ((std::uint64_t{1} << 40) - 1);
-}
+using db::make_txn_id;
+using db::txn_counter;
 
 /// Bound (in transactions) of the certify→install hand-off queue of the
 /// delivery path: when full, the install stage drains synchronously
@@ -45,9 +38,10 @@ replica::replica(sim::simulator& sim, csrt::cpu_pool& cpu,
                  config cfg, util::rng gen, std::uint64_t first_local_txn)
     : sim_(sim), cpu_(cpu), env_(env), group_(group), obs_(obs), cfg_(cfg),
       server_(sim, cpu, cfg.server, gen.fork("server")),
-      cert_(cfg.cert), rng_(gen.fork("replica")),
+      cert_(cfg.cert, env.peers().size()), rng_(gen.fork("replica")),
       next_local_txn_(first_local_txn), incarnation_floor_(first_local_txn),
-      store_(cfg.placement, env.self()), pipeline_(pipeline_depth) {}
+      oldest_live_(first_local_txn + 1), store_(cfg.placement, env.self()),
+      pipeline_(pipeline_depth) {}
 
 util::shared_bytes replica::snapshot(node_id for_site) const {
   util::buffer_writer w;
@@ -139,8 +133,19 @@ void replica::submit(db::txn_request req,
       [this, done = std::move(done), id](std::uint64_t,
                                          db::txn_outcome outcome) {
         pending_.erase(id);
+        // Step past every finished counter: the oldest live one carries
+        // the smallest snapshot, the low water.
+        while (oldest_live_ <= next_local_txn_ &&
+               !pending_.contains(make_txn_id(env_.self(), oldest_live_)))
+          ++oldest_live_;
         if (!halted_ && done) done(outcome);
       });
+}
+
+std::uint64_t replica::low_water() const {
+  const auto it = pending_.find(make_txn_id(env_.self(), oldest_live_));
+  DBSM_CHECK_MSG(it != pending_.end(), "no pending transaction");
+  return it->second.begin_pos;
 }
 
 void replica::on_executed(const db::txn_request& req) {
@@ -199,7 +204,8 @@ void replica::on_executed(const db::txn_request& req) {
       ++fallback_reads_;
       notify(env_, obs_.on_read, false, 0, 0, 0);
     }
-    const cert::txn_payload ro_payload = cert::make_payload(req, begin_pos);
+    const cert::txn_payload ro_payload =
+        cert::make_payload(req, begin_pos, low_water());
     env_.post([this, id, payload = std::move(ro_payload)] {
       util::shared_bytes wire = cert::encode_txn(payload);
       env_.charge(codec_cost(wire->size()));
@@ -212,8 +218,11 @@ void replica::on_executed(const db::txn_request& req) {
   }
 
   // Update transaction: marshal the execution outcome and atomically
-  // multicast it to all replicas (distributed termination, §3.3).
-  const cert::txn_payload payload = cert::make_payload(req, begin_pos);
+  // multicast it to all replicas (distributed termination, §3.3). The low
+  // water is taken here, while this transaction is pending, and posted
+  // jobs run in order, so the payloads leave with rising low waters.
+  const cert::txn_payload payload =
+      cert::make_payload(req, begin_pos, low_water());
   env_.post([this, id, payload = std::move(payload)] {
     util::shared_bytes wire = cert::encode_txn(payload);
     env_.charge(codec_cost(wire->size()));
@@ -347,6 +356,9 @@ void replica::on_deliver_batch(std::vector<gcs::delivery>&& run) {
   for (gcs::delivery& d : run) {
     env_.charge(codec_cost_bytes(d.payload->size()));
     cert::txn_payload txn = cert::decode_txn(d.payload);
+    // Every payload raises its origin's low water at every site before
+    // anything is certified, so the table follows the delivered order.
+    cert_.note_low_water(txn.origin, txn.low_water);
 
     if (txn.write_set.empty()) {
       // Read-only broadcast (read::mode::certified, or a fast-path

@@ -243,6 +243,11 @@ class replica {
     sim_time multicast_at = 0;
   };
 
+  /// The smallest begin_pos among the pending local transactions: the
+  /// oldest live counter's (counters and snapshots rise together). Call
+  /// only while a transaction is pending.
+  std::uint64_t low_water() const;
+
   sim::simulator& sim_;
   csrt::cpu_pool& cpu_;
   csrt::sim_env& env_;
@@ -259,6 +264,9 @@ class replica {
   /// of asserting against the (rebuilt, empty) pending table.
   std::uint64_t incarnation_floor_ = 0;
   std::unordered_map<std::uint64_t, pending_txn> pending_;
+  /// Oldest local counter still in pending_ (next_local_txn_ + 1 when
+  /// none is).
+  std::uint64_t oldest_live_ = 1;
   std::vector<std::uint64_t> commit_log_;
   util::sample_set cert_latency_;
   read::lease lease_;

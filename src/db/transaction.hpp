@@ -24,9 +24,22 @@ struct operation {
 /// Workload-defined transaction class (e.g. tpcc::payment_long).
 using txn_class = std::uint16_t;
 
+/// Transaction ids carry the origin site above a 40-bit local counter, so
+/// they are globally unique without coordination. The replica assigns
+/// them; the codec derives a payload's origin from its id.
+constexpr std::uint64_t make_txn_id(node_id site, std::uint64_t counter) {
+  return (static_cast<std::uint64_t>(site) << 40) | counter;
+}
+constexpr std::uint64_t txn_counter(std::uint64_t id) {
+  return id & ((std::uint64_t{1} << 40) - 1);
+}
+constexpr node_id txn_site(std::uint64_t id) {
+  return static_cast<node_id>(id >> 40);
+}
+
 /// A transaction request as issued by a client.
 struct txn_request {
-  std::uint64_t id = 0;      // globally unique (site in high bits)
+  std::uint64_t id = 0;      // globally unique (make_txn_id)
   txn_class cls = 0;
   node_id origin = 0;        // site that executed it
   std::vector<operation> ops;

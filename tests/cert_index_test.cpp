@@ -6,9 +6,12 @@
 // determinism both rest on this equivalence.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <deque>
 #include <iterator>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "cert/cert_index.hpp"
@@ -17,6 +20,7 @@
 #include "counting_new.hpp"
 #include "db/item.hpp"
 #include "tpcc/workload.hpp"
+#include "util/byte_buffer.hpp"
 #include "util/check.hpp"
 #include "util/open_table.hpp"
 #include "util/rng.hpp"
@@ -353,6 +357,259 @@ TEST(cert_index_memory, slots_take_12_bytes) {
   EXPECT_EQ(idx.size(), 150000u);
   EXPECT_GE(live, 12u * 150000u);
   EXPECT_LE(live, 12u << 18);
+}
+
+
+// ---------- the low-water bound ----------
+
+/// One delivered payload, or one read-only transaction certified locally
+/// at its origin, of a stream whose origins keep the low-water promise.
+struct origin_step {
+  bool local_read = false;
+  node_id origin = 0;
+  std::uint64_t low_water = 0;  // delivered payloads only
+  std::uint64_t begin = 0;
+  std::vector<item_id> rs, ws;  // ws empty: read-only
+};
+
+/// Generates what a replica does: each origin submits transactions at the
+/// current position, keeps them pending, broadcasts them in any order
+/// with the smallest snapshot it has pending (the payload's own included)
+/// as the low water, and finishes each when it is delivered — or, for a
+/// read-only one, when it certifies locally. Broadcasts queue per origin
+/// and deliveries interleave the queues, so the total order keeps each
+/// origin's broadcast order. Most ids are fresh, from a large space, so
+/// without the bound the index would keep most ids ever written; a hot
+/// set of 301 makes conflicts.
+class promise_keeping_stream {
+ public:
+  promise_keeping_stream(std::size_t origins, std::uint64_t seed)
+      : pending_(origins), sent_(origins), g_(seed) {}
+
+  origin_step next() {
+    for (;;) {
+      const auto o = static_cast<node_id>(
+          g_.uniform_int(0, static_cast<std::int64_t>(pending_.size()) - 1));
+      std::deque<txn>& pend = pending_[o];
+      switch (g_.uniform_int(0, 3)) {
+        case 0:  // submit
+          if (pend.size() < 12) pend.push_back(make_txn(o));
+          break;
+        case 1: {  // broadcast a random unsent one
+          std::vector<txn*> unsent;
+          for (txn& t : pend)
+            if (!t.sent) unsent.push_back(&t);
+          if (unsent.empty()) break;
+          txn& t = *unsent[static_cast<std::size_t>(g_.uniform_int(
+              0, static_cast<std::int64_t>(unsent.size()) - 1))];
+          t.sent = true;
+          origin_step st = t.step;
+          st.low_water = pend.front().step.begin;  // oldest pending
+          sent_[o].emplace_back(t.id, std::move(st));
+          break;
+        }
+        case 2: {  // deliver the origin's oldest broadcast
+          if (sent_[o].empty()) break;
+          auto [id, st] = std::move(sent_[o].front());
+          sent_[o].pop_front();
+          finish(o, id);
+          if (!st.ws.empty()) ++position_;
+          return st;
+        }
+        default: {  // certify an unsent read-only one locally
+          const auto it = std::find_if(pend.begin(), pend.end(),
+                                       [](const txn& t) {
+                                         return !t.sent && t.step.ws.empty();
+                                       });
+          if (it == pend.end()) break;
+          origin_step st = it->step;
+          st.local_read = true;
+          finish(o, it->id);
+          return st;
+        }
+      }
+    }
+  }
+
+ private:
+  struct txn {
+    std::uint64_t id = 0;
+    bool sent = false;
+    origin_step step;
+  };
+
+  txn make_txn(node_id origin) {
+    txn t;
+    t.id = ++next_id_;
+    t.step.origin = origin;
+    t.step.begin = position_;
+    const auto draw = [this] {
+      return static_cast<std::uint64_t>(
+          g_.bernoulli(0.3) ? g_.uniform_int(0, 300)
+                            : g_.uniform_int(0, 1 << 24));
+    };
+    for (int k = static_cast<int>(g_.uniform_int(0, 4)); k > 0; --k) {
+      const std::uint64_t n = draw();
+      t.step.rs.push_back(g_.bernoulli(0.3) ? gran(n >> 4) : tup(n));
+    }
+    if (!g_.bernoulli(0.2)) {
+      for (int k = static_cast<int>(g_.uniform_int(1, 6)); k > 0; --k) {
+        const std::uint64_t n = draw();
+        t.step.ws.push_back(tup(n));
+        if (g_.bernoulli(0.5)) t.step.ws.push_back(gran(n >> 4));
+      }
+    }
+    normalize(t.step.rs);
+    normalize(t.step.ws);
+    return t;
+  }
+
+  void finish(node_id o, std::uint64_t id) {
+    std::deque<txn>& pend = pending_[o];
+    pend.erase(std::find_if(pend.begin(), pend.end(),
+                            [id](const txn& t) { return t.id == id; }));
+  }
+
+  std::vector<std::deque<txn>> pending_;  // per origin, in submit order
+  /// Per origin, in broadcast order: (transaction id, payload).
+  std::vector<std::deque<std::pair<std::uint64_t, origin_step>>> sent_;
+  std::uint64_t position_ = 0;
+  std::uint64_t next_id_ = 0;
+  util::rng g_;
+};
+
+/// Feeds one step to `c` as a replica does (low water first); returns the
+/// verdict.
+bool certify_step(sharded_certifier& c, const origin_step& st) {
+  if (!st.local_read) c.note_low_water(st.origin, st.low_water);
+  return st.ws.empty() ? c.certify_read_only(st.begin, st.rs)
+                       : c.certify_update(st.begin, st.rs, st.ws);
+}
+
+TEST(cert_low_water, promise_keeping_stream_agrees_with_the_reference) {
+  // The bound purges nearly every id, yet every decision is the window
+  // scan's, at one shard and at eight. The index stays under the purge
+  // trigger: below max(1024, twice the ids committed above the bound). A
+  // certifier told no low water keeps every id, as the window alone did.
+  constexpr std::size_t origins = 3;
+  cert_config cfg;
+  cert_config eight = cfg;
+  eight.shards = 8;
+  sharded_certifier one_shard(cfg, origins), sharded(eight, origins);
+  sharded_certifier window_only(cfg);
+  reference_certifier reference(cfg);
+  std::unordered_set<item_id> committed_ids;
+  promise_keeping_stream stream(origins, 404);
+  std::deque<std::pair<std::uint64_t, std::size_t>> above;  // (pos, ids)
+  std::size_t ids_above = 0, most_above = 0, ids_written = 0;
+  std::uint64_t local_reads = 0;
+  for (int i = 0; i < 40000; ++i) {
+    const origin_step st = stream.next();
+    const bool want = st.ws.empty()
+                          ? reference.certify_read_only(st.begin, st.rs)
+                          : reference.certify_update(st.begin, st.rs, st.ws);
+    ASSERT_EQ(certify_step(one_shard, st), want) << "step " << i;
+    ASSERT_EQ(certify_step(sharded, st), want) << "step " << i;
+    ASSERT_EQ(sharded.index_size(), one_shard.index_size()) << "step " << i;
+    local_reads += st.local_read ? 1 : 0;
+    if (st.ws.empty()) {
+      ASSERT_EQ(window_only.certify_read_only(st.begin, st.rs), want);
+      continue;
+    }
+    ASSERT_EQ(window_only.certify_update(st.begin, st.rs, st.ws), want);
+    if (want) {
+      committed_ids.insert(st.ws.begin(), st.ws.end());
+      above.emplace_back(one_shard.position(), st.ws.size());
+      ids_above += st.ws.size();
+      ids_written += st.ws.size();
+    }
+    while (!above.empty() &&
+           above.front().first <= one_shard.low_water_bound()) {
+      ids_above -= above.front().second;
+      above.pop_front();
+    }
+    most_above = std::max(most_above, ids_above);
+    ASSERT_LT(one_shard.index_size(),
+              std::max<std::size_t>(sharded_certifier::min_purge_at,
+                                    2 * most_above))
+        << "step " << i;
+  }
+  EXPECT_EQ(one_shard.commits(), reference.commits());
+  EXPECT_GT(reference.aborts(), 100u);
+  EXPECT_GT(local_reads, 1000u);
+  // The window never slid: only the bound purged.
+  EXPECT_EQ(one_shard.history_size(), one_shard.commits());
+  EXPECT_GT(ids_written, 20 * one_shard.index_size());
+  EXPECT_EQ(window_only.index_size(), committed_ids.size());
+}
+
+TEST(cert_low_water, a_broken_promise_throws) {
+  cert_config cfg;
+  cfg.history_window = 4;
+  sharded_certifier c(cfg, 2);
+  for (int i = 0; i < 6; ++i)
+    ASSERT_TRUE(c.certify_update(c.position(), {}, {tup(100 + i)}));
+  c.note_low_water(0, 5);
+  EXPECT_EQ(c.low_water_bound(), 0u);  // origin 1 still at 0
+  c.note_low_water(1, 4);
+  EXPECT_EQ(c.low_water_bound(), 4u);
+  // Below the bound and inside the window: a promise was broken.
+  EXPECT_THROW(c.certify_update(3, {}, {tup(1)}), invariant_violation);
+  EXPECT_THROW(c.certify_read_only(3, {gran(1)}), invariant_violation);
+  EXPECT_EQ(c.position(), 6u);  // the throw consumed no position
+  EXPECT_TRUE(c.certify_update(4, {}, {tup(1)}));
+  EXPECT_TRUE(c.certify_read_only(4, {gran(1)}));
+  // Below the bound but behind the window: the pre-window rule aborts.
+  EXPECT_EQ(c.oldest_retained(), 4u);
+  EXPECT_FALSE(c.certify_update(1, {}, {tup(2)}));
+  EXPECT_FALSE(c.certify_read_only(1, {gran(1)}));
+  // A low water never falls, and the table holds the initial view only.
+  EXPECT_THROW(c.note_low_water(0, 4), invariant_violation);
+  c.note_low_water(0, 5);  // the same value is no fall
+  EXPECT_THROW(c.note_low_water(2, 7), invariant_violation);
+  sharded_certifier none(cfg);
+  EXPECT_THROW(none.note_low_water(0, 0), invariant_violation);
+  EXPECT_EQ(none.low_water_bound(), 0u);
+}
+
+TEST(cert_low_water, snapshot_round_trips_the_low_waters_and_trigger) {
+  // A donor past several size-triggered purges restores into a fresh
+  // certifier that serializes the same bytes, and a joiner restored
+  // mid-stream holds the donor's index after 3,000 more commits.
+  constexpr std::size_t origins = 3;
+  cert_config cfg;
+  sharded_certifier donor(cfg, origins);
+  promise_keeping_stream stream(origins, 505);
+  while (donor.commits() < 2000) certify_step(donor, stream.next());
+  ASSERT_GT(donor.low_water_bound(), 1000u);
+  util::buffer_writer w;
+  donor.snapshot(w);
+  const util::shared_bytes blob = w.take();
+  sharded_certifier joiner(cfg, origins);
+  {
+    util::buffer_reader r(blob);
+    joiner.restore(r);
+    ASSERT_TRUE(r.done());
+  }
+  util::buffer_writer again;
+  joiner.snapshot(again);
+  ASSERT_EQ(again.take()->written_out(), blob->written_out());
+  EXPECT_EQ(joiner.low_water_bound(), donor.low_water_bound());
+
+  const std::uint64_t restored_at = donor.commits();
+  while (donor.commits() < restored_at + 3000) {
+    const origin_step st = stream.next();
+    ASSERT_EQ(certify_step(joiner, st), certify_step(donor, st));
+    ASSERT_EQ(joiner.index_size(), donor.index_size());
+  }
+  util::buffer_writer a, b;
+  donor.snapshot(a);
+  joiner.snapshot(b);
+  EXPECT_EQ(a.take()->written_out(), b.take()->written_out());
+  // A joiner sized for another view refuses the blob.
+  sharded_certifier other(cfg, origins + 1);
+  util::buffer_reader r(blob);
+  EXPECT_THROW(other.restore(r), invariant_violation);
 }
 
 }  // namespace

@@ -347,6 +347,8 @@ TEST(cert_snapshot, restored_at_the_last_32_bit_position_throws_on_commit) {
   w.put_u64(1);  // index entries
   w.put_u64(tup(1));
   w.put_u64(last);
+  w.put_u64(0);     // origins (no low waters)
+  w.put_u64(1024);  // purge trigger
   const util::bytes b = w.take()->written_out();
   for (const std::size_t shards : grid()) {
     sharded_certifier c(with_shards(cert_config{}, shards));
@@ -367,16 +369,21 @@ TEST(cert_snapshot, restored_at_the_last_32_bit_position_throws_on_commit) {
 // throws invariant_violation or restores on a fresh certifier and
 // re-serializes to exactly the bytes restore consumed. Any other
 // exception fails the test. The donors, at 1 and at 8 shards, have
-// crossed several purges.
+// crossed several purges and hold three origins' low waters.
 TEST(cert_snapshot, every_mutant_restores_exactly_or_throws) {
+  constexpr std::size_t origins = 3;
   util::bytes at_one_shard;
   for (const std::size_t shards : {std::size_t{1}, std::size_t{8}}) {
     cert_config cfg;
     cfg.history_window = 8;
     cfg.shards = shards;
-    sharded_certifier donor(cfg);
+    sharded_certifier donor(cfg, origins);
     util::rng g(61);
     for (int i = 0; i < 80; ++i) {
+      // Every snapshot below is at most 12 positions old.
+      const std::uint64_t now = donor.position();
+      donor.note_low_water(static_cast<node_id>(i % origins),
+                           now - std::min<std::uint64_t>(now, 12));
       std::vector<item_id> rs, ws;
       const auto n = static_cast<std::uint64_t>(g.uniform_int(0, 60));
       rs.push_back(g.bernoulli(0.3) ? gran(n >> 3) : tup(n));
@@ -398,9 +405,10 @@ TEST(cert_snapshot, every_mutant_restores_exactly_or_throws) {
     if (shards == 1) at_one_shard = b;
     EXPECT_EQ(b, at_one_shard);
 
+    ASSERT_GT(donor.low_water_bound(), 0u);
     const auto exact_or_rejected = [&cfg](const util::bytes& m) {
       try {
-        sharded_certifier joiner(cfg);
+        sharded_certifier joiner(cfg, origins);
         util::buffer_reader r(m.data(), m.size());
         joiner.restore(r);
         util::buffer_writer again;
@@ -411,11 +419,12 @@ TEST(cert_snapshot, every_mutant_restores_exactly_or_throws) {
       }
     };
     {
-      sharded_certifier joiner(cfg);
+      sharded_certifier joiner(cfg, origins);
       util::buffer_reader r(b.data(), b.size());
       joiner.restore(r);
       ASSERT_TRUE(r.done());
       EXPECT_EQ(joiner.index_size(), donor.index_size());
+      EXPECT_EQ(joiner.low_water_bound(), donor.low_water_bound());
     }
     for (std::size_t i = 0; i < b.size(); ++i) {
       util::bytes m = b;
@@ -426,16 +435,21 @@ TEST(cert_snapshot, every_mutant_restores_exactly_or_throws) {
       exact_or_rejected(util::bytes(b.begin(), b.begin() + len));
     // What snapshot never writes: retained positions out of order or past
     // `position`, more of them than the window, an index entry past
-    // `position`, and one commit more than the positions hold. Bytes 0,
-    // 8, 16 hold position, oldest retained and commits, byte 32 the count
-    // of retained positions, then the positions, then the entry count.
+    // `position`, one commit more than the positions hold, a low-water
+    // table of another size and a purge trigger below 1024. Bytes 0, 8,
+    // 16 hold position, oldest retained and commits, byte 32 the count of
+    // retained positions, then the positions, then the entry count and
+    // the entries, then the origin count, the low waters and the trigger.
     const std::size_t entries_at = 40 + 8 * donor.history_size();
+    const std::size_t origins_at = entries_at + 8 + 16 * donor.index_size();
+    const std::size_t trigger_at = origins_at + 8 + 8 * origins;
+    ASSERT_EQ(trigger_at + 8, b.size());
     const auto put_u64_at = [](util::bytes& m, std::size_t at,
                                std::uint64_t v) {
       for (int k = 0; k < 8; ++k)
         m[at + k] = static_cast<std::uint8_t>(v >> (8 * k));
     };
-    std::vector<util::bytes> invalid(5, b);
+    std::vector<util::bytes> invalid(8, b);
     std::swap_ranges(invalid[0].begin() + 40, invalid[0].begin() + 48,
                      invalid[0].begin() + 48);
     put_u64_at(invalid[1], 40 + 8 * (donor.history_size() - 1),
@@ -443,23 +457,26 @@ TEST(cert_snapshot, every_mutant_restores_exactly_or_throws) {
     put_u64_at(invalid[2], 32, cfg.history_window + 1);
     put_u64_at(invalid[3], entries_at + 16, donor.position() + 1);
     put_u64_at(invalid[4], 16, donor.commits() + 1);
+    put_u64_at(invalid[5], origins_at, origins - 1);
+    put_u64_at(invalid[6], origins_at, origins + 1);
+    put_u64_at(invalid[7], trigger_at, sharded_certifier::min_purge_at - 1);
     for (const util::bytes& m : invalid) {
       EXPECT_THROW(
           {
-            sharded_certifier joiner(cfg);
+            sharded_certifier joiner(cfg, origins);
             util::buffer_reader r(m.data(), m.size());
             joiner.restore(r);
           },
           invariant_violation);
     }
-    // The two counts set to all ones.
-    for (const std::size_t at : {std::size_t{32}, entries_at}) {
+    // The three counts set to all ones.
+    for (const std::size_t at : {std::size_t{32}, entries_at, origins_at}) {
       util::bytes m = b;
       std::fill(m.begin() + static_cast<std::ptrdiff_t>(at),
                 m.begin() + static_cast<std::ptrdiff_t>(at + 8), 0xff);
       EXPECT_THROW(
           {
-            sharded_certifier joiner(cfg);
+            sharded_certifier joiner(cfg, origins);
             util::buffer_reader r(m.data(), m.size());
             joiner.restore(r);
           },

@@ -5,6 +5,8 @@
 #include <algorithm>
 #include <chrono>
 #include <deque>
+#include <limits>
+#include <memory>
 #include <vector>
 
 #include "cert/reference_certifier.hpp"
@@ -518,10 +520,11 @@ TEST(reference_certifier, rollback_refuses_what_it_cannot_restore) {
 
 TEST(txn_codec, round_trip) {
   txn_payload p;
-  p.id = 0x123456789abcull;
+  p.id = db::make_txn_id(2, 0x3456789abcull);
   p.cls = 3;
   p.origin = 2;
   p.begin_pos = 777;
+  p.low_water = 700;
   p.read_set = {make_item(1, 2, 3, 4), make_granule(2, 7, 0)};
   p.write_set = {make_item(4, 5, 6, 7)};
   p.update_bytes = 321;
@@ -533,6 +536,7 @@ TEST(txn_codec, round_trip) {
   EXPECT_EQ(q.cls, p.cls);
   EXPECT_EQ(q.origin, p.origin);
   EXPECT_EQ(q.begin_pos, p.begin_pos);
+  EXPECT_EQ(q.low_water, p.low_water);
   EXPECT_EQ(q.read_set, p.read_set);
   EXPECT_EQ(q.write_set, p.write_set);
   EXPECT_EQ(q.update_bytes, p.update_bytes);
@@ -542,20 +546,20 @@ TEST(txn_codec, oversized_set_count_is_rejected_before_allocation) {
   txn_payload p;
   p.read_set = {make_item(1, 2, 3, 4)};
   util::bytes b = encode_txn(p)->written_out();
-  // The read-set count follows id (8), class (2), origin (4) and the
-  // snapshot position (8).
+  // The read-set count follows id (8), class (2), the low-water lag (4)
+  // and the snapshot position (8).
   for (int i = 0; i < 4; ++i) b[22 + i] = 0xff;
   EXPECT_THROW(decode_txn(std::make_shared<const util::byte_buffer>(b)),
                invariant_violation);
 }
 
-// Random payloads (tuples, granules, value padding) survive encode ->
-// decode -> encode byte for byte. Each encoding is then mutated — every
-// byte flipped, every truncation, 1-8 appended bytes, each set count set
-// to all ones — and each mutant either decodes to a payload whose
-// encoding is the mutant with its value padding zeroed, or throws
-// invariant_violation. Any other exception (std::bad_alloc,
-// std::length_error) fails the test.
+// Random payloads (tuples, granules, value padding, low waters) survive
+// encode -> decode -> encode byte for byte. Each encoding is then mutated
+// — every byte flipped, every truncation, 1-8 appended bytes, each set
+// count set to all ones, the low-water lag set to the snapshot and one
+// past it — and each mutant either decodes to a payload whose encoding is
+// the mutant with its value padding zeroed, or throws invariant_violation.
+// Any other exception (std::bad_alloc, std::length_error) fails the test.
 TEST(txn_codec, every_mutant_decodes_exactly_or_throws) {
   util::rng g(22);
   const auto exact_or_rejected = [](util::bytes b) {
@@ -582,10 +586,15 @@ TEST(txn_codec, every_mutant_decodes_exactly_or_throws) {
   };
   for (int rep = 0; rep < 40; ++rep) {
     txn_payload p;
-    p.id = g.next_u64();
-    p.cls = static_cast<db::txn_class>(g.uniform_int(0, 4));
     p.origin = static_cast<node_id>(g.uniform_int(0, 4));
-    p.begin_pos = g.next_u64();
+    p.id = db::make_txn_id(p.origin, g.next_u64() >> 24);
+    p.cls = static_cast<db::txn_class>(g.uniform_int(0, 4));
+    // Half the snapshots are small enough for a lag to overrun them.
+    p.begin_pos = rep % 2 == 0
+                      ? g.next_u64()
+                      : static_cast<std::uint64_t>(g.uniform_int(0, 5000));
+    p.low_water =
+        p.begin_pos - std::min<std::uint64_t>(p.begin_pos, g.next_u64() >> 32);
     p.read_set = random_set();
     p.write_set = random_set();
     p.update_bytes = static_cast<std::uint32_t>(g.uniform_int(0, 48));
@@ -605,8 +614,9 @@ TEST(txn_codec, every_mutant_decodes_exactly_or_throws) {
       longer.push_back(static_cast<std::uint8_t>(g.next_u64()));
       exact_or_rejected(longer);
     }
-    // The read-set count follows id (8), class (2), origin (4) and the
-    // snapshot position (8); the write-set count follows the read set.
+    // The read-set count follows id (8), class (2), the low-water lag (4)
+    // and the snapshot position (8); the write-set count follows the read
+    // set.
     for (const std::size_t at : {std::size_t{22}, 26 + 8 * p.read_set.size()}) {
       util::bytes m = b;
       std::fill(m.begin() + static_cast<std::ptrdiff_t>(at),
@@ -614,7 +624,42 @@ TEST(txn_codec, every_mutant_decodes_exactly_or_throws) {
                 std::uint8_t{0xff});
       exact_or_rejected(m);
     }
+    // The lag at byte 10: the whole snapshot decodes to a low water of 0,
+    // one more is rejected.
+    if (p.begin_pos < std::numeric_limits<std::uint32_t>::max()) {
+      const auto with_lag = [&b](std::uint64_t lag) {
+        util::bytes m = b;
+        for (int k = 0; k < 4; ++k)
+          m[10 + k] = static_cast<std::uint8_t>(lag >> (8 * k));
+        return std::make_shared<const util::byte_buffer>(m);
+      };
+      EXPECT_EQ(decode_txn(with_lag(p.begin_pos)).low_water, 0u);
+      EXPECT_THROW(decode_txn(with_lag(p.begin_pos + 1)),
+                   invariant_violation);
+    }
   }
+}
+
+TEST(txn_codec, encode_rejects_what_decode_could_not_restore) {
+  txn_payload p;
+  p.id = db::make_txn_id(1, 9);
+  p.origin = 1;
+  p.begin_pos = 5000000000ull;
+  p.low_water = p.begin_pos - 10;
+  EXPECT_EQ(decode_txn(encode_txn(p)).low_water, p.low_water);
+  // The origin travels in the id: another one cannot be encoded.
+  txn_payload foreign = p;
+  foreign.origin = 2;
+  EXPECT_THROW(encode_txn(foreign), invariant_violation);
+  // A low water above the snapshot, or 2^32 or more below it, has no lag.
+  txn_payload above = p;
+  above.low_water = p.begin_pos + 1;
+  EXPECT_THROW(encode_txn(above), invariant_violation);
+  txn_payload far = p;
+  far.low_water = p.begin_pos - (1ull << 32);
+  EXPECT_THROW(encode_txn(far), invariant_violation);
+  far.low_water += 1;
+  EXPECT_EQ(decode_txn(encode_txn(far)).low_water, far.low_water);
 }
 
 TEST(txn_codec, value_padding_is_not_allocated) {

@@ -10,8 +10,10 @@
 #include "core/cluster.hpp"
 #include "csrt/profiler.hpp"
 #include "tpcc/schema.hpp"
+#include "tpcc/tpcc_workload.hpp"
 #include "util/byte_buffer.hpp"
 #include "util/check.hpp"
+#include "workload/client.hpp"
 
 namespace dbsm::core {
 namespace {
@@ -234,6 +236,45 @@ TEST(replica, certification_latency_recorded_for_updates) {
   const double ms = c.site(0).cert_latency_ms().sorted()[0];
   EXPECT_GT(ms, 0.0);
   EXPECT_LT(ms, 100.0);
+}
+
+TEST(replica, low_waters_bound_the_index_under_tpcc) {
+  // Every payload carries its origin's low water, so each certifier
+  // forgets what no live snapshot can reach: at 60 TPC-C clients the
+  // index ends a few hundred ids small although the window (50,000
+  // commits) never slid and every commit is still retained.
+  cluster c(small_cluster(3));
+  std::unique_ptr<workload> wl =
+      tpcc::make_workload(tpcc::workload_profile::pentium3_1ghz());
+  util::rng root(33);
+  wl->prepare(3, 60, root);
+  std::vector<std::unique_ptr<client>> clients;
+  std::uint64_t responses = 0;
+  for (unsigned i = 0; i < 60; ++i) {
+    const unsigned site = i % 3;
+    clients.push_back(std::make_unique<client>(
+        c.sim(),
+        wl->make_source({site, i, 60}, root.fork("source" + std::to_string(i))),
+        [&c, site](db::txn_request req,
+                   std::function<void(db::txn_outcome)> done) {
+          c.site(site).submit(std::move(req), std::move(done));
+        },
+        [&](const client::result&) {
+          if (++responses == 3000) c.sim().stop();
+        },
+        root.fork("client" + std::to_string(i))));
+  }
+  c.start();
+  for (auto& cl : clients) cl->start(0);
+  c.sim().run_until(seconds(3600));
+  ASSERT_EQ(responses, 3000u);
+  for (unsigned i = 0; i < 3; ++i) {
+    const cert::sharded_certifier& cert = c.site(i).certifier();
+    EXPECT_GT(cert.commits(), 1000u) << "site " << i;
+    EXPECT_EQ(cert.history_size(), cert.commits()) << "site " << i;
+    EXPECT_LT(cert.index_size(), 4096u) << "site " << i;
+    EXPECT_GT(cert.low_water_bound(), 0u) << "site " << i;
+  }
 }
 
 TEST(replica, halted_replica_never_replies) {
