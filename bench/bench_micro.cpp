@@ -4,6 +4,7 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <array>
 
 #include "cert/reference_certifier.hpp"
 #include "cert/sharded_certifier.hpp"
@@ -111,40 +112,91 @@ BENCHMARK(BM_certify_sharded)->Arg(1)->Arg(8)->Unit(benchmark::kMicrosecond);
 
 // Certification as a tpcc_paper site sees it: TPC-C requests from three
 // origins, snapshots mostly under 32 positions old and never 128, each
-// origin's low water fed before its payload, so the bound and the size
-// trigger purge the index down to the ids no live snapshot can reach
-// (the counter reports its final size). 20,000 requests are drawn once
-// and cycled; one pass runs before timing.
-void BM_certify_low_water(benchmark::State& state) {
-  constexpr unsigned origins = 3;
-  constexpr std::uint64_t max_age = 127;
-  tpcc::workload load(tpcc::workload_profile::pentium3_1ghz(), 10,
-                      util::rng(7));
-  std::vector<db::txn_request> pool;
-  for (std::uint32_t i = 0; pool.size() < 20000; ++i)
-    pool.push_back(load.next(i % 10, i % 10));
-  cert::sharded_certifier c({}, origins);
-  util::rng g(8);
-  std::size_t next = 0;
-  const auto certify_one = [&] {
-    const db::txn_request& req = pool[next];
-    next = (next + 1) % pool.size();
-    const std::uint64_t pos = c.position();
-    const auto age = static_cast<std::uint64_t>(
-        g.uniform_int(0, g.bernoulli(1.0 / 16) ? max_age : 31));
-    c.note_low_water(static_cast<node_id>(next % origins),
-                     pos - std::min(pos, max_age));
-    const std::uint64_t begin = pos - std::min(pos, age);
-    return req.read_only() ? c.certify_read_only(begin, req.read_set)
-                           : c.certify_update(begin, req.read_set,
-                                              req.write_set);
+// origin's low water max_age behind the position, so no later snapshot of
+// that origin lies below it. 20,000 requests are drawn once and cycled.
+class low_water_stream {
+ public:
+  static constexpr unsigned origins = 3;
+  static constexpr std::uint64_t max_age = 127;
+
+  struct step {
+    const db::txn_request& req;
+    node_id origin;
+    std::uint64_t low_water;
+    std::uint64_t begin;
   };
-  for (std::size_t i = 0; i < pool.size(); ++i) certify_one();
+
+  low_water_stream() {
+    tpcc::workload load(tpcc::workload_profile::pentium3_1ghz(), 10,
+                        util::rng(7));
+    for (std::uint32_t i = 0; pool_.size() < 20000; ++i)
+      pool_.push_back(load.next(i % 10, i % 10));
+  }
+  std::size_t size() const { return pool_.size(); }
+
+  /// The next request, certified at a certifier whose position is `pos`.
+  step next(std::uint64_t pos) {
+    const db::txn_request& req = pool_[next_];
+    next_ = (next_ + 1) % pool_.size();
+    const auto age = static_cast<std::uint64_t>(
+        g_.uniform_int(0, g_.bernoulli(1.0 / 16) ? max_age : 31));
+    return {req, static_cast<node_id>(next_ % origins),
+            pos - std::min(pos, max_age), pos - std::min(pos, age)};
+  }
+
+ private:
+  std::vector<db::txn_request> pool_;
+  util::rng g_{8};
+  std::size_t next_ = 0;
+};
+
+// The indexed certifier on that stream, each low water fed before its
+// payload, so the bound and the size trigger purge the index down to the
+// ids no live snapshot can reach (the counter reports its final size).
+// One pass runs before timing.
+void BM_certify_low_water(benchmark::State& state) {
+  low_water_stream stream;
+  cert::sharded_certifier c({}, low_water_stream::origins);
+  const auto certify_one = [&] {
+    const auto s = stream.next(c.position());
+    c.note_low_water(s.origin, s.low_water);
+    return s.req.read_only()
+               ? c.certify_read_only(s.begin, s.req.read_set)
+               : c.certify_update(s.begin, s.req.read_set, s.req.write_set);
+  };
+  for (std::size_t i = 0; i < stream.size(); ++i) certify_one();
   for (auto _ : state) benchmark::DoNotOptimize(certify_one());
   state.SetItemsProcessed(state.iterations());
   state.counters["index_size"] = static_cast<double>(c.index_size());
 }
 BENCHMARK(BM_certify_low_water);
+
+// The reference scan on the same stream, driven the way the online
+// oracle (check::cert_oracle_monitor) drives it: only update payloads
+// reach it, each position settles as soon as it is certified, its low
+// water is folded into a per-origin table, and the scan forgets through
+// the table's minimum. The counter reports the write sets it stores: at
+// most about twice the commits above the bound, however long the run.
+void BM_certify_scan_low_water(benchmark::State& state) {
+  low_water_stream stream;
+  cert::reference_certifier c;
+  std::array<std::uint64_t, low_water_stream::origins> low_water{};
+  const auto certify_one = [&] {
+    const auto s = stream.next(c.position());
+    if (s.req.read_only()) return c.certify_read_only(s.begin, s.req.read_set);
+    const bool commit =
+        c.certify_update(s.begin, s.req.read_set, s.req.write_set);
+    low_water[s.origin] = s.low_water;
+    c.settle(c.position());
+    c.forget_through(*std::min_element(low_water.begin(), low_water.end()));
+    return commit;
+  };
+  for (std::size_t i = 0; i < stream.size(); ++i) certify_one();
+  for (auto _ : state) benchmark::DoNotOptimize(certify_one());
+  state.SetItemsProcessed(state.iterations());
+  state.counters["stored"] = static_cast<double>(c.stored_size());
+}
+BENCHMARK(BM_certify_scan_low_water);
 
 void BM_certify_scan(benchmark::State& state) {
   run_certify_window_bench<cert::reference_certifier>(state);

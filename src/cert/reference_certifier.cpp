@@ -106,12 +106,15 @@ void reference_certifier::evict_oldest() {
   std::size_t dead = ++head_;
   if (settled_) {
     // A rollback to the first unsettled commit restores the window
-    // before it, and the entry before that sets oldest_retained().
+    // before it, and the entry before that sets oldest_retained(). No
+    // rollback restores a write set at or below forgotten().
     const std::size_t unsettled = first_after(*settled_);
     const std::size_t keep = cfg_.history_window + 1;
-    dead = std::min(dead, unsettled > keep ? unsettled - keep : 0);
+    dead = std::min(dead, std::max(unsettled > keep ? unsettled - keep : 0,
+                                   first_after(forgotten_)));
   }
   if (2 * dead < history_.size()) return;
+  newest_erased_ = history_[dead - 1].pos;
   const std::size_t dead_ids =
       dead < history_.size() ? history_[dead].begin : ids_.size();
   ids_.erase(ids_.begin(),
@@ -128,8 +131,11 @@ void reference_certifier::rollback(std::uint64_t p) {
                                 << position_ + 1 << "]");
   const std::size_t kept = first_after(p - 1);
   // The stored entries are the newest commits; compaction erased the rest.
+  // The window before p is the newest history_window kept ones above
+  // forgotten(), and the one before it sets oldest_retained().
   const std::uint64_t erased = commits_ - history_.size();
-  DBSM_CHECK_MSG(erased == 0 || kept > cfg_.history_window,
+  DBSM_CHECK_MSG(erased == 0 || kept > cfg_.history_window ||
+                     newest_erased_ <= forgotten_,
                  "rollback to " << p
                                 << " needs write sets compaction freed");
   const std::uint64_t undone_commits = history_.size() - kept;
@@ -138,8 +144,11 @@ void reference_certifier::rollback(std::uint64_t p) {
   position_ = p - 1;
   if (kept < history_.size()) ids_.resize(history_[kept].begin);
   history_.resize(kept);
-  head_ = kept > cfg_.history_window ? kept - cfg_.history_window : 0;
-  oldest_retained_ = head_ == 0 ? 1 : history_[head_ - 1].pos + 1;
+  head_ = std::max(kept > cfg_.history_window ? kept - cfg_.history_window : 0,
+                   first_after(forgotten_));
+  oldest_retained_ = head_ > 0    ? history_[head_ - 1].pos + 1
+                     : erased > 0 ? newest_erased_ + 1
+                                  : 1;
 }
 
 void reference_certifier::settle(std::uint64_t p) {
@@ -148,12 +157,23 @@ void reference_certifier::settle(std::uint64_t p) {
   settled_ = std::max(settled(), p);
 }
 
+void reference_certifier::forget_through(std::uint64_t b) {
+  DBSM_CHECK_MSG(b <= settled(),
+                 "forget through " << b << " past settled " << settled());
+  forgotten_ = std::max(forgotten_, b);
+  while (head_ < history_.size() && history_[head_].pos <= forgotten_)
+    evict_oldest();
+}
+
 bool reference_certifier::certify_update(
     std::uint64_t begin_pos, const std::vector<db::item_id>& read_set,
     const std::vector<db::item_id>& write_set) {
   DBSM_CHECK_MSG(begin_pos <= position_,
                  "snapshot " << begin_pos << " is in the future of "
                              << position_);
+  DBSM_CHECK_MSG(begin_pos >= forgotten_,
+                 "snapshot " << begin_pos << " is below the forgotten bound "
+                             << forgotten_);
   ++position_;
   sim_duration cost = 0;
   const bool conflict = conflicts(begin_pos, read_set, &write_set, cost);
@@ -180,6 +200,9 @@ bool reference_certifier::certify_update(
 
 bool reference_certifier::certify_read_only(
     std::uint64_t begin_pos, const std::vector<db::item_id>& read_set) const {
+  DBSM_CHECK_MSG(begin_pos >= forgotten_,
+                 "snapshot " << begin_pos << " is below the forgotten bound "
+                             << forgotten_);
   sim_duration cost = 0;
   const bool conflict = conflicts(begin_pos, read_set, nullptr, cost);
   last_cost_ = cost;

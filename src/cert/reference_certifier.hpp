@@ -23,8 +23,11 @@
 // two certifiers' real and modeled costs can be compared directly.
 //
 // It is also the online 1SR oracle (check::cert_oracle_monitor), which
-// undoes orphan branches with rollback() and marks with settle() the
-// prefix no rollback can reach, so that compaction can free below it.
+// undoes orphan branches with rollback(), marks with settle() the prefix
+// no rollback can reach, so that compaction can free below it, and tells
+// forget_through() the settled low-water bound below which no later
+// snapshot lies: the write sets at or below it leave as if the window
+// had evicted them, and no decision changes.
 #ifndef DBSM_CERT_REFERENCE_CERTIFIER_HPP
 #define DBSM_CERT_REFERENCE_CERTIFIER_HPP
 
@@ -46,31 +49,44 @@ class reference_certifier {
 
   /// Certifies an update transaction at the next delivery position.
   /// Returns true to commit (its write set then enters the history).
+  /// Throws invariant_violation on a snapshot below forgotten().
   bool certify_update(std::uint64_t begin_pos,
                       const std::vector<db::item_id>& read_set,
                       const std::vector<db::item_id>& write_set);
 
   /// Certifies a read-only transaction against the current position
   /// without consuming one (read-only transactions terminate locally).
+  /// Throws invariant_violation on a snapshot below forgotten().
   bool certify_read_only(std::uint64_t begin_pos,
                          const std::vector<db::item_id>& read_set) const;
 
   /// Forgets every position >= p as if only positions < p had been
   /// certified: the counters step back and the write sets the forgotten
   /// commits evicted are live again. Needs settled() < p <= position() + 1,
-  /// and a certifier never settled must still store those write sets.
+  /// and every write set above forgotten() the window before p needs must
+  /// still be stored: a certifier never settled may have freed them.
   void rollback(std::uint64_t p);
+
+  /// Promises that no later certification has a snapshot below b
+  /// (b <= settled()): every live write set at or below b is evicted as
+  /// if the window had slid past it, and compaction may free it. A
+  /// snapshot at or above b sees the decisions and last_cost() of a
+  /// certifier never told, and max(oldest_retained(), b + 1) is the same.
+  void forget_through(std::uint64_t b);
 
   /// Marks positions <= p (p <= position()) as settled: no rollback may
   /// reach them. The first call opts in to rollback-safe compaction: the
   /// history_window + 1 write sets before the first unsettled commit stay
-  /// stored. A certifier never settled keeps no evicted write set for
+  /// stored, but for those at or below forgotten(), which no rollback
+  /// needs. A certifier never settled keeps no evicted write set for
   /// a rollback: it compacts whenever the evicted prefix is as long as
   /// the live window.
   void settle(std::uint64_t p);
 
   std::uint64_t position() const { return position_; }
   std::uint64_t settled() const { return settled_.value_or(0); }
+  /// The highest bound given to forget_through() (0: none).
+  std::uint64_t forgotten() const { return forgotten_; }
   std::uint64_t oldest_retained() const { return oldest_retained_; }
   sim_duration last_cost() const { return last_cost_; }
   std::uint64_t commits() const { return commits_; }
@@ -115,6 +131,8 @@ class reference_certifier {
   std::uint64_t position_ = 0;
   std::uint64_t oldest_retained_ = 1;
   std::optional<std::uint64_t> settled_;  // unset: never settled
+  std::uint64_t forgotten_ = 0;
+  std::uint64_t newest_erased_ = 0;  // position of the last freed write set
   mutable sim_duration last_cost_ = 0;
   /// Per-call scratch for the escalated reads and the written tuples,
   /// reused across calls so the hot path does not heap-allocate.

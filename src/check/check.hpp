@@ -22,8 +22,10 @@
 //                         commits after learning a view excluded it;
 //   cert_oracle (1SR)   — every certification decision cross-checked
 //                         against the reference scan certifier, rolled
-//                         back with orphan branches and settled where
-//                         every member decided (bounded memory);
+//                         back with orphan branches, settled where
+//                         every member decided and forgotten below the
+//                         settled low water, a snapshot below it or a
+//                         falling low water raised (bounded memory);
 //   recovery_convergence— a rejoined site carries the donor's exact state
 //                         within a bounded lag, and started recoveries
 //                         finish within a deadline;

@@ -1,7 +1,11 @@
 #include "check/monitors.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <string>
+
+#include "db/transaction.hpp"
+#include "util/check.hpp"
 
 namespace dbsm::check {
 namespace {
@@ -223,7 +227,9 @@ void primary_partition_monitor::on_decision(const decision_event& e, sink& s) {
 
 cert_oracle_monitor::cert_oracle_monitor(unsigned sites,
                                          const cert::cert_config& cfg)
-    : ref_(cfg), all_sites_(mask_of(all_members(sites))) {
+    : ref_(cfg),
+      low_water_(sites, 0),
+      all_sites_(mask_of(all_members(sites))) {
   ref_.settle(0);  // opt in to rollback-safe compaction from the start
 }
 
@@ -231,11 +237,32 @@ std::uint64_t cert_oracle_monitor::member_mask() const {
   return members_.empty() ? all_sites_ : mask_of(members_);
 }
 
-void cert_oracle_monitor::settle() {
+void cert_oracle_monitor::settle(unsigned site, sim_time at, sink& s) {
   const std::uint64_t mask = member_mask();
   std::uint64_t p = ref_.settled();
-  while (p < verdicts_.size() && (verdicts_[p].deciders & mask) == mask) ++p;
+  for (; p < verdicts_.size() && (verdicts_[p].deciders & mask) == mask; ++p) {
+    const verdict& v = verdicts_[p];
+    const node_id origin = db::txn_site(v.txn_id);
+    DBSM_CHECK_MSG(origin < low_water_.size(),
+                   "txn " << v.txn_id << " from site " << origin
+                          << " outside the " << low_water_.size()
+                          << " sites of the initial view");
+    std::uint64_t& lw = low_water_[origin];
+    if (v.low_water < lw) {
+      s.raise({std::string(name()), site, at,
+               "txn " + std::to_string(v.txn_id) + " at position " +
+                   std::to_string(p + 1) + " lowers site " +
+                   std::to_string(origin) + "'s settled low water from " +
+                   std::to_string(lw) + " to " + std::to_string(v.low_water)});
+      continue;
+    }
+    const bool was_min = lw == bound_;
+    lw = v.low_water;
+    if (was_min)
+      bound_ = *std::min_element(low_water_.begin(), low_water_.end());
+  }
   ref_.settle(p);
+  ref_.forget_through(bound_);
 }
 
 void cert_oracle_monitor::on_decision(const decision_event& e, sink& s) {
@@ -248,11 +275,27 @@ void cert_oracle_monitor::on_decision(const decision_event& e, sink& s) {
     return;
   }
   if (idx == verdicts_.size()) {
-    // First site to reach position n: feed the oracle.
+    // First site to reach position n: feed the oracle, which forgot the
+    // write sets at or below the bound.
+    if (e.txn->begin_pos < bound_) {
+      s.raise({std::string(name()), e.site, e.at,
+               "txn " + std::to_string(e.txn->id) + " from site " +
+                   std::to_string(db::txn_site(e.txn->id)) +
+                   " at position " + std::to_string(n) + " has snapshot " +
+                   std::to_string(e.txn->begin_pos) +
+                   " below the settled low-water bound " +
+                   std::to_string(bound_) + " (left uncertified)"});
+      return;
+    }
+    DBSM_CHECK_MSG(
+        e.txn->low_water <= std::numeric_limits<std::uint32_t>::max(),
+        "low water " << e.txn->low_water << " of txn " << e.txn->id
+                     << " past 2^32 - 1");
     verdicts_.push_back(verdict{
         e.txn->id, 0,
         ref_.certify_update(e.txn->begin_pos, e.txn->read_set,
-                            e.txn->write_set)});
+                            e.txn->write_set),
+        static_cast<std::uint32_t>(e.txn->low_water)});
   } else if (idx > verdicts_.size()) {
     s.raise({std::string(name()), e.site, e.at,
              "decision at position " + std::to_string(n) +
@@ -278,7 +321,7 @@ void cert_oracle_monitor::on_decision(const decision_event& e, sink& s) {
     return;
   }
   v.deciders |= site_bit(e.site);
-  settle();
+  settle(e.site, e.at, s);
 }
 
 void cert_oracle_monitor::on_view(const view_event& e, sink& s) {
@@ -306,7 +349,7 @@ void cert_oracle_monitor::on_view(const view_event& e, sink& s) {
     verdicts_.resize(i);
     break;
   }
-  settle();
+  settle(e.site, e.at, s);
 }
 
 // --- (5) recovery convergence ------------------------------------------

@@ -122,8 +122,26 @@ class primary_partition_monitor final : public monitor {
 /// oracle stores only the window before it plus the unsettled tail. A
 /// view that would still roll back into the settled prefix — possible
 /// only once the chain rule is broken — is a violation.
+///
+/// The settled low water: each payload carries its origin's low water,
+/// below which no later payload of that origin has its snapshot
+/// (cert::txn_payload::low_water). The monitor keeps one per site of the
+/// initial view, folded in position order from settled positions only,
+/// so an orphan branch's low waters never enter it and a rollback never
+/// has to undo it. The bound is their minimum; the oracle forgets every
+/// write set at or below it (cert::reference_certifier::forget_through),
+/// so in a crash-free run it stores about the write sets above the
+/// oldest in-flight snapshot. Only update payloads reach the oracle, so
+/// its bound never passes the replicas' (low_water_bound()). The
+/// monitor checks the promise it relies on instead of trusting it: a
+/// snapshot below the bound at the first decider is a violation and is
+/// not certified, and so is an origin whose settled low water falls.
+/// Every verdict is exact or a violation is raised instead. A site that
+/// never broadcasts (a dedicated sequencer) or a crashed one holds the
+/// bound at its last settled low water.
 class cert_oracle_monitor final : public monitor {
  public:
+  /// `sites` sizes the low-water table: ids 0 .. sites − 1.
   cert_oracle_monitor(unsigned sites, const cert::cert_config& cfg);
   std::string_view name() const override { return "cert_oracle"; }
   void on_decision(const decision_event& e, sink& s) override;
@@ -138,14 +156,20 @@ class cert_oracle_monitor final : public monitor {
     std::uint64_t txn_id = 0;
     std::uint64_t deciders = 0;  // bitmask of sites seen deciding it
     bool commit = false;
+    std::uint32_t low_water = 0;  // the payload's, folded once settled
   };
+  static_assert(sizeof(verdict) == 24);
 
   std::uint64_t member_mask() const;
-  /// Settles the positions every member of the latest view has decided.
-  void settle();
+  /// Settles the positions every member of the latest view has decided,
+  /// folds their low waters and forgets through the bound. A falling low
+  /// water is raised at `site` and `at`, the event that settled it.
+  void settle(unsigned site, sim_time at, sink& s);
 
   cert::reference_certifier ref_;
   std::vector<verdict> verdicts_;  // verdicts_[n - 1] = oracle at position n
+  std::vector<std::uint64_t> low_water_;  // per site of the initial view
+  std::uint64_t bound_ = 0;               // min of low_water_
   std::uint64_t all_sites_;        // the initial view's member mask
   std::vector<node_id> members_;   // latest primary view (empty: all sites)
   std::uint32_t top_id_ = 1;

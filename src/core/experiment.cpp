@@ -219,7 +219,7 @@ experiment_result run_experiment(const experiment_config& cfg) {
     result.sites.push_back(sr);
 
     site_log_input in;
-    in.log = c.site(i).commit_log();
+    in.log = c.site(i).commit_log();  // in place: the cluster outlives it
     in.state = sr.state == cluster::site_status::operational
                    ? site_log_input::kind::operational
                : sr.state == cluster::site_status::rejoined

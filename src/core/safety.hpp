@@ -5,6 +5,7 @@
 #define DBSM_CORE_SAFETY_HPP
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -26,8 +27,9 @@ struct safety_report {
   std::size_t orphaned = 0;
 };
 
-/// Per-site input for the check: the site's full commit log, its
-/// end-of-run life-cycle state, and the committed count it reported
+/// Per-site input for the check: the site's full commit log, read in
+/// place (the caller keeps it alive through the check), its end-of-run
+/// life-cycle state, and the committed count it reported
 /// (experiment_result::sites) to cross-check against the log itself.
 struct site_log_input {
   enum class kind : std::uint8_t {
@@ -35,7 +37,7 @@ struct site_log_input {
     crashed,      // crash-stopped or mid-recovery: may lag arbitrarily
     rejoined,     // recovered: must have converged (bounded lag only)
   };
-  std::vector<std::uint64_t> log;
+  std::span<const std::uint64_t> log;
   kind state = kind::operational;
   std::uint64_t reported_committed = 0;
 };

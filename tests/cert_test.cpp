@@ -416,9 +416,13 @@ TEST(reference_certifier, seeded_stream_output_is_pinned) {
 // rollback(p) against a fresh certifier fed only the kept prefix. Random
 // streams run through windows of 4-16, so commits evict; each is settled
 // at random points and rolled back to random positions past the settled
-// prefix, often further back than the window. After each rollback the
-// counters and the live window must be the fresh certifier's, and on a
-// random continuation both must decide alike at the same modeled cost.
+// prefix, often further back than the window. Every other stream also
+// forgets through random bounds at or below the settled prefix and draws
+// its snapshots at or above the bound from then on. After each rollback
+// the counters must be the fresh, never-forgetting certifier's, and so
+// must max(oldest_retained(), bound + 1) and, before any forgetting, the
+// live window; on a random continuation both must decide alike at the
+// same modeled cost.
 TEST(reference_certifier, rollback_matches_a_certifier_fed_the_kept_prefix) {
   struct txn {
     bool read_only = false;
@@ -430,11 +434,12 @@ TEST(reference_certifier, rollback_matches_a_certifier_fed_the_kept_prefix) {
     return static_cast<std::uint64_t>(g.uniform_int(
         static_cast<std::int64_t>(lo), static_cast<std::int64_t>(hi)));
   };
-  const auto random_txn = [&](std::uint64_t position) {
+  // A snapshot up to 24 positions back, but not below `floor`.
+  const auto random_txn = [&](std::uint64_t position, std::uint64_t floor) {
     txn t;
     t.read_only = g.bernoulli(0.1);
     const std::uint64_t lag = uniform(0, 24);
-    t.begin = position > lag ? position - lag : 0;
+    t.begin = std::max(position > lag ? position - lag : 0, floor);
     for (std::uint64_t k = uniform(0, 3); k > 0; --k)
       t.rs.push_back(g.bernoulli(0.3) ? gran(uniform(0, 15))
                                       : tup(uniform(0, 200)));
@@ -452,7 +457,9 @@ TEST(reference_certifier, rollback_matches_a_certifier_fed_the_kept_prefix) {
                        : c.certify_update(t.begin, t.rs, t.ws);
   };
   std::uint64_t restored = 0;  // rollbacks that brought evicted sets back
+  std::uint64_t forgot = 0;    // rollbacks leaving fewer live write sets
   for (int stream = 0; stream < 60; ++stream) {
+    const bool forgets = stream % 2 == 1;
     cert_config cfg;
     cfg.history_window = uniform(4, 16);
     reference_certifier c(cfg);
@@ -460,10 +467,12 @@ TEST(reference_certifier, rollback_matches_a_certifier_fed_the_kept_prefix) {
     std::vector<txn> kept;  // the updates c has certified, by position
     for (int round = 0; round < 6; ++round) {
       for (std::uint64_t i = uniform(0, 80); i > 0; --i) {
-        const txn t = random_txn(c.position());
+        const txn t = random_txn(c.position(), c.forgotten());
         feed(c, t);
         if (!t.read_only) kept.push_back(t);
         if (g.bernoulli(0.05)) c.settle(uniform(c.settled(), c.position()));
+        if (forgets && g.bernoulli(0.1))
+          c.forget_through(uniform(c.forgotten(), c.settled()));
       }
       const std::uint64_t oldest = c.oldest_retained();
       const std::uint64_t p = uniform(c.settled() + 1, c.position() + 1);
@@ -471,14 +480,21 @@ TEST(reference_certifier, rollback_matches_a_certifier_fed_the_kept_prefix) {
       kept.resize(p - 1);
       reference_certifier fresh(cfg);
       for (const txn& t : kept) feed(fresh, t);
+      const std::uint64_t b = c.forgotten();
       ASSERT_EQ(c.position(), fresh.position());
-      ASSERT_EQ(c.oldest_retained(), fresh.oldest_retained());
+      ASSERT_EQ(std::max(c.oldest_retained(), b + 1),
+                std::max(fresh.oldest_retained(), b + 1));
       ASSERT_EQ(c.commits(), fresh.commits());
       ASSERT_EQ(c.aborts(), fresh.aborts());
-      ASSERT_EQ(c.history_size(), fresh.history_size());
+      if (b == 0) {
+        ASSERT_EQ(c.history_size(), fresh.history_size());
+      } else {
+        ASSERT_LE(c.history_size(), fresh.history_size());
+        if (c.history_size() < fresh.history_size()) ++forgot;
+      }
       if (c.oldest_retained() < oldest) ++restored;
       for (int i = 0; i < 30; ++i) {
-        const txn t = random_txn(c.position());
+        const txn t = random_txn(c.position(), b);
         ASSERT_EQ(feed(c, t), feed(fresh, t))
             << "stream " << stream << " round " << round << " txn " << i;
         ASSERT_EQ(c.last_cost(), fresh.last_cost());
@@ -487,6 +503,7 @@ TEST(reference_certifier, rollback_matches_a_certifier_fed_the_kept_prefix) {
     }
   }
   EXPECT_GT(restored, 60u);
+  EXPECT_GT(forgot, 30u);
 }
 
 TEST(reference_certifier, rollback_refuses_what_it_cannot_restore) {
@@ -514,6 +531,29 @@ TEST(reference_certifier, rollback_refuses_what_it_cannot_restore) {
   EXPECT_THROW(settled.rollback(1), invariant_violation);  // settled
   EXPECT_THROW(settled.rollback(3), invariant_violation);  // the future
   EXPECT_THROW(settled.settle(2), invariant_violation);
+  // Forgetting is bounded by the settled prefix, and no snapshot may
+  // then fall below the bound.
+  EXPECT_THROW(settled.forget_through(2), invariant_violation);
+  settled.forget_through(1);
+  EXPECT_THROW(settled.certify_update(0, {}, {tup(2)}), invariant_violation);
+  EXPECT_THROW(settled.certify_read_only(0, {gran(1)}), invariant_violation);
+  EXPECT_EQ(settled.position(), 1u);
+
+  // A rollback over a compacted prefix that lies wholly at or below the
+  // bound: positions 1-8 are forgotten, 1-7 freed and 8-10 stored.
+  reference_certifier forgetting(cfg);
+  forgetting.settle(0);
+  for (std::uint64_t i = 0; i < 10; ++i)
+    ASSERT_TRUE(forgetting.certify_update(i, {}, {tup(i)}));
+  forgetting.settle(8);
+  forgetting.forget_through(8);
+  ASSERT_EQ(forgetting.stored_size(), 3u);
+  forgetting.rollback(9);
+  EXPECT_EQ(forgetting.position(), 8u);
+  EXPECT_EQ(forgetting.commits(), 8u);
+  EXPECT_EQ(forgetting.history_size(), 0u);
+  EXPECT_EQ(forgetting.oldest_retained(), 9u);
+  EXPECT_TRUE(forgetting.certify_update(8, {}, {tup(7)}));
 }
 
 // ---------- codec ----------

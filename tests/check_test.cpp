@@ -13,6 +13,8 @@
 #include "catalog_run.hpp"
 #include "check/check.hpp"
 #include "check/monitors.hpp"
+#include "db/transaction.hpp"
+#include "util/rng.hpp"
 #include "workload/kv.hpp"
 
 namespace dbsm::check {
@@ -328,6 +330,99 @@ TEST(cert_oracle, stored_write_sets_stay_within_the_window) {
       EXPECT_EQ(peak, positions);
     }
   }
+}
+
+TEST(cert_oracle, forgets_write_sets_below_the_settled_low_water) {
+  // Origins take turns at the default window, which never slides here.
+  // Each snapshot trails its position by up to 4 and each low water is 6
+  // behind the position, so 2-6 behind the snapshot and below every later
+  // snapshot of its origin. Every site decides each position with the
+  // verdict of a reference certifier that never forgets, and writes
+  // collide often enough to abort. With all three origins broadcasting,
+  // the bound trails the position by about 8 and the oracle stores a
+  // constant number of write sets however long the run; with origin 2
+  // silent, the bound stays 0 and every write set stays, as without low
+  // waters.
+  constexpr std::uint64_t positions = 3000;
+  for (const unsigned origins : {3u, 2u}) {
+    checker c(no_halt());
+    auto owned = std::make_unique<cert_oracle_monitor>(3, cert::cert_config{});
+    const cert_oracle_monitor& m = *owned;
+    c.add(std::move(owned));
+    cert::reference_certifier expected;
+    util::rng g(origins);
+    std::size_t peak = 0;
+    for (std::uint64_t n = 1; n <= positions; ++n) {
+      const auto origin = static_cast<node_id>(n % origins);
+      const auto lag = static_cast<std::uint64_t>(g.uniform_int(0, 4));
+      auto t = make_txn(db::make_txn_id(origin, n),
+                        n - 1 - std::min(n - 1, lag), {},
+                        {2 * static_cast<db::item_id>(n % 4)});
+      t.origin = origin;
+      t.low_water = n - 1 - std::min<std::uint64_t>(n - 1, 6);
+      const bool commit =
+          expected.certify_update(t.begin_pos, t.read_set, t.write_set);
+      for (unsigned site = 0; site < 3; ++site)
+        c.decision(commit_at(site, n, t, n, 0, commit));
+      peak = std::max(peak, m.oracle_stored_size());
+    }
+    EXPECT_TRUE(c.ok()) << c.get_report().summary();
+    EXPECT_GT(expected.aborts(), 0u);
+    if (origins == 3) {
+      EXPECT_LE(peak, 32u);
+    } else {
+      EXPECT_EQ(m.oracle_stored_size(), expected.commits());
+    }
+  }
+}
+
+TEST(cert_oracle, a_broken_low_water_promise_is_a_violation) {
+  checker c(no_halt());
+  c.add(std::make_unique<cert_oracle_monitor>(2, cert::cert_config{}));
+  // Sites 0 and 1 each settle a payload with low water 5: the bound is 5.
+  for (std::uint64_t n = 1; n <= 8; ++n) {
+    const auto origin = static_cast<node_id>(n % 2);
+    auto t = make_txn(db::make_txn_id(origin, n), n - 1, {}, {2 * n});
+    t.origin = origin;
+    t.low_water = n < 7 ? 0 : 5;
+    for (unsigned site = 0; site < 2; ++site)
+      c.decision(commit_at(site, n, t, n));
+  }
+  ASSERT_TRUE(c.ok()) << c.get_report().summary();
+  // Site 1's next payload has snapshot 4, below the bound: a violation
+  // naming the transaction, its snapshot, its origin and the bound.
+  const std::uint64_t below = db::make_txn_id(1, 9);
+  auto t = make_txn(below, 4, {}, {40});
+  t.origin = 1;
+  t.low_water = 4;
+  c.decision(commit_at(1, 9, t, 9, seconds(3)));
+  ASSERT_EQ(c.get_report().violations.size(), 1u);
+  const violation& v = c.get_report().violations[0];
+  EXPECT_EQ(v.invariant, "cert_oracle");
+  EXPECT_EQ(v.site, 1u);
+  EXPECT_EQ(v.at, seconds(3));
+  for (const std::string& evidence :
+       {"txn " + std::to_string(below), std::string("from site 1"),
+        std::string("snapshot 4"), std::string("bound 5")})
+    EXPECT_NE(v.evidence.find(evidence), std::string::npos) << v.evidence;
+  // The position was left uncertified: a snapshot at the bound fills it.
+  // Its low water, 3, is below site 1's settled 5: a violation once both
+  // sites decide it.
+  const std::uint64_t falls = db::make_txn_id(1, 10);
+  auto u = make_txn(falls, 5, {}, {50});
+  u.origin = 1;
+  u.low_water = 3;
+  c.decision(commit_at(0, 9, u, 9));
+  EXPECT_EQ(c.get_report().violations.size(), 1u);
+  c.decision(commit_at(1, 9, u, 9, seconds(4)));
+  ASSERT_EQ(c.get_report().violations.size(), 2u);
+  const violation& w = c.get_report().violations[1];
+  EXPECT_EQ(w.invariant, "cert_oracle");
+  EXPECT_EQ(w.at, seconds(4));
+  for (const std::string& evidence :
+       {"txn " + std::to_string(falls), std::string("position 9"),
+        std::string("site 1's settled low water from 5 to 3")})
+    EXPECT_NE(w.evidence.find(evidence), std::string::npos) << w.evidence;
 }
 
 TEST(cert_oracle, fault_catalog_is_clean_at_an_evicting_window) {

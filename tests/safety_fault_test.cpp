@@ -156,7 +156,8 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 /// One checker input per log: every site operational, reporting exactly
-/// the commits its log holds.
+/// the commits its log holds. The inputs read `logs` in place, so the
+/// caller keeps it alive through the check.
 std::vector<site_log_input> operational_sites(
     const std::vector<std::vector<std::uint64_t>>& logs) {
   std::vector<site_log_input> sites;
@@ -164,7 +165,7 @@ std::vector<site_log_input> operational_sites(
     site_log_input s;
     s.log = log;
     s.reported_committed = log.size();
-    sites.push_back(std::move(s));
+    sites.push_back(s);
   }
   return sites;
 }
@@ -184,7 +185,9 @@ TEST(safety_checker, accepts_prefix_lag) {
 }
 
 TEST(safety_checker, crashed_site_lags_freely_and_its_orphans_are_counted) {
-  auto sites = operational_sites({{1, 2, 3, 4}, {1, 2, 3, 4}, {1, 2, 9, 8}});
+  const std::vector<std::vector<std::uint64_t>> logs{
+      {1, 2, 3, 4}, {1, 2, 3, 4}, {1, 2, 9, 8}};
+  auto sites = operational_sites(logs);
   sites[2].state = site_log_input::kind::crashed;
   const auto report = check_commit_logs(sites);
   EXPECT_TRUE(report.ok) << report.detail;
@@ -193,13 +196,15 @@ TEST(safety_checker, crashed_site_lags_freely_and_its_orphans_are_counted) {
   EXPECT_EQ(report.first_mismatch_site, -1);
 
   // A crashed site that merely lags holds no orphan.
-  sites[2].log = {1};
+  const std::vector<std::uint64_t> lagging{1};
+  sites[2].log = lagging;
   sites[2].reported_committed = 1;
   EXPECT_EQ(check_commit_logs(sites).orphaned, 0u);
 }
 
 TEST(safety_checker, reported_count_must_match_the_log) {
-  auto sites = operational_sites({{1, 2, 3}, {1, 2, 3}});
+  const std::vector<std::vector<std::uint64_t>> logs{{1, 2, 3}, {1, 2, 3}};
+  auto sites = operational_sites(logs);
   sites[1].reported_committed = 4;
   const auto report = check_commit_logs(sites);
   EXPECT_FALSE(report.ok);
@@ -209,8 +214,9 @@ TEST(safety_checker, reported_count_must_match_the_log) {
 TEST(safety_checker, rejoined_site_must_converge_within_the_lag_bound) {
   std::vector<std::uint64_t> full(60);
   for (std::size_t i = 0; i < full.size(); ++i) full[i] = i + 1;
-  const std::vector<std::uint64_t> behind(full.begin(), full.begin() + 20);
-  auto sites = operational_sites({full, full, behind});
+  std::vector<std::vector<std::uint64_t>> logs{
+      full, full, {full.begin(), full.begin() + 20}};
+  auto sites = operational_sites(logs);
   sites[2].state = site_log_input::kind::rejoined;
   const auto far = check_commit_logs(sites, /*rejoin_max_lag=*/30);
   EXPECT_FALSE(far.ok);
@@ -218,7 +224,7 @@ TEST(safety_checker, rejoined_site_must_converge_within_the_lag_bound) {
   EXPECT_TRUE(check_commit_logs(sites, /*rejoin_max_lag=*/40).ok);
 
   // A rejoined site is live: it must agree position-wise.
-  sites[2].log[5] = 999;
+  logs[2][5] = 999;
   const auto diverged = check_commit_logs(sites, 40);
   EXPECT_FALSE(diverged.ok);
   EXPECT_EQ(diverged.first_mismatch_site, 2);
