@@ -184,7 +184,6 @@ experiment_result run_experiment(const experiment_config& cfg) {
     result.disk_utilization += c.site(i).server().disk().utilization();
     for (double v : c.site(i).cert_latency_ms().sorted())
       result.cert_latency_ms.add(v);
-    result.commit_logs.push_back(c.site(i).commit_log());
     const auto& rs = c.group(i).rmcast_stats();
     result.naks_sent += rs.naks_sent;
     result.retransmissions += rs.retransmissions;
@@ -242,6 +241,9 @@ experiment_result run_experiment(const experiment_config& cfg) {
     checker->run_end(c.sim().now());
     result.checks = checker->get_report();
   }
+  // Both checks are done with the logs, so the result takes them over.
+  for (unsigned i : operational)
+    result.commit_logs.push_back(c.site(i).take_commit_log());
   return result;
 }
 

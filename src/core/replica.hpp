@@ -164,6 +164,11 @@ class replica {
   /// Sequence of committed update transactions (identical at all
   /// operational sites — the off-line safety check input, §5.3).
   const std::vector<std::uint64_t>& commit_log() const { return commit_log_; }
+  /// Moves the commit log out, leaving this replica's empty: for the end
+  /// of a run, once nothing reads it in place.
+  std::vector<std::uint64_t> take_commit_log() {
+    return std::move(commit_log_);
+  }
 
   /// Certification latency at the origin site: multicast → decision
   /// applied (Fig 7b).

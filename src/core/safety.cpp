@@ -12,10 +12,15 @@ safety_report check_commit_logs(const std::vector<site_log_input>& sites,
 
   // Position-wise agreement among live sites: their logs define the
   // consensus order (sites may lag by in-flight transactions, never
-  // disagree).
-  std::vector<std::uint64_t> order;
+  // disagree), so once they agree the longest live log is that order.
+  std::span<const std::uint64_t> order;
   std::size_t longest = 0;
-  for (const auto& s : sites) longest = std::max(longest, s.log.size());
+  for (const auto& s : sites) {
+    longest = std::max(longest, s.log.size());
+    if (s.state != site_log_input::kind::crashed &&
+        s.log.size() > order.size())
+      order = s.log;
+  }
   for (std::size_t pos = 0; pos < longest; ++pos) {
     std::uint64_t expect = 0;
     bool have = false;
@@ -39,7 +44,6 @@ safety_report check_commit_logs(const std::vector<site_log_input>& sites,
         return report;
       }
     }
-    if (have) order.push_back(expect);
   }
 
   // A crashed site must match the consensus order up to its first

@@ -14,7 +14,71 @@ db::item_id tuple_of(db::item_id g, std::uint32_t row) {
                        db::item_district(g), row);
 }
 
+/// A bitmap grows by at most this many words (4,096 rows) at a time, so a
+/// dense granule keeps at most 512 B of slack past its last row.
+constexpr std::size_t max_bitmap_step = 128;
+
 }  // namespace
+
+bool granule_store::row_set::insert(std::uint32_t row) {
+  const std::size_t word = row / 32;
+  const std::uint32_t bit = std::uint32_t{1} << (row % 32);
+  if (bitmap_) {
+    if (word < words_.size()) {
+      if ((words_[word] & bit) != 0) return false;
+    } else if (word + 1 > 2 * (std::size_t{count_} + 1)) {
+      // A far row: the bitmap would be more than twice the array.
+      to_array();
+      words_.push_back(row);  // above every row of the bitmap
+      ++count_;
+      return true;
+    } else {
+      make_room(word + 1);
+      words_.resize(word + 1);
+    }
+    words_[word] |= bit;
+    ++count_;
+    return true;
+  }
+  const auto at = std::lower_bound(words_.begin(), words_.end(), row);
+  if (at != words_.end() && *at == row) return false;
+  const std::uint32_t max_row = at == words_.end() ? row : words_.back();
+  if (max_row / 32 + 1 <= std::size_t{count_} + 1) {
+    // The bitmap over [0, max_row] is no larger than the array.
+    to_bitmap(max_row);
+    words_[word] |= bit;
+  } else {
+    const auto i = at - words_.begin();
+    make_room(words_.size() + 1);
+    words_.insert(words_.begin() + i, row);
+  }
+  ++count_;
+  return true;
+}
+
+void granule_store::row_set::make_room(std::size_t n) {
+  const std::size_t cap = words_.capacity();
+  if (n <= cap) return;
+  std::size_t step = std::max<std::size_t>(cap / 4, 4);
+  if (bitmap_) step = std::min(step, max_bitmap_step);
+  words_.reserve(std::max(n, cap + step));
+}
+
+void granule_store::row_set::to_bitmap(std::uint32_t max_row) {
+  std::vector<std::uint32_t> bits(max_row / 32 + 1, 0);
+  for (const std::uint32_t row : words_)
+    bits[row / 32] |= std::uint32_t{1} << (row % 32);
+  words_ = std::move(bits);
+  bitmap_ = true;
+}
+
+void granule_store::row_set::to_array() {
+  std::vector<std::uint32_t> rows;
+  rows.reserve(std::size_t{count_} + 1);
+  for_each([&](std::uint32_t row) { rows.push_back(row); });
+  words_ = std::move(rows);
+  bitmap_ = false;
+}
 
 granule_store::granule_state& granule_store::state_of(db::item_id g) {
   const auto [s, fresh] =
@@ -57,7 +121,7 @@ void granule_store::apply(const std::vector<db::item_id>& write_set,
     if (db::is_granule(it)) continue;
     // First write of a tuple materializes it; later writes overwrite in
     // place and do not grow the modeled database.
-    if (st->rows.insert_or_assign(db::item_row(it))) {
+    if (st->rows.insert(db::item_row(it))) {
       st->data_bytes += share;
       if (owned) {
         durable_bytes_ += share;
@@ -82,18 +146,14 @@ void granule_store::snapshot_for(util::buffer_writer& w,
               return a.granule < b.granule;
             });
   w.put_u32(static_cast<std::uint32_t>(slice.size()));
-  std::vector<db::item_id> sorted;
   for (const dir_slot& s : slice) {
     const granule_state& st = states_[s.state];
     w.put_u64(s.granule);
     w.put_u64(st.updates);
     w.put_u64(st.data_bytes);
-    w.put_u32(static_cast<std::uint32_t>(st.rows.size()));
-    sorted.clear();
+    w.put_u32(st.rows.size());
     st.rows.for_each(
-        [&](std::uint32_t row) { sorted.push_back(tuple_of(s.granule, row)); });
-    std::sort(sorted.begin(), sorted.end());
-    for (const db::item_id t : sorted) w.put_u64(t);
+        [&](std::uint32_t row) { w.put_u64(tuple_of(s.granule, row)); });
   }
   // The tuple data itself, modeled as padding of the slice's total size —
   // this is what makes a k-of-N snapshot genuinely smaller on the wire.
@@ -122,12 +182,19 @@ void granule_store::restore(util::buffer_reader& r) {
                                         << " data bytes past the end");
     data += st.data_bytes;
     const std::uint32_t ntuples = r.get_u32();
+    db::item_id prev_tuple = 0;
     for (std::uint32_t t = 0; t < ntuples; ++t) {
       const db::item_id id = r.get_u64();
       DBSM_CHECK_MSG(!db::is_granule(id), "granule id in a tuple list: " << id);
       DBSM_CHECK_MSG(db::granule_of(id) == g,
                      "tuple " << id << " listed under granule " << g);
-      st.rows.insert_or_assign(db::item_row(id));
+      // snapshot_for lists each tuple once, in ascending id order, so the
+      // listed count is the number of rows stored.
+      DBSM_CHECK_MSG(t == 0 || id > prev_tuple,
+                     "granule snapshot: tuple " << id << " after "
+                                                << prev_tuple);
+      prev_tuple = id;
+      st.rows.insert(db::item_row(id));
     }
     state_of(g) = std::move(st);
   }

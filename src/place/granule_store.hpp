@@ -20,11 +20,26 @@
 // simulated behavior to runs without the store.
 //
 // The directory is a flat table from granule id to an index into a vector
-// of granule states, each holding its tuples in a flat set. The tuples of
-// one granule differ only in their 25-bit row (db/item.hpp), so the set
-// keeps 32-bit rows, and the granule id supplies the rest of each tuple
-// id. Neither table keeps an order, so snapshot_for sorts the granule ids
-// and each granule's rebuilt tuple ids before it writes them.
+// of granule states. The tuples of one granule differ only in their
+// 25-bit row (db/item.hpp), so each state keeps the rows of its written
+// tuples in a row_set, and the granule id supplies the rest of each
+// tuple id. A row_set holds its rows in one of two forms:
+//
+//   * a sorted array of 32-bit rows;
+//   * a bitmap over [0, max row], one bit per row in 32-bit words.
+//
+// Either grows its capacity by a quarter, not by doubling, and a bitmap
+// by at most 512 B at a time.
+//
+// The data picks the form. An insert that leaves the bitmap over
+// [0, max row] no larger than the array (words <= rows) turns the array
+// into that bitmap; a row past the bitmap that would make it more than
+// twice the array (words > 2 x rows) turns the bitmap back into an
+// array. Scattered rows (a history granule's, drawn from the whole row
+// space) stay an array at 4 B a row; dense ones (a warehouse's stock
+// once a few percent of it is written) become a bitmap at under 1 B a
+// row. Both forms list their rows in ascending order, so snapshot_for
+// sorts only the granule ids.
 //
 // snapshot_for(site) serializes the directory slice a joining `site`
 // replicates (granules and each granule's tuples in ascending id order),
@@ -35,6 +50,8 @@
 #ifndef DBSM_PLACE_GRANULE_STORE_HPP
 #define DBSM_PLACE_GRANULE_STORE_HPP
 
+#include <bit>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -78,17 +95,44 @@ class granule_store {
   /// state wholesale; durable accounting is recomputed. Entries for
   /// granules this site does not replicate are still installed into the
   /// directory (they refresh the joiner's stale view of them). Throws
-  /// invariant_violation on a listed tuple outside its granule.
+  /// invariant_violation on a listed tuple outside its granule, or on a
+  /// granule's tuples not strictly ascending, as snapshot_for lists them.
   void restore(util::buffer_reader& r);
 
  private:
-  /// Rows are 25 bits wide, so the all-ones row marks an empty slot.
-  struct row_policy {
-    static std::uint64_t key(std::uint32_t row) { return row; }
-    static bool empty(std::uint32_t row) { return row == ~std::uint32_t{0}; }
-    static std::uint32_t empty_slot() { return ~std::uint32_t{0}; }
+  /// The rows of one granule's written tuples (see header).
+  class row_set {
+   public:
+    std::uint32_t size() const { return count_; }
+    /// Adds `row`; false when it was there already.
+    bool insert(std::uint32_t row);
+    /// Calls `fn(row)` for every row, in ascending order.
+    template <typename Fn>
+    void for_each(Fn&& fn) const {
+      if (!bitmap_) {
+        for (const std::uint32_t row : words_) fn(row);
+        return;
+      }
+      for (std::size_t w = 0; w < words_.size(); ++w)
+        for (std::uint32_t bits = words_[w]; bits != 0; bits &= bits - 1)
+          fn(static_cast<std::uint32_t>(w * 32 + std::countr_zero(bits)));
+    }
+
+   private:
+    /// Makes room for `n` words, growing the capacity by a quarter.
+    void make_room(std::size_t n);
+    /// Replaces the array by the bitmap over [0, `max_row`].
+    void to_bitmap(std::uint32_t max_row);
+    /// Replaces the bitmap by the array of its rows, with room for one
+    /// more.
+    void to_array();
+
+    /// The sorted rows, or the bitmap's words (bit r % 32 of word r / 32
+    /// is row r).
+    std::vector<std::uint32_t> words_;
+    std::uint32_t count_ = 0;
+    bool bitmap_ = false;
   };
-  using row_set = util::open_table<std::uint32_t, row_policy>;
 
   struct granule_state {
     std::uint64_t updates = 0;     // committed updates that touched it

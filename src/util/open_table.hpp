@@ -2,7 +2,7 @@
 //
 // The one implementation behind the per-write tables of the hot path:
 // cert::last_writer_index (item id -> last writer position), the
-// place::granule_store directory and its per-granule tuple sets, and the
+// place::granule_store directory (granule id -> state), and the
 // db::lock_table's item and transaction tables. Slots live in one
 // power-of-two array kept at most 3/4 full. Lookup probes linearly from
 // the key's home slot (Fibonacci hashing) to the first empty slot. There
@@ -19,8 +19,7 @@
 //   static bool empty(const Slot&);
 //   static Slot empty_slot();
 // A slot may be narrower than a 64-bit key: the last-writer index keeps
-// its ids as two 32-bit halves that key() joins again, and a granule's
-// tuple set keys by the 32-bit row alone.
+// its ids as two 32-bit halves that key() joins again.
 //
 // Contents, and therefore for_each order, are a pure function of the
 // operation sequence, so runs stay deterministic. The order itself is

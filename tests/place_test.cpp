@@ -6,7 +6,10 @@
 // fault campaigns with the online monitors armed.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "check/check.hpp"
@@ -221,6 +224,121 @@ TEST(granule_store, snapshot_bytes_are_pinned_and_round_trip) {
   EXPECT_EQ(combined, 10295361786548623698ull);
 }
 
+// Differential: a store fed random write streams against a std::set
+// model. Each granule's rows are of one shape: dense below 200, ascending
+// from 5,000, scattered over the whole row space, or dense below 3,000
+// with one far row once 150 are written. So rows turn from an array into
+// a bitmap (dense, ascending) and back (the far row), and bitmaps grow
+// past their last word (ascending). After every apply the durable
+// accounting equals the model's. Every 500 applies each site's snapshot
+// lists every granule it replicates with the model's counts and sorted
+// rows, and restoring it and serializing again gives the same bytes.
+TEST(granule_store, rows_match_a_set_model_in_either_form) {
+  const placement p = placement::round_robin(4, 2);
+  const unsigned self = 1;
+  place::granule_store store(p, self);
+  struct model_granule {
+    std::set<std::uint32_t> rows;
+    std::uint64_t updates = 0;
+    std::uint64_t data = 0;
+  };
+  std::map<db::item_id, model_granule> model;
+  std::uint64_t durable_bytes = 0, durable_tuples = 0;
+  std::map<db::item_id, std::uint32_t> next_ascending;
+  util::rng g(3535);
+  const auto draw = [&g](std::int64_t lo, std::int64_t hi) {
+    return static_cast<std::uint32_t>(g.uniform_int(lo, hi));
+  };
+
+  const auto check_snapshots = [&] {
+    for (unsigned s = 0; s < 4; ++s) {
+      util::buffer_writer w;
+      store.snapshot_for(w, s);
+      const util::shared_bytes bytes = w.take();
+      util::buffer_reader r(bytes);
+      std::uint64_t data = 0;
+      std::uint32_t listed = r.get_u32();
+      for (const auto& [gran, m] : model) {
+        if (!p.stores(s, gran)) continue;
+        ASSERT_GT(listed--, 0u) << "site " << s;
+        ASSERT_EQ(r.get_u64(), gran);
+        EXPECT_EQ(r.get_u64(), m.updates);
+        EXPECT_EQ(r.get_u64(), m.data);
+        data += m.data;
+        ASSERT_EQ(r.get_u32(), m.rows.size());
+        for (const std::uint32_t row : m.rows)
+          ASSERT_EQ(r.get_u64(),
+                    db::make_item(db::item_table(gran), db::item_warehouse(gran),
+                                  db::item_district(gran), row));
+      }
+      EXPECT_EQ(listed, 0u);
+      EXPECT_EQ(r.remaining(), data);
+
+      place::granule_store joiner(p, s);
+      util::buffer_reader again_r(bytes);
+      joiner.restore(again_r);
+      EXPECT_TRUE(again_r.done());
+      util::buffer_writer again;
+      joiner.snapshot_for(again, s);
+      EXPECT_EQ(again.take()->written_out(), bytes->written_out())
+          << "site " << s;
+    }
+  };
+
+  std::vector<db::item_id> ws;
+  for (int i = 1; i <= 4000; ++i) {
+    ws.clear();
+    for (int n = draw(1, 4); n > 0; --n) {
+      const std::uint32_t shape = draw(0, 3);
+      const db::item_id gran =
+          db::make_granule(1 + shape, draw(0, 3), draw(0, 1));
+      std::uint32_t row = 0;
+      switch (shape) {
+        case 0:
+          row = draw(0, 199);
+          break;
+        case 1: {
+          auto [at, fresh] = next_ascending.try_emplace(gran, 5000);
+          row = at->second += draw(1, 3);
+          break;
+        }
+        case 2:
+          row = draw(0, (1 << 25) - 1);
+          break;
+        default:
+          row = model[gran].rows.size() == 150 ? (1u << 25) - 1 - draw(0, 999)
+                                               : draw(0, 2999);
+      }
+      ws.push_back(db::make_item(1 + shape, db::item_warehouse(gran),
+                                 db::item_district(gran), row));
+      ws.push_back(gran);
+    }
+    std::sort(ws.begin(), ws.end());
+    ws.erase(std::unique(ws.begin(), ws.end()), ws.end());
+    const auto bytes = draw(16, 400);
+    store.apply(ws, bytes);
+
+    std::size_t tuples = 0;
+    for (const db::item_id it : ws) tuples += !db::is_granule(it);
+    const std::uint64_t share = bytes / tuples;
+    for (const db::item_id it : ws) {
+      model_granule& m = model[db::granule_of(it)];
+      const bool owned = p.stores(self, it);
+      if (db::is_granule(it)) {
+        ++m.updates;
+      } else if (m.rows.insert(db::item_row(it)).second) {
+        m.data += share;
+        durable_bytes += owned ? share : 0;
+        durable_tuples += owned;
+      }
+    }
+    ASSERT_EQ(store.durable_tuples(), durable_tuples) << "apply " << i;
+    ASSERT_EQ(store.durable_bytes(), durable_bytes) << "apply " << i;
+    if (i % 500 == 0) check_snapshots();
+  }
+  EXPECT_EQ(store.tracked_granules(), model.size());
+}
+
 // Data lengths come off the wire: each granule's, and their running sum,
 // must fit in the bytes left (the padding follows the directory), or
 // restore throws before it skips. Two 2^63 lengths sum to 0 modulo 2^64.
@@ -253,31 +371,38 @@ TEST(granule_store, data_lengths_past_the_end_are_rejected) {
 
 // A granule keeps its tuples as rows, so restore rejects a listed tuple
 // of another granule, or a granule id, rather than file it under this
-// granule.
+// granule. snapshot_for lists each tuple once, in ascending order, so
+// restore also rejects a tuple listed twice and tuples out of order,
+// which would leave the listed count apart from the rows stored.
 TEST(granule_store, tuples_outside_their_granule_are_rejected) {
   const placement p = placement::round_robin(4, 2);
   const db::item_id g = db::make_granule(1, 0, 0);
-  const auto blob = [g](db::item_id tuple) {
+  const auto blob = [g](const std::vector<db::item_id>& tuples) {
     util::buffer_writer w;
     w.put_u32(1);
     w.put_u64(g);
     w.put_u64(1);  // updates
     w.put_u64(0);  // data bytes
-    w.put_u32(1);  // one tuple
-    w.put_u64(tuple);
+    w.put_u32(static_cast<std::uint32_t>(tuples.size()));
+    for (const db::item_id t : tuples) w.put_u64(t);
     return w.take();
   };
-  for (const db::item_id stray :
-       {db::make_item(1, 0, 1, 5), db::make_item(2, 0, 0, 5), g}) {
+  const db::item_id t5 = db::make_item(1, 0, 0, 5);
+  const db::item_id t9 = db::make_item(1, 0, 0, 9);
+  const std::vector<std::vector<db::item_id>> malformed = {
+      {db::make_item(1, 0, 1, 5)}, {db::make_item(2, 0, 0, 5)}, {g},
+      {t5, t5}, {t9, t5}};
+  for (const auto& tuples : malformed) {
     place::granule_store joiner(p, 0);
-    util::buffer_reader r(blob(stray));
-    EXPECT_THROW(joiner.restore(r), invariant_violation) << stray;
+    util::buffer_reader r(blob(tuples));
+    EXPECT_THROW(joiner.restore(r), invariant_violation) << tuples.back();
   }
   place::granule_store joiner(p, 0);
-  util::buffer_reader r(blob(db::make_item(1, 0, 0, 5)));
+  util::buffer_reader r(blob({t5, t9}));
   joiner.restore(r);
   EXPECT_TRUE(r.done());
   EXPECT_EQ(joiner.tracked_granules(), 1u);
+  EXPECT_EQ(joiner.durable_tuples(), p.stores(0, g) ? 2u : 0u);
 }
 
 // The directory lists each granule once, in ascending id order, so
@@ -312,22 +437,51 @@ TEST(granule_store, malformed_directories_are_rejected) {
   EXPECT_EQ(joiner.tracked_granules(), 2u);
 }
 
-TEST(granule_store, rows_take_4_bytes) {
-  // 100,000 rows of one granule grow its tuple set to 2^18 slots, the
-  // first power of two they fill at most 3/4. Besides that table the
-  // store keeps only a one-granule directory.
-  std::vector<db::item_id> ws(2);
-  const std::size_t before = counting_new::live_bytes;
-  place::granule_store store(placement::round_robin(4, 2), 0);
-  for (std::uint32_t row = 0; row < 100000; ++row) {
-    ws[0] = db::make_item(3, 1, 2, row);
-    ws[1] = db::granule_of(ws[0]);
-    store.apply(ws, 100);
+// A granule keeps scattered rows as a sorted array that grows by a
+// quarter, and dense ones as a bitmap over [0, max row]; a far row turns
+// that bitmap back into an array. Besides the rows the store keeps only a
+// one-granule directory.
+TEST(granule_store, rows_take_an_array_slot_or_a_bit) {
+  const auto live_after = [](const std::vector<std::uint32_t>& rows) {
+    std::vector<db::item_id> ws(2);
+    const std::size_t before = counting_new::live_bytes;
+    place::granule_store store(placement::full(1), 0);
+    for (const std::uint32_t row : rows) {
+      ws[0] = db::make_item(3, 1, 2, row);
+      ws[1] = db::granule_of(ws[0]);
+      store.apply(ws, 100);
+    }
+    EXPECT_EQ(store.tracked_granules(), 1u);
+    const std::size_t live = counting_new::live_bytes - before;
+    return std::pair{live, store.durable_tuples()};
+  };
+
+  std::vector<std::uint32_t> scattered;
+  std::set<std::uint32_t> seen;
+  util::rng g(35);
+  while (scattered.size() < 100000) {
+    const auto row =
+        static_cast<std::uint32_t>(g.uniform_int(0, (1 << 25) - 1));
+    if (seen.insert(row).second) scattered.push_back(row);
   }
-  const std::size_t live = counting_new::live_bytes - before;
-  EXPECT_EQ(store.tracked_granules(), 1u);
-  EXPECT_GE(live, 4u * 100000u);
-  EXPECT_LE(live, (4u << 18) + 1024u);
+  const auto [scattered_live, scattered_rows] = live_after(scattered);
+  EXPECT_EQ(scattered_rows, 100000u);
+  EXPECT_GE(scattered_live, 4u * 100000u);
+  EXPECT_LE(scattered_live, 5u * 100000u);
+
+  std::vector<std::uint32_t> consecutive(100000);
+  for (std::uint32_t row = 0; row < consecutive.size(); ++row)
+    consecutive[row] = row;
+  const auto [dense_live, dense_rows] = live_after(consecutive);
+  EXPECT_EQ(dense_rows, 100000u);
+  EXPECT_GE(dense_live, 100000u / 8);
+  EXPECT_LE(dense_live, 100000u / 8 + 1024u);
+
+  consecutive.push_back((1u << 25) - 3);
+  const auto [far_live, far_rows] = live_after(consecutive);
+  EXPECT_EQ(far_rows, 100001u);
+  EXPECT_GE(far_live, 4u * 100001u);
+  EXPECT_LE(far_live, 5u * 100001u);
 }
 
 // ---------- the placement-consistency monitor ----------
